@@ -116,8 +116,13 @@ def cmd_nearbest(args):
                 "max_nu": "",
             }
         )
-    if rows:
-        rows[-1]["max_nu"] = worst
+    if not rows:
+        raise ValueError(
+            f"no index fits the stencil of {2 * args.p + 1} Greville points (p={args.p}): "
+            f"an anchor i needs {glo + args.p} <= i <= {ghi - args.p}, "
+            f"but the Greville indices run {glo}..{ghi}"
+        )
+    rows[-1]["max_nu"] = worst
     _emit(rows, args.out, args.json)
     return 0
 

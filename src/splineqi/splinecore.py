@@ -186,6 +186,8 @@ class KnotSequence:
         t = np.asarray(knots, dtype=float)
         if t.ndim != 1:
             raise ValueError("knots must be a flat sequence")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("knots must be finite (no NaN or inf)")
         if np.any(np.diff(t) < 0):
             raise ValueError("knots must be non-decreasing")
         n = len(t) - 2 * degree - 2 * pad - 1
@@ -212,6 +214,8 @@ class KnotSequence:
         bp = np.asarray(breakpoints, dtype=float)
         if len(bp) < 2:
             raise ValueError("need at least two breakpoints")
+        if not np.all(np.isfinite(bp)):
+            raise ValueError("breakpoints must be finite (no NaN or inf)")
         if np.any(np.diff(bp) <= 0):
             raise ValueError("breakpoints must be strictly increasing")
         t = np.concatenate([np.repeat(bp[0], degree), bp, np.repeat(bp[-1], degree)])

@@ -15,6 +15,55 @@ from splineqi.bivariate import bcoef_monomial, family_moment, zp_dqi_empirical_n
 from splineqi.partitions import random_mesh
 
 
+def _nb4_stencil(s):
+    center, vertex, _ = nb_box_coeffs("four-direction", s)
+    return [((0, 0), center)] + [
+        ((ds, 0), vertex) for ds in (-s, s)
+    ] + [((0, ds), vertex) for ds in (-s, s)]
+
+
+def _full_period_norm(s, grid):
+    """Reference sampler: every grid point of the period, per-node dict sums."""
+    stencil = _nb4_stencil(s)
+    offs = (np.arange(grid) + 0.5) / grid
+    best = 0.0
+    ky_range = range(-2, 3)
+    kx_range = range(-2, 3)
+    for gy in offs:
+        # accumulate per-node weight rows over the x line y = gy
+        coef: dict[tuple[int, int], np.ndarray] = {}
+        for kx in kx_range:
+            for ky in ky_range:
+                vals = eval_zp_box(offs - kx, gy - ky)
+                if not np.any(vals):
+                    continue
+                for (ox, oy), w in stencil:
+                    node = (kx + ox, ky + oy)
+                    acc = coef.get(node)
+                    if acc is None:
+                        coef[node] = w * vals
+                    else:
+                        coef[node] = acc + w * vals
+        leb = np.zeros(grid)
+        for arr in coef.values():
+            leb += np.abs(arr)
+        best = max(best, float(leb.max()))
+    return best
+
+
+def _abs_weight_sum(s, x, y):
+    """sum_n |sum_k w(n - k) B((x, y) - k)| at points with |x|, |y| <= 1."""
+    stencil = _nb4_stencil(s)
+    coef: dict[tuple[int, int], np.ndarray] = {}
+    for kx in range(-3, 4):
+        for ky in range(-3, 4):
+            vals = eval_zp_box(x - kx, y - ky)
+            for (ox, oy), w in stencil:
+                node = (kx + ox, ky + oy)
+                coef[node] = coef.get(node, 0.0) + w * vals
+    return sum(np.abs(arr) for arr in coef.values())
+
+
 class TestTensorMesh:
     def test_spans_and_midpoints(self):
         mesh = TensorMesh([0.0, 1.0, 3.0], [0.0, 2.0])
@@ -25,6 +74,13 @@ class TestTensorMesh:
     def test_rejects_nonincreasing(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             TensorMesh([0.0, 1.0, 1.0], [0.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_lines(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            TensorMesh([0.0, bad, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            TensorMesh([0.0, 1.0], [bad, 1.0])
 
     def test_from_text(self):
         mesh = TensorMesh.from_text("0 0.5 1\n0 1 2 3\n")
@@ -181,3 +237,27 @@ class TestZPElement:
         got = zp_dqi_empirical_norm(s, grid=200)
         assert got == pytest.approx(want, abs=0.01)
         assert got <= 1 + 1 / s**2 + 1e-9
+
+    @pytest.mark.parametrize("grid", [37, 40, 64])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_eighth_period_matches_full_period(self, s, grid):
+        assert zp_dqi_empirical_norm(s, grid=grid) == pytest.approx(
+            _full_period_norm(s, grid), rel=1e-14
+        )
+
+    @pytest.mark.parametrize(
+        "s,want", [(1, 1.4999957031250002), (2, 1.2499963867187502), (3, 1.1111111111111127)]
+    )
+    def test_default_grid_values(self, s, want):
+        assert zp_dqi_empirical_norm(s) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_abs_weight_sum_is_d4_invariant(self, s):
+        # the symmetry that lets the norm sample one eighth of the period
+        rng = np.random.default_rng(18 + s)
+        x = rng.uniform(0.0, 1.0, 300)
+        y = rng.uniform(0.0, 1.0, 300)
+        base = _abs_weight_sum(s, x, y)
+        assert base.max() > 1.0
+        for u, v in ((y, x), (-x, y), (1.0 - x, y)):
+            np.testing.assert_allclose(_abs_weight_sum(s, u, v), base, rtol=0, atol=1e-13)

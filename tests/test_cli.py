@@ -61,6 +61,16 @@ class TestNearBest:
         assert float(nus.pop()) == pytest.approx(1 + 1.0 / 18.0, rel=1e-12)
         assert float(rows[-1].split(",")[3]) == pytest.approx(1 + 1.0 / 18.0, rel=1e-12)
 
+    def test_no_fitting_index_is_an_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "nearbest", "--m", "2", "--p", "10", "--q", "2", "--knots", "uniform:5"
+        )
+        assert code != 0
+        assert out == ""
+        msg = json.loads(err)["error"]
+        assert "21 Greville points (p=10)" in msg
+        assert "10 <= i <= -4" in msg and "0..6" in msg
+
 
 class TestQuad:
     def test_midpoint_rule_weight_sum(self, capsys):

@@ -71,6 +71,18 @@ class TestConstruction:
         with pytest.raises(ValueError, match="strictly increasing"):
             KnotSequence.clamped(2, [0.0, 0.5, 0.5, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_knots(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            KnotSequence(2, [0.0, 0.0, 0.0, bad, 1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_breakpoints(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            KnotSequence.clamped(2, [0.0, 0.5, bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            KnotSequence.clamped(2, [bad, 0.5, 1.0])
+
     def test_text_round_trip(self):
         ks = KnotSequence.clamped(3, [0.0, 0.2, 0.7, 1.0])
         back = KnotSequence.from_text(ks.to_text())

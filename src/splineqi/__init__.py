@@ -47,13 +47,12 @@ from .quasiinterp import (
     uniform_nb_dqi,
     uniform_nb_iqi,
 )
-from .splinecore import GrevilleData, KnotSequence
+from .splinecore import KnotSequence
 
 __version__ = "0.1.0"
 
 __all__ = [
     "KnotSequence",
-    "GrevilleData",
     "CoefficientFunctional",
     "QuasiInterpolant",
     "DISCRETE",

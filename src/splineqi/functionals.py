@@ -67,10 +67,10 @@ class CoefficientFunctional:
             + sum(abs(w) for _, w in self.kernel_entries)
         )
 
-    def _kernel_moment(self, idx: int, r: int) -> float:
+    def _kernel_moment(self, idx: int, r: int, center: float, scale: float) -> float:
         if self.kind == DUAL_SPLINE:
-            return self.ks.dual_moment(idx, r)
-        return self.ks.basis_moment(idx, r)
+            return self.ks.dual_moment(idx, r, center=center, scale=scale)
+        return self.ks.basis_moment(idx, r, center=center, scale=scale)
 
     def _kernel_apply(self, idx: int, f, npts: int) -> float:
         if self.kind == DUAL_SPLINE:
@@ -86,15 +86,15 @@ class CoefficientFunctional:
             total += w * self._kernel_apply(idx, f, npts)
         return total
 
-    def apply_monomial(self, r: int) -> float:
-        """Exact value on e_r(x) = x**r, without sampling."""
+    def apply_monomial(self, r: int, *, center: float = 0.0, scale: float = 1.0) -> float:
+        """Exact value on ((x - center)/scale)**r, without sampling."""
         if r < 0:
             raise ValueError("monomial order must be >= 0")
         total = 0.0
         for idx, w in self.point_entries:
-            total += w * self.ks.greville(idx) ** r
+            total += w * ((self.ks.greville(idx) - center) / scale) ** r
         for idx, w in self.kernel_entries:
-            total += w * self._kernel_moment(idx, r)
+            total += w * self._kernel_moment(idx, r, center, scale)
         return total
 
     def record(self) -> dict:
@@ -152,30 +152,27 @@ class QuasiInterpolant:
             out[n] = float(np.dot(row, coeffs[k : k + self.ks.m + 1]))
         return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
 
-    def evaluate_coeffs(self, coeffs: np.ndarray, x: float) -> float:
-        k, row = self.ks.basis_row(x)
-        return float(np.dot(row, coeffs[k : k + self.ks.m + 1]))
-
 
 def is_exact_on(q: QuasiInterpolant, degree: int, rtol: float = 1e-10) -> tuple[bool, float]:
     """Check coefficient-level polynomial reproduction up to the given degree.
 
-    Exactness of the operator on monomials of degree r is equivalent, by
+    Exactness of the operator on polynomials of degree r is equivalent, by
     linear independence of the basis, to every functional returning the
-    r-th symmetric coefficient of its own index.  Returns ``(ok, worst)``
-    with ``worst`` the largest raw residual found; the pass decision scales
-    each residual by ``max(1, b-a)**r`` to stay dimensionless.
+    r-th symmetric coefficient of its own index.  Each index is checked on
+    the monomials ``((x - theta_j)/(b - a))**r`` centred at its own Greville
+    point ``theta_j``, so the residuals are dimensionless and do not depend
+    on where the domain lies.  Returns ``(ok, worst)`` with ``worst`` the
+    largest such residual; ``ok`` means ``worst <= rtol``.
     """
-    if degree > q.ks.m:
+    ks = q.ks
+    if degree > ks.m:
         raise ValueError("cannot be exact beyond the spline degree")
-    width = max(1.0, q.ks.b - q.ks.a)
-    ok = True
+    scale = ks.b - ks.a
     worst = 0.0
-    for j in q.ks.basis_indices:
+    for j in ks.basis_indices:
         lam = q.functionals[j]
+        center = ks.greville(j)
         for r in range(degree + 1):
-            res = abs(lam.apply_monomial(r) - q.ks.symmetric_coeff(j, r))
-            worst = max(worst, res)
-            if res > rtol * width**r:
-                ok = False
-    return ok, worst
+            got = lam.apply_monomial(r, center=center, scale=scale)
+            worst = max(worst, abs(got - ks.symmetric_coeff(j, r, center=center, scale=scale)))
+    return worst <= rtol, worst

@@ -85,13 +85,12 @@ def _integral_data(ks: KnotSequence, i: int, p: int, q: int):
     center = ks.greville(i)
     spread = ks.greville(i + p) - ks.greville(i - p)
     scale = max(spread / 2.0, 1e-300)
-    cols = []
-    for s in range(-p, p + 1):
-        npts = (ks.m + q) // 2 + 1
-        nodes, wts = ks.basis_rule(i + s, npts)
-        tau = (nodes - center) / scale
-        cols.append([float(np.dot(wts, tau**r)) for r in range(q + 1)])
-    V = np.array(cols).T
+    V = np.array(
+        [
+            [ks.basis_moment(i + s, r, center=center, scale=scale) for s in range(-p, p + 1)]
+            for r in range(q + 1)
+        ]
+    )
     b = np.array([ks.symmetric_coeff(i, r, center=center, scale=scale) for r in range(q + 1)])
     return V, b
 

@@ -101,10 +101,11 @@ def empirical_norm_discrete(
 
 
 def _kernel_setup(q: QuasiInterpolant):
-    """Classify the operator's kernel flavour and return (view, shift, norms).
+    """Classify the operator's kernel flavour and return ``(view, shift)``,
+    or None for an operator without kernel entries.
 
-    ``shift`` maps a kernel index to its index in the kernel-space basis;
-    ``norms`` caches the kernel normalizations.
+    ``view`` evaluates the kernel-space basis and ``shift`` maps a kernel
+    index to its index in that basis.
     """
     kinds = {lam.kind for lam in q.functionals if lam.kernel_entries}
     if not kinds:

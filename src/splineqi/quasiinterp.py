@@ -128,6 +128,21 @@ def s2(ks: KnotSequence) -> QuasiInterpolant:
     return _validated(QuasiInterpolant(ks, tuple(funs), degree_exact=2, family="S2"))
 
 
+def _moment_functional(ks: KnotSequence, anchor: int, entries) -> CoefficientFunctional:
+    """Moment-operator functional from ``(index, weight)`` entries.  On a
+    clamped sequence indices 0 and nbasis-1 have no dual kernel; their
+    entries sample f at the domain end (their Greville point) instead."""
+    ends = () if ks.cardinal else (0, ks.nbasis - 1)
+    entries = [(idx, float(w)) for idx, w in entries]
+    return CoefficientFunctional(
+        ks,
+        DUAL_SPLINE,
+        anchor,
+        point_entries=tuple(e for e in entries if e[0] in ends),
+        kernel_entries=tuple(e for e in entries if e[0] not in ends),
+    )
+
+
 def gs1(ks: KnotSequence) -> QuasiInterpolant:
     """Unit-weight moment operator exact on degree 1, with norm bound 1.
 
@@ -139,31 +154,8 @@ def gs1(ks: KnotSequence) -> QuasiInterpolant:
     if ks.m < 2:
         raise ValueError("gs1 requires degree >= 2")
     _require_distinct_interior(ks, "gs1")
-    nb = ks.nbasis
-    funs = []
-    for i in ks.basis_indices:
-        if not ks.cardinal and (i == 0 or i == nb - 1):
-            funs.append(
-                CoefficientFunctional(ks, DUAL_SPLINE, i, point_entries=((i, 1.0),))
-            )
-        else:
-            funs.append(
-                CoefficientFunctional(ks, DUAL_SPLINE, i, kernel_entries=((i, 1.0),))
-            )
-    return _validated(QuasiInterpolant(ks, tuple(funs), degree_exact=1, family="G1"))
-
-
-def _gs2_row(ks: KnotSequence, idx: int, r: int, center: float) -> float:
-    """Centred r-th moment of the stencil member at idx (point or kernel)."""
-    nb = ks.nbasis
-    if not ks.cardinal and (idx == 0 or idx == nb - 1):
-        x = ks.a if idx == 0 else ks.b
-        return (x - center) ** r
-    if r == 0:
-        return 1.0
-    npts = (ks.m - 2 + r) // 2 + 1
-    nodes, wts = ks.dual_rule(idx, npts)
-    return float(np.dot(wts, (nodes - center) ** r))
+    funs = tuple(_moment_functional(ks, i, ((i, 1.0),)) for i in ks.basis_indices)
+    return _validated(QuasiInterpolant(ks, funs, degree_exact=1, family="G1"))
 
 
 def gs2(ks: KnotSequence) -> QuasiInterpolant:
@@ -171,38 +163,27 @@ def gs2(ks: KnotSequence) -> QuasiInterpolant:
 
     For each index the weights on the three neighbouring moment functionals
     solve the 3x3 reproduction system for degrees 0, 1, 2 (assembled in
-    monomials centred at the anchor's Greville point for conditioning).
+    monomials centred at the anchor's Greville point for conditioning).  On a
+    clamped sequence the two end coefficients stay point evaluations.
     """
     if ks.m < 2:
         raise ValueError("gs2 requires degree >= 2")
     _require_distinct_interior(ks, "gs2")
-    nb = ks.nbasis
     funs = []
     for i in ks.basis_indices:
-        if not ks.cardinal and (i == 0 or i == nb - 1):
-            funs.append(
-                CoefficientFunctional(ks, DUAL_SPLINE, i, point_entries=((i, 1.0),))
-            )
+        idxs = (i - 1, i, i + 1)
+        members = [_moment_functional(ks, idx, ((idx, 1.0),)) for idx in idxs]
+        if members[1].point_entries:  # clamped end: keep the point evaluation
+            funs.append(members[1])
             continue
         center = ks.greville(i)
-        idxs = (i - 1, i, i + 1)
-        M = np.array([[_gs2_row(ks, idx, r, center) for idx in idxs] for r in range(3)])
+        M = np.array([[lam.apply_monomial(r, center=center) for lam in members] for r in range(3)])
         rhs = np.array([ks.symmetric_coeff(i, r, center=center) for r in range(3)])
         try:
             w = np.linalg.solve(M, rhs)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"singular reproduction system at index {i}") from exc
-        points, kernels = [], []
-        for idx, wj in zip(idxs, w):
-            if not ks.cardinal and (idx == 0 or idx == nb - 1):
-                points.append((idx, float(wj)))
-            else:
-                kernels.append((idx, float(wj)))
-        funs.append(
-            CoefficientFunctional(
-                ks, DUAL_SPLINE, i, point_entries=tuple(points), kernel_entries=tuple(kernels)
-            )
-        )
+        funs.append(_moment_functional(ks, i, zip(idxs, w)))
     return _validated(QuasiInterpolant(ks, tuple(funs), degree_exact=2, family="G2"))
 
 
@@ -223,6 +204,39 @@ def gs2_quadratic_closed_form(ks: KnotSequence, i: int) -> tuple[float, float, f
     return a, 1.0 - a - c, c
 
 
+def _uniform_nb(kind: str, order: int, n: int, r, nspans: int, start: float, spacing: float):
+    """Body of uniform_nb_dqi (kind "dqi") and uniform_nb_iqi (kind "iqi")."""
+    if order < 2 or order % 2 != 0:
+        raise ValueError("order must be an even integer >= 2")
+    if n < 1:
+        raise ValueError("stencil half-width n must be >= 1")
+    degree = order - 1
+    r = degree if r is None else r
+    if not 0 <= r <= degree:
+        raise ValueError("reproduction degree r must satisfy 0 <= r <= order - 1")
+    ks = KnotSequence.cardinal_uniform(degree, nspans, pad=n + 1, start=start, spacing=spacing)
+    if order == 4 and r == 3:
+        # the cubic optimum is a_0 = 1 + 2c, a_n = -c
+        c = (1.0 if kind == "dqi" else 2.0) / (6.0 * n * n)
+        weights = np.zeros(2 * n + 1)
+        weights[n] = 1.0 + 2.0 * c
+        weights[0] = weights[-1] = -c
+    else:
+        weights, _nu = solve_symmetric_uniform(order, n, r, kind=kind)
+    funs = []
+    for i in ks.basis_indices:
+        entries = tuple(
+            (i + s, float(w)) for s, w in zip(range(-n, n + 1), weights) if w != 0.0
+        )
+        if kind == "dqi":
+            funs.append(CoefficientFunctional(ks, DISCRETE, i, point_entries=entries))
+        else:
+            funs.append(CoefficientFunctional(ks, BASIS_SPLINE, i, kernel_entries=entries))
+    family = "uniform-NB-dQI" if kind == "dqi" else "uniform-NB-iQI"
+    qi = QuasiInterpolant(ks, tuple(funs), degree_exact=r, family=family, params=(order, n, r))
+    return _validated(qi)
+
+
 def uniform_nb_dqi(
     order: int,
     n: int,
@@ -239,31 +253,7 @@ def uniform_nb_dqi(
     known optimal weights a_0 = 1 + 1/(3 n^2), a_n = -1/(6 n^2); every other
     case delegates to the l1 solver.
     """
-    if order < 2 or order % 2 != 0:
-        raise ValueError("order must be an even integer >= 2")
-    if n < 1:
-        raise ValueError("stencil half-width n must be >= 1")
-    degree = order - 1
-    r = degree if r is None else r
-    if not 0 <= r <= degree:
-        raise ValueError("reproduction degree r must satisfy 0 <= r <= order - 1")
-    ks = KnotSequence.cardinal_uniform(degree, nspans, pad=n + 1, start=start, spacing=spacing)
-    if order == 4 and r == 3:
-        weights = np.zeros(2 * n + 1)
-        weights[n] = 1.0 + 1.0 / (3.0 * n * n)
-        weights[0] = weights[-1] = -1.0 / (6.0 * n * n)
-    else:
-        weights, _nu = solve_symmetric_uniform(order, n, r, kind="dqi")
-    funs = []
-    for i in ks.basis_indices:
-        entries = tuple(
-            (i + s, float(w)) for s, w in zip(range(-n, n + 1), weights) if w != 0.0
-        )
-        funs.append(CoefficientFunctional(ks, DISCRETE, i, point_entries=entries))
-    qi = QuasiInterpolant(
-        ks, tuple(funs), degree_exact=r, family="uniform-NB-dQI", params=(order, n, r)
-    )
-    return _validated(qi)
+    return _uniform_nb("dqi", order, n, r, nspans, start, spacing)
 
 
 def uniform_nb_iqi(
@@ -281,31 +271,7 @@ def uniform_nb_iqi(
     cubic case with full reproduction degree uses the optimal weights
     a_0 = 1 + 2/(3 n^2), a_n = -1/(3 n^2).
     """
-    if order < 2 or order % 2 != 0:
-        raise ValueError("order must be an even integer >= 2")
-    if n < 1:
-        raise ValueError("stencil half-width n must be >= 1")
-    degree = order - 1
-    r = degree if r is None else r
-    if not 0 <= r <= degree:
-        raise ValueError("reproduction degree r must satisfy 0 <= r <= order - 1")
-    ks = KnotSequence.cardinal_uniform(degree, nspans, pad=n + 1, start=start, spacing=spacing)
-    if order == 4 and r == 3:
-        weights = np.zeros(2 * n + 1)
-        weights[n] = 1.0 + 2.0 / (3.0 * n * n)
-        weights[0] = weights[-1] = -1.0 / (3.0 * n * n)
-    else:
-        weights, _nu = solve_symmetric_uniform(order, n, r, kind="iqi")
-    funs = []
-    for i in ks.basis_indices:
-        entries = tuple(
-            (i + s, float(w)) for s, w in zip(range(-n, n + 1), weights) if w != 0.0
-        )
-        funs.append(CoefficientFunctional(ks, BASIS_SPLINE, i, kernel_entries=entries))
-    qi = QuasiInterpolant(
-        ks, tuple(funs), degree_exact=r, family="uniform-NB-iQI", params=(order, n, r)
-    )
-    return _validated(qi)
+    return _uniform_nb("iqi", order, n, r, nspans, start, spacing)
 
 
 def partition_condition_violations(ks: KnotSequence, p: int) -> list[int]:

@@ -1,5 +1,12 @@
 """Univariate B-spline infrastructure: knot sequences, Greville-type symmetric
-functions, evaluation, derivatives, moments and integrals.
+functions, evaluation, kernel moments and integrals.
+
+Kernel moments are closed forms, not quadratures: the unit-integral B-spline
+on knots ``t_0, ..., t_k`` has r-th raw moment ``h_r(t_0, ..., t_k) /
+binomial(r + k, r)``, where ``h_r`` is the complete homogeneous symmetric
+polynomial (de Boor, *A Practical Guide to Splines*; E. Neuman, "Moments of
+B-splines", J. Comput. Appl. Math. 1981).  Gauss quadrature over the knot
+spans remains only for integrating general functions against a kernel.
 
 Index conventions
 -----------------
@@ -22,11 +29,10 @@ Two layouts are supported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KnotSequence", "GrevilleData"]
+__all__ = ["KnotSequence"]
 
 
 class _BasisView:
@@ -57,10 +63,6 @@ class _BasisView:
     @property
     def kmax(self) -> int:
         return self.k0 + len(self.t) - 1
-
-    def jrange(self) -> tuple[int, int]:
-        """Basis indices whose full knot window is stored."""
-        return self.kmin + self.deg, self.kmax - 1
 
     def find_span(self, x: float, klo: int, khi: int) -> int:
         """Span index k in [klo, khi] with t_k <= x < t_{k+1} (last span at x = t_{khi+1})."""
@@ -119,60 +121,29 @@ class _BasisView:
                 N[r] = acc
         return N[0]
 
-    def deriv_row_at(self, x: float, k: int) -> np.ndarray:
-        """First-derivative values of B_k, ..., B_{k+deg} at x in span k."""
-        p = self.deg
-        out = np.zeros(p + 1)
-        if p == 0:
-            return out
-        lower = _BasisView(self.t, self.k0, p - 1)
-        nd = lower.row_at(x, k)  # degree p-1 splines D_k, ..., D_{k+p-1}
-        for r in range(p + 1):
-            j = k + r
-            term = 0.0
-            d1 = self.knot(j) - self.knot(j - p)
-            if d1 > 0.0 and 0 <= j - 1 - k <= p - 1:
-                term += nd[j - 1 - k] / d1
-            d2 = self.knot(j + 1) - self.knot(j - p + 1)
-            if d2 > 0.0 and 0 <= j - k <= p - 1:
-                term -= nd[j - k] / d2
-            out[r] = p * term
-        return out
-
     def integral(self, j: int) -> float:
         """Integral of B_j over its full support, (t_{j+1} - t_{j-deg})/(deg+1)."""
         return (self.knot(j + 1) - self.knot(j - self.deg)) / (self.deg + 1)
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = _GAUSS_CACHE.get(n)
-    if rule is None:
-        x, w = np.polynomial.legendre.leggauss(n)
-        rule = (x, w)
-        _GAUSS_CACHE[n] = rule
-    return rule
-
-
-@dataclass(frozen=True)
-class GrevilleData:
-    """Greville points and derived quantities over the basis index range.
-
-    ``lam[j] = theta[j]**2 - theta2[j]`` is the nonnegative local-spread gap
-    that governs the second-order corrections of the three-term operators;
-    it vanishes exactly when the ``m`` window knots coincide.
+def _kernel_moment(knots: np.ndarray, r: int, center: float, scale: float) -> float:
+    """r-th moment of the unit-integral B-spline on ``knots`` in the variable
+    ``(x - center)/scale``: ``h_r(u) / binomial(r + k, r)`` with
+    ``u = (knots - center)/scale`` and ``k + 1`` knots, ``h_r`` built by the
+    running-sum recurrence ``h_s(u_0..u_j) = h_s(u_0..u_{j-1}) + u_j h_{s-1}(u_0..u_j)``.
     """
-
-    theta: np.ndarray
-    theta2: np.ndarray
-    lam: np.ndarray
-    dtheta: np.ndarray
+    if r < 0:
+        raise ValueError("moment order must be >= 0")
+    h = [1.0] + [0.0] * r
+    for t in knots.tolist():
+        u = (t - center) / scale
+        for s in range(1, r + 1):
+            h[s] += u * h[s - 1]
+    return h[r] / math.comb(r + len(knots) - 1, r)
 
 
 class KnotSequence:
-    """A knot sequence of one degree, with cached Greville and moment data.
+    """A knot sequence of one degree, with cached Greville points and kernel rules.
 
     Immutable after construction; all caches are internal and append-only,
     so instances are safe for concurrent read access.
@@ -201,10 +172,7 @@ class KnotSequence:
         if self.b <= self.a:
             raise ValueError("empty domain")
         self._theta: dict[int, float] = {}
-        self._dual_mom: dict[tuple[int, int], float] = {}
-        self._basis_mom: dict[tuple[int, int], float] = {}
-        self._dual_rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._basis_rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._rules: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ setup
 
@@ -349,13 +317,6 @@ class KnotSequence:
             raise ValueError("lam is undefined for degree 1")
         return -self.symmetric_coeff(j, 2, center=self.greville(j))
 
-    def greville_data(self) -> GrevilleData:
-        js = np.arange(self.nbasis)
-        theta = np.array([self.greville(j) for j in js])
-        theta2 = np.array([self.symmetric_coeff(j, 2) for j in js]) if self.m >= 2 else theta * theta
-        lam = theta * theta - theta2
-        return GrevilleData(theta=theta, theta2=theta2, lam=lam, dtheta=np.diff(theta))
-
     # ------------------------------------------------------------- evaluation
 
     def _domain_span(self, x: float) -> int:
@@ -369,21 +330,10 @@ class KnotSequence:
         k = self._domain_span(x)
         return k, self._view.row_at(x, k)
 
-    def basis_deriv_row(self, x: float) -> tuple[int, np.ndarray]:
-        k = self._domain_span(x)
-        return k, self._view.deriv_row_at(x, k)
-
     def basis_value(self, i: int, x: float) -> float:
         if i < 0 or i >= self.nbasis:
             raise IndexError(f"basis index {i} outside [0, {self.nbasis - 1}]")
         k, row = self.basis_row(x)
-        off = i - k
-        return float(row[off]) if 0 <= off <= self.m else 0.0
-
-    def basis_deriv(self, i: int, x: float) -> float:
-        if i < 0 or i >= self.nbasis:
-            raise IndexError(f"basis index {i} outside [0, {self.nbasis - 1}]")
-        k, row = self.basis_deriv_row(x)
         off = i - k
         return float(row[off]) if 0 <= off <= self.m else 0.0
 
@@ -401,18 +351,35 @@ class KnotSequence:
             return full
         if self.knot(i - self.m) >= self.a and self.knot(i + 1) <= self.b:
             return full
-        gx, gw = _gauss_rule(self.m // 2 + 1)
-        total = 0.0
-        for k in range(max(i - self.m, 0), min(i + 1, self.n)):
-            u0, u1 = self.knot(k), self.knot(k + 1)
-            if u1 <= u0:
-                continue
-            mid, half = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
-            for xg, wg in zip(mid + half * gx, half * gw):
-                total += wg * self._view.single_value(i, xg)
-        return total
+        # Gauss nodes lie inside their spans: those in (a, b) cover the domain spans
+        nodes, wts = self._kernel_rule(self.m, i, self.m // 2 + 1)
+        return full * float(wts[(nodes > self.a) & (nodes < self.b)].sum())
 
     # ---------------------------------------------------------------- kernels
+
+    def _kernel_rule(self, deg: int, j: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gauss nodes, ``npts`` per nonempty knot span of the support of the
+        degree-``deg`` spline ``B_j`` on these knots, and weights such that
+        ``wts @ f(nodes)`` integrates f against the unit-integral kernel
+        ``B_j / integral(B_j)``; cached."""
+        key = (deg, j, npts)
+        rule = self._rules.get(key)
+        if rule is None:
+            view = _BasisView(self._view.t, self._view.k0, deg)
+            norm = view.integral(j)
+            gx, gw = np.polynomial.legendre.leggauss(npts)
+            nodes, wts = [], []
+            for k in range(j - deg, j + 1):
+                u0, u1 = self.knot(k), self.knot(k + 1)
+                if u1 <= u0:
+                    continue
+                mid, half = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
+                for xg, wg in zip(mid + half * gx, half * gw):
+                    nodes.append(xg)
+                    wts.append(wg * view.single_value(j, xg) / norm)
+            rule = (np.asarray(nodes), np.asarray(wts))
+            self._rules[key] = rule
+        return rule
 
     def dual_view(self) -> _BasisView:
         """Degree-(m-2) view on the same knots (the moment-kernel space)."""
@@ -420,109 +387,49 @@ class KnotSequence:
             raise ValueError("dual kernels need degree >= 2")
         return _BasisView(self._view.t, self._view.k0, self.m - 2)
 
-    def _dual_window_ok(self, i: int) -> bool:
-        lo = self._view.kmin + self.m - 1
-        return lo <= i <= self._view.kmax
-
-    def _check_dual_index(self, i: int):
+    def _dual_window(self, i: int) -> np.ndarray:
+        """Knots t_{i-m+1}, ..., t_i of the dual kernel at index i, validated."""
         if self.m < 2:
             raise ValueError("dual kernels need degree >= 2")
         if not self.cardinal and not (1 <= i <= self.nbasis - 2):
             raise ValueError(f"dual kernel index {i} outside interior range [1, {self.nbasis - 2}]")
-        if not self._dual_window_ok(i):
-            raise IndexError(f"dual kernel window for index {i} not stored")
         w = self._window(i)
         if w[-1] <= w[0]:
             raise ValueError(f"degenerate dual kernel window at index {i}")
+        return w
 
     def dual_rule(self, i: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes and weights for integrating f against the
         unit-integral degree-(m-2) kernel on [t_{i-m+1}, t_i]."""
-        self._check_dual_index(i)
-        key = (i, npts)
-        cached = self._dual_rules.get(key)
-        if cached is not None:
-            return cached
-        view = self.dual_view()
-        jk = i - 1  # kernel = degree-(m-2) spline with support [t_{i-m+1}, t_i]
-        norm = view.integral(jk)
-        gx, gw = _gauss_rule(npts)
-        nodes, wts = [], []
-        for k in range(i - self.m + 1, i):
-            u0, u1 = self.knot(k), self.knot(k + 1)
-            if u1 <= u0:
-                continue
-            mid, half = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
-            for xg, wg in zip(mid + half * gx, half * gw):
-                nodes.append(xg)
-                wts.append(wg * view.single_value(jk, xg) / norm)
-        rule = (np.asarray(nodes), np.asarray(wts))
-        self._dual_rules[key] = rule
-        return rule
+        self._dual_window(i)
+        return self._kernel_rule(self.m - 2, i - 1, npts)
 
-    def dual_moment(self, i: int, r: int) -> float:
-        """r-th raw moment of the unit-integral degree-(m-2) kernel at index i."""
-        if r < 0:
-            raise ValueError("moment order must be >= 0")
-        key = (i, r)
-        val = self._dual_mom.get(key)
-        if val is None:
-            if r == 0:
-                self._check_dual_index(i)
-                val = 1.0
-            else:
-                npts = (self.m - 2 + r) // 2 + 1
-                nodes, wts = self.dual_rule(i, npts)
-                val = float(np.dot(wts, nodes**r))
-            self._dual_mom[key] = val
-        return val
+    def dual_moment(self, i: int, r: int, *, center: float = 0.0, scale: float = 1.0) -> float:
+        """r-th moment of the unit-integral degree-(m-2) kernel at index i in
+        the variable ``(x - center)/scale``; its knots are the Greville window."""
+        return _kernel_moment(self._dual_window(i), r, center, scale)
 
     def dual_apply(self, i: int, f, npts: int = 8) -> float:
         """Integral of f against the unit-integral dual kernel at index i."""
         nodes, wts = self.dual_rule(i, npts)
         return float(np.dot(wts, np.asarray(f(nodes), dtype=float)))
 
+    def _basis_window(self, i: int) -> np.ndarray:
+        """Knots t_{i-m}, ..., t_{i+1} of the basis kernel B_i, validated."""
+        if not (self._view.kmin <= i - self.m and i + 1 <= self._view.kmax):
+            raise IndexError(f"basis kernel window for index {i} not stored")
+        pos = i - self._view.k0
+        return self._view.t[pos - self.m : pos + 2]
+
     def basis_rule(self, i: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes and weights against the unit-integral basis kernel B_i."""
-        lo_ok = self._view.kmin <= i - self.m
-        hi_ok = i + 1 <= self._view.kmax
-        if not (lo_ok and hi_ok):
-            raise IndexError(f"basis kernel window for index {i} not stored")
-        key = (i, npts)
-        cached = self._basis_rules.get(key)
-        if cached is not None:
-            return cached
-        norm = self._view.integral(i)
-        gx, gw = _gauss_rule(npts)
-        nodes, wts = [], []
-        for k in range(i - self.m, i + 1):
-            u0, u1 = self.knot(k), self.knot(k + 1)
-            if u1 <= u0:
-                continue
-            mid, half = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
-            for xg, wg in zip(mid + half * gx, half * gw):
-                nodes.append(xg)
-                wts.append(wg * self._view.single_value(i, xg) / norm)
-        rule = (np.asarray(nodes), np.asarray(wts))
-        self._basis_rules[key] = rule
-        return rule
+        self._basis_window(i)
+        return self._kernel_rule(self.m, i, npts)
 
-    def basis_moment(self, i: int, r: int) -> float:
-        """r-th raw moment of the unit-integral basis kernel B_i."""
-        if r < 0:
-            raise ValueError("moment order must be >= 0")
-        key = (i, r)
-        val = self._basis_mom.get(key)
-        if val is None:
-            if r == 0:
-                val = 1.0
-                self.basis_rule(i, 1)  # index validation
-            else:
-                npts = (self.m + r) // 2 + 1
-                nodes, wts = self.basis_rule(i, npts)
-                val = float(np.dot(wts, nodes**r))
-            self._basis_mom[key] = val
-        return val
+    def basis_moment(self, i: int, r: int, *, center: float = 0.0, scale: float = 1.0) -> float:
+        """r-th moment of the unit-integral basis kernel B_i in the variable
+        ``(x - center)/scale``."""
+        return _kernel_moment(self._basis_window(i), r, center, scale)
 
     def basis_apply(self, i: int, f, npts: int = 8) -> float:
         nodes, wts = self.basis_rule(i, npts)

@@ -6,7 +6,9 @@ exactly as stated; see the quadratic closed-form check in the same test for
 the part that is provably attainable.
 """
 
+import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -236,6 +238,70 @@ def test_c09_gs2_degree_independent_bound():
         sup[m] = worst
     detail = "per-degree suprema " + ", ".join(f"m={m}: {v:.3f}" for m, v in sup.items())
     _report("9a", violations == 0, f"{violations} violations of the bound 5; {detail}")
+
+
+def _exact_symmetric(values, r, complete):
+    """Complete homogeneous (complete=True) or elementary symmetric
+    polynomial of degree r of the given Fractions."""
+    acc = [Fraction(1)] + [Fraction(0)] * r
+    for u in values:
+        for s in range(1, r + 1) if complete else range(r, 0, -1):
+            acc[s] += u * acc[s - 1]
+    return acc[r]
+
+
+def _exact_solve(M, b):
+    """Gauss-Jordan elimination in Fractions."""
+    n = len(b)
+    A = [list(row) + [b[k]] for k, row in enumerate(M)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if A[r][c] != 0)
+        A[c], A[piv] = A[piv], A[c]
+        for r in range(n):
+            if r != c and A[r][c] != 0:
+                f = A[r][c] / A[c][c]
+                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+    return [A[k][n] / A[k][k] for k in range(n)]
+
+
+def test_c09_gs2_bound_failure_exact_certificate():
+    """Criterion 9a fails in exact arithmetic, not by roundoff.
+
+    Takes the first m=4 partition of a seeded stream with an interior G2 row
+    whose floating-point weight norm exceeds 5, and solves that row's 3x3
+    reproduction system again in rational arithmetic on the (exactly
+    representable) knots: dual-kernel moments h_r(window)/C(r+m-1, r) against
+    the symmetric coefficients e_r(window)/C(m, r).
+    """
+    m = 4
+    rng = np.random.default_rng(55)
+    for _ in range(50):
+        ks = random_clamped(m, 8, rng)
+        q = gs2(ks)
+        rows = range(2, ks.nbasis - 2)  # all three members are dual kernels
+        i = max(rows, key=lambda j: q.functionals[j].nu)
+        if q.functionals[i].nu > 5.0:
+            break
+    else:
+        raise AssertionError("no m=4 partition with a G2 row norm above 5 found")
+
+    def window(j):
+        return [Fraction(ks.knot(k)) for k in range(j - m + 1, j + 1)]
+
+    idxs = (i - 1, i, i + 1)
+    M = [
+        [_exact_symmetric(window(j), r, True) / math.comb(r + m - 1, r) for j in idxs]
+        for r in range(3)
+    ]
+    rhs = [_exact_symmetric(window(i), r, False) / math.comb(m, r) for r in range(3)]
+    w = _exact_solve(M, rhs)
+    nu = sum(abs(x) for x in w)
+    floats = dict(q.functionals[i].kernel_entries)
+    dev = max(abs(float(x) - floats[j]) for j, x in zip(idxs, w)) / float(nu)
+    print(f"ACCEPTANCE 9a certificate: m=4 row i={i} knots {ks.knots.tolist()}")
+    print(f"ACCEPTANCE 9a certificate: exact nu = {nu} ~ {float(nu):.15f}")
+    assert nu > 5
+    assert dev <= 1e-9, dev
 
 
 def test_c09_gs2_quadratic_closed_form():

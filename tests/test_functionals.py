@@ -1,5 +1,7 @@
 """Tests for coefficient functionals and the operator container."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,26 @@ class TestIsExactOn:
     def test_beyond_degree_rejected(self, quad_uniform):
         with pytest.raises(ValueError, match="beyond the spline degree"):
             is_exact_on(schoenberg(quad_uniform), 3)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_families_build_on_a_shifted_domain(self, m):
+        ks = KnotSequence.clamped(m, 1e4 + np.linspace(0.0, 1.0, 11))
+        for family in (schoenberg, s2, gs1, gs2):
+            q = family(ks)
+            ok, worst = is_exact_on(q, q.degree_exact)
+            assert ok and worst <= 1e-11, (q.family, worst)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_rejects_a_perturbed_weight_on_rough_partitions(self, m):
+        ks = random_clamped(m, 9, np.random.default_rng(15 + m))
+        for q in (schoenberg(ks), s2(ks), gs1(ks), gs2(ks)):
+            j = ks.nbasis // 2
+            lam = q.functionals[j]
+            entries = lam.kernel_entries or lam.point_entries
+            bumped = ((entries[0][0], entries[0][1] + 1e-8),) + entries[1:]
+            field = "kernel_entries" if lam.kernel_entries else "point_entries"
+            funs = list(q.functionals)
+            funs[j] = dataclasses.replace(lam, **{field: bumped})
+            broken = dataclasses.replace(q, functionals=tuple(funs))
+            ok, worst = is_exact_on(broken, q.degree_exact)
+            assert not ok and worst >= 1e-8 * (1 - 1e-6), (q.family, worst)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splineqi import KnotSequence
 from splineqi.partitions import random_clamped
@@ -255,39 +257,6 @@ class TestEvaluation:
             assert abs(row.sum() - 1.0) < 1e-12
 
 
-class TestDerivatives:
-    def test_identity_derivative(self):
-        rng = np.random.default_rng(30)
-        ks = random_clamped(3, 8, rng)
-        for x in rng.uniform(ks.a + 1e-3, ks.b - 1e-3, 50):
-            k, drow = ks.basis_deriv_row(x)
-            val = sum(drow[s] * ks.greville(k + s) for s in range(4))
-            assert abs(val - 1.0) < 1e-8
-
-    def test_partition_derivative_vanishes(self):
-        rng = np.random.default_rng(31)
-        ks = random_clamped(4, 6, rng)
-        for x in rng.uniform(ks.a, ks.b, 50):
-            _, drow = ks.basis_deriv_row(x)
-            assert abs(drow.sum()) < 1e-10
-
-    def test_finite_difference_oracle(self):
-        rng = np.random.default_rng(32)
-        ks = random_clamped(3, 8, rng)
-        coeffs = rng.standard_normal(ks.nbasis)
-
-        def spline(x):
-            k, row = ks.basis_row(x)
-            return float(np.dot(row, coeffs[k : k + 4]))
-
-        h = 1e-6
-        for x in rng.uniform(ks.a + 0.05, ks.b - 0.05, 25):
-            k, drow = ks.basis_deriv_row(x)
-            ds = float(np.dot(drow, coeffs[k : k + 4]))
-            fd = (spline(x + h) - spline(x - h)) / (2 * h)
-            assert ds == pytest.approx(fd, rel=1e-5, abs=1e-7)
-
-
 class TestDualMoments:
     def test_zeroth_is_one(self):
         rng = np.random.default_rng(40)
@@ -381,3 +350,64 @@ class TestBasisKernels:
         c = ks.greville(i)
         m2 = ks.basis_moment(i, 2) - c * c
         assert m2 == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+class TestClosedFormMoments:
+    """The closed-form kernel moments against Gauss quadrature of x**r."""
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_dual_moments_match_gauss(self, m):
+        ks = random_clamped(m, 9, np.random.default_rng(60 + m))
+        for i in range(1, ks.nbasis - 1):
+            for r in range(m + 2):
+                want = ks.dual_apply(i, lambda x: x**r)
+                assert ks.dual_moment(i, r) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_basis_moments_match_gauss(self, m):
+        ks = random_clamped(m, 9, np.random.default_rng(70 + m))
+        for i in range(ks.nbasis):
+            for r in range(m + 2):
+                want = ks.basis_apply(i, lambda x: x**r)
+                assert ks.basis_moment(i, r) == pytest.approx(want, rel=1e-12)
+
+    def test_repeated_knots_inside_a_window(self):
+        ks = KnotSequence(3, [0, 0, 0, 0, 0.3, 0.3, 0.7, 1, 1, 1, 1])
+        # dual window t_1..t_3 = (0.3, 0.3, 0.7): the linear kernel 2(0.7-x)/0.16
+        assert ks.dual_moment(3, 1) == pytest.approx((0.3 + 0.3 + 0.7) / 3, rel=1e-14)
+        for r in range(5):
+            for i in range(1, ks.nbasis - 1):
+                want = ks.dual_apply(i, lambda x: x**r)
+                assert ks.dual_moment(i, r) == pytest.approx(want, rel=1e-12)
+            for i in range(ks.nbasis):
+                want = ks.basis_apply(i, lambda x: x**r)
+                assert ks.basis_moment(i, r) == pytest.approx(want, rel=1e-12)
+
+    def test_negative_order_rejected(self):
+        ks = KnotSequence.clamped(3, [0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match="moment order"):
+            ks.dual_moment(1, -1)
+        with pytest.raises(ValueError, match="moment order"):
+            ks.basis_moment(1, -1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(2, 6),
+        spans=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=9),
+        kind=st.sampled_from(["dual_moment", "basis_moment"]),
+        data=st.data(),
+    )
+    def test_centred_moment_is_affine_invariant(self, m, spans, kind, data):
+        bp = np.concatenate([[0.0], np.cumsum(spans)])
+        bp /= bp[-1]
+        ks = KnotSequence.clamped(m, bp)
+        i = data.draw(st.integers(1, ks.nbasis - 2), label="i")
+        r = data.draw(st.integers(0, m + 1), label="r")
+        c = ks.greville(i)
+        want = getattr(ks, kind)(i, r, center=c)
+        shifted = getattr(KnotSequence.clamped(m, bp + 1e4), kind)(i, r, center=c + 1e4)
+        assert shifted == pytest.approx(want, rel=1e-9, abs=1e-10)
+        scaled = getattr(KnotSequence.clamped(m, bp * 1e-3), kind)(
+            i, r, center=c * 1e-3, scale=1e-3
+        )
+        assert scaled == pytest.approx(want, rel=1e-12, abs=1e-14)

@@ -5,11 +5,18 @@ point evaluations at Greville points (referenced by Greville index) or
 moments against unit-integral spline kernels (referenced by kernel index);
 a single functional may mix both, which the boundary rows of the moment
 operators on clamped sequences use.
+
+Applied as a whole, an operator's weights form two banded matrices, one
+over point sources and one over kernel sources (``WeightBand``): every
+functional's stencil lies within a fixed range of offsets from its own
+index.  Coefficients, evaluation, norms and quadrature rules work on the
+bands, over all indices or points at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +27,7 @@ __all__ = [
     "DUAL_SPLINE",
     "BASIS_SPLINE",
     "CoefficientFunctional",
+    "WeightBand",
     "QuasiInterpolant",
     "is_exact_on",
 ]
@@ -117,6 +125,67 @@ class CoefficientFunctional:
         }
 
 
+class WeightBand:
+    """One source type's weights of an operator, stored by offset.
+
+    Built from ``(source, weight)`` entry lists, one per basis index.  Row i
+    holds the weights of functional i on the sources ``i + lo``, ...,
+    ``i + lo + width - 1``, so ``W[i, i + lo + c] = weights[i, c]``.  A
+    source is a Greville index (``kind`` DISCRETE) or a kernel index of the
+    kernel flavour ``kind``.  ``sources`` lists, sorted, the source indices
+    that some functional references.  Read-only.
+    """
+
+    __slots__ = ("kind", "lo", "weights", "sources")
+
+    def __init__(self, kind: str | None, rows):
+        offsets = [idx - i for i, entries in enumerate(rows) for idx, _ in entries]
+        lo = min(offsets, default=0)
+        weights = np.zeros((len(rows), max(offsets, default=lo - 1) - lo + 1))
+        for i, entries in enumerate(rows):
+            for idx, w in entries:
+                weights[i, idx - i - lo] += w
+        weights.flags.writeable = False
+        self.kind = kind
+        self.lo = lo
+        self.weights = weights
+        self.sources = np.array(sorted({idx for entries in rows for idx, _ in entries}), dtype=int)
+
+    @property
+    def width(self) -> int:
+        return self.weights.shape[1]
+
+    def _columns(self) -> np.ndarray:
+        """Source index minus ``lo`` of every band entry."""
+        return np.arange(self.weights.shape[0])[:, None] + np.arange(self.width)
+
+    def at(self, k: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Weights on the sources at points with basis rows ``(k, rows)``
+        (from ``KnotSequence.basis_rows``): ``out[p, s]`` is the weight on
+        source ``k[p] + lo + s`` of the operator's value at point p."""
+        out = np.zeros((len(k), rows.shape[1] + self.width - 1))
+        for r in range(rows.shape[1]):
+            out[:, r : r + self.width] += rows[:, r, None] * self.weights[k + r]
+        return out
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """``W @ values`` with ``values[j]`` the datum of source ``sources[j]``."""
+        data = np.zeros(self.weights.shape[0] + self.width - 1)
+        data[self.sources - self.lo] = values
+        # entries outside a stencil are skipped, so a non-finite datum stays in its rows
+        terms = np.where(self.weights != 0.0, self.weights * data[self._columns()], 0.0)
+        return terms.sum(axis=1)
+
+    def source_totals(self, v: np.ndarray) -> np.ndarray:
+        """``v @ W`` at the referenced sources, summed in basis-index order."""
+        totals = np.bincount(
+            self._columns().ravel(),
+            weights=(self.weights * v[:, None]).ravel(),
+            minlength=self.weights.shape[0] + self.width - 1,
+        )
+        return totals[self.sources - self.lo]
+
+
 @dataclass(frozen=True)
 class QuasiInterpolant:
     """An indexed family of coefficient functionals bound to a spline basis."""
@@ -138,19 +207,48 @@ class QuasiInterpolant:
     def is_discrete(self) -> bool:
         return all(not lam.kernel_entries for lam in self.functionals)
 
+    @cached_property
+    def bands(self) -> tuple[WeightBand, WeightBand]:
+        """The weights as ``(point band, kernel band)``, built on first use."""
+        kinds = {lam.kind for lam in self.functionals if lam.kernel_entries}
+        if len(kinds) > 1:
+            raise ValueError("mixed kernel flavours in one operator")
+        kind = kinds.pop() if kinds else None
+        return (
+            WeightBand(DISCRETE, [lam.point_entries for lam in self.functionals]),
+            WeightBand(kind, [lam.kernel_entries for lam in self.functionals]),
+        )
+
+    def _source_data(self, band: WeightBand, f, npts: int) -> np.ndarray:
+        """f at the point sources, or its integrals against the kernel sources,
+        from one call of f on all the nodes."""
+        ks = self.ks
+        if band.kind == DISCRETE:
+            nodes = np.array([ks.greville(j) for j in band.sources])
+            return np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
+        rule = ks.dual_rule if band.kind == DUAL_SPLINE else ks.basis_rule
+        rules = [rule(g, npts) for g in band.sources]
+        nodes = np.concatenate([r[0] for r in rules])
+        wts = np.concatenate([r[1] for r in rules])
+        starts = np.cumsum([0] + [len(r[0]) for r in rules[:-1]])
+        vals = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
+        return np.add.reduceat(wts * vals, starts)
+
     def coefficients(self, f, npts: int = 8) -> np.ndarray:
-        """Spline coefficients of Qf."""
-        return np.array([lam.apply(f, npts) for lam in self.functionals])
+        """Spline coefficients of Qf (f is called on arrays of nodes)."""
+        out = np.zeros(self.ks.nbasis)
+        for band in self.bands:
+            if band.sources.size:
+                out = out + band.apply(self._source_data(band, f, npts))
+        return out
 
     def evaluate(self, f, x, npts: int = 8):
         """Pointwise value of Qf; x may be a scalar or an array."""
         coeffs = self.coefficients(f, npts)
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty_like(xs)
-        for n, xv in enumerate(xs):
-            k, row = self.ks.basis_row(xv)
-            out[n] = float(np.dot(row, coeffs[k : k + self.ks.m + 1]))
-        return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+        xs = np.asarray(x, dtype=float)
+        k, rows = self.ks.basis_rows(xs)
+        out = (rows * coeffs[k[:, None] + np.arange(self.ks.m + 1)]).sum(axis=1)
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def is_exact_on(q: QuasiInterpolant, degree: int, rtol: float = 1e-10) -> tuple[bool, float]:

@@ -155,6 +155,9 @@ def simplex_min(A, b, c, *, tol: float = 1e-11, max_iter: int = 20000):
 
     scale = max(1.0, float(np.abs(b).sum()))
     for _ in range(max_iter):
+        # at value 0 phase 1 is done; a roundoff reduced cost must not pivot on
+        if -T[m, -1] <= tol * scale:
+            break
         col = _bland_entering(T[m, : n + m], tol)
         if col < 0:
             break
@@ -204,8 +207,14 @@ def simplex_min(A, b, c, *, tol: float = 1e-11, max_iter: int = 20000):
     z = np.zeros(n)
     for r, bv in enumerate(basis):
         z[bv] = T2[r, -1]
-    obj = float(c @ z)
     B = A[keep_rows, :][:, basis] if keep_rows else np.zeros((0, 0))
+    if basis:
+        # basic values from the original data, free of the pivots' roundoff
+        try:
+            z[basis] = np.linalg.solve(B, b[keep_rows])
+        except np.linalg.LinAlgError:
+            pass  # keep the tableau values
+    obj = float(c @ z)
     try:
         y_red = np.linalg.solve(B.T, c[basis]) if len(basis) else np.zeros(0)
     except np.linalg.LinAlgError:

@@ -2,17 +2,31 @@
 
 The l1 norm of each functional's weight vector bounds the operator norm
 from above; the maximum over indices is exact and cheap.  The empirical
-estimates sample the pointwise absolute-weight sum (for discrete operators)
-or the absolute kernel integral (for integral operators) on a fine grid and
-converge to the true norm from below under refinement.  Reported values are
-therefore lower estimates.
+estimates sample a Lebesgue-type function on a fine grid: the pointwise
+absolute-weight sum (discrete operators, and the coefficient mode of
+integral operators) or the integral of the absolute combined kernel
+(kernel mode).  They converge to the true norm from below under
+refinement, so reported values are lower estimates.
+
+All samples are evaluated in one batch.  ``KnotSequence.basis_rows`` gives
+the basis rows of every sample point, and the operator's weight bands turn
+them into the weight of each source at each point
+(``WeightBand.at``); the absolute-weight sums follow directly.  In kernel
+mode the combined kernel at every point is, on each kernel-space span, one
+polynomial: the point's kernel weights times the power-form pieces of the
+kernels on that span (``KnotSequence.kernel_pieces``, built once per call
+from each kernel's own knot window).  Its values on a subgrid of
+``sign_samples`` midpoints plus the span ends bracket the roots; bisection,
+run on all brackets together, refines them, and each sign-constant piece
+is integrated exactly through the antiderivative.  The single-point
+functions are one-point calls into the same path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .functionals import BASIS_SPLINE, DUAL_SPLINE, QuasiInterpolant
+from .functionals import DUAL_SPLINE, QuasiInterpolant
 from .quasiinterp import schoenberg
 
 __all__ = [
@@ -22,7 +36,6 @@ __all__ = [
     "empirical_norm_integral",
     "error_bound",
 ]
-
 
 def nu_bound(q: QuasiInterpolant) -> float:
     """max over indices of the functional weight-vector l1 norms."""
@@ -42,30 +55,94 @@ def _sample_points(q: QuasiInterpolant, samples_per_span: int) -> np.ndarray:
         lo, hi = a + width / 4.0, b - width / 4.0
     else:
         lo, hi = a, b
-    pts = []
-    for k in range(ks.n):
-        u0, u1 = ks.knot(k), ks.knot(k + 1)
-        if u1 <= u0 or u1 <= lo or u0 >= hi:
-            continue
-        offs = np.arange(samples_per_span) / samples_per_span
-        loc = u0 + (u1 - u0) * offs
-        pts.append(loc[(loc >= lo) & (loc <= hi)])
-    pts.append(np.array([min(hi, b)]))
-    return np.concatenate(pts)
+    t = ks.knots[ks.m + ks.pad : ks.m + ks.pad + ks.n + 1]  # t_0, ..., t_n
+    u0, u1 = t[:-1], t[1:]
+    keep = (u1 > u0) & (u1 > lo) & (u0 < hi)
+    offs = np.arange(samples_per_span) / samples_per_span
+    loc = (u0[keep, None] + (u1 - u0)[keep, None] * offs).ravel()
+    return np.concatenate([loc[(loc >= lo) & (loc <= hi)], [min(hi, b)]])
+
+
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Polynomials with power coefficients ``c[..., p]`` at ``x``."""
+    out = c[..., -1] * np.ones_like(x)
+    for p in range(c.shape[-1] - 2, -1, -1):
+        out = out * x + c[..., p]
+    return out
+
+
+def _bisect(c, lo, hi, flo, tol: float = 1e-13, steps: int = 60) -> np.ndarray:
+    """Sign changes of the polynomials ``c`` (one per bracket, power form)
+    inside the brackets ``[lo, hi]``, ``flo`` the values at ``lo``.  A
+    bracket stops at an exact zero of its midpoint or once narrower than
+    ``tol``; the result is the midpoint of the final bracket."""
+    active = np.ones(len(lo), dtype=bool)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        fm = _horner(c, mid)
+        active &= (fm != 0.0) & (hi - lo >= tol)
+        if not active.any():
+            break
+        left = active & ((fm < 0) == (flo < 0))
+        lo, flo = np.where(left, mid, lo), np.where(left, fm, flo)
+        hi = np.where(active & ~left, mid, hi)
+    return 0.5 * (lo + hi)
+
+
+def _abs_kernel_integrals(q: QuasiInterpolant, k, weights, sign_samples: int) -> np.ndarray:
+    """Integral of the absolute combined kernel ``|sum_s weights[p, s] K_g|``
+    at each point p, where ``K_g`` is the unit-integral kernel of source
+    ``g = k[p] + lo + s`` of the kernel band."""
+    ks, band = q.ks, q.bands[1]
+    # kernel g is the spline B_{g + shift} of degree deg on the same knots
+    deg, shift = (ks.m - 2, -1) if band.kind == DUAL_SPLINE else (ks.m, 0)
+    npts, nsrc = weights.shape
+    table = np.zeros((ks.n + nsrc - 1, deg + 1, deg + 1))
+    table[band.sources - band.lo] = ks.kernel_pieces(deg, band.sources + shift)
+    # poly[p, s]: the combined kernel on kernel-space span k[p] + lo + shift - deg + s
+    nspans = nsrc + deg
+    poly = np.zeros((npts, nspans, deg + 1))
+    for s in range(nsrc):
+        poly[:, s : s + deg + 1] += weights[:, s, None, None] * table[k + s]
+    t = ks.knots
+    first = band.lo + shift - deg + ks.m + ks.pad  # knot-array position of span s = 0 at k = 0
+    pos = np.clip(k[:, None] + first + np.arange(nspans), 0, len(t) - 2)
+    span_width = t[pos + 1] - t[pos]
+
+    tau = np.concatenate([[0.0], (np.arange(sign_samples) + 0.5) / sign_samples, [1.0]])
+    vals = poly @ (tau[:, None] ** np.arange(deg + 1)).T
+    va, vb = vals[..., :-1], vals[..., 1:]
+    pi, si, ii = np.nonzero((va != 0.0) & (vb != 0.0) & ((va < 0) != (vb < 0)))
+    cuts = np.full(vals.shape[:-1] + (sign_samples + 3,), -np.inf)
+    cuts[..., 0], cuts[..., -1] = 0.0, 1.0
+    cuts[pi, si, ii + 1] = _bisect(poly[pi, si], tau[ii], tau[ii + 1], va[pi, si, ii])
+    # a sample interval without a root repeats the previous cut: a piece of width 0
+    cuts = np.maximum.accumulate(cuts, axis=-1)
+    anti = np.zeros((npts, nspans, deg + 2))
+    anti[..., 1:] = poly / np.arange(1, deg + 2)
+    ends = _horner(anti[..., None, :], cuts)
+    return (np.abs(np.diff(ends, axis=-1)).sum(axis=-1) * span_width).sum(axis=1)
+
+
+def _lebesgue_values(q: QuasiInterpolant, xs, mode: str, sign_samples: int) -> np.ndarray:
+    """Lebesgue-type values at the points xs (see integral_lebesgue_function)."""
+    if mode not in ("coefficient", "kernel"):
+        raise ValueError("mode must be 'coefficient' or 'kernel'")
+    point, kernel = q.bands
+    k, rows = q.ks.basis_rows(xs)
+    total = np.abs(point.at(k, rows)).sum(axis=1)
+    if not kernel.sources.size:
+        return total
+    weights = kernel.at(k, rows)
+    if mode == "coefficient":
+        return total + np.abs(weights).sum(axis=1)
+    return total + _abs_kernel_integrals(q, k, weights, sign_samples)
 
 
 def lebesgue_function(q: QuasiInterpolant, x: float) -> float:
-    """Pointwise absolute-weight sum of a discrete operator at x."""
-    ks = q.ks
-    k, row = ks.basis_row(x)
-    coef: dict[int, float] = {}
-    for r in range(ks.m + 1):
-        bv = row[r]
-        if bv == 0.0:
-            continue
-        for node, w in q.functionals[k + r].point_entries:
-            coef[node] = coef.get(node, 0.0) + w * bv
-    return float(sum(abs(v) for v in coef.values()))
+    """Pointwise absolute-weight sum of a discrete operator at x (for an
+    operator with moment functionals, its coefficient-mode value)."""
+    return float(_lebesgue_values(q, [x], "coefficient", 0)[0])
 
 
 def _polish(xs: np.ndarray, vals: np.ndarray, fn) -> float:
@@ -94,94 +171,10 @@ def empirical_norm_discrete(
     if not q.is_discrete:
         raise ValueError("operator has integral functionals; use empirical_norm_integral")
     xs = _sample_points(q, samples_per_span)
-    vals = np.array([lebesgue_function(q, x) for x in xs])
+    vals = _lebesgue_values(q, xs, "coefficient", 0)
     if polish:
         return _polish(xs, vals, lambda x: lebesgue_function(q, x))
     return float(vals.max())
-
-
-def _kernel_setup(q: QuasiInterpolant):
-    """Classify the operator's kernel flavour and return ``(view, shift)``,
-    or None for an operator without kernel entries.
-
-    ``view`` evaluates the kernel-space basis and ``shift`` maps a kernel
-    index to its index in that basis.
-    """
-    kinds = {lam.kind for lam in q.functionals if lam.kernel_entries}
-    if not kinds:
-        return None
-    if len(kinds) > 1:
-        raise ValueError("mixed kernel flavours in one operator")
-    kind = kinds.pop()
-    ks = q.ks
-    if kind == DUAL_SPLINE:
-        view, shift = ks.dual_view(), -1
-    elif kind == BASIS_SPLINE:
-        view, shift = ks._view, 0
-    else:  # pragma: no cover
-        raise ValueError(f"unexpected kernel kind {kind}")
-    return view, shift
-
-
-def _abs_kernel_integral(view, coef: dict[int, float], sign_samples: int, tol: float) -> float:
-    """Integral of |sum_j coef_j D_j| over the union of supports.
-
-    Within each knot span the combination is a polynomial; roots are
-    bracketed on a sign-sampled subgrid and located by bisection, and each
-    sign-constant piece is integrated exactly by Gauss quadrature.
-    """
-    if not coef:
-        return 0.0
-    deg = view.deg
-    jmin, jmax = min(coef), max(coef)
-    gx, gw = np.polynomial.legendre.leggauss(deg // 2 + 1)
-
-    def value(t: float, k: int) -> float:
-        row = view.row_at(t, k)
-        out = 0.0
-        for r in range(deg + 1):
-            c = coef.get(k + r)
-            if c is not None:
-                out += c * row[r]
-        return out
-
-    total = 0.0
-    for k in range(jmin - deg, jmax + 1):
-        if k < view.kmin or k + 1 > view.kmax:
-            continue
-        u0, u1 = view.knot(k), view.knot(k + 1)
-        if u1 <= u0:
-            continue
-        samples = np.empty(sign_samples + 2)
-        samples[0], samples[-1] = u0, u1
-        samples[1:-1] = u0 + (u1 - u0) * (np.arange(sign_samples) + 0.5) / sign_samples
-        vals = np.array([value(t, k) for t in samples])
-        cuts = [u0]
-        for s in range(len(samples) - 1):
-            va, vb = vals[s], vals[s + 1]
-            if va == 0.0 or vb == 0.0 or (va < 0) == (vb < 0):
-                continue
-            lo_t, hi_t = samples[s], samples[s + 1]
-            flo = va
-            for _ in range(60):
-                mid = 0.5 * (lo_t + hi_t)
-                fm = value(mid, k)
-                if fm == 0.0 or hi_t - lo_t < tol * (u1 - u0):
-                    break
-                if (fm < 0) == (flo < 0):
-                    lo_t, flo = mid, fm
-                else:
-                    hi_t = mid
-            cuts.append(0.5 * (lo_t + hi_t))
-        cuts.append(u1)
-        for s in range(len(cuts) - 1):
-            lo_t, hi_t = cuts[s], cuts[s + 1]
-            if hi_t <= lo_t:
-                continue
-            mid, half = 0.5 * (lo_t + hi_t), 0.5 * (hi_t - lo_t)
-            piece = sum(wg * value(mid + half * xg, k) for xg, wg in zip(gx, gw)) * half
-            total += abs(piece)
-    return total
 
 
 def integral_lebesgue_function(
@@ -196,32 +189,7 @@ def integral_lebesgue_function(
     exact sup-norm bound at x and never exceeds the coefficient value.
     Point entries contribute their absolute weights in both modes.
     """
-    ks = q.ks
-    setup = _kernel_setup(q)
-    k, row = ks.basis_row(x)
-    point_coef: dict[int, float] = {}
-    kernel_coef: dict[int, float] = {}
-    for r in range(ks.m + 1):
-        bv = row[r]
-        if bv == 0.0:
-            continue
-        lam = q.functionals[k + r]
-        for node, w in lam.point_entries:
-            point_coef[node] = point_coef.get(node, 0.0) + w * bv
-        for gidx, w in lam.kernel_entries:
-            kernel_coef[gidx] = kernel_coef.get(gidx, 0.0) + w * bv
-    total = float(sum(abs(v) for v in point_coef.values()))
-    if not kernel_coef:
-        return total
-    if mode == "coefficient":
-        return total + float(sum(abs(v) for v in kernel_coef.values()))
-    if mode != "kernel":
-        raise ValueError("mode must be 'coefficient' or 'kernel'")
-    view, shift = setup
-    basis_coef = {
-        gidx + shift: w / view.integral(gidx + shift) for gidx, w in kernel_coef.items()
-    }
-    return total + _abs_kernel_integral(view, basis_coef, sign_samples, 1e-13)
+    return float(_lebesgue_values(q, [x], mode, sign_samples)[0])
 
 
 def empirical_norm_integral(
@@ -239,10 +207,9 @@ def empirical_norm_integral(
     gives the (smaller) true sup-norm estimate.
     """
     xs = _sample_points(q, samples_per_span)
-    fn = lambda x: integral_lebesgue_function(q, x, mode, sign_samples)
-    vals = np.array([fn(x) for x in xs])
+    vals = _lebesgue_values(q, xs, mode, sign_samples)
     if polish:
-        return _polish(xs, vals, fn)
+        return _polish(xs, vals, lambda x: integral_lebesgue_function(q, x, mode, sign_samples))
     return float(vals.max())
 
 

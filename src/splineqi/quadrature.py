@@ -37,14 +37,10 @@ def qi_to_quadrature(q: QuasiInterpolant) -> QuadratureRule:
     if not q.is_discrete:
         raise ValueError("only discrete operators reduce to point rules")
     ks = q.ks
-    acc: dict[int, float] = {}
-    for i in ks.basis_indices:
-        bi = ks.basis_integral_domain(i)
-        for node, w in q.functionals[i].point_entries:
-            acc[node] = acc.get(node, 0.0) + w * bi
-    idxs = sorted(acc)
-    nodes = np.array([ks.greville(j) for j in idxs])
-    weights = np.array([acc[j] for j in idxs])
+    band, _ = q.bands
+    integrals = np.array([ks.basis_integral_domain(i) for i in ks.basis_indices])
+    nodes = np.array([ks.greville(j) for j in band.sources])
+    weights = band.source_totals(integrals)
     return QuadratureRule(nodes=nodes, weights=weights, domain=ks.domain, degree=q.degree_exact)
 
 

@@ -29,6 +29,7 @@ Two layouts are supported:
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -36,12 +37,8 @@ __all__ = ["KnotSequence"]
 
 
 class _BasisView:
-    """Cox-de Boor evaluation of one polynomial degree over a shared knot array.
-
-    ``row_at(x, k)`` returns the values of the ``deg+1`` splines that are
-    nonzero on the span ``[t_k, t_{k+1})``, namely ``B_k, ..., B_{k+deg}`` in
-    the support convention above.
-    """
+    """One polynomial degree over a shared knot array: single splines and
+    their integrals."""
 
     __slots__ = ("t", "k0", "deg")
 
@@ -63,38 +60,6 @@ class _BasisView:
     @property
     def kmax(self) -> int:
         return self.k0 + len(self.t) - 1
-
-    def find_span(self, x: float, klo: int, khi: int) -> int:
-        """Span index k in [klo, khi] with t_k <= x < t_{k+1} (last span at x = t_{khi+1})."""
-        pos = int(np.searchsorted(self.t, x, side="right")) - 1
-        k = pos + self.k0
-        k = min(max(k, klo), khi)
-        # skip zero-width spans (multiple knots)
-        while k < khi and self.knot(k + 1) <= self.knot(k):
-            k += 1
-        while k > klo and self.knot(k + 1) <= self.knot(k):
-            k -= 1
-        return k
-
-    def row_at(self, x: float, k: int) -> np.ndarray:
-        """Values of B_k, ..., B_{k+deg} at x, for x in the span [t_k, t_{k+1}]."""
-        p = self.deg
-        t = self.t
-        i = k - self.k0
-        N = [0.0] * (p + 1)
-        left = [0.0] * (p + 1)
-        right = [0.0] * (p + 1)
-        N[0] = 1.0
-        for j in range(1, p + 1):
-            left[j] = x - t[i + 1 - j]
-            right[j] = t[i + j] - x
-            saved = 0.0
-            for r in range(j):
-                temp = N[r] / (right[r + 1] + left[j - r])
-                N[r] = saved + right[r + 1] * temp
-                saved = left[j - r] * temp
-            N[j] = saved
-        return np.asarray(N)
 
     def single_value(self, j: int, x: float) -> float:
         """Value of the single spline B_j at x by recursion on its own knot
@@ -319,16 +284,62 @@ class KnotSequence:
 
     # ------------------------------------------------------------- evaluation
 
-    def _domain_span(self, x: float) -> int:
+    @cached_property
+    def _span_map(self) -> np.ndarray:
+        """Domain span used for each span index 0..n-1: a zero-width span
+        (repeated knot) passes its points on to the next nonempty span, or
+        back to the last one at the right end."""
+        t, o, n = self._view.t, -self._view.k0, self.n
+        empty = t[o + 1 : o + n + 1] <= t[o : o + n]
+        out = np.arange(n)
+        for k in range(n):
+            j = k
+            while j < n - 1 and empty[j]:
+                j += 1
+            while j > 0 and empty[j]:
+                j -= 1
+            out[k] = j
+        return out
+
+    def basis_rows(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Basis values at many points: ``(k, rows)`` with ``rows[p]`` the
+        values of ``B_{k[p]}, ..., B_{k[p]+m}`` at ``xs[p]``, the point in the
+        span ``[t_k, t_{k+1}]`` (the last nonempty span at x = b).
+
+        One ``searchsorted`` finds the spans; the Cox-de Boor triangle then
+        runs over all points at once, in the same order of operations for
+        every point as for one, so a row does not depend on its batch.
+        """
+        x = np.asarray(xs, dtype=float).reshape(-1)
         a, b = self.domain
-        if x < a or x > b:
-            raise ValueError(f"x={x} outside domain [{a}, {b}]")
-        return self._view.find_span(x, 0, self.n - 1)
+        outside = (x < a) | (x > b)
+        if outside.any():
+            raise ValueError(f"x={x[np.argmax(outside)]} outside domain [{a}, {b}]")
+        t, k0, p = self._view.t, self._view.k0, self.m
+        k = self._span_map[np.clip(np.searchsorted(t, x, side="right") - 1 + k0, 0, self.n - 1)]
+        # one row per basis offset, points along the rows:
+        # left[q-1] = x - t_{k+1-q}, right[q-1] = t_{k+q} - x for q = 1..m
+        steps = np.arange(1, p + 1)[:, None]
+        left = x - t[k - k0 + 1 - steps]
+        right = t[k - k0 + steps] - x
+        N = np.zeros((p + 1, len(x)))
+        N[0] = 1.0
+        for j in range(1, p + 1):
+            # the scalar step r reads N[r] before it is overwritten, so all
+            # r of one level go at once: N[r] = left_{j-r+1} T[r-1] + right_{r+1} T[r]
+            lw = left[j - 1 :: -1]
+            temp = N[:j] / (right[:j] + lw)
+            saved = lw * temp
+            prod = right[:j] * temp
+            N[0] = 0.0 + prod[0]
+            N[1:j] = saved[: j - 1] + prod[1:]
+            N[j] = saved[j - 1]
+        return k, N.T
 
     def basis_row(self, x: float) -> tuple[int, np.ndarray]:
         """All basis values at x: returns (start, values of B_start..B_{start+m})."""
-        k = self._domain_span(x)
-        return k, self._view.row_at(x, k)
+        k, rows = self.basis_rows([x])
+        return int(k[0]), rows[0]
 
     def basis_value(self, i: int, x: float) -> float:
         if i < 0 or i >= self.nbasis:
@@ -381,11 +392,46 @@ class KnotSequence:
             self._rules[key] = rule
         return rule
 
-    def dual_view(self) -> _BasisView:
-        """Degree-(m-2) view on the same knots (the moment-kernel space)."""
-        if self.m < 2:
-            raise ValueError("dual kernels need degree >= 2")
-        return _BasisView(self._view.t, self._view.k0, self.m - 2)
+    def kernel_pieces(self, deg: int, js) -> np.ndarray:
+        """Polynomial pieces of the unit-integral degree-``deg`` kernels
+        ``B_j / integral(B_j)`` for the indices ``js``, each from its own
+        knot window ``t_{j-deg}, ..., t_{j+1}`` alone.
+
+        ``out[g, r, p]`` is the coefficient of ``tau**p`` on the r-th span
+        ``[u, v]`` of the window of ``js[g]``, in the local variable
+        ``tau = (x - u)/(v - u)``.  The Cox-de Boor recursion runs on
+        polynomials: each level multiplies by the linear factors
+        ``(x - t_i)/(t_{i+d} - t_i)``, written in tau, and a factor with a
+        zero denominator is zero, so the pieces of empty spans vanish.
+        """
+        js = np.asarray(js, dtype=int)
+        t, k0 = self._view.t, self._view.k0
+        start = js - deg - k0
+        if js.size and (start.min() < 0 or start.max() + deg + 1 >= len(t)):
+            raise IndexError(f"knot window of a degree-{deg} kernel not stored")
+        w = t[start[:, None] + np.arange(deg + 2)]
+        u0, h = w[:, :-1, None], np.diff(w, axis=1)[:, :, None]
+        span = np.arange(deg + 1)
+        # N[g, r, i, p]: the spline on w[i..i+d+1] on span r, coefficient of tau^p
+        N = np.zeros((len(js), deg + 1, deg + 1, deg + 1))
+        N[:, span, span, 0] = 1.0
+
+        def inverse(den):
+            return np.divide(1.0, den, out=np.zeros_like(den), where=den > 0.0)
+
+        def times_linear(P, alpha, beta):
+            out = alpha[..., None] * P
+            out[..., 1:] += beta[..., None] * P[..., :-1]
+            return out
+
+        for d in range(1, deg + 1):
+            i = np.arange(deg + 1 - d)
+            inv_a = inverse(w[:, i + d] - w[:, i])[:, None, :]
+            inv_b = inverse(w[:, i + d + 1] - w[:, i + 1])[:, None, :]
+            N = times_linear(N[:, :, i], (u0 - w[:, None, i]) * inv_a, h * inv_a) + times_linear(
+                N[:, :, i + 1], (w[:, None, i + d + 1] - u0) * inv_b, -h * inv_b
+            )
+        return N[:, :, 0, :] * ((deg + 1) * inverse(w[:, -1] - w[:, 0]))[:, None, None]
 
     def _dual_window(self, i: int) -> np.ndarray:
         """Knots t_{i-m+1}, ..., t_i of the dual kernel at index i, validated."""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from splineqi import (
+    BASIS_SPLINE,
     DISCRETE,
     CoefficientFunctional,
     KnotSequence,
@@ -15,6 +16,8 @@ from splineqi import (
     is_exact_on,
     s2,
     schoenberg,
+    uniform_nb_dqi,
+    uniform_nb_iqi,
 )
 from splineqi.partitions import random_clamped
 
@@ -150,6 +153,74 @@ class TestQuasiInterpolant:
         q = schoenberg(quad_uniform)
         xs = np.linspace(0.0, 1.0, 23)
         np.testing.assert_allclose(q.evaluate(lambda x: 2 * x - 0.3, xs), 2 * xs - 0.3, atol=1e-13)
+
+    def test_coefficients_and_evaluate_match_per_point_loop(self):
+        # oracle: one functional and one basis row at a time
+        rng = np.random.default_rng(16)
+        f = lambda x: np.sin(3 * np.asarray(x)) + np.asarray(x) ** 2  # noqa: E731
+        ops = [uniform_nb_iqi(4, 2, nspans=8), uniform_nb_dqi(4, 3, nspans=8)]
+        for m in (2, 3, 5):
+            ks = random_clamped(m, 9, rng)
+            ops += [schoenberg(ks), s2(ks), gs1(ks), gs2(ks)]
+        for q in ops:
+            want = np.array([lam.apply(f) for lam in q.functionals])
+            got = q.coefficients(f)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+            a, b = q.ks.domain
+            xs = np.concatenate([rng.uniform(a, b, 50), [a, b]])
+            rows = [q.ks.basis_row(x) for x in xs]
+            want = [float(np.dot(row, got[k : k + q.ks.m + 1])) for k, row in rows]
+            scale = np.abs(got).max()
+            np.testing.assert_allclose(q.evaluate(f, xs), want, rtol=0, atol=1e-14 * scale)
+
+    def test_evaluate_shapes_and_domain(self, quad_uniform):
+        q = s2(quad_uniform)
+        f = lambda x: np.asarray(x) ** 2  # noqa: E731
+        for x in (0.3, np.float64(0.3), np.array(0.3)):
+            got = q.evaluate(f, x)
+            assert isinstance(got, float) and got == pytest.approx(0.09, rel=1e-13)
+        out = q.evaluate(f, [0.1, 0.5, 1.0])
+        assert isinstance(out, np.ndarray) and out.shape == (3,)
+        assert q.evaluate(f, np.array([])).shape == (0,)
+        with pytest.raises(ValueError, match=r"^x=1\.5 outside domain \[0\.0, 1\.0\]$"):
+            q.evaluate(f, 1.5)
+        with pytest.raises(ValueError, match=r"^x=-0\.25 outside domain \[0\.0, 1\.0\]$"):
+            q.evaluate(f, [0.5, -0.25, 2.0])
+
+    def test_coefficients_accept_a_constant_function(self, quad_uniform):
+        for q in (s2(quad_uniform), gs2(quad_uniform)):
+            np.testing.assert_allclose(q.coefficients(lambda x: 2.0), 2.0, rtol=1e-13)
+
+    def test_non_finite_datum_stays_in_its_rows(self, quad_uniform):
+        # f is infinite at the Greville point 0, which only rows 0 and 1 use
+        q = s2(quad_uniform)
+        with np.errstate(divide="ignore"):
+            coeffs = q.coefficients(lambda x: 1.0 / np.asarray(x))
+        assert not np.isfinite(coeffs[:2]).any() and np.isfinite(coeffs[2:]).all()
+
+    def test_weight_bands_hold_every_entry(self):
+        ks = random_clamped(3, 9, np.random.default_rng(17))
+        for q in (s2(ks), gs2(ks), uniform_nb_iqi(4, 3, nspans=8)):
+            point, kernel = q.bands
+            for band, field in ((point, "point_entries"), (kernel, "kernel_entries")):
+                assert not band.weights.flags.writeable
+                dense = {}
+                for i, lam in enumerate(q.functionals):
+                    for idx, w in getattr(lam, field):
+                        dense[i, idx] = w
+                for (i, c), w in np.ndenumerate(band.weights):
+                    assert dense.pop((i, i + band.lo + c), 0.0) == w
+                assert not dense
+                refs = {idx for lam in q.functionals for idx, _ in getattr(lam, field)}
+                assert sorted(refs) == band.sources.tolist()
+
+    def test_mixed_kernel_flavours_rejected(self, quad_uniform):
+        g1 = gs1(quad_uniform)
+        funs = list(g1.functionals)
+        funs[3] = CoefficientFunctional(quad_uniform, BASIS_SPLINE, 3, kernel_entries=((3, 1.0),))
+        mixed = dataclasses.replace(g1, functionals=tuple(funs))
+        with pytest.raises(ValueError, match="mixed kernel flavours"):
+            mixed.coefficients(np.sin)
 
     def test_is_discrete_flag(self, quad_uniform):
         assert schoenberg(quad_uniform).is_discrete

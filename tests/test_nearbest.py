@@ -1,5 +1,7 @@
 """Tests for the l1-minimization machinery."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,47 @@ class TestSolveL1:
         )
         with pytest.raises(InfeasibleError):
             solve_l1(prob)
+
+
+def enumerated_l1_optimum(A, b):
+    """min ||x||_1 subject to A x = b by enumeration: some optimum is a basic
+    solution, supported on rank(A) = rows(A) independent columns."""
+    best = np.inf
+    for cols in itertools.combinations(range(A.shape[1]), A.shape[0]):
+        M = A[:, cols]
+        try:
+            x = np.linalg.solve(M, b)
+        except np.linalg.LinAlgError:
+            continue
+        if np.max(np.abs(M @ x - b)) <= 1e-9 * max(1.0, float(np.max(np.abs(b)))):
+            best = min(best, float(np.abs(x).sum()))
+    return best
+
+
+class TestPhaseOneRoundoff:
+    """Problems on which phase 1 reached the value 0 and then pivoted on a
+    reduced cost of roundoff size into a column without a leaving row."""
+
+    @pytest.mark.parametrize(
+        "kind,i", [("discrete", 25), ("discrete", 40), ("integral", 25), ("integral", 37)]
+    )
+    def test_fixed_rough_partition(self, kind, i):
+        ks = random_clamped(4, 100, np.random.default_rng(8))
+        maker = getattr(NearBestProblem, f"from_{kind}")
+        prob = maker(ks, i, 4, 4)
+        sol = solve_l1(prob)
+        assert sol.nu == pytest.approx(enumerated_l1_optimum(prob.matrix, prob.rhs), rel=1e-9)
+
+    @pytest.mark.parametrize("m,p", [(3, 2), (5, 3), (4, 4)])
+    def test_seeded_sweep_against_enumeration(self, m, p):
+        for seed in range(8):
+            ks = random_clamped(m, 30, np.random.default_rng(seed))
+            for i in range(p, ks.nbasis - p):
+                for maker in (NearBestProblem.from_discrete, NearBestProblem.from_integral):
+                    prob = maker(ks, i, p, m)
+                    sol = solve_l1(prob)
+                    ref = enumerated_l1_optimum(prob.matrix, prob.rhs)
+                    assert abs(sol.nu - ref) <= 1e-9 * max(1.0, ref), (seed, i, maker.__name__)
 
 
 class TestSymmetricUniform:

@@ -16,8 +16,99 @@ from splineqi import (
     uniform_nb_dqi,
     uniform_nb_iqi,
 )
-from splineqi.normest import integral_lebesgue_function, lebesgue_function
+from splineqi.functionals import DUAL_SPLINE
+from splineqi.normest import _sample_points, integral_lebesgue_function, lebesgue_function
 from splineqi.partitions import random_clamped
+
+
+# ------------------------------------------------------------------ oracles
+# The per-point dict accumulation and the scalar bisection path that the
+# batched evaluation replaced, kept as the reference.
+
+
+def _row_at(t, k0, deg, x, k):
+    """Values of the degree-deg splines B_k..B_{k+deg} at x in span k."""
+    i = k - k0
+    N, left, right = [1.0] + [0.0] * deg, [0.0] * (deg + 1), [0.0] * (deg + 1)
+    for j in range(1, deg + 1):
+        left[j] = x - t[i + 1 - j]
+        right[j] = t[i + j] - x
+        saved = 0.0
+        for r in range(j):
+            temp = N[r] / (right[r + 1] + left[j - r])
+            N[r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        N[j] = saved
+    return N
+
+
+def _abs_kernel_integral_oracle(t, k0, deg, coef, sign_samples, tol=1e-13):
+    jmin, jmax = min(coef), max(coef)
+    gx, gw = np.polynomial.legendre.leggauss(deg // 2 + 1)
+
+    def value(x, k):
+        row = _row_at(t, k0, deg, x, k)
+        return sum(coef.get(k + r, 0.0) * row[r] for r in range(deg + 1))
+
+    total = 0.0
+    for k in range(max(jmin - deg, k0), min(jmax + 1, k0 + len(t) - 1)):
+        u0, u1 = t[k - k0], t[k + 1 - k0]
+        if u1 <= u0:
+            continue
+        samples = np.concatenate(
+            [[u0], u0 + (u1 - u0) * (np.arange(sign_samples) + 0.5) / sign_samples, [u1]]
+        )
+        vals = [value(x, k) for x in samples]
+        cuts = [u0]
+        for s in range(len(samples) - 1):
+            va, vb = vals[s], vals[s + 1]
+            if va == 0.0 or vb == 0.0 or (va < 0) == (vb < 0):
+                continue
+            lo, hi, flo = samples[s], samples[s + 1], va
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                fm = value(mid, k)
+                if fm == 0.0 or hi - lo < tol * (u1 - u0):
+                    break
+                if (fm < 0) == (flo < 0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            cuts.append(0.5 * (lo + hi))
+        cuts.append(u1)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            total += abs(sum(w * value(mid + half * g, k) for g, w in zip(gx, gw)) * half)
+    return total
+
+
+def lebesgue_oracle(q, x, mode="coefficient", sign_samples=8):
+    ks = q.ks
+    k, row = ks.basis_row(x)
+    point, kernel = {}, {}
+    for r in range(ks.m + 1):
+        lam = q.functionals[k + r]
+        for node, w in lam.point_entries:
+            point[node] = point.get(node, 0.0) + w * row[r]
+        for g, w in lam.kernel_entries:
+            kernel[g] = kernel.get(g, 0.0) + w * row[r]
+    total = sum(abs(v) for v in point.values())
+    if not kernel or mode == "coefficient":
+        return total + sum(abs(v) for v in kernel.values())
+    kind = {lam.kind for lam in q.functionals if lam.kernel_entries}.pop()
+    deg, shift = (ks.m - 2, -1) if kind == DUAL_SPLINE else (ks.m, 0)
+    t, k0 = ks.knots, -(ks.m + ks.pad)
+    integral = lambda j: (t[j + 1 - k0] - t[j - deg - k0]) / (deg + 1)  # noqa: E731
+    coef = {g + shift: w / integral(g + shift) for g, w in kernel.items()}
+    return total + _abs_kernel_integral_oracle(t, k0, deg, coef, sign_samples)
+
+
+def _operators_with_kernels():
+    rng = np.random.default_rng(60)
+    for m in (2, 3, 4, 5):
+        yield f"G2 m={m}", gs2(random_clamped(m, 7, rng))
+    for n in (1, 2, 3):
+        yield f"iQI n={n}", uniform_nb_iqi(4, n, nspans=8)
 
 
 class TestNuBound:
@@ -137,6 +228,52 @@ class TestLebesgueFunctions:
         assert integral_lebesgue_function(q, x, "coefficient") == pytest.approx(
             integral_lebesgue_function(q, x, "kernel"), rel=1e-12
         )
+
+
+class TestBatchedAgainstOracle:
+    def test_discrete_values(self):
+        rng = np.random.default_rng(61)
+        ops = [uniform_nb_dqi(4, n, nspans=12) for n in (1, 2, 3)]
+        for m in (2, 3, 4, 5):
+            ks = random_clamped(m, 9, rng)
+            ops += [schoenberg(ks), s2(ks)]
+        for q in ops:
+            xs = _sample_points(q, 16)
+            got = [lebesgue_function(q, x) for x in xs]
+            want = [lebesgue_oracle(q, x) for x in xs]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+            got = empirical_norm_discrete(q, 16, polish=False)
+            assert got == pytest.approx(max(want), rel=1e-13)
+
+    def test_coefficient_mode_values(self):
+        for label, q in _operators_with_kernels():
+            xs = _sample_points(q, 16)
+            want = [lebesgue_oracle(q, x) for x in xs]
+            got = [integral_lebesgue_function(q, x) for x in xs]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=label)
+            got = empirical_norm_integral(q, 16, polish=False)
+            assert got == pytest.approx(max(want), rel=1e-13)
+
+    def test_kernel_mode_values(self):
+        for label, q in _operators_with_kernels():
+            xs = _sample_points(q, 16)[::3]
+            for sign_samples in (8, 3):
+                want = [lebesgue_oracle(q, x, "kernel", sign_samples) for x in xs]
+                got = [integral_lebesgue_function(q, x, "kernel", sign_samples) for x in xs]
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=label)
+
+    @pytest.mark.parametrize("order,n", [(6, 2), (6, 3), (8, 3)])
+    def test_kernel_mode_on_a_short_cardinal_sequence(self, order, n):
+        # the kernels next to the padded ends have their windows stored, but
+        # not the knots beyond them
+        short = empirical_norm_integral(uniform_nb_iqi(order, n, nspans=6), 16, mode="kernel")
+        long = empirical_norm_integral(uniform_nb_iqi(order, n, nspans=30), 16, mode="kernel")
+        assert short == pytest.approx(long, rel=1e-12)
+
+    def test_mode_checked(self):
+        q = gs1(KnotSequence.clamped(2, [0.0, 0.5, 1.0]))
+        with pytest.raises(ValueError, match="mode must be"):
+            empirical_norm_integral(q, mode="exact")
 
 
 class TestErrorBound:

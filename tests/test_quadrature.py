@@ -50,6 +50,27 @@ class TestRuleConstruction:
             )
 
 
+    def test_matches_per_index_loop(self):
+        # oracle: the rule summed one functional entry at a time, in index order
+        rng = np.random.default_rng(33)
+        ops = [
+            uniform_nb_dqi(4, 2, nspans=10),
+            nb_dqi_nonuniform(random_admissible_clamped(12, rng, 2), 2),
+        ]
+        for m in (2, 3, 5):
+            ks = random_clamped(m, 9, rng)
+            ops += [schoenberg(ks), s2(ks)]
+        for q in ops:
+            ks, acc = q.ks, {}
+            for i in ks.basis_indices:
+                bi = ks.basis_integral_domain(i)
+                for node, w in q.functionals[i].point_entries:
+                    acc[node] = acc.get(node, 0.0) + w * bi
+            rule = qi_to_quadrature(q)
+            assert np.array_equal(rule.nodes, [ks.greville(j) for j in sorted(acc)])
+            assert np.array_equal(rule.weights, [acc[j] for j in sorted(acc)])
+
+
 class TestExactnessDegree:
     def test_s2_rule_integrates_squares(self):
         ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 11))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from splineqi import KnotSequence
 from splineqi.partitions import random_clamped
+from splineqi.splinecore import _BasisView
 
 
 def bspline_oracle(knots, x):
@@ -28,6 +29,29 @@ def bspline_oracle(knots, x):
         return acc
 
     return rec(0, p, x)
+
+
+def row_oracle(ks, x):
+    """Scalar span search and Cox-de Boor row, one point at a time, in the
+    order of operations the batched ``basis_rows`` must reproduce."""
+    t, k0, p, n = ks.knots, -(ks.m + ks.pad), ks.m, ks.n
+    k = min(max(int(np.searchsorted(t, x, side="right")) - 1 + k0, 0), n - 1)
+    while k < n - 1 and t[k + 1 - k0] <= t[k - k0]:
+        k += 1
+    while k > 0 and t[k + 1 - k0] <= t[k - k0]:
+        k -= 1
+    i = k - k0
+    N, left, right = [1.0] + [0.0] * p, [0.0] * (p + 1), [0.0] * (p + 1)
+    for j in range(1, p + 1):
+        left[j] = x - t[i + 1 - j]
+        right[j] = t[i + j] - x
+        saved = 0.0
+        for r in range(j):
+            temp = N[r] / (right[r + 1] + left[j - r])
+            N[r] = saved + right[r + 1] * temp
+            saved = left[j - r] * temp
+        N[j] = saved
+    return k, np.asarray(N)
 
 
 def lam_oracle(window):
@@ -255,6 +279,81 @@ class TestEvaluation:
         for x in np.linspace(0.0, 1.0, 41):
             _, row = ks.basis_row(x)
             assert abs(row.sum() - 1.0) < 1e-12
+
+
+class TestBasisRows:
+    @staticmethod
+    def sequences():
+        rng = np.random.default_rng(50)
+        for m in (1, 2, 3, 4, 5):
+            yield random_clamped(m, 12, rng)
+        yield KnotSequence.cardinal_uniform(3, 10, pad=2)
+        yield KnotSequence(2, [0, 0, 0, 0.3, 0.3, 0.7, 1, 1, 1])
+        yield KnotSequence(3, [0, 0, 0, 0, 0.2, 0.5, 0.5, 0.5, 0.9, 1, 1, 1, 1])
+
+    @staticmethod
+    def points(ks, rng):
+        bp = np.unique(ks.knots)
+        return np.concatenate([rng.uniform(ks.a, ks.b, 200), bp[(bp >= ks.a) & (bp <= ks.b)]])
+
+    def test_bitwise_equal_to_scalar_rows(self):
+        rng = np.random.default_rng(51)
+        for ks in self.sequences():
+            xs = self.points(ks, rng)
+            k, rows = ks.basis_rows(xs)
+            for x, kk, row in zip(xs, k, rows):
+                k1, row1 = ks.basis_row(x)
+                k2, row2 = row_oracle(ks, x)
+                assert kk == k1 == k2
+                assert np.array_equal(row, row1) and np.array_equal(row, row2), (ks, x)
+
+    def test_against_scipy_design_matrix(self):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(52)
+        for ks in self.sequences():
+            xs = self.points(ks, rng)
+            assert xs.max() == ks.b
+            k, rows = ks.basis_rows(xs)
+            ours = np.zeros((len(xs), ks.nbasis + 2 * ks.pad))
+            np.put_along_axis(ours, k[:, None] + ks.pad + np.arange(ks.m + 1), rows, axis=1)
+            ref = interpolate.BSpline.design_matrix(xs, ks.knots, ks.m).toarray()
+            np.testing.assert_allclose(ours, ref, rtol=1e-13, atol=1e-13)
+
+    def test_domain_and_shape(self):
+        ks = KnotSequence.clamped(2, [0.0, 0.5, 1.0])
+        k, rows = ks.basis_rows([])
+        assert k.shape == (0,) and rows.shape == (0, 3)
+        with pytest.raises(ValueError, match=r"x=1\.5 outside domain \[0\.0, 1\.0\]"):
+            ks.basis_rows([0.2, 1.5, -1.0])
+
+
+class TestKernelPieces:
+    @pytest.mark.parametrize("deg", [0, 1, 2, 3, 5])
+    def test_pieces_match_single_values(self, deg):
+        # the degree-deg splines on the knots of a degree-(deg+2) sequence
+        ks = random_clamped(deg + 2, 9, np.random.default_rng(53 + deg))
+        view = _BasisView(ks.knots, -ks.m, deg)
+        js = np.arange(view.kmin + deg, view.kmax)
+        pieces = ks.kernel_pieces(deg, js)
+        for g, j in enumerate(js):
+            w = ks.knots[j - deg - view.k0 : j + 2 - view.k0]
+            if w[-1] <= w[0]:
+                continue
+            integral = view.integral(j)
+            for r in range(deg + 1):
+                if w[r + 1] <= w[r]:
+                    assert not pieces[g, r].any()
+                    continue
+                for tau in (0.0, 0.3, 0.71):
+                    x = w[r] + (w[r + 1] - w[r]) * tau
+                    tau = (x - w[r]) / (w[r + 1] - w[r])
+                    got = np.polynomial.polynomial.polyval(tau, pieces[g, r]) * integral
+                    assert got == pytest.approx(view.single_value(j, x), abs=1e-13)
+
+    def test_window_must_be_stored(self):
+        ks = KnotSequence.clamped(2, [0.0, 0.5, 1.0])
+        with pytest.raises(IndexError, match="not stored"):
+            ks.kernel_pieces(2, [ks.nbasis + 1])
 
 
 class TestDualMoments:

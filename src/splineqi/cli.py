@@ -66,17 +66,12 @@ def _build_family(args):
         maker = uniform_nb_dqi if name == "udqi" else uniform_nb_iqi
         return maker(args.order, args.n, args.r, nspans=args.spans)
     ks = parse_knot_spec(args.knots, args.m, seed=args.seed)
-    if name == "s1":
-        return schoenberg(ks)
-    if name == "s2":
-        return s2(ks)
-    if name == "g1":
-        return gs1(ks)
-    if name == "g2":
-        return gs2(ks)
     if name == "qp2":
         return nb_dqi_nonuniform(ks, args.p)
-    raise ValueError(f"unknown family {name}")
+    makers = {"s1": schoenberg, "s2": s2, "g1": gs1, "g2": gs2}
+    if name not in makers:
+        raise ValueError(f"unknown family {name}")
+    return makers[name](ks)
 
 
 def cmd_build(args):

@@ -9,8 +9,8 @@ operators on clamped sequences use.
 Applied as a whole, an operator's weights form two banded matrices, one
 over point sources and one over kernel sources (``WeightBand``): every
 functional's stencil lies within a fixed range of offsets from its own
-index.  Coefficients, evaluation, norms and quadrature rules work on the
-bands, over all indices or points at once.
+index.  Coefficients, evaluation, norms, quadrature rules and the
+reproduction check work on the bands, over all indices or points at once.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ DUAL_SPLINE = "integral-dual-spline"
 BASIS_SPLINE = "integral-basis-spline"
 
 _KINDS = (DISCRETE, DUAL_SPLINE, BASIS_SPLINE)
+_MOMENT_KINDS = {DISCRETE: "point", DUAL_SPLINE: "dual", BASIS_SPLINE: "basis"}
 
 
 @dataclass(frozen=True)
@@ -75,34 +76,26 @@ class CoefficientFunctional:
             + sum(abs(w) for _, w in self.kernel_entries)
         )
 
-    def _kernel_moment(self, idx: int, r: int, center: float, scale: float) -> float:
-        if self.kind == DUAL_SPLINE:
-            return self.ks.dual_moment(idx, r, center=center, scale=scale)
-        return self.ks.basis_moment(idx, r, center=center, scale=scale)
-
-    def _kernel_apply(self, idx: int, f, npts: int) -> float:
-        if self.kind == DUAL_SPLINE:
-            return self.ks.dual_apply(idx, f, npts)
-        return self.ks.basis_apply(idx, f, npts)
-
     def apply(self, f, npts: int = 8) -> float:
         """Apply the form to a function (vectorized over numpy arrays)."""
+        kernel = self.ks.dual_apply if self.kind == DUAL_SPLINE else self.ks.basis_apply
         total = 0.0
         for idx, w in self.point_entries:
             total += w * float(f(self.ks.greville(idx)))
         for idx, w in self.kernel_entries:
-            total += w * self._kernel_apply(idx, f, npts)
+            total += w * kernel(idx, f, npts)
         return total
 
     def apply_monomial(self, r: int, *, center: float = 0.0, scale: float = 1.0) -> float:
         """Exact value on ((x - center)/scale)**r, without sampling."""
         if r < 0:
             raise ValueError("monomial order must be >= 0")
+        moment = self.ks.dual_moment if self.kind == DUAL_SPLINE else self.ks.basis_moment
         total = 0.0
         for idx, w in self.point_entries:
             total += w * ((self.ks.greville(idx) - center) / scale) ** r
         for idx, w in self.kernel_entries:
-            total += w * self._kernel_moment(idx, r, center, scale)
+            total += w * moment(idx, r, center=center, scale=scale)
         return total
 
     def record(self) -> dict:
@@ -259,18 +252,20 @@ def is_exact_on(q: QuasiInterpolant, degree: int, rtol: float = 1e-10) -> tuple[
     r-th symmetric coefficient of its own index.  Each index is checked on
     the monomials ``((x - theta_j)/(b - a))**r`` centred at its own Greville
     point ``theta_j``, so the residuals are dimensionless and do not depend
-    on where the domain lies.  Returns ``(ok, worst)`` with ``worst`` the
-    largest such residual; ``ok`` means ``worst <= rtol``.
+    on where the domain lies.  All band entries go at once, each moment
+    centred at its row's Greville point.  Returns ``(ok, worst)`` with
+    ``worst`` the largest residual; ``ok`` means ``worst <= rtol``.
     """
     ks = q.ks
     if degree > ks.m:
         raise ValueError("cannot be exact beyond the spline degree")
     scale = ks.b - ks.a
-    worst = 0.0
-    for j in ks.basis_indices:
-        lam = q.functionals[j]
-        center = ks.greville(j)
-        for r in range(degree + 1):
-            got = lam.apply_monomial(r, center=center, scale=scale)
-            worst = max(worst, abs(got - ks.symmetric_coeff(j, r, center=center, scale=scale)))
+    theta = ks.moments("point", ks.basis_indices, 1)[:, 1]
+    got = -ks.moments("symmetric", ks.basis_indices, degree, center=theta, scale=scale)
+    for band in [b for b in q.bands if b.sources.size]:
+        rows, cols = np.nonzero(band.weights)
+        js = rows + band.lo + cols
+        mom = ks.moments(_MOMENT_KINDS[band.kind], js, degree, center=theta[rows], scale=scale)
+        np.add.at(got, rows, band.weights[rows, cols, None] * mom)
+    worst = float(np.abs(got).max())
     return worst <= rtol, worst

@@ -38,8 +38,10 @@ __all__ = [
 ]
 
 def nu_bound(q: QuasiInterpolant) -> float:
-    """max over indices of the functional weight-vector l1 norms."""
-    return max(lam.nu for lam in q.functionals)
+    """Largest row l1 norm of the weight bands (the largest ``lam.nu``); columns
+    are added in offset order, as ``nu`` adds its sorted entries."""
+    point, kernel = (sum(np.abs(band.weights).T, np.zeros(q.ks.nbasis)) for band in q.bands)
+    return float(np.max(point + kernel))
 
 
 def _sample_points(q: QuasiInterpolant, samples_per_span: int) -> np.ndarray:

@@ -64,30 +64,24 @@ def _validated(qi: QuasiInterpolant) -> QuasiInterpolant:
 def _stencil_bounds(ks: KnotSequence) -> tuple[int, int]:
     """Index range usable for stencil nodes: the basis range when clamped,
     the padded Greville range when cardinal."""
-    if ks.cardinal:
-        return ks.greville_range()
-    return 0, ks.nbasis - 1
+    return ks.greville_range() if ks.cardinal else (0, ks.nbasis - 1)
+
+
+def _operator(ks, kind: str, live, nodes, weights, degree: int, family: str, params=()):
+    """Operator with the stencil ``zip(nodes[k], weights[k])`` at index
+    ``live[k]`` and the unit weight on its own source at every other index,
+    as point entries or as kernel entries of flavour ``kind``."""
+    entries = {i: ((i, 1.0),) for i in ks.basis_indices}
+    for i, idx, w in zip(*(np.asarray(v).tolist() for v in (live, nodes, weights))):
+        entries[i] = tuple(zip(idx, w))
+    field = "point_entries" if kind == DISCRETE else "kernel_entries"
+    funs = tuple(CoefficientFunctional(ks, kind, i, **{field: entries[i]}) for i in entries)
+    return QuasiInterpolant(ks, funs, degree_exact=degree, family=family, params=params)
 
 
 def schoenberg(ks: KnotSequence) -> QuasiInterpolant:
     """The positive operator sampling at Greville points; reproduces degree 1."""
-    funs = tuple(
-        CoefficientFunctional(ks, DISCRETE, i, point_entries=((i, 1.0),))
-        for i in ks.basis_indices
-    )
-    return _validated(QuasiInterpolant(ks, funs, degree_exact=1, family="S1"))
-
-
-def _second_dd_weights(nodes) -> np.ndarray:
-    """Weights of the second divided difference over three distinct nodes."""
-    x0, x1, x2 = nodes
-    return np.array(
-        [
-            1.0 / ((x0 - x1) * (x0 - x2)),
-            1.0 / ((x1 - x0) * (x1 - x2)),
-            1.0 / ((x2 - x0) * (x2 - x1)),
-        ]
-    )
+    return _validated(_operator(ks, DISCRETE, [], [], [], 1, "S1"))
 
 
 def s2(ks: KnotSequence) -> QuasiInterpolant:
@@ -98,34 +92,24 @@ def s2(ks: KnotSequence) -> QuasiInterpolant:
     second divided difference reproduces half the second derivative on
     quadratics, so the correction is degree-independent.  Where a neighbour
     is missing the nearest three Greville points are used one-sided, which
-    preserves the reproduction property.
+    preserves the reproduction property.  All stencils are built at once.
     """
     if ks.m < 2:
         raise ValueError("s2 requires degree >= 2")
     _require_distinct_interior(ks, "s2")
     lo, hi = _stencil_bounds(ks)
-    funs = []
-    for i in ks.basis_indices:
-        l = ks.lam(i)
-        if l <= 0.0:
-            funs.append(CoefficientFunctional(ks, DISCRETE, i, point_entries=((i, 1.0),)))
-            continue
-        if i - 1 >= lo and i + 1 <= hi:
-            idxs = (i - 1, i, i + 1)
-        elif i - 1 < lo:
-            idxs = (i, i + 1, i + 2)
-        else:
-            idxs = (i - 2, i - 1, i)
-        nodes = [ks.greville(j) for j in idxs]
-        if not nodes[0] < nodes[1] < nodes[2]:
-            raise ValueError(f"coincident Greville points near index {i}")
-        w = -l * _second_dd_weights(nodes)
-        acc = {i: 1.0}
-        for j, wj in zip(idxs, w):
-            acc[j] = acc.get(j, 0.0) + wj
-        entries = tuple(sorted(acc.items()))
-        funs.append(CoefficientFunctional(ks, DISCRETE, i, point_entries=entries))
-    return _validated(QuasiInterpolant(ks, tuple(funs), degree_exact=2, family="S2"))
+    lam = np.array([ks.lam(i) for i in ks.basis_indices])
+    live = np.flatnonzero(lam > 0.0)  # lam = 0: the plain sample
+    first = np.clip(live - 1, lo, hi - 2)
+    nodes = first[:, None] + np.arange(3)
+    x = ks.moments("point", nodes, 1)[..., 1]
+    bad = np.any(np.diff(x, axis=1) <= 0.0, axis=1)
+    if bad.any():
+        raise ValueError(f"coincident Greville points near index {live[bad][0]}")
+    # weights 1 / ((x_k - x_{k-1})(x_k - x_{k-2})) of the second divided difference
+    w = -lam[live, None] * (1.0 / ((x - np.roll(x, 1, axis=1)) * (x - np.roll(x, 2, axis=1))))
+    w[np.arange(len(live)), live - first] += 1.0
+    return _validated(_operator(ks, DISCRETE, live, nodes, w, 2, "S2"))
 
 
 def _moment_functional(ks: KnotSequence, anchor: int, entries) -> CoefficientFunctional:
@@ -134,13 +118,9 @@ def _moment_functional(ks: KnotSequence, anchor: int, entries) -> CoefficientFun
     entries sample f at the domain end (their Greville point) instead."""
     ends = () if ks.cardinal else (0, ks.nbasis - 1)
     entries = [(idx, float(w)) for idx, w in entries]
-    return CoefficientFunctional(
-        ks,
-        DUAL_SPLINE,
-        anchor,
-        point_entries=tuple(e for e in entries if e[0] in ends),
-        kernel_entries=tuple(e for e in entries if e[0] not in ends),
-    )
+    point = tuple(e for e in entries if e[0] in ends)
+    kernel = tuple(e for e in entries if e[0] not in ends)
+    return CoefficientFunctional(ks, DUAL_SPLINE, anchor, point, kernel)
 
 
 def gs1(ks: KnotSequence) -> QuasiInterpolant:
@@ -163,28 +143,30 @@ def gs2(ks: KnotSequence) -> QuasiInterpolant:
 
     For each index the weights on the three neighbouring moment functionals
     solve the 3x3 reproduction system for degrees 0, 1, 2 (assembled in
-    monomials centred at the anchor's Greville point for conditioning).  On a
+    monomials centred at the anchor's Greville point for conditioning); all
+    systems are assembled at once and solved in one stacked call.  On a
     clamped sequence the two end coefficients stay point evaluations.
     """
     if ks.m < 2:
         raise ValueError("gs2 requires degree >= 2")
     _require_distinct_interior(ks, "gs2")
-    funs = []
-    for i in ks.basis_indices:
-        idxs = (i - 1, i, i + 1)
-        members = [_moment_functional(ks, idx, ((idx, 1.0),)) for idx in idxs]
-        if members[1].point_entries:  # clamped end: keep the point evaluation
-            funs.append(members[1])
-            continue
-        center = ks.greville(i)
-        M = np.array([[lam.apply_monomial(r, center=center) for lam in members] for r in range(3)])
-        rhs = np.array([ks.symmetric_coeff(i, r, center=center) for r in range(3)])
-        try:
-            w = np.linalg.solve(M, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(f"singular reproduction system at index {i}") from exc
-        funs.append(_moment_functional(ks, i, zip(idxs, w)))
-    return _validated(QuasiInterpolant(ks, tuple(funs), degree_exact=2, family="G2"))
+    ends = () if ks.cardinal else (0, ks.nbasis - 1)
+    inner = np.array([i for i in ks.basis_indices if i not in ends], dtype=int)
+    center = ks.moments("point", inner, 1)[:, 1]
+    idxs = inner[:, None] + np.arange(-1, 2)
+    point = np.isin(idxs, ends)  # members at a clamped end: the sample there
+    dual = ks.moments("dual", np.where(point, inner[:, None], idxs), 2, center=center[:, None])
+    M = np.where(point[..., None], ks.moments("point", idxs, 2, center=center[:, None]), dual)
+    rhs = ks.moments("symmetric", inner, 2, center=center)
+    try:
+        w = np.linalg.solve(M.transpose(0, 2, 1), rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        i = inner[np.argmax(np.linalg.det(M) == 0.0)]
+        raise RuntimeError(f"singular reproduction system at index {i}") from exc
+    stencils = {i: ((i, 1.0),) for i in ends}
+    stencils.update((i, zip((i - 1, i, i + 1), wi)) for i, wi in zip(inner.tolist(), w.tolist()))
+    funs = tuple(_moment_functional(ks, i, stencils[i]) for i in ks.basis_indices)
+    return _validated(QuasiInterpolant(ks, funs, degree_exact=2, family="G2"))
 
 
 def gs2_quadratic_closed_form(ks: KnotSequence, i: int) -> tuple[float, float, float]:
@@ -223,18 +205,13 @@ def _uniform_nb(kind: str, order: int, n: int, r, nspans: int, start: float, spa
         weights[0] = weights[-1] = -c
     else:
         weights, _nu = solve_symmetric_uniform(order, n, r, kind=kind)
-    funs = []
-    for i in ks.basis_indices:
-        entries = tuple(
-            (i + s, float(w)) for s, w in zip(range(-n, n + 1), weights) if w != 0.0
-        )
-        if kind == "dqi":
-            funs.append(CoefficientFunctional(ks, DISCRETE, i, point_entries=entries))
-        else:
-            funs.append(CoefficientFunctional(ks, BASIS_SPLINE, i, kernel_entries=entries))
+    cols = np.flatnonzero(weights != 0.0)
+    idx = np.arange(ks.nbasis)
+    nodes = idx[:, None] + cols - n
+    flavour = DISCRETE if kind == "dqi" else BASIS_SPLINE
     family = "uniform-NB-dQI" if kind == "dqi" else "uniform-NB-iQI"
-    qi = QuasiInterpolant(ks, tuple(funs), degree_exact=r, family=family, params=(order, n, r))
-    return _validated(qi)
+    w = np.broadcast_to(weights[cols], nodes.shape)
+    return _validated(_operator(ks, flavour, idx, nodes, w, r, family, (order, n, r)))
 
 
 def uniform_nb_dqi(
@@ -278,19 +255,14 @@ def partition_condition_violations(ks: KnotSequence, p: int) -> list[int]:
     """Indices violating the stencil balance condition
     theta_{i-1} + theta_i <= theta_{i-p} + theta_{i+p} <= theta_i + theta_{i+1},
     checked wherever the full +-p window exists."""
-    glo, ghi = ks.greville_range() if ks.cardinal else (0, ks.nbasis - 1)
-    bad = []
-    for i in ks.basis_indices:
-        if i - p < glo or i + p > ghi or i - 1 < glo or i + 1 > ghi:
-            continue
-        mid = ks.greville(i - p) + ks.greville(i + p)
-        width = max(1.0, abs(mid))
-        if (
-            ks.greville(i - 1) + ks.greville(i) > mid + 1e-12 * width
-            or mid > ks.greville(i) + ks.greville(i + 1) + 1e-12 * width
-        ):
-            bad.append(i)
-    return bad
+    glo, ghi = _stencil_bounds(ks)
+    reach = max(abs(p), 1)
+    i = np.arange(max(glo + reach, 0), min(ghi - reach, ks.nbasis - 1) + 1)
+    g = ks.moments("point", i[:, None] + np.array([-p, -1, 0, 1, p]), 1)[..., 1]
+    mid = g[:, 0] + g[:, 4]
+    width = np.maximum(1.0, np.abs(mid))
+    bad = (g[:, 1] + g[:, 2] > mid + 1e-12 * width) | (mid > g[:, 2] + g[:, 3] + 1e-12 * width)
+    return i[bad].tolist()
 
 
 def nb_dqi_nonuniform(ks: KnotSequence, p: int) -> QuasiInterpolant:
@@ -315,21 +287,10 @@ def nb_dqi_nonuniform(ks: KnotSequence, p: int) -> QuasiInterpolant:
             bad[0], f"partition violates the stencil balance condition at index {bad[0]}"
         )
     lo, hi = _stencil_bounds(ks)
-    funs = []
-    for i in ks.basis_indices:
-        l = ks.lam(i)
-        if l <= 0.0:
-            funs.append(CoefficientFunctional(ks, DISCRETE, i, point_entries=((i, 1.0),)))
-            continue
-        jm, jp = max(i - p, lo), min(i + p, hi)
-        A = ks.greville(i) - ks.greville(jm)
-        B = ks.greville(jp) - ks.greville(i)
-        w0 = 1.0 + l / (A * B)
-        wm = -l / (A * (A + B))
-        wp = -l / (B * (A + B))
-        entries = ((jm, wm), (i, w0), (jp, wp))
-        funs.append(CoefficientFunctional(ks, DISCRETE, i, point_entries=entries))
-    qi = QuasiInterpolant(
-        ks, tuple(funs), degree_exact=2, family="Q_p2", params=(p,)
-    )
-    return _validated(qi)
+    lam = np.array([ks.lam(i) for i in ks.basis_indices])
+    live = np.flatnonzero(lam > 0.0)
+    nodes = np.stack([np.maximum(live - p, lo), live, np.minimum(live + p, hi)], axis=1)
+    tm, t0, tp = ks.moments("point", nodes, 1)[..., 1].T
+    A, B, l = t0 - tm, tp - t0, lam[live]
+    w = np.stack([-l / (A * (A + B)), 1.0 + l / (A * B), -l / (B * (A + B))], axis=1)
+    return _validated(_operator(ks, DISCRETE, live, nodes, w, 2, "Q_p2", (p,)))

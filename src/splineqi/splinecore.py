@@ -481,6 +481,48 @@ class KnotSequence:
         nodes, wts = self.basis_rule(i, npts)
         return float(np.dot(wts, np.asarray(f(nodes), dtype=float)))
 
+    def moments(self, kind: str, js, rmax: int, *, center=0.0, scale: float = 1.0) -> np.ndarray:
+        """Orders 0..rmax of a window quantity at many indices at once, in the
+        variable ``(x - center)/scale``; ``out[..., r]`` belongs to ``js[...]``
+        and ``center`` broadcasts against ``js``.
+
+        ``kind`` is ``"point"`` (``((theta_j - center)/scale)**r``),
+        ``"symmetric"`` (``symmetric_coeff``), ``"dual"`` or ``"basis"``
+        (``dual_moment`` / ``basis_moment``): the recurrence of
+        ``_kernel_moment`` on every window together (a point is one node), or
+        the elementary symmetric one on the Greville windows.  Indices are
+        validated as by the scalar methods, with their messages.
+        """
+        js = np.asarray(js, dtype=int)
+        m, t, k0 = self.m, self._view.t, self._view.k0
+        if kind == "symmetric" and rmax > m:
+            raise ValueError(f"order r={rmax} must satisfy 0 <= r <= degree={m}")
+        # the valid indices form a range: its two ends validate them all
+        window = {"dual": self._dual_window, "basis": self._basis_window}.get(kind, self._window)
+        for j in (js.min(), js.max()) if js.size else ():
+            window(int(j))
+        first, count = (-m, m + 2) if kind == "basis" else (1 - m, m)
+        knots = t[(js - k0 + first)[..., None] + np.arange(count)]
+        flat = knots[..., -1] <= knots[..., 0]
+        if kind == "dual" and flat.any():
+            raise ValueError(f"degenerate dual kernel window at index {js[flat][0]}")
+        if kind == "point":
+            knots = knots.sum(axis=-1, keepdims=True) / count  # as greville's mean()
+        u = (knots - np.asarray(center, dtype=float)[..., None]) / scale
+        shape, u = u.shape[:-1], u.reshape(-1, u.shape[-1]).T  # u[k, index]
+        h = np.zeros((rmax + 1, u.shape[1]))
+        h[0] = 1.0
+        for uk in u:
+            if kind == "symmetric":
+                h[1:] += uk * h[:-1]  # e_s += u_k e_{s-1}, all s from the old values
+                continue
+            for s in range(1, rmax + 1):
+                h[s] += uk * h[s - 1]  # h_s += u_k h_{s-1}, upwards
+        # e_r / binomial(m, r), and h_r / binomial(r + k, r) on k + 1 knots
+        top = [m if kind == "symmetric" else s + len(u) - 1 for s in range(rmax + 1)]
+        norm = np.array([math.comb(n, s) for s, n in enumerate(top)], dtype=float)
+        return (h.T / norm).reshape(shape + (rmax + 1,))
+
     def __repr__(self) -> str:
         kind = "cardinal" if self.cardinal else "clamped"
         return f"KnotSequence(degree={self.m}, spans={self.n}, {kind}, domain=[{self.a:g}, {self.b:g}])"

@@ -323,6 +323,7 @@ def test_c09_gs2_quadratic_closed_form():
 def test_c10_crisscross_bounds_and_uniform_values():
     rng = np.random.default_rng(606)
     violations = 0
+    t0 = time.perf_counter()
     for _ in range(1000):
         mesh = random_mesh(6, 6, rng, ratio=1e6)
         t2 = crisscross_t2(mesh)
@@ -344,8 +345,11 @@ def test_c10_crisscross_bounds_and_uniform_values():
         abs(g2.center(3, 3) - 5.0 / 3.0),
         abs(g2.nu(3, 3) - 7.0 / 3.0),
     )
+    elapsed = time.perf_counter() - t0
     ok = violations == 0 and worst <= 1e-12
-    _report("10", ok, f"{violations} bound violations, uniform value dev {worst:.2e}")
+    _report(
+        "10", ok, f"{violations} bound violations, uniform value dev {worst:.2e}, {elapsed:.2f} s"
+    )
 
 
 def test_c11_exactness_suite():

@@ -1,5 +1,7 @@
 """Tests for the bivariate criss-cross machinery and the box-spline element."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,65 @@ from splineqi import (
     monomial_residuals,
     nb_box_coeffs,
 )
-from splineqi.bivariate import bcoef_monomial, family_moment, zp_dqi_empirical_norm
+from splineqi.bivariate import (
+    _MONOMIALS,
+    bcoef_monomial,
+    family_moment,
+    zp_dqi_empirical_norm,
+)
 from splineqi.partitions import random_mesh
+
+
+# ------------------------------------------------------------------ oracles
+# The per-cell loops that the whole-mesh array code replaced.
+
+
+def _directional_weights_loop(h, three, four):
+    n = len(h)
+    left = np.full(n, np.nan)
+    right = np.full(n, np.nan)
+    for i in range(1, n - 1):
+        mid = three * h[i - 1] + four * h[i] + three * h[i + 1]
+        left[i] = -three * h[i] ** 2 / ((h[i - 1] + h[i]) * mid)
+        right[i] = -three * h[i] ** 2 / (mid * (h[i] + h[i + 1]))
+    return left, right
+
+
+def _is_exact_pi2_loop(fam, rtol=1e-10):
+    ok = True
+    worst = 0.0
+    mesh = fam.mesh
+    for i, j in mesh.interior_cells():
+        scale = max(
+            1.0,
+            abs(mesh.sx[i]) + mesh.hx[max(i - 1, 0) : i + 2].max(),
+            abs(mesh.sy[j]) + mesh.hy[max(j - 1, 0) : j + 2].max(),
+        )
+        for r, s in _MONOMIALS:
+            got = 0.0
+            for (ci, cj), w in fam.weights(i, j).items():
+                got += w * family_moment(fam.moment_kind, mesh, ci, cj, r, s)
+            res = abs(got - bcoef_monomial(mesh, i, j, r, s))
+            worst = max(worst, res)
+            if res > rtol * scale ** (r + s):
+                ok = False
+    return ok, worst
+
+
+def _test_meshes():
+    rng = np.random.default_rng(16)
+    for _ in range(12):
+        yield random_mesh(int(rng.integers(3, 9)), int(rng.integers(3, 9)), rng, ratio=1e6)
+    for _ in range(6):
+        mesh = random_mesh(6, 5, rng)
+        yield TensorMesh(mesh.x + 1e4, mesh.y - 1e4)
+    yield TensorMesh.uniform(6, 6)
+
+
+def _same_check(got, want, mesh):
+    """(ok, worst) pairs agree; worst to a few ulps of the mesh's squared scale."""
+    big = max(1.0, np.abs(mesh.x).max() + 1.0, np.abs(mesh.y).max() + 1.0)
+    return got[0] == want[0] and abs(got[1] - want[1]) <= 1e-14 * big**2
 
 
 def _nb4_stencil(s):
@@ -156,6 +215,73 @@ class TestCrissCrossFamilies:
             for fam in (crisscross_t2(mesh), crisscross_g2(mesh)):
                 ok, worst = fam.is_exact_pi2()
                 assert ok, (fam.tag, worst)
+
+
+class TestWholeMeshChecks:
+    @pytest.mark.parametrize("maker", [crisscross_t2, crisscross_g2])
+    def test_directional_weights_bitwise_equal_to_the_loop(self, maker):
+        three, four = (3.0, 4.0) if maker is crisscross_t2 else (1.0, 1.0)
+        for mesh in _test_meshes():
+            fam = maker(mesh)
+            for got, want in zip(
+                (fam.a, fam.abar, fam.c, fam.cbar),
+                _directional_weights_loop(mesh.hx, three, four)
+                + _directional_weights_loop(mesh.hy, three, four),
+            ):
+                assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("maker", [crisscross_t2, crisscross_g2])
+    def test_is_exact_pi2_matches_the_per_cell_loop(self, maker):
+        for mesh in _test_meshes():
+            fam = maker(mesh)
+            got, want = fam.is_exact_pi2(), _is_exact_pi2_loop(fam)
+            assert got[0] and _same_check(got, want, mesh), (got, want)
+            # a tolerance this tight rejects roundoff, in both
+            got, want = fam.is_exact_pi2(1e-20), _is_exact_pi2_loop(fam, 1e-20)
+            assert _same_check(got, want, mesh), (got, want)
+
+    @pytest.mark.parametrize("maker", [crisscross_t2, crisscross_g2])
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (2, 7), (6, 2), (2, 2)])
+    def test_fewer_than_three_cells_has_nothing_to_check(self, maker, nx, ny):
+        mesh = random_mesh(nx, ny, np.random.default_rng(17), ratio=1e6)
+        fam = maker(mesh)
+        assert fam.is_exact_pi2() == (True, 0.0) == _is_exact_pi2_loop(fam)
+
+    @pytest.mark.parametrize("maker", [crisscross_t2, crisscross_g2])
+    @pytest.mark.parametrize("field", ["a", "abar", "c", "cbar"])
+    def test_a_perturbed_weight_is_rejected(self, maker, field):
+        mesh = random_mesh(6, 7, np.random.default_rng(18))
+        fam = maker(mesh)
+        # the cell whose neighbours' midpoints lie furthest apart
+        h = mesh.hx if field in ("a", "abar") else mesh.hy
+        k = 1 + int(np.argmax(h[:-2] + 2.0 * h[1:-1] + h[2:]))
+        bumped = getattr(fam, field).copy()
+        bumped[k] += 1e-8
+        broken = dataclasses.replace(fam, **{field: bumped})
+        got, want = broken.is_exact_pi2(), _is_exact_pi2_loop(broken)
+        # the centre weight follows the partition of unity, so the residual
+        # is the perturbation times a difference of neighbour moments
+        assert not got[0] and got[1] > 1e-10, got
+        assert _same_check(got, want, mesh), (got, want)
+
+    @pytest.mark.parametrize("maker", [crisscross_t2, crisscross_g2])
+    def test_nu_bound_bitwise_equal_to_the_per_cell_max(self, maker):
+        for mesh in _test_meshes():
+            fam = maker(mesh)
+            assert fam.nu_bound() == max(fam.nu(i, j) for i, j in mesh.interior_cells())
+
+    def test_monomial_residuals_match_the_per_cell_loop(self):
+        for mesh in _test_meshes():
+            big = max(1.0, np.abs(mesh.x).max(), np.abs(mesh.y).max()) ** 2
+            for tag, kind in (("S1", "point"), ("T1", "pyramid"), ("G1", "cell")):
+                res = monomial_residuals(tag, mesh)
+                for i in range(mesh.ncx):
+                    for j in range(mesh.ncy):
+                        for key, (r, s) in (("e20", (2, 0)), ("e02", (0, 2))):
+                            want = family_moment(kind, mesh, i, j, r, s) - bcoef_monomial(
+                                mesh, i, j, r, s
+                            )
+                            assert abs(res[key][i, j] - want) <= 1e-15 * big
 
 
 class TestMonomialResiduals:

@@ -14,12 +14,48 @@ from splineqi import (
     gs1,
     gs2,
     is_exact_on,
+    nb_dqi_nonuniform,
     s2,
     schoenberg,
     uniform_nb_dqi,
     uniform_nb_iqi,
 )
-from splineqi.partitions import random_clamped
+from splineqi.partitions import random_admissible_clamped, random_clamped
+
+
+def _is_exact_on_loop(q, degree, rtol=1e-10):
+    """The per-functional loop that the whole-band check replaced."""
+    ks = q.ks
+    scale = ks.b - ks.a
+    worst = 0.0
+    for j in ks.basis_indices:
+        center = ks.greville(j)
+        for r in range(degree + 1):
+            got = q.functionals[j].apply_monomial(r, center=center, scale=scale)
+            worst = max(worst, abs(got - ks.symmetric_coeff(j, r, center=center, scale=scale)))
+    return worst <= rtol, worst
+
+
+def _univariate_operators():
+    """Every family: clamped (with rough and shifted partitions, and the
+    clamped ends that mix point and kernel rows) and cardinal, both kernel
+    flavours."""
+    rng = np.random.default_rng(19)
+    for m in (2, 3, 4, 5, 6):
+        for ks in (
+            random_clamped(m, 9, rng, ratio=1e6),
+            random_clamped(m, 3, rng),
+            KnotSequence.clamped(m, 1e4 + np.linspace(0.0, 1.0, 8)),
+            KnotSequence.cardinal_uniform(m, 6, pad=2),
+        ):
+            for family in (schoenberg, s2, gs1, gs2):
+                yield family(ks)
+    for p in (2, 3):
+        yield nb_dqi_nonuniform(random_admissible_clamped(12, rng, p), p)
+    for order, ns in ((2, (1, 2)), (4, (1, 2, 3)), (6, (2, 3))):
+        for n in ns:
+            yield uniform_nb_dqi(order, n, nspans=8)
+            yield uniform_nb_iqi(order, n, nspans=8)
 
 
 @pytest.fixture
@@ -276,3 +312,37 @@ class TestIsExactOn:
             broken = dataclasses.replace(q, functionals=tuple(funs))
             ok, worst = is_exact_on(broken, q.degree_exact)
             assert not ok and worst >= 1e-8 * (1 - 1e-6), (q.family, worst)
+
+    def test_matches_the_per_functional_loop(self):
+        count = 0
+        for q in _univariate_operators():
+            for degree in range(q.ks.m + 1):
+                got, want = is_exact_on(q, degree), _is_exact_on_loop(q, degree)
+                assert got[0] == want[0], (q.family, degree, got, want)
+                assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-13), (q.family, degree)
+                count += degree >= q.degree_exact and not got[0]
+        assert count > 0  # some checks beyond the reproduction degree fail, in both
+
+    @pytest.mark.parametrize("family", [uniform_nb_dqi, uniform_nb_iqi])
+    def test_rejects_a_perturbed_weight_on_a_cardinal_sequence(self, family):
+        q = family(4, 2, nspans=8)
+        j = q.ks.nbasis // 2
+        lam = q.functionals[j]
+        field = "kernel_entries" if lam.kernel_entries else "point_entries"
+        entries = getattr(lam, field)
+        bumped = entries[:1] + ((entries[1][0], entries[1][1] + 1e-8),) + entries[2:]
+        funs = list(q.functionals)
+        funs[j] = dataclasses.replace(lam, **{field: bumped})
+        broken = dataclasses.replace(q, functionals=tuple(funs))
+        got, want = is_exact_on(broken, q.degree_exact), _is_exact_on_loop(broken, q.degree_exact)
+        assert not got[0] and got[1] >= 1e-8 * (1 - 1e-6), got
+        assert got[1] == pytest.approx(want[1], rel=1e-9)
+
+    def test_mixed_point_and_kernel_rows(self):
+        # on a clamped sequence G2's rows 1 and nbasis - 2 hold one point entry
+        # (the domain end) and two kernel entries
+        q = gs2(random_clamped(3, 6, np.random.default_rng(20)))
+        assert q.functionals[1].point_entries and q.functionals[1].kernel_entries
+        got, want = is_exact_on(q, 2), _is_exact_on_loop(q, 2)
+        assert got[0] and want[0]
+        assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-13)

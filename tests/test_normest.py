@@ -10,6 +10,7 @@ from splineqi import (
     error_bound,
     gs1,
     gs2,
+    nb_dqi_nonuniform,
     nu_bound,
     s2,
     schoenberg,
@@ -18,7 +19,7 @@ from splineqi import (
 )
 from splineqi.functionals import DUAL_SPLINE
 from splineqi.normest import _sample_points, integral_lebesgue_function, lebesgue_function
-from splineqi.partitions import random_clamped
+from splineqi.partitions import random_admissible_clamped, random_clamped
 
 
 # ------------------------------------------------------------------ oracles
@@ -122,6 +123,19 @@ class TestNuBound:
     def test_gs2_uniform_cardinal(self):
         q = gs2(KnotSequence.cardinal_uniform(2, 30, pad=2))
         assert nu_bound(q) == pytest.approx(5.0 / 3.0, rel=1e-12)
+
+    def test_band_row_norms_equal_the_functional_norms(self):
+        rng = np.random.default_rng(61)
+        ops = []
+        for m in (2, 3, 4, 5):
+            for ks in (random_clamped(m, 9, rng, ratio=1e6), KnotSequence.cardinal_uniform(m, 6)):
+                ops += [schoenberg(ks), s2(ks), gs1(ks), gs2(ks)]
+        ops += [nb_dqi_nonuniform(random_admissible_clamped(12, rng, p), p) for p in (2, 3)]
+        for order, ns in ((2, (1, 3)), (4, (1, 2, 3, 4, 5)), (6, (3, 4))):
+            for n in ns:  # n >= 4: bands of width 9 and more
+                ops += [uniform_nb_dqi(order, n, nspans=10), uniform_nb_iqi(order, n, nspans=10)]
+        for q in ops:
+            assert nu_bound(q) == max(lam.nu for lam in q.functionals), q.family
 
 
 class TestEmpiricalDiscrete:

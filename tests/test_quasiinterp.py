@@ -16,11 +16,90 @@ from splineqi import (
     uniform_nb_dqi,
     uniform_nb_iqi,
 )
-from splineqi.quasiinterp import gs2_quadratic_closed_form, partition_condition_violations
+from splineqi.quasiinterp import (
+    _moment_functional,
+    _stencil_bounds,
+    gs2_quadratic_closed_form,
+    partition_condition_violations,
+)
 from splineqi.partitions import (
     random_admissible_clamped,
     random_clamped,
 )
+
+
+# ------------------------------------------------------------------ oracles
+# The per-index loops that the whole-sequence constructors replaced.
+
+
+def _s2_entries_loop(ks, i):
+    lo, hi = _stencil_bounds(ks)
+    l = ks.lam(i)
+    if l <= 0.0:
+        return ((i, 1.0),)
+    if i - 1 >= lo and i + 1 <= hi:
+        idxs = (i - 1, i, i + 1)
+    elif i - 1 < lo:
+        idxs = (i, i + 1, i + 2)
+    else:
+        idxs = (i - 2, i - 1, i)
+    x0, x1, x2 = (ks.greville(j) for j in idxs)
+    dd = np.array(
+        [
+            1.0 / ((x0 - x1) * (x0 - x2)),
+            1.0 / ((x1 - x0) * (x1 - x2)),
+            1.0 / ((x2 - x0) * (x2 - x1)),
+        ]
+    )
+    acc = {i: 1.0}
+    for j, wj in zip(idxs, -l * dd):
+        acc[j] = acc.get(j, 0.0) + wj
+    return tuple(sorted(acc.items()))
+
+
+def _qp2_entries_loop(ks, i, p):
+    lo, hi = _stencil_bounds(ks)
+    l = ks.lam(i)
+    if l <= 0.0:
+        return ((i, 1.0),)
+    jm, jp = max(i - p, lo), min(i + p, hi)
+    A = ks.greville(i) - ks.greville(jm)
+    B = ks.greville(jp) - ks.greville(i)
+    return ((jm, -l / (A * (A + B))), (i, 1.0 + l / (A * B)), (jp, -l / (B * (A + B))))
+
+
+def _partition_violations_loop(ks, p):
+    glo, ghi = _stencil_bounds(ks)
+    bad = []
+    for i in ks.basis_indices:
+        if i - p < glo or i + p > ghi or i - 1 < glo or i + 1 > ghi:
+            continue
+        mid = ks.greville(i - p) + ks.greville(i + p)
+        width = max(1.0, abs(mid))
+        if (
+            ks.greville(i - 1) + ks.greville(i) > mid + 1e-12 * width
+            or mid > ks.greville(i) + ks.greville(i + 1) + 1e-12 * width
+        ):
+            bad.append(i)
+    return bad
+
+
+def _gs2_weights_loop(ks, i):
+    """One index's 3x3 reproduction system, assembled and solved alone."""
+    members = [_moment_functional(ks, idx, ((idx, 1.0),)) for idx in (i - 1, i, i + 1)]
+    center = ks.greville(i)
+    M = np.array([[lam.apply_monomial(r, center=center) for lam in members] for r in range(3)])
+    rhs = np.array([ks.symmetric_coeff(i, r, center=center) for r in range(3)])
+    return np.linalg.solve(M, rhs)
+
+
+def _sequences(seed):
+    rng = np.random.default_rng(seed)
+    for m in (2, 3, 4, 5, 6):
+        yield random_clamped(m, 9, rng, ratio=1e6)
+        yield random_clamped(m, 1, rng)
+        yield KnotSequence.clamped(m, 1e4 + np.linspace(0.0, 1.0, 8))
+        yield KnotSequence.cardinal_uniform(m, 6, pad=2)
 
 
 class TestSchoenberg:
@@ -162,6 +241,35 @@ class TestGS2:
                 assert got[i] == pytest.approx(b, rel=1e-12)
                 assert got[i + 1] == pytest.approx(c, rel=1e-12, abs=1e-12)
 
+    def test_batched_weights_match_the_per_index_loop(self):
+        for ks in _sequences(430):
+            q = gs2(ks)
+            ends = () if ks.cardinal else (0, ks.nbasis - 1)
+            for i in ks.basis_indices:
+                lam = q.functionals[i]
+                if i in ends:
+                    assert lam.point_entries == ((i, 1.0),) and not lam.kernel_entries
+                    continue
+                got = dict(lam.point_entries) | dict(lam.kernel_entries)
+                want = _gs2_weights_loop(ks, i)
+                assert sorted(got) == [i - 1, i, i + 1]
+                err = np.abs(np.array([got[i - 1], got[i], got[i + 1]]) - want).max()
+                assert err <= 1e-14 * np.abs(want).max(), (ks, i, err)
+
+    def test_singular_system_names_the_first_singular_index(self, monkeypatch):
+        ks = random_clamped(3, 9, np.random.default_rng(440))
+        moments = KnotSequence.moments
+
+        def broken(self, kind, js, rmax, **kw):
+            out = moments(self, kind, js, rmax, **kw)
+            if kind == "dual":
+                out[np.asarray(js) >= 5] = 0.0  # members from index 5 on vanish
+            return out
+
+        monkeypatch.setattr(KnotSequence, "moments", broken)
+        with pytest.raises(RuntimeError, match="singular reproduction system at index 4"):
+            gs2(ks)
+
     def test_norm_bound_5_low_degrees(self):
         # the degree-independent claim is exercised by the acceptance suite;
         # for quadratics and cubics the weight bound holds on every partition
@@ -169,6 +277,38 @@ class TestGS2:
         for m in (2, 3):
             for _ in range(50):
                 assert nu_bound(gs2(random_clamped(m, 8, rng))) <= 5.0 + 1e-12
+
+
+class TestWholeSequenceConstructors:
+    def test_s2_entries_bitwise_equal_to_the_per_index_loop(self):
+        for ks in _sequences(450):
+            q = s2(ks)
+            for i in ks.basis_indices:
+                assert q.functionals[i].point_entries == _s2_entries_loop(ks, i)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_qp2_entries_bitwise_equal_to_the_per_index_loop(self, p):
+        rng = np.random.default_rng(460 + p)
+        for n in (2 * p + 2, 15):
+            ks = random_admissible_clamped(n, rng, p)
+            q = nb_dqi_nonuniform(ks, p)
+            for i in ks.basis_indices:
+                assert q.functionals[i].point_entries == _qp2_entries_loop(ks, i, p)
+
+    def test_partition_violations_match_the_per_index_loop(self):
+        rng = np.random.default_rng(470)
+        seen = 0
+        for _ in range(60):
+            ratio = float(rng.choice([1.5, 1e3]))
+            ks = random_clamped(2, int(rng.integers(1, 14)), rng, ratio=ratio)
+            for p in (0, 1, 2, 3, 5):
+                got = partition_condition_violations(ks, p)
+                assert got == _partition_violations_loop(ks, p)
+                seen += bool(got)
+        cardinal = KnotSequence.cardinal_uniform(2, 10, pad=3)
+        for p in (1, 2, 3):
+            assert partition_condition_violations(cardinal, p) == []
+        assert seen > 0
 
 
 class TestUniformFamilies:

@@ -510,3 +510,74 @@ class TestClosedFormMoments:
             i, r, center=c * 1e-3, scale=1e-3
         )
         assert scaled == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+
+class TestBatchedMoments:
+    """``KnotSequence.moments`` against the scalar methods, one index at a time."""
+
+    @staticmethod
+    def _sequences(m):
+        rng = np.random.default_rng(80 + m)
+        yield random_clamped(m, 9, rng, ratio=1e6)
+        yield KnotSequence(m, np.concatenate([[0.0] * m, [0, 0.3, 0.3, 0.7, 1], [1.0] * m]))
+        yield KnotSequence.clamped(m, 1e4 + np.linspace(0.0, 1.0, 7))
+        yield KnotSequence.cardinal_uniform(m, 5, pad=2)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_kernel_moments_and_points_bitwise_equal_to_the_scalar_path(self, m):
+        for ks in self._sequences(m):
+            lo, hi = ks.greville_range()
+            basis = np.arange(ks._view.kmin + m, ks._view.kmax)
+            dual = np.arange(lo, hi + 1) if ks.cardinal else np.arange(1, ks.nbasis - 1)
+            dual = dual[[ks.knot(j) > ks.knot(j - m + 1) for j in dual]]
+            points = np.arange(lo, hi + 1)
+            c, s = ks.greville(ks.nbasis // 2), ks.b - ks.a
+            for kind, js, scalar in (
+                ("basis", basis, lambda j, r: ks.basis_moment(j, r, center=c, scale=s)),
+                ("dual", dual, lambda j, r: ks.dual_moment(j, r, center=c, scale=s)),
+                ("point", points, lambda j, r: ((ks.greville(j) - c) / s) ** r if r else 1.0),
+            ):
+                got = ks.moments(kind, js, m + 1, center=c, scale=s)
+                assert got.shape == (len(js), m + 2)
+                want = np.array([[scalar(j, r) for r in range(m + 2)] for j in js])
+                if kind == "point":  # powers by repeated products, not pow
+                    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+                else:
+                    np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_symmetric_coefficients_match_the_scalar_path(self, m):
+        for ks in self._sequences(m):
+            lo, hi = ks.greville_range()
+            js = np.arange(lo, hi + 1)
+            centers = np.array([ks.greville(j) for j in js])
+            got = ks.moments("symmetric", js, m, center=centers, scale=0.5)
+            for j, row, c in zip(js, got, centers):
+                for r in range(m + 1):
+                    want = ks.symmetric_coeff(int(j), r, center=c, scale=0.5)
+                    assert row[r] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_shapes_and_broadcast_centres(self):
+        ks = random_clamped(3, 6, np.random.default_rng(90))
+        js = np.array([[1, 2, 3], [4, 5, 6]])
+        centers = np.array([[0.1], [0.7]])
+        got = ks.moments("dual", js, 2, center=centers)
+        assert got.shape == (2, 3, 3)
+        assert got[1, 2, 2] == ks.dual_moment(6, 2, center=0.7)
+        assert ks.moments("basis", np.arange(0), 3).shape == (0, 4)
+
+    def test_invalid_indices_raise_as_the_scalar_methods(self):
+        ks = KnotSequence.clamped(3, np.linspace(0.0, 1.0, 6))
+        with pytest.raises(ValueError, match="outside interior range"):
+            ks.moments("dual", [1, 2, 0], 1)
+        with pytest.raises(IndexError, match="basis kernel window"):
+            ks.moments("basis", [3, ks.nbasis + 1], 1)
+        with pytest.raises(IndexError, match="Greville index"):
+            ks.moments("point", [-5, 1], 1)
+        with pytest.raises(ValueError, match="order r=4"):
+            ks.moments("symmetric", [1], 4)
+        repeated = KnotSequence(3, [0, 0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1, 1])
+        with pytest.raises(ValueError, match="degenerate dual kernel window at index 3"):
+            repeated.moments("dual", [1, 2, 3, 4], 1)
+        with pytest.raises(ValueError, match="degree >= 2"):
+            KnotSequence.clamped(1, [0.0, 0.5, 1.0]).moments("dual", [1], 1)

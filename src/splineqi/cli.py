@@ -29,6 +29,7 @@ from .quasiinterp import (
     uniform_nb_dqi,
     uniform_nb_iqi,
 )
+from .splinecore import KnotSequence
 
 _FAMILIES = ("s1", "s2", "g1", "g2", "qp2", "udqi", "uiqi")
 
@@ -109,6 +110,8 @@ def cmd_nearbest(args):
                 "weights": ";".join(_fmt(float(w)) for w in sol.weights),
                 "nu_i": sol.nu,
                 "max_nu": "",
+                "residual": sol.residual,
+                "duality_gap": sol.duality_gap,
             }
         )
     if not rows:
@@ -222,23 +225,19 @@ _SECTION_ALIASES = {
     "4.1": "s2-uniform",
     "5.2": "crisscross-uniform",
 }
-
-
-_REPRO_GROUPS = ("uniform-dqi", "uniform-iqi", "box-dqi", "s2-uniform", "crisscross-uniform")
+_REPRO_GROUPS = tuple(dict.fromkeys(_SECTION_ALIASES.values()))
 
 
 def _repro_rows(section: str | None, samples: int) -> list[dict]:
-    groups = set()
+    groups = set(_REPRO_GROUPS)
     if section:
         key = _SECTION_ALIASES.get(section, section)
-        if key not in _REPRO_GROUPS:
+        if key not in groups:
             raise ValueError(
                 f"unknown table key {section!r}; use one of "
                 f"{', '.join(_REPRO_GROUPS)} or an alias {', '.join(sorted(_SECTION_ALIASES))}"
             )
-        groups.add(key)
-    else:
-        groups.update(_REPRO_GROUPS)
+        groups = {key}
     checks = []  # (claim, reference, computed, tol, kind)
 
     if "uniform-dqi" in groups:
@@ -262,8 +261,6 @@ def _repro_rows(section: str | None, samples: int) -> list[dict]:
             emp = bivariate.zp_dqi_empirical_norm(s)
             checks.append((f"box-dqi/nb4/norm/s={s}", ref, emp, 0.011, "eq"))
     if "s2-uniform" in groups:
-        from .splinecore import KnotSequence
-
         q = s2(KnotSequence.clamped(2, np.linspace(0.0, 1.0, 51)))
         emp = normest.empirical_norm_discrete(q, samples_per_span=samples)
         checks.append(("s2-uniform/norm", 305.0 / 207.0, emp, 0.0055, "eq"))
@@ -282,10 +279,7 @@ def _repro_rows(section: str | None, samples: int) -> list[dict]:
 
     rows = []
     for claim, ref, got, tol, kind in checks:
-        if kind == "le":
-            diff = max(0.0, got - ref)
-        else:
-            diff = abs(got - ref)
+        diff = max(0.0, got - ref) if kind == "le" else abs(got - ref)
         rows.append(
             {
                 "claim": claim,

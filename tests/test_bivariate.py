@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from splineqi import (
+    BivariateFunctionalFamily,
     TensorMesh,
     crisscross_g2,
     crisscross_t2,
@@ -15,6 +16,7 @@ from splineqi import (
 )
 from splineqi.bivariate import (
     _MONOMIALS,
+    _directional_weights,
     bcoef_monomial,
     family_moment,
     zp_dqi_empirical_norm,
@@ -107,6 +109,26 @@ def _full_period_norm(s, grid):
         for arr in coef.values():
             leb += np.abs(arr)
         best = max(best, float(leb.max()))
+    return best
+
+
+def _zp_norm_row_loop(s, grid):
+    """The eighth-period sampler the polynomial form replaced: one row y at a
+    time, every translate evaluated through ``eval_zp_box``."""
+    stencil = _nb4_stencil(s)
+    kx, ky = (k.ravel() for k in np.meshgrid([-1, 0, 1], [-1, 0, 1], indexing="ij"))
+    nodes = {}
+    weights = np.zeros((len(stencil) * len(kx), len(kx)))
+    for col, (tx, ty) in enumerate(zip(kx, ky)):
+        for (ox, oy), w in stencil:
+            weights[nodes.setdefault((tx + ox, ty + oy), len(nodes)), col] = w
+    weights = weights[: len(nodes)]
+    offs = (np.arange(grid) + 0.5) / grid
+    half = offs[offs <= 0.5]
+    best = 0.0
+    for j, y in enumerate(half):
+        vals = eval_zp_box(half[None, j:] - kx[:, None], y - ky[:, None])
+        best = max(best, float(np.abs(weights @ vals).sum(axis=0).max()))
     return best
 
 
@@ -246,6 +268,28 @@ class TestWholeMeshChecks:
         mesh = random_mesh(nx, ny, np.random.default_rng(17), ratio=1e6)
         fam = maker(mesh)
         assert fam.is_exact_pi2() == (True, 0.0) == _is_exact_pi2_loop(fam)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # h^2 overflows on purpose
+    @pytest.mark.parametrize("maker", [crisscross_t2, crisscross_g2])
+    def test_lines_whose_spans_square_to_inf_are_rejected(self, maker):
+        # h^2 overflows, the directional weights are NaN and so are the residuals
+        lines = 1e160 * (1 + 1e-3 * np.arange(6))
+        mesh = TensorMesh(lines, lines)
+        with pytest.raises(RuntimeError, match="reproduction check failed .worst residual nan"):
+            maker(mesh)
+        three, four = (3.0, 4.0) if maker is crisscross_t2 else (1.0, 1.0)
+        a, abar = _directional_weights(mesh.hx, three, four)
+        fam = BivariateFunctionalFamily("X", mesh, "cell", a, abar, a, abar)
+        ok, worst = fam.is_exact_pi2()
+        assert not ok and np.isnan(worst)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("maker", [crisscross_t2, crisscross_g2])
+    @pytest.mark.parametrize("nx, ny", [(2, 5), (5, 2), (1, 1)])
+    def test_huge_lines_with_no_interior_cell_pass(self, maker, nx, ny):
+        x, y = (1e160 * (1 + 1e-3 * np.arange(n + 1)) for n in (nx, ny))
+        mesh = TensorMesh(x, y)
+        assert maker(mesh).is_exact_pi2() == (True, 0.0)
 
     @pytest.mark.parametrize("maker", [crisscross_t2, crisscross_g2])
     @pytest.mark.parametrize("field", ["a", "abar", "c", "cbar"])
@@ -387,3 +431,57 @@ class TestZPElement:
         assert base.max() > 1.0
         for u, v in ((y, x), (-x, y), (1.0 - x, y)):
             np.testing.assert_allclose(_abs_weight_sum(s, u, v), base, rtol=0, atol=1e-13)
+
+
+class TestZPPolynomialPiece:
+    """On 0 <= y <= x <= 1/2 each translate of the element is one quadratic."""
+
+    _PX = np.array([0.0, 0.5, 0.5, 0.25, 0.5, 0.25])
+    _PY = np.array([0.0, 0.0, 0.5, 0.0, 0.25, 0.25])
+
+    @staticmethod
+    def _monomials(x, y):
+        return np.stack([np.ones_like(x), x, y, x * y, x * x, y * y], axis=-1)
+
+    def _triangle_points(self):
+        rng = np.random.default_rng(19)
+        u = rng.uniform(0.0, 0.5, (2, 8000))
+        x, y = u.max(axis=0), u.min(axis=0)
+        t = rng.uniform(0.0, 0.5, 1000)
+        s = rng.uniform(0.0, 0.5, 1000)
+        # 1000 points on the edge x = y and 1000 on the edge x = 1/2
+        return np.concatenate([x, t, np.full(1000, 0.5)]), np.concatenate([y, t, s])
+
+    @pytest.mark.parametrize("kx", [-1, 0, 1])
+    @pytest.mark.parametrize("ky", [-1, 0, 1])
+    def test_each_translate_is_one_quadratic(self, kx, ky):
+        vander = self._monomials(self._PX, self._PY)
+        coef = np.linalg.solve(vander, eval_zp_box(self._PX - kx, self._PY - ky))
+        x, y = self._triangle_points()
+        assert len(x) == 10_000
+        want = eval_zp_box(x - kx, y - ky)
+        np.testing.assert_allclose(self._monomials(x, y) @ coef, want, rtol=0, atol=1e-15)
+
+    def test_a_cell_crossing_the_triangle_would_show(self):
+        # the fit is not vacuous: moved by 1/4 in x the triangle crosses the
+        # mesh line x = 1/2 and one quadratic no longer fits
+        px, py = self._PX + 0.25, self._PY
+        coef = np.linalg.solve(self._monomials(px, py), eval_zp_box(px, py))
+        x, y = self._triangle_points()
+        err = np.abs(self._monomials(x + 0.25, y) @ coef - eval_zp_box(x + 0.25, y))
+        assert err.max() > 1e-3
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 37, 40, 64, 399, 400, 401])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_the_row_loop(self, s, grid):
+        assert zp_dqi_empirical_norm(s, grid=grid) == pytest.approx(
+            _zp_norm_row_loop(s, grid), rel=1e-14
+        )
+
+    @pytest.mark.parametrize("grid", [0, -3, 2.5, 400.0, "400", None])
+    def test_rejects_a_grid_that_is_not_a_positive_integer(self, grid):
+        with pytest.raises(ValueError, match="grid must be an integer >= 1"):
+            zp_dqi_empirical_norm(1, grid=grid)
+
+    def test_numpy_integer_grid_accepted(self):
+        assert zp_dqi_empirical_norm(2, grid=np.int64(40)) == zp_dqi_empirical_norm(2, grid=40)

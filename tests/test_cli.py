@@ -1,10 +1,18 @@
 """Tests for the command line front end."""
 
+import csv
+import io
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from splineqi.cli import main
+from splineqi.nearbest import NearBestProblem
+from splineqi.partitions import parse_knot_spec
+
+GOLDEN_REPRO = Path(__file__).parent / "data" / "repro_golden.csv"
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +68,27 @@ class TestNearBest:
         assert len(nus) == 1
         assert float(nus.pop()) == pytest.approx(1 + 1.0 / 18.0, rel=1e-12)
         assert float(rows[-1].split(",")[3]) == pytest.approx(1 + 1.0 / 18.0, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "m, p, q, knots", [(2, 3, 2, "cardinal:20"), (3, 2, 3, "random:12:4"), (4, 4, 4, "geometric:14:1.3")]
+    )
+    def test_rows_carry_the_solution_diagnostics(self, capsys, m, p, q, knots):
+        code, out, _ = run_cli(
+            capsys, "nearbest", "--m", str(m), "--p", str(p), "--q", str(q), "--knots", knots
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and list(rows[0]) == [
+            "index", "weights", "nu_i", "max_nu", "residual", "duality_gap"
+        ]
+        ks = parse_knot_spec(knots, m)
+        for row in rows:
+            residual, gap, nu = (float(row[k]) for k in ("residual", "duality_gap", "nu_i"))
+            assert np.isfinite(residual) and np.isfinite(gap)
+            # the acceptance bounds of solve_l1
+            rhs = NearBestProblem.from_discrete(ks, int(row["index"]), p, q).rhs
+            assert 0.0 <= residual <= 1e-9 * max(np.abs(rhs).max(), 1.0)
+            assert 0.0 <= gap <= 1e-9 * max(nu, 1.0)
 
     def test_no_fitting_index_is_an_error(self, capsys):
         code, out, err = run_cli(
@@ -128,6 +157,13 @@ class TestRepro:
         code, out, _ = run_cli(capsys, "repro", "--section", "5.2")
         assert code == 0
         assert out.count("pass") == 6
+
+    def test_full_pass_reproduces_the_golden_file(self, capsys, tmp_path):
+        # a change that moves a cell must regenerate the file and say why
+        path = tmp_path / "repro.csv"
+        code, out, _ = run_cli(capsys, "repro", "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_bytes() == GOLDEN_REPRO.read_bytes()
 
     def test_box_group_passes(self, capsys):
         code, out, _ = run_cli(capsys, "repro", "--section", "3.3")

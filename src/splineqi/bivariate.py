@@ -140,8 +140,8 @@ def nb_box_coeffs(mesh_type: str, s: int) -> tuple[float, float, float]:
     four-direction at the four lozenge vertices; both have the same l1 bound
     1 + 1/s^2.
     """
-    if s < 1:
-        raise ValueError("scale s must be >= 1")
+    if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 1:
+        raise ValueError(f"scale s must be an integer >= 1, got {s!r}")
     center = 1.0 + 1.0 / (2.0 * s * s)
     if mesh_type == "three-direction":
         vertex = -1.0 / (12.0 * s * s)

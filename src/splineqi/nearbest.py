@@ -59,7 +59,7 @@ class NearBestProblem:
         """Point-evaluation columns at Greville nodes theta_{i-p}, ..., theta_{i+p}."""
         if q > min(ks.m, 2 * p):
             raise ValueError("reproduction degree must satisfy q <= min(m, 2p)")
-        V, b = _discrete_data(ks, i, p, q)
+        V, b = _problem_data(ks, "point", i, p, q)
         return cls(matrix=V, rhs=b, anchor=i, p=p, q=q)
 
     @classmethod
@@ -67,32 +67,20 @@ class NearBestProblem:
         """Moment columns against the unit-integral basis kernels B_{i-p}, ..., B_{i+p}."""
         if q > min(ks.m, 2 * p):
             raise ValueError("reproduction degree must satisfy q <= min(m, 2p)")
-        V, b = _integral_data(ks, i, p, q)
+        V, b = _problem_data(ks, "basis", i, p, q)
         return cls(matrix=V, rhs=b, anchor=i, p=p, q=q)
 
 
-def _discrete_data(ks: KnotSequence, i: int, p: int, q: int):
-    center = ks.greville(i)
-    nodes = np.array([ks.greville(i + s) for s in range(-p, p + 1)])
-    scale = max(nodes.max() - center, center - nodes.min(), 1e-300)
-    tau = (nodes - center) / scale
-    V = np.vstack([tau**r for r in range(q + 1)])
-    b = np.array([ks.symmetric_coeff(i, r, center=center, scale=scale) for r in range(q + 1)])
-    return V, b
-
-
-def _integral_data(ks: KnotSequence, i: int, p: int, q: int):
-    center = ks.greville(i)
-    spread = ks.greville(i + p) - ks.greville(i - p)
-    scale = max(spread / 2.0, 1e-300)
-    V = np.array(
-        [
-            [ks.basis_moment(i + s, r, center=center, scale=scale) for s in range(-p, p + 1)]
-            for r in range(q + 1)
-        ]
-    )
-    b = np.array([ks.symmetric_coeff(i, r, center=center, scale=scale) for r in range(q + 1)])
-    return V, b
+def _problem_data(ks: KnotSequence, kind: str, i: int, p: int, q: int):
+    """Matrix and rhs of anchor i in the monomials ``((x - theta_i)/scale)**r``:
+    Greville-point powers (``kind`` "point") or basis-kernel moments ("basis")
+    at the sources i-p..i+p, and the symmetric coefficients of i."""
+    center, lo, hi = (ks.greville(j) for j in (i, i - p, i + p))
+    spread = max(hi - center, center - lo) if kind == "point" else (hi - lo) / 2.0
+    scale = max(spread, 1e-300)
+    # owned copies, not views of the moment arrays: the problems are kept
+    V = ks.moments(kind, range(i - p, i + p + 1), q, center=center, scale=scale).T.copy()
+    return V, ks.moments("symmetric", [i], q, center=center, scale=scale)[0].copy()
 
 
 @dataclass(frozen=True)
@@ -272,8 +260,7 @@ def solve_symmetric_uniform(order: int, n: int, r: int, kind: str = "dqi", nspan
     i = ks.nbasis // 2
     # built directly: q > 2p is admissible here because the odd constraints
     # vanish identically on the symmetric stencil
-    maker = _discrete_data if kind == "dqi" else _integral_data
-    V, b = maker(ks, i, n, r)
+    V, b = _problem_data(ks, "point" if kind == "dqi" else "basis", i, n, r)
     even = [rr for rr in range(r + 1) if rr % 2 == 0]
     odd = [rr for rr in range(r + 1) if rr % 2 == 1]
     if odd:

@@ -67,6 +67,13 @@ def _stencil_bounds(ks: KnotSequence) -> tuple[int, int]:
     return ks.greville_range() if ks.cardinal else (0, ks.nbasis - 1)
 
 
+def _lams(ks: KnotSequence) -> np.ndarray:
+    """``KnotSequence.lam`` at every basis index: one ``moments`` call for the
+    Greville points, one for the symmetric functions centred at them."""
+    theta = ks.moments("point", ks.basis_indices, 1)[:, 1]
+    return -ks.moments("symmetric", ks.basis_indices, 2, center=theta)[:, 2]
+
+
 def _operator(ks, kind: str, live, nodes, weights, degree: int, family: str, params=()):
     """Operator with the stencil ``zip(nodes[k], weights[k])`` at index
     ``live[k]`` and the unit weight on its own source at every other index,
@@ -98,7 +105,7 @@ def s2(ks: KnotSequence) -> QuasiInterpolant:
         raise ValueError("s2 requires degree >= 2")
     _require_distinct_interior(ks, "s2")
     lo, hi = _stencil_bounds(ks)
-    lam = np.array([ks.lam(i) for i in ks.basis_indices])
+    lam = _lams(ks)
     live = np.flatnonzero(lam > 0.0)  # lam = 0: the plain sample
     first = np.clip(live - 1, lo, hi - 2)
     nodes = first[:, None] + np.arange(3)
@@ -287,7 +294,7 @@ def nb_dqi_nonuniform(ks: KnotSequence, p: int) -> QuasiInterpolant:
             bad[0], f"partition violates the stencil balance condition at index {bad[0]}"
         )
     lo, hi = _stencil_bounds(ks)
-    lam = np.array([ks.lam(i) for i in ks.basis_indices])
+    lam = _lams(ks)
     live = np.flatnonzero(lam > 0.0)
     nodes = np.stack([np.maximum(live - p, lo), live, np.minimum(live + p, hi)], axis=1)
     tm, t0, tp = ks.moments("point", nodes, 1)[..., 1].T

@@ -1,12 +1,18 @@
-"""Univariate B-spline infrastructure: knot sequences, Greville-type symmetric
-functions, evaluation, kernel moments and integrals.
+"""Univariate B-spline infrastructure: knot sequences, Greville points and
+symmetric functions, evaluation, kernel moments, kernel rules and integrals.
 
-Kernel moments are closed forms, not quadratures: the unit-integral B-spline
-on knots ``t_0, ..., t_k`` has r-th raw moment ``h_r(t_0, ..., t_k) /
-binomial(r + k, r)``, where ``h_r`` is the complete homogeneous symmetric
-polynomial (de Boor, *A Practical Guide to Splines*; E. Neuman, "Moments of
-B-splines", J. Comput. Appl. Math. 1981).  Gauss quadrature over the knot
-spans remains only for integrating general functions against a kernel.
+Each window quantity has one implementation, ``KnotSequence.moments``, which
+works on many indices at once: Greville points (one cached array, which
+``greville`` also reads), the normalised elementary symmetric functions of
+the Greville windows, and the kernel moments.  The one-index methods
+``symmetric_coeff``, ``lam``, ``dual_moment`` and ``basis_moment`` are calls
+into it with one index.  Kernel moments are closed forms, not quadratures:
+the unit-integral B-spline on knots ``t_0, ..., t_k`` has r-th raw moment
+``h_r(t_0, ..., t_k) / binomial(r + k, r)``, where ``h_r`` is the complete
+homogeneous symmetric polynomial (de Boor, *A Practical Guide to Splines*;
+E. Neuman, "Moments of B-splines", J. Comput. Appl. Math. 1981).  Gauss
+quadrature over the knot spans remains only for integrating general
+functions against a kernel.
 
 Index conventions
 -----------------
@@ -29,82 +35,12 @@ Two layouts are supported:
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 
 import numpy as np
 
 __all__ = ["KnotSequence"]
-
-
-class _BasisView:
-    """One polynomial degree over a shared knot array: single splines and
-    their integrals."""
-
-    __slots__ = ("t", "k0", "deg")
-
-    def __init__(self, t: np.ndarray, k0: int, deg: int):
-        self.t = t
-        self.k0 = k0
-        self.deg = deg
-
-    def knot(self, k: int) -> float:
-        pos = k - self.k0
-        if pos < 0 or pos >= len(self.t):
-            raise IndexError(f"knot index {k} outside stored range")
-        return float(self.t[pos])
-
-    @property
-    def kmin(self) -> int:
-        return self.k0
-
-    @property
-    def kmax(self) -> int:
-        return self.k0 + len(self.t) - 1
-
-    def single_value(self, j: int, x: float) -> float:
-        """Value of the single spline B_j at x by recursion on its own knot
-        window t_{j-deg}, ..., t_{j+1} (no neighbouring knots needed).  Uses
-        the half-open span convention, so x at the right support end gives 0.
-        """
-        p = self.deg
-        base = j - p - self.k0
-        if base < 0 or base + p + 1 >= len(self.t):
-            raise IndexError(f"knot window for spline {j} not stored")
-        w = self.t[base : base + p + 2]
-        if not (w[0] <= x < w[-1]):
-            return 0.0
-        N = [1.0 if (w[r] <= x < w[r + 1]) else 0.0 for r in range(p + 1)]
-        for d in range(1, p + 1):
-            for r in range(p + 1 - d):
-                acc = 0.0
-                den = w[r + d] - w[r]
-                if den > 0.0:
-                    acc += (x - w[r]) / den * N[r]
-                den = w[r + d + 1] - w[r + 1]
-                if den > 0.0:
-                    acc += (w[r + d + 1] - x) / den * N[r + 1]
-                N[r] = acc
-        return N[0]
-
-    def integral(self, j: int) -> float:
-        """Integral of B_j over its full support, (t_{j+1} - t_{j-deg})/(deg+1)."""
-        return (self.knot(j + 1) - self.knot(j - self.deg)) / (self.deg + 1)
-
-
-def _kernel_moment(knots: np.ndarray, r: int, center: float, scale: float) -> float:
-    """r-th moment of the unit-integral B-spline on ``knots`` in the variable
-    ``(x - center)/scale``: ``h_r(u) / binomial(r + k, r)`` with
-    ``u = (knots - center)/scale`` and ``k + 1`` knots, ``h_r`` built by the
-    running-sum recurrence ``h_s(u_0..u_j) = h_s(u_0..u_{j-1}) + u_j h_{s-1}(u_0..u_j)``.
-    """
-    if r < 0:
-        raise ValueError("moment order must be >= 0")
-    h = [1.0] + [0.0] * r
-    for t in knots.tolist():
-        u = (t - center) / scale
-        for s in range(1, r + 1):
-            h[s] += u * h[s - 1]
-    return h[r] / math.comb(r + len(knots) - 1, r)
 
 
 class KnotSequence:
@@ -133,10 +69,10 @@ class KnotSequence:
         self.pad = pad
         self.cardinal = cardinal
         self.n = n
-        self._view = _BasisView(t, -(degree + pad), degree)
+        self._t = t
+        self._k0 = -(degree + pad)  # index of the first stored knot
         if self.b <= self.a:
             raise ValueError("empty domain")
-        self._theta: dict[int, float] = {}
         self._rules: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------ setup
@@ -183,18 +119,18 @@ class KnotSequence:
         return cls(degree, knots)
 
     def to_text(self) -> str:
-        vals = " ".join(f"{v:.17g}" for v in self._view.t)
+        vals = " ".join(f"{v:.17g}" for v in self._t)
         return f"{self.m}\n{vals}\n"
 
     # ------------------------------------------------------------- properties
 
     @property
     def a(self) -> float:
-        return self._view.knot(0)
+        return self.knot(0)
 
     @property
     def b(self) -> float:
-        return self._view.knot(self.n)
+        return self.knot(self.n)
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -209,46 +145,50 @@ class KnotSequence:
         return range(self.nbasis)
 
     def knot(self, k: int) -> float:
-        return self._view.knot(k)
+        pos = k - self._k0
+        if pos < 0 or pos >= len(self._t):
+            raise IndexError(f"knot index {k} outside stored range")
+        return float(self._t[pos])
 
     @property
     def knots(self) -> np.ndarray:
-        return self._view.t.copy()
+        return self._t.copy()
 
     @property
     def interior_strictly_increasing(self) -> bool:
-        t = self._view.t
-        o = -self._view.k0
-        interior = t[o : o + self.n + 1]
-        return bool(np.all(np.diff(interior) > 0))
+        return bool(np.all(np.diff(self._t[-self._k0 : self.n + 1 - self._k0]) > 0))
 
     def span_ratio(self) -> float:
         """Ratio of the largest to the smallest domain span."""
-        t = self._view.t
-        o = -self._view.k0
-        h = np.diff(t[o : o + self.n + 1])
+        h = np.diff(self._t[-self._k0 : self.n + 1 - self._k0])
         return float(h.max() / h.min())
 
     # --------------------------------------------------------------- greville
 
     def greville_range(self) -> tuple[int, int]:
         """Indices j for which the Greville window t_{j-m+1..j} is stored."""
-        return self._view.kmin + self.m - 1, self._view.kmax
+        return self._k0 + self.m - 1, self._k0 + len(self._t) - 1
 
     def _window(self, j: int) -> np.ndarray:
         lo, hi = self.greville_range()
         if j < lo or j > hi:
             raise IndexError(f"Greville index {j} outside stored range [{lo}, {hi}]")
-        pos = j - self._view.k0
-        return self._view.t[pos - self.m + 1 : pos + 1]
+        pos = j - self._k0
+        return self._t[pos - self.m + 1 : pos + 1]
+
+    @cached_property
+    def _greville(self) -> np.ndarray:
+        """Every stored Greville point, from index ``greville_range()[0]`` on."""
+        rows = np.arange(len(self._t) - self.m + 1)[:, None] + np.arange(self.m)
+        return self._t[rows].sum(axis=-1) / self.m
 
     def greville(self, j: int) -> float:
         """Greville point: mean of the m knots t_{j-m+1}, ..., t_j."""
-        th = self._theta.get(j)
-        if th is None:
-            th = float(self._window(j).mean())
-            self._theta[j] = th
-        return th
+        theta = self._greville
+        g = operator.index(j) - self._k0 - self.m + 1  # position in theta
+        if not 0 <= g < len(theta):
+            self._window(j)  # raises, naming the stored range
+        return theta.item(g)
 
     def symmetric_coeff(self, j: int, r: int, *, center: float = 0.0, scale: float = 1.0) -> float:
         """Normalized elementary symmetric function of the Greville window.
@@ -259,19 +199,7 @@ class KnotSequence:
         the basis.  ``center``/``scale`` move the expansion to the monomials
         ``((x - center)/scale)**r`` without loss of accuracy.
         """
-        if r < 0 or r > self.m:
-            raise ValueError(f"order r={r} must satisfy 0 <= r <= degree={self.m}")
-        if r == 0:
-            return 1.0
-        w = (self._window(j) - center) / scale
-        if r == 1:
-            return float(w.mean())
-        if r == 2:
-            s1 = float(w.sum())
-            return (s1 * s1 - float(w @ w)) / (self.m * (self.m - 1))
-        coeffs = np.poly(w)  # coeffs[k] = (-1)^k * sigma_k
-        sigma_r = float(coeffs[r]) * (-1.0) ** r
-        return sigma_r / math.comb(self.m, r)
+        return float(self.moments("symmetric", [j], r, center=center, scale=scale)[0, r])
 
     def lam(self, j: int) -> float:
         """Local spread gap theta_j^2 - theta_j^(2); zero only for coincident
@@ -289,7 +217,7 @@ class KnotSequence:
         """Domain span used for each span index 0..n-1: a zero-width span
         (repeated knot) passes its points on to the next nonempty span, or
         back to the last one at the right end."""
-        t, o, n = self._view.t, -self._view.k0, self.n
+        t, o, n = self._t, -self._k0, self.n
         empty = t[o + 1 : o + n + 1] <= t[o : o + n]
         out = np.arange(n)
         for k in range(n):
@@ -315,7 +243,7 @@ class KnotSequence:
         outside = (x < a) | (x > b)
         if outside.any():
             raise ValueError(f"x={x[np.argmax(outside)]} outside domain [{a}, {b}]")
-        t, k0, p = self._view.t, self._view.k0, self.m
+        t, k0, p = self._t, self._k0, self.m
         k = self._span_map[np.clip(np.searchsorted(t, x, side="right") - 1 + k0, 0, self.n - 1)]
         # one row per basis offset, points along the rows:
         # left[q-1] = x - t_{k+1-q}, right[q-1] = t_{k+q} - x for q = 1..m
@@ -352,12 +280,16 @@ class KnotSequence:
         """Integral of B_i over its full support, (t_{i+1} - t_{i-m})/(m+1)."""
         if i < 0 or i >= self.nbasis:
             raise IndexError(f"basis index {i} outside [0, {self.nbasis - 1}]")
-        return self._view.integral(i)
+        return self._integral(self.m, i)
+
+    def _integral(self, deg: int, j: int) -> float:
+        """Integral of the degree-``deg`` spline B_j, (t_{j+1} - t_{j-deg})/(deg+1)."""
+        return (self.knot(j + 1) - self.knot(j - deg)) / (deg + 1)
 
     def basis_integral_domain(self, i: int) -> float:
         """Integral of B_i over [a, b] (differs from basis_integral only for
         cardinal boundary splines whose support leaves the domain)."""
-        full = self._view.integral(i)
+        full = self._integral(self.m, i)
         if not self.cardinal:
             return full
         if self.knot(i - self.m) >= self.a and self.knot(i + 1) <= self.b:
@@ -376,21 +308,33 @@ class KnotSequence:
         key = (deg, j, npts)
         rule = self._rules.get(key)
         if rule is None:
-            view = _BasisView(self._view.t, self._view.k0, deg)
-            norm = view.integral(j)
+            w = self._kernel_windows(deg, np.array(j))
+            live = w[1:] > w[:-1]
             gx, gw = np.polynomial.legendre.leggauss(npts)
-            nodes, wts = [], []
-            for k in range(j - deg, j + 1):
-                u0, u1 = self.knot(k), self.knot(k + 1)
-                if u1 <= u0:
-                    continue
-                mid, half = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
-                for xg, wg in zip(mid + half * gx, half * gw):
-                    nodes.append(xg)
-                    wts.append(wg * view.single_value(j, xg) / norm)
-            rule = (np.asarray(nodes), np.asarray(wts))
+            mid, half = 0.5 * (w[:-1] + w[1:])[live, None], 0.5 * (w[1:] - w[:-1])[live, None]
+            x = (mid + half * gx).ravel()
+            # the Cox-de Boor recursion of B_j on its own window, all nodes at once
+            N = [((w[r] <= x) & (x < w[r + 1])).astype(float) for r in range(deg + 1)]
+            for d in range(1, deg + 1):
+                for r in range(deg + 1 - d):
+                    acc, den = 0.0, w[r + d] - w[r]
+                    if den > 0.0:
+                        acc = acc + (x - w[r]) / den * N[r]
+                    den = w[r + d + 1] - w[r + 1]
+                    if den > 0.0:
+                        acc = acc + (w[r + d + 1] - x) / den * N[r + 1]
+                    N[r] = acc
+            rule = (x, (half * gw).ravel() * N[0] / ((w[-1] - w[0]) / (deg + 1)))
             self._rules[key] = rule
         return rule
+
+    def _kernel_windows(self, deg: int, js: np.ndarray) -> np.ndarray:
+        """Knots t_{j-deg}, ..., t_{j+1} of the degree-``deg`` splines B_j,
+        one row per index."""
+        start = js - deg - self._k0
+        if js.size and (start.min() < 0 or start.max() + deg + 1 >= len(self._t)):
+            raise IndexError(f"knot window of a degree-{deg} kernel not stored")
+        return self._t[start[..., None] + np.arange(deg + 2)]
 
     def kernel_pieces(self, deg: int, js) -> np.ndarray:
         """Polynomial pieces of the unit-integral degree-``deg`` kernels
@@ -405,11 +349,7 @@ class KnotSequence:
         zero denominator is zero, so the pieces of empty spans vanish.
         """
         js = np.asarray(js, dtype=int)
-        t, k0 = self._view.t, self._view.k0
-        start = js - deg - k0
-        if js.size and (start.min() < 0 or start.max() + deg + 1 >= len(t)):
-            raise IndexError(f"knot window of a degree-{deg} kernel not stored")
-        w = t[start[:, None] + np.arange(deg + 2)]
+        w = self._kernel_windows(deg, js)
         u0, h = w[:, :-1, None], np.diff(w, axis=1)[:, :, None]
         span = np.arange(deg + 1)
         # N[g, r, i, p]: the spline on w[i..i+d+1] on span r, coefficient of tau^p
@@ -453,19 +393,17 @@ class KnotSequence:
     def dual_moment(self, i: int, r: int, *, center: float = 0.0, scale: float = 1.0) -> float:
         """r-th moment of the unit-integral degree-(m-2) kernel at index i in
         the variable ``(x - center)/scale``; its knots are the Greville window."""
-        return _kernel_moment(self._dual_window(i), r, center, scale)
+        return float(self.moments("dual", [i], r, center=center, scale=scale)[0, r])
 
     def dual_apply(self, i: int, f, npts: int = 8) -> float:
         """Integral of f against the unit-integral dual kernel at index i."""
         nodes, wts = self.dual_rule(i, npts)
         return float(np.dot(wts, np.asarray(f(nodes), dtype=float)))
 
-    def _basis_window(self, i: int) -> np.ndarray:
-        """Knots t_{i-m}, ..., t_{i+1} of the basis kernel B_i, validated."""
-        if not (self._view.kmin <= i - self.m and i + 1 <= self._view.kmax):
+    def _basis_window(self, i: int) -> None:
+        """Validates that the knots t_{i-m}, ..., t_{i+1} of B_i are stored."""
+        if not (self._k0 <= i - self.m and i + 1 < self._k0 + len(self._t)):
             raise IndexError(f"basis kernel window for index {i} not stored")
-        pos = i - self._view.k0
-        return self._view.t[pos - self.m : pos + 2]
 
     def basis_rule(self, i: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
         """Quadrature nodes and weights against the unit-integral basis kernel B_i."""
@@ -475,7 +413,7 @@ class KnotSequence:
     def basis_moment(self, i: int, r: int, *, center: float = 0.0, scale: float = 1.0) -> float:
         """r-th moment of the unit-integral basis kernel B_i in the variable
         ``(x - center)/scale``."""
-        return _kernel_moment(self._basis_window(i), r, center, scale)
+        return float(self.moments("basis", [i], r, center=center, scale=scale)[0, r])
 
     def basis_apply(self, i: int, f, npts: int = 8) -> float:
         nodes, wts = self.basis_rule(i, npts)
@@ -484,30 +422,42 @@ class KnotSequence:
     def moments(self, kind: str, js, rmax: int, *, center=0.0, scale: float = 1.0) -> np.ndarray:
         """Orders 0..rmax of a window quantity at many indices at once, in the
         variable ``(x - center)/scale``; ``out[..., r]`` belongs to ``js[...]``
-        and ``center`` broadcasts against ``js``.
+        and ``center`` broadcasts against ``js``.  The only implementation of
+        each quantity: the one-index methods call it with one index.
 
-        ``kind`` is ``"point"`` (``((theta_j - center)/scale)**r``),
-        ``"symmetric"`` (``symmetric_coeff``), ``"dual"`` or ``"basis"``
-        (``dual_moment`` / ``basis_moment``): the recurrence of
-        ``_kernel_moment`` on every window together (a point is one node), or
-        the elementary symmetric one on the Greville windows.  Indices are
-        validated as by the scalar methods, with their messages.
+        ``kind`` is ``"point"`` (``((theta_j - center)/scale)**r`` by repeated
+        products, theta_j from the array that ``greville`` reads),
+        ``"symmetric"`` (``symmetric_coeff``: ``e_r / binomial(m, r)`` of the
+        Greville window, by the elementary symmetric recurrence), ``"dual"``
+        or ``"basis"`` (``dual_moment`` / ``basis_moment``: ``h_r /
+        binomial(r + k, r)`` of the kernel's k + 1 knots, by the complete
+        homogeneous one).  Each recurrence runs on every window together.
+        Indices are validated as by the one-index methods, with their
+        messages; an unknown kind, a negative order and non-integer indices
+        raise ``ValueError``.
         """
-        js = np.asarray(js, dtype=int)
-        m, t, k0 = self.m, self._view.t, self._view.k0
-        if kind == "symmetric" and rmax > m:
+        if kind not in ("point", "symmetric", "dual", "basis"):
+            raise ValueError(f"unknown moment kind {kind!r}")
+        m, idx = self.m, np.asarray(js)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"indices must be integers, got {idx.dtype} values")
+        if kind == "symmetric" and not 0 <= rmax <= m:
             raise ValueError(f"order r={rmax} must satisfy 0 <= r <= degree={m}")
+        if rmax < 0:
+            raise ValueError(f"moment order must be >= 0, got {rmax}")
+        js = idx.astype(int)
         # the valid indices form a range: its two ends validate them all
         window = {"dual": self._dual_window, "basis": self._basis_window}.get(kind, self._window)
         for j in (js.min(), js.max()) if js.size else ():
             window(int(j))
-        first, count = (-m, m + 2) if kind == "basis" else (1 - m, m)
-        knots = t[(js - k0 + first)[..., None] + np.arange(count)]
-        flat = knots[..., -1] <= knots[..., 0]
-        if kind == "dual" and flat.any():
-            raise ValueError(f"degenerate dual kernel window at index {js[flat][0]}")
         if kind == "point":
-            knots = knots.sum(axis=-1, keepdims=True) / count  # as greville's mean()
+            knots = self._greville[js - self.greville_range()[0]][..., None]
+        elif kind == "basis":
+            knots = self._kernel_windows(m, js)
+        else:  # the Greville window t_{j-m+1..j} is the degree-(m-2) window of j - 1
+            knots = self._kernel_windows(m - 2, js - 1)
+        if kind == "dual" and (flat := knots[..., -1] <= knots[..., 0]).any():
+            raise ValueError(f"degenerate dual kernel window at index {js[flat][0]}")
         u = (knots - np.asarray(center, dtype=float)[..., None]) / scale
         shape, u = u.shape[:-1], u.reshape(-1, u.shape[-1]).T  # u[k, index]
         h = np.zeros((rmax + 1, u.shape[1]))

@@ -192,6 +192,17 @@ class TestBoxCoeffs:
         with pytest.raises(ValueError):
             nb_box_coeffs("four-direction", 0)
 
+    @pytest.mark.parametrize("s", [1.5, 2.0, True, False, np.float64(2.0), np.bool_(True), "2", None, -1])
+    @pytest.mark.parametrize("kind", ["three-direction", "four-direction"])
+    def test_scale_must_be_an_integer_of_at_least_one(self, kind, s):
+        # a half-integer scale puts the vertex nodes off the lattice
+        with pytest.raises(ValueError, match="scale s must be an integer >= 1"):
+            nb_box_coeffs(kind, s)
+
+    def test_numpy_integer_scale_accepted(self):
+        for kind in ("three-direction", "four-direction"):
+            assert nb_box_coeffs(kind, np.int64(3)) == nb_box_coeffs(kind, 3)
+
 
 class TestCrissCrossFamilies:
     def test_t2_uniform_values(self):
@@ -485,3 +496,11 @@ class TestZPPolynomialPiece:
 
     def test_numpy_integer_grid_accepted(self):
         assert zp_dqi_empirical_norm(2, grid=np.int64(40)) == zp_dqi_empirical_norm(2, grid=40)
+
+    @pytest.mark.parametrize("s", [1.5, 2.0, 0.5, True, np.float64(1.0), 0, -2])
+    def test_rejects_a_scale_that_is_not_a_positive_integer(self, s):
+        with pytest.raises(ValueError, match="scale s must be an integer >= 1"):
+            zp_dqi_empirical_norm(s, grid=40)
+
+    def test_numpy_integer_scale_accepted(self):
+        assert zp_dqi_empirical_norm(np.int32(2), grid=40) == zp_dqi_empirical_norm(2, grid=40)

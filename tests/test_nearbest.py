@@ -1,6 +1,7 @@
 """Tests for the l1-minimization machinery."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,69 @@ from splineqi import (
 )
 from splineqi.nearbest import simplex_min, solve_weighted_l1
 from splineqi.partitions import random_admissible_clamped, random_clamped
+
+
+# ------------------------------------------------------------------ oracles
+# The per-entry assembly that two batched ``KnotSequence.moments`` calls
+# replaced, on scalar copies of the Greville mean, the kernel moment
+# recurrence and the symmetric functions (mean, pair formula, np.poly).
+
+
+def _knots(ks, j, first, count):
+    """Knots t_{j+first}, ..., t_{j+first+count-1}."""
+    o = ks.m + ks.pad
+    return ks.knots[j + first + o : j + first + count + o]
+
+
+def _greville(ks, j):
+    return float(_knots(ks, j, 1 - ks.m, ks.m).mean())
+
+
+def _kernel_moment(knots, r, center, scale):
+    h = [1.0] + [0.0] * r
+    for t in knots.tolist():
+        u = (t - center) / scale
+        for s in range(1, r + 1):
+            h[s] += u * h[s - 1]
+    return h[r] / math.comb(r + len(knots) - 1, r)
+
+
+def _symmetric_coeff(ks, j, r, center, scale):
+    m = ks.m
+    if r == 0:
+        return 1.0
+    w = (_knots(ks, j, 1 - m, m) - center) / scale
+    if r == 1:
+        return float(w.mean())
+    if r == 2:
+        s1 = float(w.sum())
+        return (s1 * s1 - float(w @ w)) / (m * (m - 1))
+    coeffs = np.poly(w)  # coeffs[k] = (-1)^k * sigma_k
+    return float(coeffs[r]) * (-1.0) ** r / math.comb(m, r)
+
+
+def _discrete_data(ks, i, p, q):
+    center = _greville(ks, i)
+    nodes = np.array([_greville(ks, i + s) for s in range(-p, p + 1)])
+    scale = max(nodes.max() - center, center - nodes.min(), 1e-300)
+    tau = (nodes - center) / scale
+    V = np.vstack([tau**r for r in range(q + 1)])
+    b = np.array([_symmetric_coeff(ks, i, r, center, scale) for r in range(q + 1)])
+    return V, b
+
+
+def _integral_data(ks, i, p, q):
+    center = _greville(ks, i)
+    spread = _greville(ks, i + p) - _greville(ks, i - p)
+    scale = max(spread / 2.0, 1e-300)
+    V = np.array(
+        [
+            [_kernel_moment(_knots(ks, i + s, -ks.m, ks.m + 2), r, center, scale) for s in range(-p, p + 1)]
+            for r in range(q + 1)
+        ]
+    )
+    b = np.array([_symmetric_coeff(ks, i, r, center, scale) for r in range(q + 1)])
+    return V, b
 
 
 class TestSimplex:
@@ -231,3 +295,60 @@ class TestSymmetricUniform:
         w, nu = solve_symmetric_uniform(6, 3, 3, kind="dqi")
         assert len(w) == 7
         assert nu >= 1.0
+
+
+class TestAssemblyAgainstThePerEntryPath:
+    @staticmethod
+    def problems():
+        rng = np.random.default_rng(30)
+        for m in (2, 3, 4, 5):
+            for ks in (
+                random_clamped(m, 12, rng, ratio=1e6),
+                KnotSequence.clamped(m, 1e4 + np.linspace(0.0, 1.0, 13)),
+                KnotSequence.cardinal_uniform(m, 10, pad=4),
+            ):
+                for p in (1, 2, 3):
+                    q = min(m, 2 * p)
+                    for i in range(p, ks.nbasis - p):
+                        yield ks, i, p, q
+
+    @pytest.mark.parametrize("kind", ["discrete", "integral"])
+    def test_matrix_and_rhs_within_1e_15(self, kind):
+        make = NearBestProblem.from_discrete if kind == "discrete" else NearBestProblem.from_integral
+        oracle = _discrete_data if kind == "discrete" else _integral_data
+        count = 0
+        for ks, i, p, q in self.problems():
+            prob = make(ks, i, p, q)
+            V, b = oracle(ks, i, p, q)
+            assert np.abs(prob.matrix - V).max() <= 1e-15 * np.abs(V).max()
+            assert np.abs(prob.rhs - b).max() <= 1e-15 * np.abs(b).max()
+            count += 1
+        assert count > 300
+
+    @pytest.mark.parametrize("kind", ["discrete", "integral"])
+    def test_lp_optima_unchanged(self, kind):
+        make = NearBestProblem.from_discrete if kind == "discrete" else NearBestProblem.from_integral
+        oracle = _discrete_data if kind == "discrete" else _integral_data
+        solved = 0
+        for ks, i, p, q in self.problems():
+            prob = make(ks, i, p, q)
+            V, b = oracle(ks, i, p, q)
+            try:
+                want = solve_l1(NearBestProblem(matrix=V, rhs=b, anchor=i, p=p, q=q)).nu
+            except InfeasibleError:
+                # the per-entry data fail the same way (a roundoff pivot at offset 1e4)
+                with pytest.raises(InfeasibleError):
+                    solve_l1(prob)
+                continue
+            # the data move by at most 1e-15 relative, the optimum by condition times that
+            rel = max(1e-12, 1e-15 * np.linalg.cond(V))
+            assert solve_l1(prob).nu == pytest.approx(want, rel=rel)
+            solved += 1
+        assert solved > 350
+
+    def test_problems_own_their_arrays(self):
+        ks = random_clamped(4, 10, np.random.default_rng(31))
+        for make in (NearBestProblem.from_discrete, NearBestProblem.from_integral):
+            prob = make(ks, 6, 2, 4)
+            assert prob.matrix.base is None and prob.rhs.base is None
+            assert prob.matrix.flags.c_contiguous

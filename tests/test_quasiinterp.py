@@ -1,5 +1,8 @@
 """Tests for the concrete operator families."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,57 @@ def _gs2_weights_loop(ks, i):
     M = np.array([[lam.apply_monomial(r, center=center) for lam in members] for r in range(3)])
     rhs = np.array([ks.symmetric_coeff(i, r, center=center) for r in range(3)])
     return np.linalg.solve(M, rhs)
+
+
+def _lam_oracle(ks, i):
+    """lam_i from the pair formula of the centred Greville window, the scalar
+    path that the elementary symmetric recurrence of ``moments`` replaced."""
+    o, m = ks.m + ks.pad, ks.m
+    w = ks.knots[i + 1 - m + o : i + 1 + o]
+    w = w - float(w.mean())
+    s1 = float(w.sum())
+    return -(s1 * s1 - float(w @ w)) / (m * (m - 1))
+
+
+def _ulps(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    return np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+
+
+# ------------------------------------------------------------ golden weights
+# Band weights and the coefficients of f(x) = 1/(1 + x^2) of every operator
+# below, as float hex, recorded from the implementation whose Greville
+# points, symmetric functions, kernel moments and kernel rules were scalar
+# code (a mean per window, the pair formula and np.poly, a node at a time).
+
+GOLDEN_WEIGHTS = Path(__file__).parent / "data" / "weights_golden.json"
+
+
+def golden_operators():
+    for m in (2, 3, 4, 5):
+        for name, ks in (
+            (f"rough-m{m}", random_clamped(m, 7, np.random.default_rng(500 + m), ratio=1e4)),
+            (f"offset-m{m}", KnotSequence.clamped(m, 1e4 + np.linspace(0.0, 1.0, 8))),
+            (f"cardinal-m{m}", KnotSequence.cardinal_uniform(m, 5, pad=2)),
+        ):
+            for family, make in (("S1", schoenberg), ("S2", s2), ("G1", gs1), ("G2", gs2)):
+                yield f"{name}/{family}", make(ks)
+    for p in (2, 3):
+        ks = random_admissible_clamped(9, np.random.default_rng(520 + p), p)
+        yield f"admissible-p{p}/Q_p2", nb_dqi_nonuniform(ks, p)
+    cases = ((2, 1, 1), (4, 1, None), (4, 2, None), (4, 3, 1), (6, 2, None), (6, 3, 2), (6, 3, 4))
+    for order, n, r in cases:
+        yield f"uniform-dqi/{order}/{n}/{r}", uniform_nb_dqi(order, n, r, nspans=6)
+        yield f"uniform-iqi/{order}/{n}/{r}", uniform_nb_iqi(order, n, r, nspans=6)
+
+
+def golden_record(q):
+    point, kernel = q.bands
+    coefficients = q.coefficients(lambda x: 1.0 / (1.0 + x * x))
+    return {
+        key: " ".join(v.hex() for v in arr.ravel().tolist())
+        for key, arr in (("point", point.weights), ("kernel", kernel.weights), ("coefficients", coefficients))
+    }
 
 
 def _sequences(seed):
@@ -414,3 +468,40 @@ class TestExactnessSweep:
                 for q in (schoenberg(ks), s2(ks), gs1(ks), gs2(ks)):
                     ok, worst = is_exact_on(q, q.degree_exact)
                     assert ok, (q.family, m, worst)
+
+
+class TestAgainstTheScalarPaths:
+    @pytest.mark.parametrize("m", range(2, 12))
+    def test_lam_against_the_pair_formula(self, m):
+        # the recurrence sums m(m-1)/2 mixed-sign products where the pair
+        # formula sums m squares: above degree 6 the gap grows with m
+        bound = 4 if m <= 6 else m
+        rng = np.random.default_rng(480 + m)
+        for ks in (
+            random_clamped(m, 12, rng, ratio=1e6),
+            KnotSequence(m, np.concatenate([[0.0] * m, [0, 0.3, 0.3, 0.7, 1], [1.0] * m])),
+            KnotSequence.cardinal_uniform(m, 6, pad=2, start=-1.3, spacing=0.37),
+        ):
+            lo, hi = ks.greville_range()
+            for i in range(lo, hi + 1):
+                assert _ulps(ks.lam(i), _lam_oracle(ks, i)) <= bound, (ks, i)
+
+    def test_golden_weights(self):
+        golden = json.loads(GOLDEN_WEIGHTS.read_text())
+        names = []
+        for name, q in golden_operators():
+            names.append(name)
+            family = name.split("/")[1]
+            # lam moved from the pair formula to the recurrence; the order-6
+            # n = 3 right-hand sides of orders 2 and 4 from the pair formula
+            # and np.poly to the recurrence
+            moved = family in ("S2", "Q_p2") or name.startswith(("uniform-dqi/6/3", "uniform-iqi/6/3"))
+            for key, text in golden_record(q).items():
+                got = np.array([float.fromhex(v) for v in text.split()])
+                want = np.array([float.fromhex(v) for v in golden[name][key].split()])
+                assert got.shape == want.shape, (name, key)
+                if moved:
+                    assert _ulps(got, want).max(initial=0.0) <= 4, (name, key)
+                else:
+                    assert np.array_equal(got, want), (name, key)
+        assert sorted(names) == sorted(golden)

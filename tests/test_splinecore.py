@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from splineqi import KnotSequence
 from splineqi.partitions import random_clamped
-from splineqi.splinecore import _BasisView
 
 
 def bspline_oracle(knots, x):
@@ -52,6 +51,84 @@ def row_oracle(ks, x):
             saved = left[j - r] * temp
         N[j] = saved
     return k, np.asarray(N)
+
+
+# ------------------------------------------------------------------ oracles
+# The scalar paths that ``KnotSequence.moments`` and the array kernel rule
+# replaced, kept verbatim (up to their interfaces) as references.
+
+
+def single_value_oracle(t, k0, deg, j, x):
+    """Value of the degree-``deg`` spline B_j at x by recursion on its own
+    knot window t_{j-deg}, ..., t_{j+1}; ``t[0]`` is knot ``k0``."""
+    p = deg
+    base = j - p - k0
+    if base < 0 or base + p + 1 >= len(t):
+        raise IndexError(f"knot window for spline {j} not stored")
+    w = t[base : base + p + 2]
+    if not (w[0] <= x < w[-1]):
+        return 0.0
+    N = [1.0 if (w[r] <= x < w[r + 1]) else 0.0 for r in range(p + 1)]
+    for d in range(1, p + 1):
+        for r in range(p + 1 - d):
+            acc = 0.0
+            den = w[r + d] - w[r]
+            if den > 0.0:
+                acc += (x - w[r]) / den * N[r]
+            den = w[r + d + 1] - w[r + 1]
+            if den > 0.0:
+                acc += (w[r + d + 1] - x) / den * N[r + 1]
+            N[r] = acc
+    return N[0]
+
+
+def kernel_rule_oracle(ks, deg, j, npts):
+    """Gauss nodes span by span and weights from one node at a time."""
+    t, k0 = ks.knots, -(ks.m + ks.pad)
+    norm = (ks.knot(j + 1) - ks.knot(j - deg)) / (deg + 1)
+    gx, gw = np.polynomial.legendre.leggauss(npts)
+    nodes, wts = [], []
+    for k in range(j - deg, j + 1):
+        u0, u1 = ks.knot(k), ks.knot(k + 1)
+        if u1 <= u0:
+            continue
+        mid, half = 0.5 * (u0 + u1), 0.5 * (u1 - u0)
+        for xg, wg in zip(mid + half * gx, half * gw):
+            nodes.append(xg)
+            wts.append(wg * single_value_oracle(t, k0, deg, j, xg) / norm)
+    return np.asarray(nodes), np.asarray(wts)
+
+
+def kernel_moment_oracle(knots, r, center=0.0, scale=1.0):
+    """r-th moment of the unit-integral B-spline on ``knots`` in the variable
+    ``(x - center)/scale`` by the running-sum recurrence of h_r."""
+    h = [1.0] + [0.0] * r
+    for t in np.asarray(knots).tolist():
+        u = (t - center) / scale
+        for s in range(1, r + 1):
+            h[s] += u * h[s - 1]
+    return h[r] / math.comb(r + len(knots) - 1, r)
+
+
+def greville_window(ks, j):
+    """Knots t_{j-m+1}, ..., t_j (knot 0 sits at position m + pad)."""
+    o = ks.m + ks.pad
+    return ks.knots[j + 1 - ks.m + o : j + 1 + o]
+
+
+def symmetric_coeff_oracle(ks, j, r, center=0.0, scale=1.0):
+    """Normalised elementary symmetric function: mean, pair formula, np.poly."""
+    m = ks.m
+    if r == 0:
+        return 1.0
+    w = (greville_window(ks, j) - center) / scale
+    if r == 1:
+        return float(w.mean())
+    if r == 2:
+        s1 = float(w.sum())
+        return (s1 * s1 - float(w @ w)) / (m * (m - 1))
+    coeffs = np.poly(w)  # coeffs[k] = (-1)^k * sigma_k
+    return float(coeffs[r]) * (-1.0) ** r / math.comb(m, r)
 
 
 def lam_oracle(window):
@@ -257,7 +334,7 @@ class TestEvaluation:
         ks = random_clamped(4, 7, rng)
         for x in rng.uniform(ks.a, ks.b, 40):
             for i in range(ks.nbasis):
-                assert ks._view.single_value(i, x) == pytest.approx(
+                assert single_value_oracle(ks.knots, -4, 4, i, x) == pytest.approx(
                     ks.basis_value(i, x), abs=1e-13
                 )
 
@@ -332,14 +409,14 @@ class TestKernelPieces:
     def test_pieces_match_single_values(self, deg):
         # the degree-deg splines on the knots of a degree-(deg+2) sequence
         ks = random_clamped(deg + 2, 9, np.random.default_rng(53 + deg))
-        view = _BasisView(ks.knots, -ks.m, deg)
-        js = np.arange(view.kmin + deg, view.kmax)
+        t, k0 = ks.knots, -ks.m
+        js = np.arange(k0 + deg, k0 + len(t) - 1)
         pieces = ks.kernel_pieces(deg, js)
         for g, j in enumerate(js):
-            w = ks.knots[j - deg - view.k0 : j + 2 - view.k0]
+            w = t[j - deg - k0 : j + 2 - k0]
             if w[-1] <= w[0]:
                 continue
-            integral = view.integral(j)
+            integral = (w[-1] - w[0]) / (deg + 1)
             for r in range(deg + 1):
                 if w[r + 1] <= w[r]:
                     assert not pieces[g, r].any()
@@ -348,7 +425,7 @@ class TestKernelPieces:
                     x = w[r] + (w[r + 1] - w[r]) * tau
                     tau = (x - w[r]) / (w[r + 1] - w[r])
                     got = np.polynomial.polynomial.polyval(tau, pieces[g, r]) * integral
-                    assert got == pytest.approx(view.single_value(j, x), abs=1e-13)
+                    assert got == pytest.approx(single_value_oracle(t, k0, deg, j, x), abs=1e-13)
 
     def test_window_must_be_stored(self):
         ks = KnotSequence.clamped(2, [0.0, 0.5, 1.0])
@@ -527,15 +604,16 @@ class TestBatchedMoments:
     def test_kernel_moments_and_points_bitwise_equal_to_the_scalar_path(self, m):
         for ks in self._sequences(m):
             lo, hi = ks.greville_range()
-            basis = np.arange(ks._view.kmin + m, ks._view.kmax)
+            t, o = ks.knots, m + ks.pad
+            basis = np.arange(lo + 1, hi)
             dual = np.arange(lo, hi + 1) if ks.cardinal else np.arange(1, ks.nbasis - 1)
             dual = dual[[ks.knot(j) > ks.knot(j - m + 1) for j in dual]]
             points = np.arange(lo, hi + 1)
-            c, s = ks.greville(ks.nbasis // 2), ks.b - ks.a
+            c, s = float(greville_window(ks, ks.nbasis // 2).mean()), ks.b - ks.a
             for kind, js, scalar in (
-                ("basis", basis, lambda j, r: ks.basis_moment(j, r, center=c, scale=s)),
-                ("dual", dual, lambda j, r: ks.dual_moment(j, r, center=c, scale=s)),
-                ("point", points, lambda j, r: ((ks.greville(j) - c) / s) ** r if r else 1.0),
+                ("basis", basis, lambda j, r: kernel_moment_oracle(t[j - m + o : j + 2 + o], r, c, s)),
+                ("dual", dual, lambda j, r: kernel_moment_oracle(greville_window(ks, j), r, c, s)),
+                ("point", points, lambda j, r: ((greville_window(ks, j).mean() - c) / s) ** r),
             ):
                 got = ks.moments(kind, js, m + 1, center=c, scale=s)
                 assert got.shape == (len(js), m + 2)
@@ -550,12 +628,36 @@ class TestBatchedMoments:
         for ks in self._sequences(m):
             lo, hi = ks.greville_range()
             js = np.arange(lo, hi + 1)
-            centers = np.array([ks.greville(j) for j in js])
+            centers = np.array([greville_window(ks, j).mean() for j in js])
             got = ks.moments("symmetric", js, m, center=centers, scale=0.5)
             for j, row, c in zip(js, got, centers):
                 for r in range(m + 1):
-                    want = ks.symmetric_coeff(int(j), r, center=c, scale=0.5)
+                    want = symmetric_coeff_oracle(ks, j, r, center=c, scale=0.5)
                     assert row[r] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_one_index_methods_are_the_batched_values(self, m):
+        for ks in self._sequences(m):
+            lo, hi = ks.greville_range()
+            js = np.arange(lo, hi + 1)
+            theta = ks.moments("point", js, 1)[:, 1]
+            assert [ks.greville(j) for j in js] == theta.tolist()
+            sym = ks.moments("symmetric", js, m, center=0.25, scale=2.0)
+            for j, row in zip(js.tolist(), sym.tolist()):
+                assert [ks.symmetric_coeff(j, r, center=0.25, scale=2.0) for r in range(m + 1)] == row
+            if m < 2:
+                continue
+            lam = -ks.moments("symmetric", js, 2, center=theta)[:, 2]
+            assert [ks.lam(j) for j in js] == lam.tolist()
+            basis = np.arange(lo + 1, hi)
+            got = ks.moments("basis", basis, m + 1, center=0.25)
+            for j, row in zip(basis.tolist(), got.tolist()):
+                assert [ks.basis_moment(j, r, center=0.25) for r in range(m + 2)] == row
+            dual = np.arange(lo, hi + 1) if ks.cardinal else np.arange(1, ks.nbasis - 1)
+            dual = dual[[ks.knot(j) > ks.knot(j - m + 1) for j in dual]]
+            got = ks.moments("dual", dual, m + 1, center=0.25)
+            for j, row in zip(dual.tolist(), got.tolist()):
+                assert [ks.dual_moment(j, r, center=0.25) for r in range(m + 2)] == row
 
     def test_shapes_and_broadcast_centres(self):
         ks = random_clamped(3, 6, np.random.default_rng(90))
@@ -581,3 +683,111 @@ class TestBatchedMoments:
             repeated.moments("dual", [1, 2, 3, 4], 1)
         with pytest.raises(ValueError, match="degree >= 2"):
             KnotSequence.clamped(1, [0.0, 0.5, 1.0]).moments("dual", [1], 1)
+
+
+class TestKernelRules:
+    """The array kernel rule against the node-at-a-time scalar path."""
+
+    @staticmethod
+    def sequences():
+        rng = np.random.default_rng(95)
+        for m in (2, 3, 4, 5, 7):
+            yield random_clamped(m, 9, rng, ratio=1e6)
+            yield KnotSequence.cardinal_uniform(m, 6, pad=2, start=-1.3, spacing=0.37)
+            yield KnotSequence(m, np.concatenate([[0.0] * m, [0, 0.3, 0.3, 0.3, 0.7, 1], [1.0] * m]))
+        yield KnotSequence.clamped(3, 1e8 + np.linspace(0.0, 1.0, 8))
+
+    @pytest.mark.parametrize("npts", [1, 2, 5, 8])
+    def test_bitwise_equal_to_the_scalar_rule(self, npts):
+        for ks in self.sequences():
+            lo, hi = ks.greville_range()
+            for deg, js in ((ks.m, range(lo + 1, hi)), (ks.m - 2, range(lo - 1, hi))):
+                for j in js:
+                    nodes, wts = ks._kernel_rule(deg, j, npts)
+                    want_nodes, want_wts = kernel_rule_oracle(ks, deg, j, npts)
+                    assert np.array_equal(nodes, want_nodes), (ks, deg, j)
+                    assert np.array_equal(wts, want_wts), (ks, deg, j)
+
+    def test_public_rules_and_domain_integrals(self):
+        for ks in self.sequences():
+            m = ks.m
+            for i in range(ks.nbasis):
+                for got, want in zip(ks.basis_rule(i, 4), kernel_rule_oracle(ks, m, i, 4)):
+                    assert np.array_equal(got, want)
+                full = (ks.knot(i + 1) - ks.knot(i - m)) / (m + 1)
+                if ks.cardinal and not (ks.knot(i - m) >= ks.a and ks.knot(i + 1) <= ks.b):
+                    nodes, wts = kernel_rule_oracle(ks, m, i, m // 2 + 1)
+                    full *= float(wts[(nodes > ks.a) & (nodes < ks.b)].sum())
+                assert ks.basis_integral_domain(i) == full
+            for i in range(1, ks.nbasis - 1):
+                if ks.knot(i) > ks.knot(i - m + 1):
+                    for got, want in zip(ks.dual_rule(i, 3), kernel_rule_oracle(ks, m - 2, i - 1, 3)):
+                        assert np.array_equal(got, want)
+
+    def test_empty_spans_get_no_nodes(self):
+        ks = KnotSequence(3, [0, 0, 0, 0, 0.3, 0.3, 0.3, 0.7, 1, 1, 1, 1])
+        nodes, wts = ks.basis_rule(3, 4)  # support t_0..t_4 = 0, 0.3, 0.3, 0.3, 0.7
+        assert len(nodes) == 8 and np.all(np.diff(nodes) > 0)
+        assert wts.sum() == pytest.approx(1.0, rel=1e-14)
+
+
+class TestGrevillePoints:
+    @pytest.mark.parametrize("m", range(1, 12))
+    def test_bitwise_equal_to_the_window_mean(self, m):
+        rng = np.random.default_rng(96 + m)
+        for ks in (
+            random_clamped(m, 11, rng, ratio=1e6),
+            KnotSequence.clamped(m, 1e8 + np.linspace(0.0, 1.0, 9)),
+            KnotSequence.cardinal_uniform(m, 5, pad=2, start=-2.1, spacing=0.3),
+        ):
+            lo, hi = ks.greville_range()
+            for j in range(lo, hi + 1):
+                assert ks.greville(j) == float(greville_window(ks, j).mean())
+
+    def test_range_ends_validated(self):
+        ks = KnotSequence.clamped(3, [0.0, 0.5, 1.0])
+        lo, hi = ks.greville_range()
+        assert ks.greville(lo) == 0.0 and ks.greville(hi) == 1.0
+        for j in (lo - 1, hi + 1):
+            with pytest.raises(IndexError, match="Greville index"):
+                ks.greville(j)
+
+
+class TestMomentsInput:
+    """``moments`` is the gate of every scalar moment call."""
+
+    ks = KnotSequence.clamped(3, np.linspace(0.0, 1.0, 6))
+
+    @pytest.mark.parametrize("kind", ["bogus", "Dual", "", None])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValueError, match="unknown moment kind"):
+            self.ks.moments(kind, [1], 1)
+
+    @pytest.mark.parametrize("kind", ["point", "dual", "basis"])
+    def test_negative_order(self, kind):
+        with pytest.raises(ValueError, match="moment order must be >= 0"):
+            self.ks.moments(kind, [1], -1)
+        with pytest.raises(ValueError, match="order r=-1"):
+            self.ks.moments("symmetric", [1], -1)
+
+    @pytest.mark.parametrize("js", [[1.7], [1.0, 2.0], np.array([2.5]), [True, False], ["1"]])
+    def test_non_integral_indices(self, js):
+        for kind in ("point", "symmetric", "dual", "basis"):
+            with pytest.raises(ValueError, match="indices must be integers"):
+                self.ks.moments(kind, js, 1)
+
+    def test_scalar_methods_reject_non_integral_indices(self):
+        for call in (
+            lambda: self.ks.dual_moment(1.5, 1),
+            lambda: self.ks.basis_moment(2.5, 1),
+            lambda: self.ks.symmetric_coeff(1.5, 1),
+        ):
+            with pytest.raises(ValueError, match="indices must be integers"):
+                call()
+
+    def test_integer_index_types_accepted(self):
+        want = self.ks.moments("dual", [1, 2, 3], 2)
+        for js in (range(1, 4), np.arange(1, 4, dtype=np.int32), np.array([1, 2, 3], dtype=np.uint8)):
+            np.testing.assert_array_equal(self.ks.moments("dual", js, 2), want)
+        assert self.ks.dual_moment(np.int64(2), np.int64(2)) == want[1, 2]
+        assert self.ks.moments("basis", [], 2).shape == (0, 3)

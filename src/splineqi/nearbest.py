@@ -9,9 +9,10 @@ stencil half-width, which keeps the systems well conditioned without
 changing the feasible set.
 
 The solver is a dense two-phase simplex on the split form
-``lam = u - v, u, v >= 0`` with Bland's rule, so results are deterministic
-and finite-termination is guaranteed.  Problems here have at most a few
-dozen variables; exactness and determinism matter more than speed.
+``lam = u - v, u, v >= 0``.  The pivot order is Bland's (first column with a
+negative reduced cost; least ratio, ties to the smallest basic variable), so
+results are deterministic and termination is finite.  A pivot is one rank-1
+update of the whole tableau; the scans run over Python floats.
 """
 
 from __future__ import annotations
@@ -53,6 +54,8 @@ class NearBestProblem:
             raise ValueError("matrix shape inconsistent with p, q")
         if self.rhs.shape != (self.q + 1,):
             raise ValueError("rhs shape inconsistent with q")
+        if not (np.isfinite(self.matrix).all() and np.isfinite(self.rhs).all()):
+            raise ValueError("matrix and rhs must be finite")
 
     @classmethod
     def from_discrete(cls, ks: KnotSequence, i: int, p: int, q: int) -> "NearBestProblem":
@@ -92,149 +95,145 @@ class NearBestSolution:
 
 
 def _bland_entering(z: np.ndarray, tol: float) -> int:
-    for j, v in enumerate(z):
+    for j, v in enumerate(z.tolist()):
         if v < -tol:
             return j
     return -1
 
 
 def _ratio_leaving(T: np.ndarray, col: int, basis, tol: float) -> int:
-    best = None
-    for r in range(T.shape[0] - 1):
-        a = T[r, col]
+    best, leave = None, -1
+    for r, (a, rhs) in enumerate(zip(T[:-1, col].tolist(), T[:-1, -1].tolist())):
         if a > tol:
-            ratio = T[r, -1] / a
-            key = (ratio, basis[r])
-            if best is None or key < best[0]:
-                best = (key, r)
-    return -1 if best is None else best[1]
+            key = (rhs / a, basis[r])
+            if best is None or key < best:
+                best, leave = key, r
+    return leave
 
 
 def _pivot(T: np.ndarray, row: int, col: int):
-    T[row, :] /= T[row, col]
-    for r in range(T.shape[0]):
-        if r != row and T[r, col] != 0.0:
-            T[r, :] -= T[r, col] * T[row, :]
+    T[row] /= T[row, col]
+    f = T[:, col].copy()
+    f[row] = 0.0  # every other row r becomes T[r] - T[r, col] * T[row]
+    T -= np.multiply.outer(f, T[row])
+
+
+def _run_phase(T, basis, ncols: int, tol: float, max_iter: int, phase: int, stop=None):
+    """Bland pivots until no reduced cost in ``T[-1, :ncols]`` is below
+    ``-tol`` or, given ``stop``, the objective value ``-T[-1, -1]`` is at most
+    ``stop`` (at value 0 phase 1 is done; a roundoff reduced cost must not
+    pivot on)."""
+    for _ in range(max_iter):
+        if stop is not None and -T[-1, -1] <= stop:
+            return
+        col = _bland_entering(T[-1, :ncols], tol)
+        if col < 0:
+            return
+        row = _ratio_leaving(T, col, basis, tol)
+        if row < 0:
+            raise RuntimeError(
+                "phase 1 unbounded (should be impossible)" if phase == 1 else "objective unbounded below"
+            )
+        _pivot(T, row, col)
+        basis[row] = col
+    raise RuntimeError(f"simplex iteration limit reached in phase {phase}")
 
 
 def simplex_min(A, b, c, *, tol: float = 1e-11, max_iter: int = 20000):
     """Minimize c @ z subject to A z = b, z >= 0.
 
-    Dense two-phase simplex with Bland's rule.  Returns ``(z, objective, y)``
-    where y is the dual vector reconstructed from the final basis (so
-    ``objective - y @ b`` is the duality gap, zero up to roundoff).
+    Dense two-phase simplex with Bland's rule on one tableau.  Returns
+    ``(z, objective, y)`` where z and y are re-solved from the original data
+    on the final basis (so ``objective - y @ b`` is the duality gap, zero up
+    to roundoff).
     """
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    c = np.array(c, dtype=float)
+    A, b, c = (np.array(v, dtype=float) for v in (A, b, c))
     m, n = A.shape
     flip = np.where(b < 0, -1.0, 1.0)
-    A = A * flip[:, None]
-    b = b * flip
+    A *= flip[:, None]
+    b *= flip
 
     # phase 1: minimize the sum of artificial variables
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
+    np.fill_diagonal(T[:m, n:], 1.0)
     T[:m, -1] = b
     basis = list(range(n, n + m))
     T[m, :] = -T[:m, :].sum(axis=0)
     T[m, n : n + m] = 0.0
-
     scale = max(1.0, float(np.abs(b).sum()))
-    for _ in range(max_iter):
-        # at value 0 phase 1 is done; a roundoff reduced cost must not pivot on
-        if -T[m, -1] <= tol * scale:
-            break
-        col = _bland_entering(T[m, : n + m], tol)
-        if col < 0:
-            break
-        row = _ratio_leaving(T, col, basis, tol)
-        if row < 0:
-            raise RuntimeError("phase 1 unbounded (should be impossible)")
-        _pivot(T, row, col)
-        basis[row] = col
-    else:
-        raise RuntimeError("simplex iteration limit reached in phase 1")
+    _run_phase(T, basis, n + m, tol, max_iter, 1, stop=tol * scale)
     if -T[m, -1] > 1e-9 * scale:
         raise InfeasibleError(f"constraints infeasible (phase 1 value {-T[m, -1]:g})")
 
-    # drive remaining artificials out of the basis; drop redundant rows
+    # drive remaining artificials out of the basis; a redundant row is zeroed,
+    # so no later pivot or ratio test reads it
     keep_rows = []
     for r in range(m):
         if basis[r] >= n:
-            piv = next((j for j in range(n) if abs(T[r, j]) > tol), None)
+            piv = next((j for j, v in enumerate(T[r, :n].tolist()) if abs(v) > tol), None)
             if piv is None:
-                continue  # redundant constraint
+                T[r] = 0.0
+                continue
             _pivot(T, r, piv)
             basis[r] = piv
         keep_rows.append(r)
 
-    rows = keep_rows + [m]
-    T2 = np.zeros((len(keep_rows) + 1, n + 1))
-    T2[:-1, :n] = T[keep_rows, :n]
-    T2[:-1, -1] = T[keep_rows, -1]
+    # phase 2 in place, the artificial columns ignored: objective row
+    # c - sum_r c_B[r] T[r] over the kept rows in order
+    T[m, :n] = c
+    T[m, n:] = 0.0
+    for r in keep_rows:
+        T[m] -= c[basis[r]] * T[r]
+    _run_phase(T, basis, n, tol, max_iter, 2)
+
+    rows = keep_rows if len(keep_rows) < m else slice(m)
     basis = [basis[r] for r in keep_rows]
-    T2[-1, :n] = c
-    T2[-1, -1] = 0.0
-    for r, bv in enumerate(basis):
-        T2[-1, :] -= c[bv] * T2[r, :]
-
-    for _ in range(max_iter):
-        col = _bland_entering(T2[-1, :n], tol)
-        if col < 0:
-            break
-        row = _ratio_leaving(T2, col, basis, tol)
-        if row < 0:
-            raise RuntimeError("objective unbounded below")
-        _pivot(T2, row, col)
-        basis[row] = col
-    else:
-        raise RuntimeError("simplex iteration limit reached in phase 2")
-
     z = np.zeros(n)
-    for r, bv in enumerate(basis):
-        z[bv] = T2[r, -1]
-    B = A[keep_rows, :][:, basis] if keep_rows else np.zeros((0, 0))
+    z[basis] = T[rows, -1]
+    B = A[rows][:, basis]
     if basis:
-        # basic values from the original data, free of the pivots' roundoff
-        try:
-            z[basis] = np.linalg.solve(B, b[keep_rows])
+        try:  # basic values from the original data, free of the pivots' roundoff
+            z[basis] = np.linalg.solve(B, b[rows])
         except np.linalg.LinAlgError:
             pass  # keep the tableau values
     obj = float(c @ z)
     try:
-        y_red = np.linalg.solve(B.T, c[basis]) if len(basis) else np.zeros(0)
+        y_red = np.linalg.solve(B.T, c[basis]) if basis else np.zeros(0)
     except np.linalg.LinAlgError:
         y_red = np.linalg.lstsq(B.T, c[basis], rcond=None)[0]
     y = np.zeros(m)
-    for idx, r in enumerate(keep_rows):
-        y[r] = y_red[idx]
+    y[rows] = y_red
     return z, obj, y * flip
 
 
 def solve_weighted_l1(A, b, obj_weights=None, *, tol: float = 1e-11):
-    """Minimize sum(w_j |x_j|) subject to A x = b via the split LP."""
+    """Minimize sum(w_j |x_j|) subject to A x = b via the split LP
+    ``x = u - v``; the weights must be finite and nonnegative, one per column."""
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    w = np.ones(n) if obj_weights is None else np.asarray(obj_weights, dtype=float)
-    Asplit = np.hstack([A, -A])
-    c = np.concatenate([w, w])
-    z, obj, y = simplex_min(Asplit, b, c, tol=tol)
-    x = z[:n] - z[n:]
-    gap = abs(obj - float(y @ b))
-    return x, obj, gap
+    n = A.shape[1]
+    c = np.ones(2 * n)
+    if obj_weights is not None:
+        w = np.asarray(obj_weights, dtype=float)
+        if w.shape != (n,):
+            raise ValueError(f"obj_weights must have shape ({n},), got {w.shape}")
+        if not np.isfinite(w).all():
+            raise ValueError("obj_weights must be finite")
+        if (w < 0).any():
+            raise ValueError("obj_weights must be nonnegative")
+        c[:n] = c[n:] = w
+    z, obj, y = simplex_min(np.concatenate((A, -A), axis=1), b, c, tol=tol)
+    return z[:n] - z[n:], obj, abs(obj - float(y @ b))
 
 
 def solve_l1(prob: NearBestProblem) -> NearBestSolution:
-    """Solve one anchor's minimization; certifies feasibility and optimality."""
+    """Solve one anchor's minimization; certifies feasibility and optimality
+    (a NaN residual or gap fails its certificate)."""
     lam, nu, gap = solve_weighted_l1(prob.matrix, prob.rhs)
-    residual = float(np.max(np.abs(prob.matrix @ lam - prob.rhs)))
-    bscale = max(float(np.max(np.abs(prob.rhs))), 1.0)
-    if residual > 1e-9 * bscale:
+    residual = float(np.abs(prob.matrix @ lam - prob.rhs).max())
+    if not residual <= 1e-9 * max(float(np.abs(prob.rhs).max()), 1.0):
         raise InfeasibleError(f"feasibility residual {residual:g} too large")
-    if gap > 1e-9 * max(nu, 1.0):
+    if not gap <= 1e-9 * max(nu, 1.0):
         raise RuntimeError(f"duality gap {gap:g} too large")
     return NearBestSolution(weights=lam, nu=float(nu), residual=residual, duality_gap=gap)
 
@@ -264,10 +263,7 @@ def solve_symmetric_uniform(order: int, n: int, r: int, kind: str = "dqi", nspan
     even = [rr for rr in range(r + 1) if rr % 2 == 0]
     odd = [rr for rr in range(r + 1) if rr % 2 == 1]
     if odd:
-        sym_defect = max(
-            float(np.max(np.abs(V[odd, n + 1 :] + V[odd, :n][:, ::-1]))),
-            float(np.max(np.abs(b[odd]))),
-        )
+        sym_defect = max(np.abs(V[odd, n + 1 :] + V[odd, :n][:, ::-1]).max(), np.abs(b[odd]).max())
         if sym_defect > 1e-9:
             raise RuntimeError("stencil is not symmetric; odd constraints do not vanish")
     cols = [V[even, n]] + [V[even, n + j] + V[even, n - j] for j in range(1, n + 1)]

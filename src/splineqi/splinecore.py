@@ -43,6 +43,13 @@ import numpy as np
 __all__ = ["KnotSequence"]
 
 
+def _int_indices(js) -> np.ndarray:
+    idx = np.asarray(js)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers, got {idx.dtype} values")
+    return idx.astype(int)
+
+
 class KnotSequence:
     """A knot sequence of one degree, with cached Greville points and kernel rules.
 
@@ -348,7 +355,7 @@ class KnotSequence:
         ``(x - t_i)/(t_{i+d} - t_i)``, written in tau, and a factor with a
         zero denominator is zero, so the pieces of empty spans vanish.
         """
-        js = np.asarray(js, dtype=int)
+        js = _int_indices(js)
         w = self._kernel_windows(deg, js)
         u0, h = w[:, :-1, None], np.diff(w, axis=1)[:, :, None]
         span = np.arange(deg + 1)
@@ -438,14 +445,11 @@ class KnotSequence:
         """
         if kind not in ("point", "symmetric", "dual", "basis"):
             raise ValueError(f"unknown moment kind {kind!r}")
-        m, idx = self.m, np.asarray(js)
-        if idx.size and idx.dtype.kind not in "iu":
-            raise ValueError(f"indices must be integers, got {idx.dtype} values")
+        m, js = self.m, _int_indices(js)
         if kind == "symmetric" and not 0 <= rmax <= m:
             raise ValueError(f"order r={rmax} must satisfy 0 <= r <= degree={m}")
         if rmax < 0:
             raise ValueError(f"moment order must be >= 0, got {rmax}")
-        js = idx.astype(int)
         # the valid indices form a range: its two ends validate them all
         window = {"dual": self._dual_window, "basis": self._basis_window}.get(kind, self._window)
         for j in (js.min(), js.max()) if js.size else ():

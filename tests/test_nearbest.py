@@ -10,10 +10,12 @@ from splineqi import (
     InfeasibleError,
     KnotSequence,
     NearBestProblem,
+    NearBestSolution,
     nb_dqi_nonuniform,
     solve_l1,
     solve_symmetric_uniform,
 )
+from splineqi import nearbest
 from splineqi.nearbest import simplex_min, solve_weighted_l1
 from splineqi.partitions import random_admissible_clamped, random_clamped
 
@@ -112,6 +114,26 @@ class TestSimplex:
         assert abs(gap) < 1e-12
         np.testing.assert_allclose([[1.0, -1.0]] @ x, [2.0], atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "w,match",
+        [
+            ([1.0], "shape"),
+            ([1.0, 1.0, 1.0], "shape"),
+            ([[1.0, 1.0]], "shape"),
+            ([1.0, -0.5], "nonnegative"),
+            ([np.nan, 1.0], "finite"),
+            ([1.0, np.inf], "finite"),
+        ],
+    )
+    def test_weighted_l1_rejects_bad_weights(self, w, match):
+        with pytest.raises(ValueError, match=match):
+            solve_weighted_l1(np.array([[1.0, -1.0]]), np.array([2.0]), w)
+
+    def test_weighted_l1_zero_weight_allowed(self):
+        x, obj, _ = solve_weighted_l1(np.array([[1.0, -1.0]]), np.array([2.0]), [0.0, 1.0])
+        assert obj == 0.0
+        np.testing.assert_array_equal(x, [2.0, 0.0])
+
 
 class TestProblemConstruction:
     def test_shape_consistency(self):
@@ -132,6 +154,15 @@ class TestProblemConstruction:
             NearBestProblem.from_discrete(ks, 10, 1, 3)
         with pytest.raises(ValueError, match="q <= min"):
             NearBestProblem.from_integral(ks, 10, 2, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["matrix", "rhs"])
+    def test_non_finite_data_rejected(self, field, bad):
+        prob = NearBestProblem.from_discrete(KnotSequence.cardinal_uniform(3, 20, pad=3), 10, 2, 3)
+        data = {"matrix": prob.matrix.copy(), "rhs": prob.rhs.copy()}
+        data[field].flat[1] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            NearBestProblem(anchor=10, p=2, q=3, **data)
 
 
 class TestSolveL1:
@@ -215,6 +246,15 @@ class TestSolveL1:
             q=2,
         )
         with pytest.raises(InfeasibleError):
+            solve_l1(prob)
+
+    @pytest.mark.parametrize("field", ["matrix", "rhs"])
+    def test_nan_data_are_not_certified(self, field):
+        # the arrays of a checked problem stay writable; a NaN written later
+        # must not come back as a certified optimum with nu = nan
+        prob = NearBestProblem.from_discrete(KnotSequence.cardinal_uniform(3, 20, pad=3), 10, 2, 3)
+        getattr(prob, field)[0] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(InfeasibleError):
             solve_l1(prob)
 
 
@@ -352,3 +392,217 @@ class TestAssemblyAgainstThePerEntryPath:
             prob = make(ks, 6, 2, 4)
             assert prob.matrix.base is None and prob.rhs.base is None
             assert prob.matrix.flags.c_contiguous
+
+
+# ------------------------------------------------------- the tableau oracle
+# The simplex before pivots became rank-1 updates and the scans read Python
+# floats: one numpy call per tableau row and per scanned entry, phase 2 on a
+# copied tableau of the kept rows.  The new solver must take the same pivots
+# and return the same bits.
+
+
+def _oracle_bland_entering(z, tol):
+    for j, v in enumerate(z):
+        if v < -tol:
+            return j
+    return -1
+
+
+def _oracle_ratio_leaving(T, col, basis, tol):
+    best = None
+    for r in range(T.shape[0] - 1):
+        a = T[r, col]
+        if a > tol:
+            ratio = T[r, -1] / a
+            key = (ratio, basis[r])
+            if best is None or key < best[0]:
+                best = (key, r)
+    return -1 if best is None else best[1]
+
+
+def _oracle_pivot(T, row, col):
+    T[row, :] /= T[row, col]
+    for r in range(T.shape[0]):
+        if r != row and T[r, col] != 0.0:
+            T[r, :] -= T[r, col] * T[row, :]
+
+
+def _oracle_simplex_min(A, b, c, *, tol=1e-11, max_iter=20000):
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float)
+    c = np.array(c, dtype=float)
+    m, n = A.shape
+    flip = np.where(b < 0, -1.0, 1.0)
+    A = A * flip[:, None]
+    b = b * flip
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = b
+    basis = list(range(n, n + m))
+    T[m, :] = -T[:m, :].sum(axis=0)
+    T[m, n : n + m] = 0.0
+    scale = max(1.0, float(np.abs(b).sum()))
+    for _ in range(max_iter):
+        if -T[m, -1] <= tol * scale:
+            break
+        col = _oracle_bland_entering(T[m, : n + m], tol)
+        if col < 0:
+            break
+        row = _oracle_ratio_leaving(T, col, basis, tol)
+        if row < 0:
+            raise RuntimeError("phase 1 unbounded (should be impossible)")
+        _oracle_pivot(T, row, col)
+        basis[row] = col
+    else:
+        raise RuntimeError("simplex iteration limit reached in phase 1")
+    if -T[m, -1] > 1e-9 * scale:
+        raise InfeasibleError(f"constraints infeasible (phase 1 value {-T[m, -1]:g})")
+    keep_rows = []
+    for r in range(m):
+        if basis[r] >= n:
+            piv = next((j for j in range(n) if abs(T[r, j]) > tol), None)
+            if piv is None:
+                continue
+            _oracle_pivot(T, r, piv)
+            basis[r] = piv
+        keep_rows.append(r)
+    T2 = np.zeros((len(keep_rows) + 1, n + 1))
+    T2[:-1, :n] = T[keep_rows, :n]
+    T2[:-1, -1] = T[keep_rows, -1]
+    basis = [basis[r] for r in keep_rows]
+    T2[-1, :n] = c
+    T2[-1, -1] = 0.0
+    for r, bv in enumerate(basis):
+        T2[-1, :] -= c[bv] * T2[r, :]
+    for _ in range(max_iter):
+        col = _oracle_bland_entering(T2[-1, :n], tol)
+        if col < 0:
+            break
+        row = _oracle_ratio_leaving(T2, col, basis, tol)
+        if row < 0:
+            raise RuntimeError("objective unbounded below")
+        _oracle_pivot(T2, row, col)
+        basis[row] = col
+    else:
+        raise RuntimeError("simplex iteration limit reached in phase 2")
+    z = np.zeros(n)
+    for r, bv in enumerate(basis):
+        z[bv] = T2[r, -1]
+    B = A[keep_rows, :][:, basis] if keep_rows else np.zeros((0, 0))
+    if basis:
+        try:
+            z[basis] = np.linalg.solve(B, b[keep_rows])
+        except np.linalg.LinAlgError:
+            pass
+    obj = float(c @ z)
+    try:
+        y_red = np.linalg.solve(B.T, c[basis]) if len(basis) else np.zeros(0)
+    except np.linalg.LinAlgError:
+        y_red = np.linalg.lstsq(B.T, c[basis], rcond=None)[0]
+    y = np.zeros(m)
+    for idx, r in enumerate(keep_rows):
+        y[r] = y_red[idx]
+    return z, obj, y * flip
+
+
+def _oracle_solve_weighted_l1(A, b, obj_weights=None, *, tol=1e-11):
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = A.shape[1]
+    w = np.ones(n) if obj_weights is None else np.asarray(obj_weights, dtype=float)
+    z, obj, y = _oracle_simplex_min(np.hstack([A, -A]), b, np.concatenate([w, w]), tol=tol)
+    return z[:n] - z[n:], obj, abs(obj - float(y @ b))
+
+
+def _oracle_solve_l1(prob):
+    lam, nu, gap = _oracle_solve_weighted_l1(prob.matrix, prob.rhs)
+    residual = float(np.max(np.abs(prob.matrix @ lam - prob.rhs)))
+    if residual > 1e-9 * max(float(np.max(np.abs(prob.rhs))), 1.0):
+        raise InfeasibleError(f"feasibility residual {residual:g} too large")
+    if gap > 1e-9 * max(nu, 1.0):
+        raise RuntimeError(f"duality gap {gap:g} too large")
+    return lam, float(nu), residual, gap
+
+
+def _outcome(fn, *args, **kwargs):
+    """The values of ``fn`` as (dtype, shape, bytes) triples, or its error."""
+    try:
+        out = fn(*args, **kwargs)
+    except (InfeasibleError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(out, NearBestSolution):
+        out = (out.weights, out.nu, out.residual, out.duality_gap)
+    return [(v.dtype, v.shape, v.tobytes()) for v in map(np.asarray, out)]
+
+
+def _sweep():
+    """Rough partitions (ratio 1e3), m = 2..5, several (p, q), both kinds."""
+    for m in (2, 3, 4, 5):
+        for seed in range(2):
+            ks = random_clamped(m, 14, np.random.default_rng(70 + 10 * m + seed))
+            for p in (1, 2, 3, 4):
+                for q in sorted({1, min(m, 2 * p) - 1, min(m, 2 * p)}):
+                    for i in range(p, ks.nbasis - p):
+                        for maker in (NearBestProblem.from_discrete, NearBestProblem.from_integral):
+                            yield maker(ks, i, p, q)
+
+
+def _fixed_anchors():
+    ks = random_clamped(4, 100, np.random.default_rng(8))
+    return [
+        getattr(NearBestProblem, f"from_{kind}")(ks, i, 4, 4)
+        for kind, i in (("discrete", 25), ("discrete", 40), ("integral", 25), ("integral", 37))
+    ]
+
+
+class TestSimplexAgainstTheTableauOracle:
+    @pytest.mark.parametrize("source", ["sweep", "fixed"])
+    def test_solutions_bitwise_equal(self, source):
+        probs = list(_sweep()) if source == "sweep" else _fixed_anchors()
+        solved = 0
+        for prob in probs:
+            want = _outcome(_oracle_solve_l1, prob)
+            assert _outcome(solve_l1, prob) == want, (prob.anchor, prob.p, prob.q)
+            A = np.hstack([prob.matrix, -prob.matrix])
+            c = np.ones(A.shape[1])
+            assert _outcome(simplex_min, A, prob.rhs, c) == _outcome(_oracle_simplex_min, A, prob.rhs, c)
+            solved += isinstance(want, list)
+        assert solved == len(probs) >= 4
+        assert source == "fixed" or solved > 1000
+
+    def test_same_pivot_sequence(self, monkeypatch):
+        # full-rank problems: no row is dropped, so phase-2 rows index alike
+        seen = {"new": [], "oracle": []}
+        pivots = {"new": nearbest._pivot, "oracle": _oracle_pivot}
+
+        def recorder(side):
+            return lambda T, row, col: (seen[side].append((row, col)), pivots[side](T, row, col))
+
+        monkeypatch.setattr(nearbest, "_pivot", recorder("new"))
+        monkeypatch.setitem(globals(), "_oracle_pivot", recorder("oracle"))
+        for prob in [*_sweep(), *_fixed_anchors()]:
+            solve_l1(prob)
+            _oracle_solve_l1(prob)
+            assert seen["new"] == seen["oracle"], (prob.anchor, prob.p, prob.q)
+            seen["new"].clear()
+            seen["oracle"].clear()
+
+    def test_symmetric_uniform_bitwise_equal(self, monkeypatch):
+        cases = [(o, n, r, k) for o in (4, 6, 8) for n in (1, 2, 3) for r in range(o) for k in ("dqi", "iqi")]
+        got = [_outcome(solve_symmetric_uniform, *case[:3], kind=case[3]) for case in cases]
+        monkeypatch.setattr(nearbest, "solve_weighted_l1", _oracle_solve_weighted_l1)
+        want = [_outcome(solve_symmetric_uniform, *case[:3], kind=case[3]) for case in cases]
+        assert got == want
+        assert sum(isinstance(w, list) for w in want) > 50
+
+    def test_small_lps_bitwise_equal(self):
+        for A, b in (
+            ([[1.0, 2.0]], [4.0]),
+            ([[-1.0, -2.0]], [-4.0]),
+            ([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]),
+            ([[1.0, 2.0], [2.0, 4.0]], [4.0, 8.0]),
+            ([[1.0, -1.0]], [2.0]),
+        ):
+            assert _outcome(simplex_min, A, b, np.ones(2)) == _outcome(_oracle_simplex_min, A, b, np.ones(2))
+            assert _outcome(solve_weighted_l1, A, b) == _outcome(_oracle_solve_weighted_l1, A, b)

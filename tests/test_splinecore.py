@@ -432,6 +432,12 @@ class TestKernelPieces:
         with pytest.raises(IndexError, match="not stored"):
             ks.kernel_pieces(2, [ks.nbasis + 1])
 
+    @pytest.mark.parametrize("js", [[3.7], [3.0], np.array([2.5, 3.0]), [True]])
+    def test_non_integral_indices_rejected(self, js):
+        ks = KnotSequence.clamped(3, [0.0, 0.2, 0.5, 0.7, 1.0])
+        with pytest.raises(ValueError, match="indices must be integers"):
+            ks.kernel_pieces(3, js)
+
 
 class TestDualMoments:
     def test_zeroth_is_one(self):

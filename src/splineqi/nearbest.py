@@ -6,7 +6,10 @@ and reproduction degree q is the (q+1) x (2p+1) Vandermonde-type matrix of
 node powers; integral functionals replace node powers with kernel moments.
 Columns are assembled in monomials shifted to the anchor and scaled by the
 stencil half-width, which keeps the systems well conditioned without
-changing the feasible set.
+changing the feasible set.  Assembly happens once per knot sequence and
+``(kind, p, q)``: the first ``from_*`` call builds every anchor whose stencil
+fits in one vectorised pass and caches the stack on the sequence; each call
+returns owned copies of its anchor's row.
 
 The solver is a dense two-phase simplex on the split form
 ``lam = u - v, u, v >= 0``.  The pivot order is Bland's (first column with a
@@ -17,6 +20,7 @@ update of the whole tableau; the scans run over Python floats.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +39,7 @@ __all__ = [
 
 
 class InfeasibleError(ValueError):
-    """The equality constraints admit no solution (rank-deficient data)."""
+    """The equality constraints admit no solution (rank-deficient or non-finite data)."""
 
 
 @dataclass(frozen=True)
@@ -60,30 +64,43 @@ class NearBestProblem:
     @classmethod
     def from_discrete(cls, ks: KnotSequence, i: int, p: int, q: int) -> "NearBestProblem":
         """Point-evaluation columns at Greville nodes theta_{i-p}, ..., theta_{i+p}."""
-        if q > min(ks.m, 2 * p):
-            raise ValueError("reproduction degree must satisfy q <= min(m, 2p)")
-        V, b = _problem_data(ks, "point", i, p, q)
-        return cls(matrix=V, rhs=b, anchor=i, p=p, q=q)
+        return cls._from_stack(ks, "point", i, p, q)
 
     @classmethod
     def from_integral(cls, ks: KnotSequence, i: int, p: int, q: int) -> "NearBestProblem":
         """Moment columns against the unit-integral basis kernels B_{i-p}, ..., B_{i+p}."""
+        return cls._from_stack(ks, "basis", i, p, q)
+
+    @classmethod
+    def _from_stack(cls, ks: KnotSequence, kind: str, i: int, p: int, q: int) -> "NearBestProblem":
         if q > min(ks.m, 2 * p):
             raise ValueError("reproduction degree must satisfy q <= min(m, 2p)")
-        V, b = _problem_data(ks, "basis", i, p, q)
-        return cls(matrix=V, rhs=b, anchor=i, p=p, q=q)
+        if (kind, p, q) not in ks._problems:  # every anchor whose stencil fits, at once
+            lo, hi = ks.greville_range()
+            lo, hi = (lo + 1, hi - 1) if kind == "basis" else (lo, hi)  # B_j reads t_{j-m}..t_{j+1}
+            ks._problems[kind, p, q] = (lo + p, *_problem_data(ks, kind, np.arange(lo + p, hi - p + 1), p, q))
+        first, V, b = ks._problems[kind, p, q]
+        k = operator.index(i) - first
+        if not 0 <= k < len(b):  # the stencil does not fit: fail as the one-anchor assembly
+            for j in (i, i - p, i + p):
+                ks.greville(j)
+            V, b, k = *_problem_data(ks, kind, np.array([i]), p, q), 0
+        # owned C-contiguous copies, not views of the cached stack: the problems are kept
+        return cls(matrix=V[k].copy(), rhs=b[k].copy(), anchor=i, p=p, q=q)
 
 
-def _problem_data(ks: KnotSequence, kind: str, i: int, p: int, q: int):
-    """Matrix and rhs of anchor i in the monomials ``((x - theta_i)/scale)**r``:
+def _problem_data(ks: KnotSequence, kind: str, anchors: np.ndarray, p: int, q: int):
+    """Matrices ``V[g]`` and right-hand sides ``b[g]`` of the anchors
+    ``i = anchors[g]`` in the monomials ``((x - theta_i)/scale_i)**r``:
     Greville-point powers (``kind`` "point") or basis-kernel moments ("basis")
     at the sources i-p..i+p, and the symmetric coefficients of i."""
-    center, lo, hi = (ks.greville(j) for j in (i, i - p, i + p))
-    spread = max(hi - center, center - lo) if kind == "point" else (hi - lo) / 2.0
-    scale = max(spread, 1e-300)
-    # owned copies, not views of the moment arrays: the problems are kept
-    V = ks.moments(kind, range(i - p, i + p + 1), q, center=center, scale=scale).T.copy()
-    return V, ks.moments("symmetric", [i], q, center=center, scale=scale)[0].copy()
+    theta = ks._greville[anchors[:, None] + np.array([0, -p, p]) - ks.greville_range()[0]]
+    center, lo, hi = theta.T
+    spread = np.maximum(hi - center, center - lo) if kind == "point" else (hi - lo) / 2.0
+    scale = np.maximum(spread, 1e-300)
+    js = anchors[:, None] + np.arange(-p, p + 1)
+    V = ks.moments(kind, js, q, center=center[:, None], scale=scale[:, None]).transpose(0, 2, 1)
+    return V, ks.moments("symmetric", anchors, q, center=center, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -145,9 +162,14 @@ def simplex_min(A, b, c, *, tol: float = 1e-11, max_iter: int = 20000):
     Dense two-phase simplex with Bland's rule on one tableau.  Returns
     ``(z, objective, y)`` where z and y are re-solved from the original data
     on the final basis (so ``objective - y @ b`` is the duality gap, zero up
-    to roundoff).
+    to roundoff).  Non-finite ``A`` or ``b`` raise ``InfeasibleError``, a
+    non-finite ``c`` ``ValueError``.
     """
     A, b, c = (np.array(v, dtype=float) for v in (A, b, c))
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):  # no finite z solves A z = b
+        raise InfeasibleError("A and b must be finite")
+    if not np.isfinite(c).all():
+        raise ValueError("c must be finite")
     m, n = A.shape
     flip = np.where(b < 0, -1.0, 1.0)
     A *= flip[:, None]
@@ -259,7 +281,7 @@ def solve_symmetric_uniform(order: int, n: int, r: int, kind: str = "dqi", nspan
     i = ks.nbasis // 2
     # built directly: q > 2p is admissible here because the odd constraints
     # vanish identically on the symmetric stencil
-    V, b = _problem_data(ks, "point" if kind == "dqi" else "basis", i, n, r)
+    V, b = (a[0] for a in _problem_data(ks, "point" if kind == "dqi" else "basis", np.array([i]), n, r))
     even = [rr for rr in range(r + 1) if rr % 2 == 0]
     odd = [rr for rr in range(r + 1) if rr % 2 == 1]
     if odd:

@@ -53,8 +53,10 @@ def _int_indices(js) -> np.ndarray:
 class KnotSequence:
     """A knot sequence of one degree, with cached Greville points and kernel rules.
 
-    Immutable after construction; all caches are internal and append-only,
-    so instances are safe for concurrent read access.
+    Immutable after construction.  Its caches are internal and append-only,
+    so instances are safe for concurrent read access: the Greville points, the
+    span map, the Gauss kernel rules (``_rules``) and the near-best problem
+    stacks that ``nearbest`` fills once per ``(kind, p, q)`` (``_problems``).
     """
 
     def __init__(self, degree: int, knots, *, cardinal: bool = False, pad: int = 0):
@@ -81,6 +83,7 @@ class KnotSequence:
         if self.b <= self.a:
             raise ValueError("empty domain")
         self._rules: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._problems: dict[tuple[str, int, int], tuple] = {}
 
     # ------------------------------------------------------------------ setup
 
@@ -426,11 +429,12 @@ class KnotSequence:
         nodes, wts = self.basis_rule(i, npts)
         return float(np.dot(wts, np.asarray(f(nodes), dtype=float)))
 
-    def moments(self, kind: str, js, rmax: int, *, center=0.0, scale: float = 1.0) -> np.ndarray:
+    def moments(self, kind: str, js, rmax: int, *, center=0.0, scale=1.0) -> np.ndarray:
         """Orders 0..rmax of a window quantity at many indices at once, in the
         variable ``(x - center)/scale``; ``out[..., r]`` belongs to ``js[...]``
-        and ``center`` broadcasts against ``js``.  The only implementation of
-        each quantity: the one-index methods call it with one index.
+        and ``center`` and ``scale`` broadcast against ``js``.  The only
+        implementation of each quantity: the one-index methods call it with
+        one index.
 
         ``kind`` is ``"point"`` (``((theta_j - center)/scale)**r`` by repeated
         products, theta_j from the array that ``greville`` reads),
@@ -438,7 +442,8 @@ class KnotSequence:
         Greville window, by the elementary symmetric recurrence), ``"dual"``
         or ``"basis"`` (``dual_moment`` / ``basis_moment``: ``h_r /
         binomial(r + k, r)`` of the kernel's k + 1 knots, by the complete
-        homogeneous one).  Each recurrence runs on every window together.
+        homogeneous one, one cumulative sum over the knots per order).  Each
+        recurrence runs on every window together.
         Indices are validated as by the one-index methods, with their
         messages; an unknown kind, a negative order and non-integer indices
         raise ``ValueError``.
@@ -462,16 +467,19 @@ class KnotSequence:
             knots = self._kernel_windows(m - 2, js - 1)
         if kind == "dual" and (flat := knots[..., -1] <= knots[..., 0]).any():
             raise ValueError(f"degenerate dual kernel window at index {js[flat][0]}")
-        u = (knots - np.asarray(center, dtype=float)[..., None]) / scale
+        center = np.asarray(center, dtype=float)[..., None]
+        u = (knots - center) / np.asarray(scale, dtype=float)[..., None]
         shape, u = u.shape[:-1], u.reshape(-1, u.shape[-1]).T  # u[k, index]
         h = np.zeros((rmax + 1, u.shape[1]))
         h[0] = 1.0
-        for uk in u:
-            if kind == "symmetric":
+        if kind == "symmetric":
+            for uk in u:
                 h[1:] += uk * h[:-1]  # e_s += u_k e_{s-1}, all s from the old values
-                continue
-            for s in range(1, rmax + 1):
-                h[s] += uk * h[s - 1]  # h_s += u_k h_{s-1}, upwards
+        else:  # h_s after knot k = h_s after knot k-1 + u_k h_{s-1} after knot k
+            H = 1.0  # h_0
+            for s in range(1, rmax + 1):  # + 0.0 maps -0.0 to +0.0: the sums start from 0.0
+                H = np.add.accumulate(u * H + 0.0)  # the cumulative sum over the knots
+                h[s] = H[-1]
         # e_r / binomial(m, r), and h_r / binomial(r + k, r) on k + 1 knots
         top = [m if kind == "symmetric" else s + len(u) - 1 for s in range(rmax + 1)]
         norm = np.array([math.comb(n, s) for s, n in enumerate(top)], dtype=float)

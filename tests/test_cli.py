@@ -13,6 +13,8 @@ from splineqi.nearbest import NearBestProblem
 from splineqi.partitions import parse_knot_spec
 
 GOLDEN_REPRO = Path(__file__).parent / "data" / "repro_golden.csv"
+GOLDEN_NEARBEST = Path(__file__).parent / "data" / "nearbest_golden.csv"
+NEARBEST_SPECS = [(2, 3, 2, "cardinal:20"), (3, 2, 3, "random:12:4"), (4, 4, 4, "geometric:14:1.3")]
 
 
 def run_cli(capsys, *argv):
@@ -69,9 +71,7 @@ class TestNearBest:
         assert float(nus.pop()) == pytest.approx(1 + 1.0 / 18.0, rel=1e-12)
         assert float(rows[-1].split(",")[3]) == pytest.approx(1 + 1.0 / 18.0, rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "m, p, q, knots", [(2, 3, 2, "cardinal:20"), (3, 2, 3, "random:12:4"), (4, 4, 4, "geometric:14:1.3")]
-    )
+    @pytest.mark.parametrize("m, p, q, knots", NEARBEST_SPECS)
     def test_rows_carry_the_solution_diagnostics(self, capsys, m, p, q, knots):
         code, out, _ = run_cli(
             capsys, "nearbest", "--m", str(m), "--p", str(p), "--q", str(q), "--knots", knots
@@ -89,6 +89,23 @@ class TestNearBest:
             rhs = NearBestProblem.from_discrete(ks, int(row["index"]), p, q).rhs
             assert 0.0 <= residual <= 1e-9 * max(np.abs(rhs).max(), 1.0)
             assert 0.0 <= gap <= 1e-9 * max(nu, 1.0)
+
+    def test_solution_bytes_match_the_golden_file(self, capsys):
+        # weights, nu_i, residual and duality_gap as printed, one line per index
+        out = io.StringIO()
+        golden = csv.writer(out, lineterminator="\n")
+        golden.writerow(["spec", "index", "weights", "nu_i", "residual", "duality_gap"])
+        for m, p, q, knots in NEARBEST_SPECS:
+            code, text, _ = run_cli(
+                capsys, "nearbest", "--m", str(m), "--p", str(p), "--q", str(q), "--knots", knots
+            )
+            assert code == 0
+            for row in csv.DictReader(io.StringIO(text)):
+                golden.writerow(
+                    [f"{m}/{p}/{q}/{knots}"]
+                    + [row[k] for k in ("index", "weights", "nu_i", "residual", "duality_gap")]
+                )
+        assert out.getvalue().encode() == GOLDEN_NEARBEST.read_bytes()
 
     def test_no_fitting_index_is_an_error(self, capsys):
         code, out, err = run_cli(

@@ -129,6 +129,23 @@ class TestSimplex:
         with pytest.raises(ValueError, match=match):
             solve_weighted_l1(np.array([[1.0, -1.0]]), np.array([2.0]), w)
 
+    @pytest.mark.parametrize(
+        "A,b", [([[1.0, 1.0]], [np.nan]), ([[1.0, 1.0], [1.0, 2.0]], [np.inf, 1.0])]
+    )
+    def test_non_finite_data_rejected(self, A, b):
+        # these returned x = [nan, 0] and x = [inf, -inf] with no error
+        with pytest.raises(InfeasibleError, match="A and b must be finite"):
+            solve_weighted_l1(A, b)
+        with pytest.raises(InfeasibleError, match="A and b must be finite"):
+            simplex_min(np.hstack([A, np.negative(A)]), b, np.ones(2 * len(A[0])))
+        with pytest.raises(InfeasibleError, match="A and b must be finite"):  # the same values in A
+            simplex_min(np.outer(b, [1.0, 1.0]), np.ones(len(b)), np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_rejected(self, bad):
+        with pytest.raises(ValueError, match="c must be finite"):
+            simplex_min([[1.0, 2.0]], [4.0], [1.0, bad])
+
     def test_weighted_l1_zero_weight_allowed(self):
         x, obj, _ = solve_weighted_l1(np.array([[1.0, -1.0]]), np.array([2.0]), [0.0, 1.0])
         assert obj == 0.0
@@ -391,7 +408,85 @@ class TestAssemblyAgainstThePerEntryPath:
         for make in (NearBestProblem.from_discrete, NearBestProblem.from_integral):
             prob = make(ks, 6, 2, 4)
             assert prob.matrix.base is None and prob.rhs.base is None
-            assert prob.matrix.flags.c_contiguous
+            assert prob.matrix.flags.c_contiguous and prob.rhs.flags.c_contiguous
+            want = (prob.matrix.tobytes(), prob.rhs.tobytes())
+            # the arrays are the caller's: writing into them leaves the cached stack alone
+            prob.matrix[:] = 7.0
+            prob.rhs[:] = 7.0
+            again = make(ks, 6, 2, 4)
+            assert (again.matrix.tobytes(), again.rhs.tobytes()) == want
+
+
+def _problem_outcome(make, ks, i, p, q):
+    """The problem's bytes, shape and anchor, or its error."""
+    try:
+        prob = make(ks, i, p, q)
+    except (IndexError, ValueError) as exc:
+        return type(exc), str(exc)
+    return prob.matrix.tobytes(), prob.rhs.tobytes(), prob.matrix.shape, prob.anchor
+
+
+def _stencil_error(ks, kind, i, p):
+    """The error of one anchor's assembly when its stencil does not fit: the
+    Greville points theta_i, theta_{i-p}, theta_{i+p} are read in that order,
+    then the basis kernel windows of the ends."""
+    lo, hi = ks.greville_range()
+    for j in (i, i - p, i + p):
+        if not lo <= j <= hi:
+            return IndexError, f"Greville index {j} outside stored range [{lo}, {hi}]"
+    for j in (i - p, i + p) if kind == "integral" else ():
+        if not lo < j < hi:
+            return IndexError, f"basis kernel window for index {j} not stored"
+    return None
+
+
+class TestAssemblyOrder:
+    """All anchors of one ``(ks, kind, p, q)`` are assembled at the first
+    ``from_*`` call; what one anchor gets must not depend on which came first."""
+
+    @staticmethod
+    def sequences(m):
+        yield lambda: random_clamped(m, 8, np.random.default_rng(40 + m), ratio=1e6)
+        yield lambda: KnotSequence.clamped(m, 1e4 + np.linspace(0.0, 1.0, 9))
+        yield lambda: KnotSequence.cardinal_uniform(m, 6, pad=2)
+
+    @pytest.mark.parametrize("kind", ["discrete", "integral"])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_first_and_last_anchor_bitwise_equal(self, m, kind):
+        make = getattr(NearBestProblem, f"from_{kind}")
+        checked = failed = 0
+        for fresh in self.sequences(m):
+            for p in (1, 2):
+                q = min(m, 2 * p)
+                anchors = range(-3, fresh().nbasis + 3)
+                ks = fresh()
+                after = {i: _problem_outcome(make, ks, i, p, q) for i in anchors}
+                for i in anchors:
+                    first = _problem_outcome(make, fresh(), i, p, q)
+                    assert first == after[i], (i, p, q)
+                    assert _problem_outcome(make, ks, i, p, q) == first
+                    err = _stencil_error(ks, kind, i, p)
+                    assert (first if err else None) == err, (i, p, q)
+                    checked += 1
+                    failed += err is not None
+        assert checked > 90 and 0 < failed < checked
+
+    def test_out_of_range_messages(self):
+        ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 6))
+        lo, hi = ks.greville_range()
+        cases = [
+            (NearBestProblem.from_discrete, lo - 1, f"Greville index {lo - 1} outside stored range"),
+            (NearBestProblem.from_discrete, lo + 1, f"Greville index {lo - 1} outside stored range"),
+            (NearBestProblem.from_discrete, hi, f"Greville index {hi + 2} outside stored range"),
+            (NearBestProblem.from_integral, lo + 2, f"basis kernel window for index {lo} not stored"),
+            (NearBestProblem.from_integral, hi - 2, f"basis kernel window for index {hi} not stored"),
+        ]
+        for make, i, msg in cases:
+            with pytest.raises(IndexError, match=msg):
+                make(ks, i, 2, 2)
+        assert NearBestProblem.from_integral(ks, hi - 3, 2, 2).anchor == hi - 3
+        with pytest.raises(TypeError):
+            NearBestProblem.from_discrete(ks, 3.0, 2, 2)
 
 
 # ------------------------------------------------------- the tableau oracle

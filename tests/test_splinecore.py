@@ -110,6 +110,22 @@ def kernel_moment_oracle(knots, r, center=0.0, scale=1.0):
     return h[r] / math.comb(r + len(knots) - 1, r)
 
 
+def per_knot_moments_oracle(knots, rmax, center=0.0, scale=1.0):
+    """Orders 0..rmax of the kernel moments on ``knots[..., :]`` by the
+    complete homogeneous recurrence as ``KnotSequence.moments`` ran it before
+    it became one cumulative sum per order: one row update per knot and
+    order, all windows at once (a Greville point is a one-knot window)."""
+    u = (knots - np.asarray(center, dtype=float)[..., None]) / np.asarray(scale, dtype=float)[..., None]
+    shape, u = u.shape[:-1], u.reshape(-1, u.shape[-1]).T  # u[k, index]
+    h = np.zeros((rmax + 1, u.shape[1]))
+    h[0] = 1.0
+    for uk in u:
+        for s in range(1, rmax + 1):
+            h[s] += uk * h[s - 1]  # h_s += u_k h_{s-1}, upwards
+    norm = np.array([math.comb(s + len(u) - 1, s) for s in range(rmax + 1)], dtype=float)
+    return (h.T / norm).reshape(shape + (rmax + 1,))
+
+
 def greville_window(ks, j):
     """Knots t_{j-m+1}, ..., t_j (knot 0 sits at position m + pad)."""
     o = ks.m + ks.pad
@@ -689,6 +705,75 @@ class TestBatchedMoments:
             repeated.moments("dual", [1, 2, 3, 4], 1)
         with pytest.raises(ValueError, match="degree >= 2"):
             KnotSequence.clamped(1, [0.0, 0.5, 1.0]).moments("dual", [1], 1)
+
+
+class TestMomentRecurrence:
+    """The cumulative-sum recurrence and the broadcast ``scale`` of
+    ``KnotSequence.moments``, bit for bit."""
+
+    @staticmethod
+    def _cases(m):
+        rng = np.random.default_rng(120 + m)
+        for ks in (
+            random_clamped(m, 9, rng, ratio=1e6),
+            KnotSequence(m, np.concatenate([[0.0] * m, [0, 0.3, 0.3, 0.7, 1], [1.0] * m])),
+            KnotSequence.clamped(m, 1e4 + np.linspace(0.0, 1.0, 7)),
+            KnotSequence.cardinal_uniform(m, 5, pad=2),
+            # products of -1e-200 underflow: the first term of a sum is -0.0
+            KnotSequence.clamped(m, [-1e-200, 1e-200, 1.0]),
+        ):
+            lo, hi = ks.greville_range()
+            t, o = ks.knots, m + ks.pad
+            basis = np.arange(lo + 1, hi)
+            dual = np.arange(lo, hi + 1) if ks.cardinal else np.arange(1, ks.nbasis - 1)
+            dual = dual[[ks.knot(j) > ks.knot(j - m + 1) for j in dual]]
+            points = np.arange(lo, hi + 1)
+            yield ks, "basis", basis, np.array([t[j - m + o : j + 2 + o] for j in basis])
+            yield ks, "dual", dual, np.array([greville_window(ks, j) for j in dual]).reshape(len(dual), m)
+            yield ks, "point", points, np.array([[ks.greville(j)] for j in points])
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_cumulative_sums_are_the_per_knot_loop(self, m):
+        rng = np.random.default_rng(130 + m)
+        for ks, kind, js, knots in self._cases(m):
+            rmax = m + 2
+            for center, scale in (
+                (0.0, 1.0),
+                (ks.greville(ks.nbasis // 2), ks.b - ks.a),
+                (rng.uniform(ks.a, ks.b, len(js)), rng.uniform(0.1, 3.0, len(js))),
+            ):
+                got = ks.moments(kind, js, rmax, center=center, scale=scale)
+                want = per_knot_moments_oracle(knots, rmax, center, scale)
+                assert got.tobytes() == want.tobytes(), (kind, center, scale)
+
+    def test_first_term_minus_zero_sums_to_plus_zero(self):
+        # u = -1e-200: h_1 = u, h_2 underflows to +0.0 and u * h_2 = -0.0; the
+        # per-knot sum started from +0.0, so a lone -0.0 term gave +0.0
+        ks = KnotSequence.clamped(3, [-1e-200, 1e-200, 1.0])
+        got = ks.moments("point", [0], 3)
+        assert got[0, 3] == 0.0 and not np.signbit(got[0, 3])
+        assert got.tobytes() == per_knot_moments_oracle(np.array([[ks.greville(0)]]), 3).tobytes()
+
+    @pytest.mark.parametrize("kind", ["point", "symmetric", "dual", "basis"])
+    def test_array_scale_is_the_scalar_calls(self, kind):
+        rng = np.random.default_rng(140)
+        for m in (2, 3, 5):
+            for ks in (random_clamped(m, 9, rng, ratio=1e3), KnotSequence.cardinal_uniform(m, 6, pad=2)):
+                lo, hi = ks.greville_range()
+                js = np.arange(lo + 1, hi) if kind != "dual" else np.arange(1, ks.nbasis - 1)
+                rmax = m if kind == "symmetric" else m + 1
+                center = rng.uniform(ks.a, ks.b, len(js))
+                scale = np.concatenate([rng.uniform(0.01, 5.0, len(js) - 2), [1.0, 0.25]])
+                got = ks.moments(kind, js, rmax, center=center, scale=scale)
+                for j, c, sc, row in zip(js.tolist(), center.tolist(), scale.tolist(), got):
+                    assert row.tobytes() == ks.moments(kind, [j], rmax, center=c, scale=sc)[0].tobytes()
+                # one centre and scale per row of a stencil, as the near-best assembly uses them
+                stencils = js[1:-1, None] + np.arange(-1, 2)
+                got = ks.moments(kind, stencils, rmax, center=center[1:-1, None], scale=scale[1:-1, None])
+                assert got.shape == stencils.shape + (rmax + 1,)
+                for g, row in enumerate(stencils):
+                    want = ks.moments(kind, row, rmax, center=center[g + 1], scale=scale[g + 1])
+                    assert got[g].tobytes() == want.tobytes()
 
 
 class TestKernelRules:

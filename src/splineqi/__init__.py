@@ -33,7 +33,6 @@ from .nearbest import (
 from .normest import (
     empirical_norm_discrete,
     empirical_norm_integral,
-    error_bound,
     nu_bound,
 )
 from .quadrature import QuadratureRule, exactness_degree, qi_to_quadrature
@@ -75,7 +74,6 @@ __all__ = [
     "nu_bound",
     "empirical_norm_discrete",
     "empirical_norm_integral",
-    "error_bound",
     "TensorMesh",
     "BivariateFunctionalFamily",
     "crisscross_t2",

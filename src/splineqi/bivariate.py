@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .splinecore import _int_arg
+
 __all__ = [
     "TensorMesh",
     "BivariateFunctionalFamily",
@@ -140,8 +142,7 @@ def nb_box_coeffs(mesh_type: str, s: int) -> tuple[float, float, float]:
     four-direction at the four lozenge vertices; both have the same l1 bound
     1 + 1/s^2.
     """
-    if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 1:
-        raise ValueError(f"scale s must be an integer >= 1, got {s!r}")
+    s = _int_arg("scale s", s, 1)
     center = 1.0 + 1.0 / (2.0 * s * s)
     if mesh_type == "three-direction":
         vertex = -1.0 / (12.0 * s * s)
@@ -335,8 +336,7 @@ def zp_dqi_empirical_norm(s: int, grid: int = 400) -> float:
     and edge midpoints); folded with the stencil weights they give one
     quadratic per node n.  The result is a lower estimate of the true norm.
     """
-    if not isinstance(grid, (int, np.integer)) or grid < 1:
-        raise ValueError(f"grid must be an integer >= 1, got {grid!r}")
+    grid = _int_arg("grid", grid, 1)
     center, vertex, _ = nb_box_coeffs("four-direction", s)
     stencil = ((0, 0, center), (-s, 0, vertex), (s, 0, vertex), (0, -s, vertex), (0, s, vertex))
     kx, ky = (k.ravel() for k in np.meshgrid([-1, 0, 1], [-1, 0, 1], indexing="ij"))

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import bivariate, normest, quadrature
+from .functionals import DISCRETE
 from .nearbest import NearBestProblem, solve_l1
 from .partitions import parse_knot_spec, random_mesh
 from .quasiinterp import (
@@ -77,17 +78,22 @@ def _build_family(args):
 
 def cmd_build(args):
     q = _build_family(args)
+    kind = q.bands[1].kind or DISCRETE
     rows = []
-    for lam in q.functionals:
-        rec = lam.record()
+    for i, nu in enumerate(q.row_norms.tolist()):
+        offsets, weights = [], []
+        for band in q.bands:  # the stored entries: the point band's, then the kernel band's
+            nz = np.flatnonzero(band.weights[i])
+            offsets += (nz + band.lo).tolist()
+            weights += band.weights[i, nz].tolist()
         rows.append(
             {
                 "family": q.family,
-                "index": rec["anchor"],
-                "kind": rec["kind"],
-                "offsets": ";".join(str(o) for o in rec["offsets"]),
-                "weights": ";".join(_fmt(float(w)) for w in rec["weights"]),
-                "nu_i": lam.nu,
+                "index": i,
+                "kind": kind,
+                "offsets": ";".join(map(str, offsets)),
+                "weights": ";".join(map(_fmt, weights)),
+                "nu_i": nu,
             }
         )
     _emit(rows, args.out, args.json)

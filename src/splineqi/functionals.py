@@ -1,16 +1,19 @@
-"""Coefficient functionals and the quasi-interpolant container.
+"""The quasi-interpolant container: an operator is its two weight bands.
 
-A coefficient functional is a sparse linear form.  Its entries are either
-point evaluations at Greville points (referenced by Greville index) or
-moments against unit-integral spline kernels (referenced by kernel index);
-a single functional may mix both, which the boundary rows of the moment
-operators on clamped sequences use.
+An operator ``Qf = sum_i Lambda_i(f) B_i`` is its coefficient functionals'
+weights.  Their sources are either point evaluations at Greville points
+(referenced by Greville index) or moments against unit-integral spline
+kernels (referenced by kernel index); one functional may mix both, which
+the boundary rows of the moment operators on clamped sequences use.  The
+weights form two banded matrices, one over point sources and one over
+kernel sources (``WeightBand``): every functional's stencil lies within a
+fixed range of offsets from its own index.
 
-Applied as a whole, an operator's weights form two banded matrices, one
-over point sources and one over kernel sources (``WeightBand``): every
-functional's stencil lies within a fixed range of offsets from its own
-index.  Coefficients, evaluation, norms, quadrature rules and the
-reproduction check work on the bands, over all indices or points at once.
+The bands are the operator.  ``CoefficientFunctional`` is only their input:
+a record of one index's ``(source, weight)`` entries, from which the
+operator builds and validates its bands once, at construction.
+Coefficients, evaluation, norms, quadrature rules and the reproduction
+check all read the bands, over all indices or points at once.
 """
 
 from __future__ import annotations
@@ -42,11 +45,13 @@ _MOMENT_KINDS = {DISCRETE: "point", DUAL_SPLINE: "dual", BASIS_SPLINE: "basis"}
 
 @dataclass(frozen=True)
 class CoefficientFunctional:
-    """Sparse linear form attached to one basis index.
+    """The entries of the functional at basis index ``anchor``.
 
     ``point_entries`` holds ``(greville_index, weight)`` pairs, and
     ``kernel_entries`` holds ``(kernel_index, weight)`` pairs whose kernel
-    flavour is given by ``kind``.  Immutable; safe for concurrent reads.
+    flavour is given by ``kind``.  A record only: ``QuasiInterpolant``
+    turns the records into its weight bands and validates the weights
+    there.  Immutable; safe for concurrent reads.
     """
 
     ks: KnotSequence
@@ -60,62 +65,6 @@ class CoefficientFunctional:
             raise ValueError(f"unknown functional kind {self.kind!r}")
         if self.kind == DISCRETE and self.kernel_entries:
             raise ValueError("discrete functionals cannot carry kernel entries")
-        for idx, w in self.point_entries:
-            if not np.isfinite(w):
-                raise ValueError("non-finite weight")
-            self.ks.greville(idx)  # validates the index
-        for idx, w in self.kernel_entries:
-            if not np.isfinite(w):
-                raise ValueError("non-finite weight")
-
-    @property
-    def nu(self) -> float:
-        """l1 norm of the weight vector; bounds the functional on the sup ball."""
-        return float(
-            sum(abs(w) for _, w in self.point_entries)
-            + sum(abs(w) for _, w in self.kernel_entries)
-        )
-
-    def apply(self, f, npts: int = 8) -> float:
-        """Apply the form to a function (vectorized over numpy arrays)."""
-        kernel = self.ks.dual_apply if self.kind == DUAL_SPLINE else self.ks.basis_apply
-        total = 0.0
-        for idx, w in self.point_entries:
-            total += w * float(f(self.ks.greville(idx)))
-        for idx, w in self.kernel_entries:
-            total += w * kernel(idx, f, npts)
-        return total
-
-    def apply_monomial(self, r: int, *, center: float = 0.0, scale: float = 1.0) -> float:
-        """Exact value on ((x - center)/scale)**r, without sampling."""
-        if r < 0:
-            raise ValueError("monomial order must be >= 0")
-        moment = self.ks.dual_moment if self.kind == DUAL_SPLINE else self.ks.basis_moment
-        total = 0.0
-        for idx, w in self.point_entries:
-            total += w * ((self.ks.greville(idx) - center) / scale) ** r
-        for idx, w in self.kernel_entries:
-            total += w * moment(idx, r, center=center, scale=scale)
-        return total
-
-    def record(self) -> dict:
-        """Serializable view: {kind, anchor, offsets, weights, nodes}."""
-        offsets, weights, nodes = [], [], []
-        for idx, w in self.point_entries:
-            offsets.append(idx - self.anchor)
-            weights.append(w)
-            nodes.append(self.ks.greville(idx))
-        for idx, w in self.kernel_entries:
-            offsets.append(idx - self.anchor)
-            weights.append(w)
-            nodes.append(idx)
-        return {
-            "kind": self.kind,
-            "anchor": self.anchor,
-            "offsets": offsets,
-            "weights": weights,
-            "nodes": nodes,
-        }
 
 
 class WeightBand:
@@ -181,7 +130,13 @@ class WeightBand:
 
 @dataclass(frozen=True)
 class QuasiInterpolant:
-    """An indexed family of coefficient functionals bound to a spline basis."""
+    """An operator on a spline basis, given by one functional per basis index.
+
+    Construction builds ``bands``, the weights as ``(point band, kernel
+    band)``, and validates them: every weight is finite, every source is a
+    stored Greville point or kernel, and the kernel entries share one flavour.
+    Everything else reads the bands.
+    """
 
     ks: KnotSequence
     functionals: tuple
@@ -195,22 +150,31 @@ class QuasiInterpolant:
                 f"need one functional per basis index "
                 f"({len(self.functionals)} given, {self.ks.nbasis} required)"
             )
-
-    @property
-    def is_discrete(self) -> bool:
-        return all(not lam.kernel_entries for lam in self.functionals)
-
-    @cached_property
-    def bands(self) -> tuple[WeightBand, WeightBand]:
-        """The weights as ``(point band, kernel band)``, built on first use."""
         kinds = {lam.kind for lam in self.functionals if lam.kernel_entries}
         if len(kinds) > 1:
             raise ValueError("mixed kernel flavours in one operator")
+        point = WeightBand(DISCRETE, [lam.point_entries for lam in self.functionals])
         kind = kinds.pop() if kinds else None
-        return (
-            WeightBand(DISCRETE, [lam.point_entries for lam in self.functionals]),
-            WeightBand(kind, [lam.kernel_entries for lam in self.functionals]),
-        )
+        kernel = WeightBand(kind, [lam.kernel_entries for lam in self.functionals])
+        for band in (point, kernel):
+            if band.sources.size:  # raises on a source whose Greville window or kernel is not stored
+                self.ks.moments(_MOMENT_KINDS[band.kind], band.sources, 0)
+        if not (np.isfinite(point.weights).all() and np.isfinite(kernel.weights).all()):
+            raise ValueError("non-finite weight")
+        object.__setattr__(self, "bands", (point, kernel))
+
+    @property
+    def is_discrete(self) -> bool:
+        return not self.bands[1].sources.size
+
+    @cached_property
+    def row_norms(self) -> np.ndarray:
+        """The l1 norm of each functional's weights, the point band's offsets
+        in order and then the kernel band's; the largest is the norm bound."""
+        point, kernel = (sum(np.abs(band.weights).T, np.zeros(self.ks.nbasis)) for band in self.bands)
+        out = point + kernel
+        out.flags.writeable = False
+        return out
 
     def _source_data(self, band: WeightBand, f, npts: int) -> np.ndarray:
         """f at the point sources, or its integrals against the kernel sources,

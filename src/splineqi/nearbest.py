@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .splinecore import KnotSequence
+from .splinecore import KnotSequence, _int_arg
 
 __all__ = [
     "NearBestProblem",
@@ -73,6 +73,7 @@ class NearBestProblem:
 
     @classmethod
     def _from_stack(cls, ks: KnotSequence, kind: str, i: int, p: int, q: int) -> "NearBestProblem":
+        p, q = _int_arg("p", p), _int_arg("q", q)
         if q > min(ks.m, 2 * p):
             raise ValueError("reproduction degree must satisfy q <= min(m, 2p)")
         if (kind, p, q) not in ks._problems:  # every anchor whose stencil fits, at once
@@ -268,6 +269,7 @@ def solve_symmetric_uniform(order: int, n: int, r: int, kind: str = "dqi", nspan
     stencil), and the objective becomes |a_0| + 2 sum |a_j|.  Returns the full
     symmetric weight vector over offsets -n..n together with its l1 norm.
     """
+    order, n, r = _int_arg("order", order), _int_arg("n", n), _int_arg("r", r)
     if order < 2 or order % 2 != 0:
         raise ValueError("order must be an even integer >= 2")
     if n < 1:

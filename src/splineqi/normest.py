@@ -27,21 +27,19 @@ from __future__ import annotations
 import numpy as np
 
 from .functionals import DUAL_SPLINE, QuasiInterpolant
-from .quasiinterp import schoenberg
+from .splinecore import _int_arg
 
 __all__ = [
     "nu_bound",
     "lebesgue_function",
     "empirical_norm_discrete",
     "empirical_norm_integral",
-    "error_bound",
 ]
 
+
 def nu_bound(q: QuasiInterpolant) -> float:
-    """Largest row l1 norm of the weight bands (the largest ``lam.nu``); columns
-    are added in offset order, as ``nu`` adds its sorted entries."""
-    point, kernel = (sum(np.abs(band.weights).T, np.zeros(q.ks.nbasis)) for band in q.bands)
-    return float(np.max(point + kernel))
+    """Largest row l1 norm of the weight bands (``q.row_norms``)."""
+    return float(np.max(q.row_norms))
 
 
 def _sample_points(q: QuasiInterpolant, samples_per_span: int) -> np.ndarray:
@@ -49,7 +47,7 @@ def _sample_points(q: QuasiInterpolant, samples_per_span: int) -> np.ndarray:
     sequences so that the emulated boundary cannot pollute the estimate.
     Refining by doubling ``samples_per_span`` yields nested grids."""
     ks = q.ks
-    if samples_per_span < 16:
+    if _int_arg("samples_per_span", samples_per_span) < 16:
         raise ValueError("need at least 16 samples per span")
     a, b = ks.domain
     if ks.cardinal:
@@ -213,22 +211,3 @@ def empirical_norm_integral(
     if polish:
         return _polish(xs, vals, lambda x: integral_lebesgue_function(q, x, mode, sign_samples))
     return float(vals.max())
-
-
-def error_bound(q: QuasiInterpolant, dhat: float | None = None, f=None, grid: int = 256) -> float:
-    """Sup-norm error bound (1 + nu_bound) * dhat.
-
-    ``dhat`` is the distance from f to the spline space; when omitted it is
-    estimated crudely from the Greville-sampling operator on the same knots,
-    whose image lies in the space, so the estimate is a valid distance bound.
-    """
-    if dhat is None:
-        if f is None:
-            raise ValueError("provide dhat or a function to estimate it from")
-        s1 = schoenberg(q.ks)
-        a, b = q.ks.domain
-        xs = np.linspace(a, b, grid)
-        approx = s1.evaluate(f, xs)
-        exact = np.asarray(f(xs), dtype=float)
-        dhat = float(np.max(np.abs(exact - approx)))
-    return (1.0 + nu_bound(q)) * dhat

@@ -27,10 +27,6 @@ class QuadratureRule:
     def apply(self, f) -> float:
         return float(np.dot(self.weights, np.asarray(f(self.nodes), dtype=float)))
 
-    @property
-    def weight_sum(self) -> float:
-        return float(self.weights.sum())
-
 
 def qi_to_quadrature(q: QuasiInterpolant) -> QuadratureRule:
     """Integrate a discrete operator into a point rule over its domain."""

@@ -23,7 +23,7 @@ from .functionals import (
     is_exact_on,
 )
 from .nearbest import solve_symmetric_uniform
-from .splinecore import KnotSequence
+from .splinecore import KnotSequence, _int_arg
 
 __all__ = [
     "PartitionConditionError",
@@ -77,13 +77,22 @@ def _lams(ks: KnotSequence) -> np.ndarray:
 def _operator(ks, kind: str, live, nodes, weights, degree: int, family: str, params=()):
     """Operator with the stencil ``zip(nodes[k], weights[k])`` at index
     ``live[k]`` and the unit weight on its own source at every other index,
-    as point entries or as kernel entries of flavour ``kind``."""
+    as point entries or as kernel entries of flavour ``kind``.  On a clamped
+    sequence indices 0 and nbasis-1 have no dual kernel: dual-flavour
+    entries there sample f at the domain end (their Greville point)."""
     entries = {i: ((i, 1.0),) for i in ks.basis_indices}
     for i, idx, w in zip(*(np.asarray(v).tolist() for v in (live, nodes, weights))):
         entries[i] = tuple(zip(idx, w))
-    field = "point_entries" if kind == DISCRETE else "kernel_entries"
-    funs = tuple(CoefficientFunctional(ks, kind, i, **{field: entries[i]}) for i in entries)
-    return QuasiInterpolant(ks, funs, degree_exact=degree, family=family, params=params)
+    ends = (0, ks.nbasis - 1) if kind == DUAL_SPLINE and not ks.cardinal else ()
+    funs = []
+    for i, row in entries.items():
+        if kind == DISCRETE:
+            point, kernel = row, ()
+        else:
+            point = tuple(e for e in row if e[0] in ends)
+            kernel = tuple(e for e in row if e[0] not in ends)
+        funs.append(CoefficientFunctional(ks, kind, i, point, kernel))
+    return QuasiInterpolant(ks, tuple(funs), degree_exact=degree, family=family, params=params)
 
 
 def schoenberg(ks: KnotSequence) -> QuasiInterpolant:
@@ -119,17 +128,6 @@ def s2(ks: KnotSequence) -> QuasiInterpolant:
     return _validated(_operator(ks, DISCRETE, live, nodes, w, 2, "S2"))
 
 
-def _moment_functional(ks: KnotSequence, anchor: int, entries) -> CoefficientFunctional:
-    """Moment-operator functional from ``(index, weight)`` entries.  On a
-    clamped sequence indices 0 and nbasis-1 have no dual kernel; their
-    entries sample f at the domain end (their Greville point) instead."""
-    ends = () if ks.cardinal else (0, ks.nbasis - 1)
-    entries = [(idx, float(w)) for idx, w in entries]
-    point = tuple(e for e in entries if e[0] in ends)
-    kernel = tuple(e for e in entries if e[0] not in ends)
-    return CoefficientFunctional(ks, DUAL_SPLINE, anchor, point, kernel)
-
-
 def gs1(ks: KnotSequence) -> QuasiInterpolant:
     """Unit-weight moment operator exact on degree 1, with norm bound 1.
 
@@ -141,8 +139,7 @@ def gs1(ks: KnotSequence) -> QuasiInterpolant:
     if ks.m < 2:
         raise ValueError("gs1 requires degree >= 2")
     _require_distinct_interior(ks, "gs1")
-    funs = tuple(_moment_functional(ks, i, ((i, 1.0),)) for i in ks.basis_indices)
-    return _validated(QuasiInterpolant(ks, funs, degree_exact=1, family="G1"))
+    return _validated(_operator(ks, DUAL_SPLINE, [], [], [], 1, "G1"))
 
 
 def gs2(ks: KnotSequence) -> QuasiInterpolant:
@@ -170,10 +167,7 @@ def gs2(ks: KnotSequence) -> QuasiInterpolant:
     except np.linalg.LinAlgError as exc:
         i = inner[np.argmax(np.linalg.det(M) == 0.0)]
         raise RuntimeError(f"singular reproduction system at index {i}") from exc
-    stencils = {i: ((i, 1.0),) for i in ends}
-    stencils.update((i, zip((i - 1, i, i + 1), wi)) for i, wi in zip(inner.tolist(), w.tolist()))
-    funs = tuple(_moment_functional(ks, i, stencils[i]) for i in ks.basis_indices)
-    return _validated(QuasiInterpolant(ks, funs, degree_exact=2, family="G2"))
+    return _validated(_operator(ks, DUAL_SPLINE, inner, idxs, w, 2, "G2"))
 
 
 def gs2_quadratic_closed_form(ks: KnotSequence, i: int) -> tuple[float, float, float]:
@@ -195,12 +189,13 @@ def gs2_quadratic_closed_form(ks: KnotSequence, i: int) -> tuple[float, float, f
 
 def _uniform_nb(kind: str, order: int, n: int, r, nspans: int, start: float, spacing: float):
     """Body of uniform_nb_dqi (kind "dqi") and uniform_nb_iqi (kind "iqi")."""
+    order, n = _int_arg("order", order), _int_arg("n", n)
     if order < 2 or order % 2 != 0:
         raise ValueError("order must be an even integer >= 2")
     if n < 1:
         raise ValueError("stencil half-width n must be >= 1")
     degree = order - 1
-    r = degree if r is None else r
+    r = degree if r is None else _int_arg("r", r)
     if not 0 <= r <= degree:
         raise ValueError("reproduction degree r must satisfy 0 <= r <= order - 1")
     ks = KnotSequence.cardinal_uniform(degree, nspans, pad=n + 1, start=start, spacing=spacing)
@@ -262,6 +257,7 @@ def partition_condition_violations(ks: KnotSequence, p: int) -> list[int]:
     """Indices violating the stencil balance condition
     theta_{i-1} + theta_i <= theta_{i-p} + theta_{i+p} <= theta_i + theta_{i+1},
     checked wherever the full +-p window exists."""
+    p = _int_arg("p", p)
     glo, ghi = _stencil_bounds(ks)
     reach = max(abs(p), 1)
     i = np.arange(max(glo + reach, 0), min(ghi - reach, ks.nbasis - 1) + 1)
@@ -285,7 +281,7 @@ def nb_dqi_nonuniform(ks: KnotSequence, p: int) -> QuasiInterpolant:
     """
     if ks.m != 2:
         raise ValueError("this family is defined for quadratic splines (degree 2)")
-    if p < 2:
+    if _int_arg("p", p) < 2:
         raise ValueError("offset p must be >= 2")
     _require_distinct_interior(ks, "nb_dqi_nonuniform")
     bad = partition_condition_violations(ks, p)

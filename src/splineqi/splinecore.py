@@ -50,6 +50,16 @@ def _int_indices(js) -> np.ndarray:
     return idx.astype(int)
 
 
+def _int_arg(name: str, value, low: int | None = None) -> int:
+    """A size argument as an int.  Floats, bools and non-numbers raise
+    ``ValueError`` naming ``name``; so does a value below ``low``, if given."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integral or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 class KnotSequence:
     """A knot sequence of one degree, with cached Greville points and kernel rules.
 
@@ -60,6 +70,7 @@ class KnotSequence:
     """
 
     def __init__(self, degree: int, knots, *, cardinal: bool = False, pad: int = 0):
+        degree, pad = _int_arg("degree", degree), _int_arg("pad", pad)
         if degree < 1:
             raise ValueError("degree must be >= 1")
         if pad < 0:
@@ -90,6 +101,7 @@ class KnotSequence:
     @classmethod
     def clamped(cls, degree: int, breakpoints) -> "KnotSequence":
         """Clamped sequence from breakpoints a = x_0 < x_1 < ... < x_n = b."""
+        degree = _int_arg("degree", degree)
         bp = np.asarray(breakpoints, dtype=float)
         if len(bp) < 2:
             raise ValueError("need at least two breakpoints")
@@ -111,26 +123,12 @@ class KnotSequence:
         spacing: float = 1.0,
     ) -> "KnotSequence":
         """Plain uniform sequence emulating the bi-infinite cardinal setting."""
-        if nspans < 1:
+        if _int_arg("nspans", nspans) < 1:
             raise ValueError("nspans must be >= 1")
         if spacing <= 0:
             raise ValueError("spacing must be positive")
         k = np.arange(-(degree + pad), nspans + degree + pad + 1)
         return cls(degree, start + spacing * k, cardinal=True, pad=pad)
-
-    @classmethod
-    def from_text(cls, text: str) -> "KnotSequence":
-        """Parse the plain text format: line 1 degree, line 2 the knots."""
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if len(lines) < 2:
-            raise ValueError("expected a degree line and a knot line")
-        degree = int(lines[0].split()[0])
-        knots = [float(v) for v in lines[1].split()]
-        return cls(degree, knots)
-
-    def to_text(self) -> str:
-        vals = " ".join(f"{v:.17g}" for v in self._t)
-        return f"{self.m}\n{vals}\n"
 
     # ------------------------------------------------------------- properties
 
@@ -167,11 +165,6 @@ class KnotSequence:
     @property
     def interior_strictly_increasing(self) -> bool:
         return bool(np.all(np.diff(self._t[-self._k0 : self.n + 1 - self._k0]) > 0))
-
-    def span_ratio(self) -> float:
-        """Ratio of the largest to the smallest domain span."""
-        h = np.diff(self._t[-self._k0 : self.n + 1 - self._k0])
-        return float(h.max() / h.min())
 
     # --------------------------------------------------------------- greville
 
@@ -279,26 +272,13 @@ class KnotSequence:
         k, rows = self.basis_rows([x])
         return int(k[0]), rows[0]
 
-    def basis_value(self, i: int, x: float) -> float:
-        if i < 0 or i >= self.nbasis:
-            raise IndexError(f"basis index {i} outside [0, {self.nbasis - 1}]")
-        k, row = self.basis_row(x)
-        off = i - k
-        return float(row[off]) if 0 <= off <= self.m else 0.0
-
-    def basis_integral(self, i: int) -> float:
-        """Integral of B_i over its full support, (t_{i+1} - t_{i-m})/(m+1)."""
-        if i < 0 or i >= self.nbasis:
-            raise IndexError(f"basis index {i} outside [0, {self.nbasis - 1}]")
-        return self._integral(self.m, i)
-
     def _integral(self, deg: int, j: int) -> float:
         """Integral of the degree-``deg`` spline B_j, (t_{j+1} - t_{j-deg})/(deg+1)."""
         return (self.knot(j + 1) - self.knot(j - deg)) / (deg + 1)
 
     def basis_integral_domain(self, i: int) -> float:
-        """Integral of B_i over [a, b] (differs from basis_integral only for
-        cardinal boundary splines whose support leaves the domain)."""
+        """Integral of B_i over [a, b]: its full-support integral, except for
+        cardinal boundary splines whose support leaves the domain."""
         full = self._integral(self.m, i)
         if not self.cardinal:
             return full
@@ -405,11 +385,6 @@ class KnotSequence:
         the variable ``(x - center)/scale``; its knots are the Greville window."""
         return float(self.moments("dual", [i], r, center=center, scale=scale)[0, r])
 
-    def dual_apply(self, i: int, f, npts: int = 8) -> float:
-        """Integral of f against the unit-integral dual kernel at index i."""
-        nodes, wts = self.dual_rule(i, npts)
-        return float(np.dot(wts, np.asarray(f(nodes), dtype=float)))
-
     def _basis_window(self, i: int) -> None:
         """Validates that the knots t_{i-m}, ..., t_{i+1} of B_i are stored."""
         if not (self._k0 <= i - self.m and i + 1 < self._k0 + len(self._t)):
@@ -424,10 +399,6 @@ class KnotSequence:
         """r-th moment of the unit-integral basis kernel B_i in the variable
         ``(x - center)/scale``."""
         return float(self.moments("basis", [i], r, center=center, scale=scale)[0, r])
-
-    def basis_apply(self, i: int, f, npts: int = 8) -> float:
-        nodes, wts = self.basis_rule(i, npts)
-        return float(np.dot(wts, np.asarray(f(nodes), dtype=float)))
 
     def moments(self, kind: str, js, rmax: int, *, center=0.0, scale=1.0) -> np.ndarray:
         """Orders 0..rmax of a window quantity at many indices at once, in the
@@ -445,7 +416,8 @@ class KnotSequence:
         homogeneous one, one cumulative sum over the knots per order).  Each
         recurrence runs on every window together.
         Indices are validated as by the one-index methods, with their
-        messages; an unknown kind, a negative order and non-integer indices
+        messages; an unknown kind, a negative order, non-integer indices, a
+        non-finite ``center`` and a ``scale`` that is not finite and positive
         raise ``ValueError``.
         """
         if kind not in ("point", "symmetric", "dual", "basis"):
@@ -455,6 +427,10 @@ class KnotSequence:
             raise ValueError(f"order r={rmax} must satisfy 0 <= r <= degree={m}")
         if rmax < 0:
             raise ValueError(f"moment order must be >= 0, got {rmax}")
+        center, scale = np.asarray(center, dtype=float), np.asarray(scale, dtype=float)
+        # one reduction over the broadcast arrays; NaN fails every comparison
+        if not ((np.abs(center) < np.inf) & (scale > 0.0) & (scale < np.inf)).all():
+            raise ValueError("center must be finite, and scale finite and > 0")
         # the valid indices form a range: its two ends validate them all
         window = {"dual": self._dual_window, "basis": self._basis_window}.get(kind, self._window)
         for j in (js.min(), js.max()) if js.size else ():
@@ -467,8 +443,7 @@ class KnotSequence:
             knots = self._kernel_windows(m - 2, js - 1)
         if kind == "dual" and (flat := knots[..., -1] <= knots[..., 0]).any():
             raise ValueError(f"degenerate dual kernel window at index {js[flat][0]}")
-        center = np.asarray(center, dtype=float)[..., None]
-        u = (knots - center) / np.asarray(scale, dtype=float)[..., None]
+        u = (knots - center[..., None]) / scale[..., None]
         shape, u = u.shape[:-1], u.reshape(-1, u.shape[-1]).T  # u[k, index]
         h = np.zeros((rmax + 1, u.shape[1]))
         h[0] = 1.0

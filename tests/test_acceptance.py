@@ -279,8 +279,8 @@ def test_c09_gs2_bound_failure_exact_certificate():
         ks = random_clamped(m, 8, rng)
         q = gs2(ks)
         rows = range(2, ks.nbasis - 2)  # all three members are dual kernels
-        i = max(rows, key=lambda j: q.functionals[j].nu)
-        if q.functionals[i].nu > 5.0:
+        i = max(rows, key=lambda j: q.row_norms[j])
+        if q.row_norms[i] > 5.0:
             break
     else:
         raise AssertionError("no m=4 partition with a G2 row norm above 5 found")

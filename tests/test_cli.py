@@ -14,6 +14,14 @@ from splineqi.partitions import parse_knot_spec
 
 GOLDEN_REPRO = Path(__file__).parent / "data" / "repro_golden.csv"
 GOLDEN_NEARBEST = Path(__file__).parent / "data" / "nearbest_golden.csv"
+GOLDEN_BUILD = Path(__file__).parent / "data" / "build_golden.csv"
+# every family; the knot families at degrees 2 and 3 on rough clamped spans
+# (Q_p2 on geometric spans, the random ones violate its balance condition)
+BUILD_SPECS = [
+    *(f"--family {f} --m {m} --knots random:12:4" for f in ("s1", "s2", "g1", "g2") for m in (2, 3)),
+    *(f"--family qp2 --m 2 --p {p} --knots geometric:12:2" for p in (2, 3)),
+    *(f"--family {f} --order {o} --n 2 --spans 8" for f in ("udqi", "uiqi") for o in (4, 6)),
+]
 NEARBEST_SPECS = [(2, 3, 2, "cardinal:20"), (3, 2, 3, "random:12:4"), (4, 4, 4, "geometric:14:1.3")]
 
 
@@ -50,6 +58,18 @@ class TestBuild:
         code, out, _ = run_cli(capsys, "build", "--family", "udqi", "--order", "4", "--n", "2")
         assert code == 0
         assert "uniform-NB-dQI" in out
+
+    def test_table_bytes_match_the_golden_file(self, capsys):
+        # each row as printed, prefixed by the arguments that built it
+        out = io.StringIO()
+        golden = csv.writer(out, lineterminator="\n")
+        golden.writerow(["args", "family", "index", "kind", "offsets", "weights", "nu_i"])
+        for spec in BUILD_SPECS:
+            code, text, _ = run_cli(capsys, "build", *spec.split())
+            assert code == 0
+            for row in csv.reader(io.StringIO(text).readlines()[1:]):
+                golden.writerow([spec] + row)
+        assert out.getvalue().encode() == GOLDEN_BUILD.read_bytes()
 
     def test_seed_accepted_after_subcommand(self, capsys):
         _, out1, _ = run_cli(capsys, "build", "--family", "s2", "--m", "2",

@@ -8,6 +8,7 @@ import pytest
 from splineqi import (
     BASIS_SPLINE,
     DISCRETE,
+    DUAL_SPLINE,
     CoefficientFunctional,
     KnotSequence,
     QuasiInterpolant,
@@ -23,6 +24,33 @@ from splineqi import (
 from splineqi.partitions import random_admissible_clamped, random_clamped
 
 
+def _apply(lam, f, npts=8):
+    """One functional applied to f, entry by entry: f at the Greville points,
+    and its integrals against the kernels from their Gauss rules."""
+    ks = lam.ks
+    rule = ks.dual_rule if lam.kind == DUAL_SPLINE else ks.basis_rule
+    total = 0.0
+    for idx, w in lam.point_entries:
+        total += w * float(f(ks.greville(idx)))
+    for idx, w in lam.kernel_entries:
+        nodes, wts = rule(idx, npts)
+        total += w * float(np.dot(wts, np.asarray(f(nodes), dtype=float)))
+    return total
+
+
+def _apply_monomial(lam, r, *, center=0.0, scale=1.0):
+    """One functional on ((x - center)/scale)**r, entry by entry from the
+    Greville points and the one-index kernel moments."""
+    ks = lam.ks
+    moment = ks.dual_moment if lam.kind == DUAL_SPLINE else ks.basis_moment
+    total = 0.0
+    for idx, w in lam.point_entries:
+        total += w * ((ks.greville(idx) - center) / scale) ** r
+    for idx, w in lam.kernel_entries:
+        total += w * moment(idx, r, center=center, scale=scale)
+    return total
+
+
 def _is_exact_on_loop(q, degree, rtol=1e-10):
     """The per-functional loop that the whole-band check replaced."""
     ks = q.ks
@@ -31,7 +59,7 @@ def _is_exact_on_loop(q, degree, rtol=1e-10):
     for j in ks.basis_indices:
         center = ks.greville(j)
         for r in range(degree + 1):
-            got = q.functionals[j].apply_monomial(r, center=center, scale=scale)
+            got = _apply_monomial(q.functionals[j], r, center=center, scale=scale)
             worst = max(worst, abs(got - ks.symmetric_coeff(j, r, center=center, scale=scale)))
     return worst <= rtol, worst
 
@@ -64,25 +92,12 @@ def quad_uniform():
 
 
 class TestApply:
-    def test_point_evaluation_of_constant(self, quad_uniform):
-        lam = CoefficientFunctional(quad_uniform, DISCRETE, 3, point_entries=((3, 1.0),))
-        assert lam.apply(lambda x: 1.0) == pytest.approx(1.0)
-
-    def test_three_term_on_identity(self, quad_uniform):
-        # weights (-1/8, 5/4, -1/8) reproduce e_1 at the anchor's Greville point
-        ks = quad_uniform
-        lam = CoefficientFunctional(
-            ks, DISCRETE, 5,
-            point_entries=((4, -0.125), (5, 1.25), (6, -0.125)),
-        )
-        assert lam.apply(lambda x: x) == pytest.approx(ks.greville(5), rel=1e-13)
-
     def test_moment_functional_on_identity(self):
         rng = np.random.default_rng(4)
         ks = random_clamped(3, 9, rng)
         g1 = gs1(ks)
         for i in range(1, ks.nbasis - 1):
-            got = g1.functionals[i].apply(lambda x: np.asarray(x))
+            got = _apply(g1.functionals[i], lambda x: np.asarray(x))
             assert got == pytest.approx(ks.greville(i), rel=1e-12)
 
     def test_linearity_on_random_polynomials(self):
@@ -94,8 +109,8 @@ class TestApply:
             f = lambda x: np.polyval(c1, x)
             g = lambda x: np.polyval(c2, x)
             al, be = 0.7, -1.3
-            combined = lam.apply(lambda x: al * f(x) + be * g(x))
-            split = al * lam.apply(f) + be * lam.apply(g)
+            combined = _apply(lam, lambda x: al * f(x) + be * g(x))
+            split = al * _apply(lam, f) + be * _apply(lam, g)
             assert combined == pytest.approx(split, rel=1e-12, abs=1e-12)
 
 
@@ -105,14 +120,14 @@ class TestApplyMonomial:
         ks = random_clamped(3, 7, rng)
         for q in (schoenberg(ks), s2(ks), gs1(ks), gs2(ks)):
             for lam in q.functionals:
-                assert lam.apply_monomial(0) == pytest.approx(1.0, rel=1e-12)
+                assert _apply_monomial(lam, 0) == pytest.approx(1.0, rel=1e-12)
 
     def test_gs2_reproduces_second_symmetric(self):
         rng = np.random.default_rng(7)
         ks = random_clamped(3, 8, rng)
         g2 = gs2(ks)
         for i in range(ks.nbasis):
-            assert g2.functionals[i].apply_monomial(2) == pytest.approx(
+            assert _apply_monomial(g2.functionals[i], 2) == pytest.approx(
                 ks.symmetric_coeff(i, 2), rel=1e-10, abs=1e-12
             )
 
@@ -121,7 +136,7 @@ class TestApplyMonomial:
         ks = random_clamped(2, 9, rng)
         s1 = schoenberg(ks)
         for i in range(ks.nbasis):
-            over = s1.functionals[i].apply_monomial(2) - ks.symmetric_coeff(i, 2)
+            over = _apply_monomial(s1.functionals[i], 2) - ks.symmetric_coeff(i, 2)
             assert over == pytest.approx(ks.lam(i), rel=1e-9, abs=1e-14)
 
     def test_agreement_with_apply(self):
@@ -131,49 +146,84 @@ class TestApplyMonomial:
             for q in (schoenberg(ks), s2(ks), gs1(ks), gs2(ks)):
                 for lam in q.functionals[:: max(1, ks.nbasis // 4)]:
                     for r in range(m + 1):
-                        direct = lam.apply(lambda x: np.asarray(x, float) ** r)
-                        assert lam.apply_monomial(r) == pytest.approx(
+                        direct = _apply(lam, lambda x: np.asarray(x, float) ** r)
+                        assert _apply_monomial(lam, r) == pytest.approx(
                             direct, rel=1e-10, abs=1e-12
                         )
 
-    def test_negative_order_rejected(self, quad_uniform):
-        lam = CoefficientFunctional(quad_uniform, DISCRETE, 0, point_entries=((0, 1.0),))
-        with pytest.raises(ValueError):
-            lam.apply_monomial(-1)
+
+class TestRowNorms:
+    def test_equal_the_row_sums_of_the_dense_entry_tables(self):
+        # one dense table per entry kind, columns by source index; each row is
+        # summed left to right, the point table's sum then the kernel table's
+        for q in _univariate_operators():
+            want = np.zeros(q.ks.nbasis)
+            for field in ("point_entries", "kernel_entries"):
+                sources = sorted({idx for lam in q.functionals for idx, _ in getattr(lam, field)})
+                col = {idx: c for c, idx in enumerate(sources)}
+                W = np.zeros((q.ks.nbasis, len(sources)))
+                for i, lam in enumerate(q.functionals):
+                    for idx, w in getattr(lam, field):
+                        W[i, col[idx]] += w
+                want += [sum(row) for row in np.abs(W).tolist()]
+            np.testing.assert_array_equal(q.row_norms, want, err_msg=q.family)
+            assert not q.row_norms.flags.writeable
 
 
-class TestNu:
-    def test_absolute_weight_sum(self, quad_uniform):
-        lam = CoefficientFunctional(
-            quad_uniform, DISCRETE, 5,
-            point_entries=((4, -0.125), (5, 1.25), (6, -0.125)),
-        )
-        assert lam.nu == 0.125 + 1.25 + 0.125
+class TestEntries:
+    def test_discrete_entries(self, quad_uniform):
+        lam = s2(quad_uniform).functionals[4]
+        assert lam.kind == DISCRETE
+        assert lam.anchor == 4
+        assert [idx - 4 for idx, _ in lam.point_entries] == [-1, 0, 1]
+        np.testing.assert_allclose([w for _, w in lam.point_entries], [-0.125, 1.25, -0.125], rtol=1e-12)
+        assert not lam.kernel_entries
 
-    def test_additivity_over_entry_kinds(self):
-        ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 6))
-        g2 = gs2(ks)
-        lam = g2.functionals[1]  # mixes a point entry with kernel entries
-        total = sum(abs(w) for _, w in lam.point_entries)
-        total += sum(abs(w) for _, w in lam.kernel_entries)
-        assert lam.nu == total
+    def test_kernel_entries_are_indices(self, quad_uniform):
+        lam = gs1(quad_uniform).functionals[3]
+        assert lam.kernel_entries == ((3, 1.0),)
+        assert not lam.point_entries
 
 
-class TestRecord:
-    def test_discrete_record_fields(self, quad_uniform):
+class TestConstructionValidation:
+    @staticmethod
+    def _replace_row(q, i, **entries):
+        funs = list(q.functionals)
+        funs[i] = dataclasses.replace(funs[i], **entries)
+        return dataclasses.replace(q, functionals=tuple(funs))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_weight(self, quad_uniform, bad):
         q = s2(quad_uniform)
-        rec = q.functionals[4].record()
-        assert rec["kind"] == DISCRETE
-        assert rec["anchor"] == 4
-        assert rec["offsets"] == [-1, 0, 1]
-        np.testing.assert_allclose(rec["weights"], [-0.125, 1.25, -0.125], rtol=1e-12)
-        assert rec["nodes"] == [quad_uniform.greville(j) for j in (3, 4, 5)]
+        with pytest.raises(ValueError, match="^non-finite weight$"):
+            self._replace_row(q, 4, point_entries=((3, 1.0), (4, bad)))
 
-    def test_kernel_record_nodes_are_indices(self, quad_uniform):
-        g1 = gs1(quad_uniform)
-        rec = g1.functionals[3].record()
-        assert rec["nodes"] == [3]
-        assert rec["weights"] == [1.0]
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_kernel_weight(self, quad_uniform, bad):
+        q = gs2(quad_uniform)
+        with pytest.raises(ValueError, match="^non-finite weight$"):
+            self._replace_row(q, 5, kernel_entries=((4, 0.5), (5, bad), (6, 0.5)))
+
+    @pytest.mark.parametrize("idx", [-2, 13, 99])
+    def test_point_source_outside_the_greville_range(self, quad_uniform, idx):
+        q = schoenberg(quad_uniform)
+        lo, hi = quad_uniform.greville_range()
+        assert not lo <= idx <= hi
+        with pytest.raises(IndexError, match=rf"^Greville index {idx} outside stored range \[{lo}, {hi}\]$"):
+            self._replace_row(q, 5, point_entries=((idx, 1.0),))
+
+    @pytest.mark.parametrize(
+        "idx, error, message",
+        [
+            (0, ValueError, r"^dual kernel index 0 outside interior range \[1, 10\]$"),
+            (40, ValueError, r"^dual kernel index 40 outside interior range \[1, 10\]$"),
+            (99, IndexError, r"^basis kernel window for index 99 not stored$"),
+        ],
+    )
+    def test_kernel_source_not_stored(self, quad_uniform, idx, error, message):
+        q = uniform_nb_iqi(4, 2, nspans=8) if error is IndexError else gs1(quad_uniform)
+        with pytest.raises(error, match=message):
+            self._replace_row(q, 3, kernel_entries=((idx, 1.0),))
 
 
 class TestQuasiInterpolant:
@@ -199,7 +249,7 @@ class TestQuasiInterpolant:
             ks = random_clamped(m, 9, rng)
             ops += [schoenberg(ks), s2(ks), gs1(ks), gs2(ks)]
         for q in ops:
-            want = np.array([lam.apply(f) for lam in q.functionals])
+            want = np.array([_apply(lam, f) for lam in q.functionals])
             got = q.coefficients(f)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
             a, b = q.ks.domain
@@ -254,9 +304,8 @@ class TestQuasiInterpolant:
         g1 = gs1(quad_uniform)
         funs = list(g1.functionals)
         funs[3] = CoefficientFunctional(quad_uniform, BASIS_SPLINE, 3, kernel_entries=((3, 1.0),))
-        mixed = dataclasses.replace(g1, functionals=tuple(funs))
-        with pytest.raises(ValueError, match="mixed kernel flavours"):
-            mixed.coefficients(np.sin)
+        with pytest.raises(ValueError, match="^mixed kernel flavours in one operator$"):
+            dataclasses.replace(g1, functionals=tuple(funs))
 
     def test_is_discrete_flag(self, quad_uniform):
         assert schoenberg(quad_uniform).is_discrete

@@ -7,7 +7,6 @@ from splineqi import (
     KnotSequence,
     empirical_norm_discrete,
     empirical_norm_integral,
-    error_bound,
     gs1,
     gs2,
     nb_dqi_nonuniform,
@@ -135,7 +134,12 @@ class TestNuBound:
             for n in ns:  # n >= 4: bands of width 9 and more
                 ops += [uniform_nb_dqi(order, n, nspans=10), uniform_nb_iqi(order, n, nspans=10)]
         for q in ops:
-            assert nu_bound(q) == max(lam.nu for lam in q.functionals), q.family
+            # each functional's entries summed in order, the point entries first
+            nus = [
+                sum(abs(w) for _, w in lam.point_entries) + sum(abs(w) for _, w in lam.kernel_entries)
+                for lam in q.functionals
+            ]
+            assert nu_bound(q) == max(nus), q.family
 
 
 class TestEmpiricalDiscrete:
@@ -288,28 +292,3 @@ class TestBatchedAgainstOracle:
         q = gs1(KnotSequence.clamped(2, [0.0, 0.5, 1.0]))
         with pytest.raises(ValueError, match="mode must be"):
             empirical_norm_integral(q, mode="exact")
-
-
-class TestErrorBound:
-    def test_zero_distance(self):
-        q = schoenberg(KnotSequence.clamped(2, [0.0, 0.5, 1.0]))
-        assert error_bound(q, dhat=0.0) == 0.0
-
-    def test_unit_norm_factor_two(self):
-        q = schoenberg(KnotSequence.clamped(2, [0.0, 0.5, 1.0]))
-        assert error_bound(q, dhat=0.25) == pytest.approx(0.5)
-
-    def test_crude_estimate_from_function(self):
-        ks = KnotSequence.clamped(2, np.linspace(0, 1, 21))
-        q = s2(ks)
-        b = error_bound(q, f=lambda x: np.sin(3 * np.asarray(x)))
-        assert b > 0.0
-        # the bound must dominate the actual approximation error of the operator
-        xs = np.linspace(0, 1, 101)
-        err = np.max(np.abs(q.evaluate(np.sin, xs) - np.sin(xs)))
-        assert b >= err or b >= 0  # reporting-only quantity stays finite
-
-    def test_requires_input(self):
-        q = schoenberg(KnotSequence.clamped(2, [0.0, 0.5, 1.0]))
-        with pytest.raises(ValueError):
-            error_bound(q)

@@ -25,7 +25,7 @@ class TestRuleConstruction:
         # interior weights equal the span width, nodes at the midpoints
         assert rule.weights[5] == pytest.approx(0.1, rel=1e-13)
         assert rule.nodes[5] == pytest.approx(0.45, rel=1e-13)
-        assert rule.weight_sum == pytest.approx(1.0, rel=1e-13)
+        assert rule.weights.sum() == pytest.approx(1.0, rel=1e-13)
 
     def test_integral_operator_rejected(self):
         q = gs1(KnotSequence.clamped(2, [0.0, 0.5, 1.0]))
@@ -38,7 +38,7 @@ class TestRuleConstruction:
             ks = random_clamped(m, 9, rng, a=-1.0, b=2.0)
             for q in (schoenberg(ks), s2(ks)):
                 rule = qi_to_quadrature(q)
-                assert rule.weight_sum == pytest.approx(3.0, rel=1e-12)
+                assert rule.weights.sum() == pytest.approx(3.0, rel=1e-12)
 
     def test_exactness_constant_every_family(self):
         rng = np.random.default_rng(31)

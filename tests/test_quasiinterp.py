@@ -8,7 +8,10 @@ import pytest
 
 from splineqi import (
     KnotSequence,
+    NearBestProblem,
     PartitionConditionError,
+    empirical_norm_discrete,
+    empirical_norm_integral,
     gs1,
     gs2,
     is_exact_on,
@@ -16,11 +19,11 @@ from splineqi import (
     nu_bound,
     s2,
     schoenberg,
+    solve_symmetric_uniform,
     uniform_nb_dqi,
     uniform_nb_iqi,
 )
 from splineqi.quasiinterp import (
-    _moment_functional,
     _stencil_bounds,
     gs2_quadratic_closed_form,
     partition_condition_violations,
@@ -88,12 +91,26 @@ def _partition_violations_loop(ks, p):
 
 
 def _gs2_weights_loop(ks, i):
-    """One index's 3x3 reproduction system, assembled and solved alone."""
-    members = [_moment_functional(ks, idx, ((idx, 1.0),)) for idx in (i - 1, i, i + 1)]
+    """One index's 3x3 reproduction system, assembled and solved alone; a
+    member at a clamped end samples f there."""
+    ends = () if ks.cardinal else (0, ks.nbasis - 1)
     center = ks.greville(i)
-    M = np.array([[lam.apply_monomial(r, center=center) for lam in members] for r in range(3)])
+
+    def member(idx, r):
+        if idx in ends:
+            return (ks.greville(idx) - center) ** r
+        return ks.dual_moment(idx, r, center=center)
+
+    M = np.array([[member(idx, r) for idx in (i - 1, i, i + 1)] for r in range(3)])
     rhs = np.array([ks.symmetric_coeff(i, r, center=center) for r in range(3)])
     return np.linalg.solve(M, rhs)
+
+
+def _stencil(lam):
+    """Offsets from the anchor and weights of a functional's entries, the
+    point entries first."""
+    entries = lam.point_entries + lam.kernel_entries
+    return [idx - lam.anchor for idx, _ in entries], [w for _, w in entries]
 
 
 def _lam_oracle(ks, i):
@@ -177,8 +194,8 @@ class TestS2:
     def test_uniform_interior_weights(self):
         ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 21))
         q = s2(ks)
-        rec = q.functionals[10].record()
-        np.testing.assert_allclose(rec["weights"], [-0.125, 1.25, -0.125], rtol=1e-12)
+        _, weights = _stencil(q.functionals[10])
+        np.testing.assert_allclose(weights, [-0.125, 1.25, -0.125], rtol=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_exact_degree_two(self, m):
@@ -196,14 +213,14 @@ class TestS2:
             dm = ks.greville(i) - ks.greville(i - 1)
             dp = ks.greville(i + 1) - ks.greville(i)
             want = 1.0 + 2.0 * ks.lam(i) / (dm * dp)
-            assert q.functionals[i].nu == pytest.approx(want, rel=1e-12)
+            assert q.row_norms[i] == pytest.approx(want, rel=1e-12)
 
     def test_clamped_ends_are_point_samples(self):
         ks = KnotSequence.clamped(3, np.linspace(0, 1, 7))
         q = s2(ks)
         for i in (0, ks.nbasis - 1):
-            rec = q.functionals[i].record()
-            assert rec["offsets"] == [0] and rec["weights"] == [1.0]
+            offsets, weights = _stencil(q.functionals[i])
+            assert offsets == [0] and weights == [1.0]
 
     def test_degree_one_rejected(self):
         ks = KnotSequence(1, [0.0, 0.0, 0.5, 1.0, 1.0])
@@ -229,7 +246,8 @@ class TestGS1:
             ks = random_clamped(m, 8, rng)
             g1 = gs1(ks)
             for i in range(1, ks.nbasis - 1):
-                res = g1.functionals[i].apply_monomial(2) - ks.symmetric_coeff(i, 2)
+                assert g1.functionals[i].kernel_entries == ((i, 1.0),)
+                res = ks.dual_moment(i, 2) - ks.symmetric_coeff(i, 2)
                 assert res == pytest.approx(2 * m / (m + 1) * ks.lam(i), rel=1e-9)
 
     def test_positivity(self):
@@ -269,10 +287,8 @@ class TestGS1:
 class TestGS2:
     def test_uniform_cardinal_weights(self):
         q = gs2(KnotSequence.cardinal_uniform(2, 30, pad=2))
-        rec = q.functionals[15].record()
-        np.testing.assert_allclose(
-            rec["weights"], [-1.0 / 6.0, 4.0 / 3.0, -1.0 / 6.0], rtol=1e-12
-        )
+        _, weights = _stencil(q.functionals[15])
+        np.testing.assert_allclose(weights, [-1.0 / 6.0, 4.0 / 3.0, -1.0 / 6.0], rtol=1e-12)
         assert nu_bound(q) == pytest.approx(5.0 / 3.0, rel=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -365,21 +381,50 @@ class TestWholeSequenceConstructors:
         assert seen > 0
 
 
+_KNOTS = [0.0, 0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.0, 1.0]
+_KS = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 13))
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("degree", lambda: KnotSequence(2.5, _KNOTS)),
+        ("degree", lambda: KnotSequence(True, _KNOTS)),
+        ("pad", lambda: KnotSequence(2, _KNOTS, pad=1.5)),
+        ("degree", lambda: KnotSequence.clamped(2.0, [0.0, 0.5, 1.0])),
+        ("degree", lambda: KnotSequence.cardinal_uniform(np.float64(3.0), 5)),
+        ("nspans", lambda: KnotSequence.cardinal_uniform(2, 2.5)),
+        ("pad", lambda: KnotSequence.cardinal_uniform(2, 5, pad=1.5)),
+        ("order", lambda: uniform_nb_dqi(4.0, 2)),
+        ("n", lambda: uniform_nb_dqi(4, 1.5)),
+        ("r", lambda: uniform_nb_iqi(4, 2, r=2.0)),
+        ("nspans", lambda: uniform_nb_iqi(4, 2, nspans=8.5)),
+        ("r", lambda: solve_symmetric_uniform(4, 2, 3.0)),
+        ("p", lambda: NearBestProblem.from_discrete(_KS, 5, 1.5, 2)),
+        ("q", lambda: NearBestProblem.from_discrete(_KS, 5, 2, 2.0)),
+        ("p", lambda: NearBestProblem.from_integral(_KS, 5, True, 2)),
+        ("p", lambda: nb_dqi_nonuniform(_KS, 2.0)),
+        ("p", lambda: partition_condition_violations(_KS, 2.5)),
+        ("samples_per_span", lambda: empirical_norm_discrete(s2(_KS), samples_per_span=16.5)),
+        ("samples_per_span", lambda: empirical_norm_integral(gs2(_KS), samples_per_span=np.float64(32))),
+    ],
+)
+def test_size_arguments_must_be_integers(name, call):
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+        call()
+
+
 class TestUniformFamilies:
     def test_cubic_dqi_closed_form_weights(self):
         q = uniform_nb_dqi(4, 2)
-        rec = q.functionals[q.ks.nbasis // 2].record()
-        assert rec["offsets"] == [-2, 0, 2]
-        np.testing.assert_allclose(
-            rec["weights"], [-1.0 / 24.0, 13.0 / 12.0, -1.0 / 24.0], rtol=1e-13
-        )
+        offsets, weights = _stencil(q.functionals[q.ks.nbasis // 2])
+        assert offsets == [-2, 0, 2]
+        np.testing.assert_allclose(weights, [-1.0 / 24.0, 13.0 / 12.0, -1.0 / 24.0], rtol=1e-13)
 
     def test_cubic_dqi_single_offset_weights(self):
         q = uniform_nb_dqi(4, 1)
-        rec = q.functionals[q.ks.nbasis // 2].record()
-        np.testing.assert_allclose(
-            rec["weights"], [-1.0 / 6.0, 4.0 / 3.0, -1.0 / 6.0], rtol=1e-13
-        )
+        _, weights = _stencil(q.functionals[q.ks.nbasis // 2])
+        np.testing.assert_allclose(weights, [-1.0 / 6.0, 4.0 / 3.0, -1.0 / 6.0], rtol=1e-13)
         assert nu_bound(q) == pytest.approx(5.0 / 3.0, rel=1e-13)
 
     @pytest.mark.parametrize("n,want", [(1, 5.0 / 3.0), (2, 7.0 / 6.0), (3, 1 + 2.0 / 27.0)])
@@ -418,10 +463,10 @@ class TestNonuniformNB:
         ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 25))
         for p in (2, 3, 5):
             q = nb_dqi_nonuniform(ks, p)
-            rec = q.functionals[12].record()
+            offsets, weights = _stencil(q.functionals[12])
             want = [-1 / (8 * p * p), 1 + 1 / (4 * p * p), -1 / (8 * p * p)]
-            np.testing.assert_allclose(rec["weights"], want, rtol=1e-11)
-            assert rec["offsets"] == [-p, 0, p]
+            np.testing.assert_allclose(weights, want, rtol=1e-11)
+            assert offsets == [-p, 0, p]
 
     def test_exact_degree_two_on_admissible_partitions(self):
         rng = np.random.default_rng(500)

@@ -22,6 +22,7 @@ from .functionals import DISCRETE
 from .nearbest import NearBestProblem, solve_l1
 from .partitions import parse_knot_spec, random_mesh
 from .quasiinterp import (
+    _stencil_bounds,
     gs1,
     gs2,
     nb_dqi_nonuniform,
@@ -102,7 +103,7 @@ def cmd_build(args):
 
 def cmd_nearbest(args):
     ks = parse_knot_spec(args.knots, args.m, seed=args.seed)
-    glo, ghi = ks.greville_range() if ks.cardinal else (0, ks.nbasis - 1)
+    glo, ghi = _stencil_bounds(ks)
     rows = []
     worst = 0.0
     for i in ks.basis_indices:

@@ -13,7 +13,8 @@ The bands are the operator.  ``CoefficientFunctional`` is only their input:
 a record of one index's ``(source, weight)`` entries, from which the
 operator builds and validates its bands once, at construction.
 Coefficients, evaluation, norms, quadrature rules and the reproduction
-check all read the bands, over all indices or points at once.
+check all read the bands, over all indices or points at once; the kernel
+band's Gauss rules come from one ``KnotSequence.kernel_rules`` call.
 """
 
 from __future__ import annotations
@@ -177,19 +178,15 @@ class QuasiInterpolant:
         return out
 
     def _source_data(self, band: WeightBand, f, npts: int) -> np.ndarray:
-        """f at the point sources, or its integrals against the kernel sources,
-        from one call of f on all the nodes."""
-        ks = self.ks
-        if band.kind == DISCRETE:
-            nodes = np.array([ks.greville(j) for j in band.sources])
+        """f at the point sources, or its kernel integrals: one call of f on the live nodes."""
+        ks, kind = self.ks, _MOMENT_KINDS[band.kind]
+        if kind == "point":
+            nodes = ks.moments("point", band.sources, 1)[:, 1]
             return np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
-        rule = ks.dual_rule if band.kind == DUAL_SPLINE else ks.basis_rule
-        rules = [rule(g, npts) for g in band.sources]
-        nodes = np.concatenate([r[0] for r in rules])
-        wts = np.concatenate([r[1] for r in rules])
-        starts = np.cumsum([0] + [len(r[0]) for r in rules[:-1]])
-        vals = np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
-        return np.add.reduceat(wts * vals, starts)
+        nodes, wts, live = ks.kernel_rules(kind, band.sources, npts)
+        counts = live.sum(axis=1)
+        vals = np.broadcast_to(np.asarray(f(nodes[live]), dtype=float), counts.sum())
+        return np.add.reduceat(wts[live] * vals, np.cumsum(counts) - counts)
 
     def coefficients(self, f, npts: int = 8) -> np.ndarray:
         """Spline coefficients of Qf (f is called on arrays of nodes)."""

@@ -128,6 +128,7 @@ def _lebesgue_values(q: QuasiInterpolant, xs, mode: str, sign_samples: int) -> n
     """Lebesgue-type values at the points xs (see integral_lebesgue_function)."""
     if mode not in ("coefficient", "kernel"):
         raise ValueError("mode must be 'coefficient' or 'kernel'")
+    sign_samples = _int_arg("sign_samples", sign_samples, 0)
     point, kernel = q.bands
     k, rows = q.ks.basis_rows(xs)
     total = np.abs(point.at(k, rows)).sum(axis=1)

@@ -32,11 +32,9 @@ def qi_to_quadrature(q: QuasiInterpolant) -> QuadratureRule:
     """Integrate a discrete operator into a point rule over its domain."""
     if not q.is_discrete:
         raise ValueError("only discrete operators reduce to point rules")
-    ks = q.ks
-    band, _ = q.bands
-    integrals = np.array([ks.basis_integral_domain(i) for i in ks.basis_indices])
-    nodes = np.array([ks.greville(j) for j in band.sources])
-    weights = band.source_totals(integrals)
+    ks, (band, _) = q.ks, q.bands
+    nodes = ks.moments("point", band.sources, 1)[:, 1]
+    weights = band.source_totals(ks.basis_integrals())
     return QuadratureRule(nodes=nodes, weights=weights, domain=ks.domain, degree=q.degree_exact)
 
 

@@ -12,7 +12,9 @@ the unit-integral B-spline on knots ``t_0, ..., t_k`` has r-th raw moment
 homogeneous symmetric polynomial (de Boor, *A Practical Guide to Splines*;
 E. Neuman, "Moments of B-splines", J. Comput. Appl. Math. 1981).  Gauss
 quadrature over the knot spans remains only for integrating general
-functions against a kernel.
+functions against a kernel: ``kernel_rules`` reads the rules of many kernels
+from one cached table per degree, which ``basis_integrals`` also reads for
+the domain integrals of the cardinal boundary splines.
 
 Index conventions
 -----------------
@@ -65,8 +67,9 @@ class KnotSequence:
 
     Immutable after construction.  Its caches are internal and append-only,
     so instances are safe for concurrent read access: the Greville points, the
-    span map, the Gauss kernel rules (``_rules``) and the near-best problem
-    stacks that ``nearbest`` fills once per ``(kind, p, q)`` (``_problems``).
+    span map, the Gauss kernel rule tables, one per ``(degree, npts)``
+    (``_rules``), and the near-best problem stacks that ``nearbest`` fills
+    once per ``(kind, p, q)`` (``_problems``).
     """
 
     def __init__(self, degree: int, knots, *, cardinal: bool = False, pad: int = 0):
@@ -93,7 +96,9 @@ class KnotSequence:
         self._k0 = -(degree + pad)  # index of the first stored knot
         if self.b <= self.a:
             raise ValueError("empty domain")
-        self._rules: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        if not cardinal and (t[pad] < t[pad + degree] or t[-1 - pad - degree] < t[-1 - pad]):
+            raise ValueError(f"non-cardinal knots need {degree + 1} equal knots at each end of the domain")
+        self._rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._problems: dict[tuple[str, int, int], tuple] = {}
 
     # ------------------------------------------------------------------ setup
@@ -221,16 +226,8 @@ class KnotSequence:
         (repeated knot) passes its points on to the next nonempty span, or
         back to the last one at the right end."""
         t, o, n = self._t, -self._k0, self.n
-        empty = t[o + 1 : o + n + 1] <= t[o : o + n]
-        out = np.arange(n)
-        for k in range(n):
-            j = k
-            while j < n - 1 and empty[j]:
-                j += 1
-            while j > 0 and empty[j]:
-                j -= 1
-            out[k] = j
-        return out
+        nonempty = np.flatnonzero(t[o + 1 : o + n + 1] > t[o : o + n])
+        return nonempty[np.minimum(np.searchsorted(nonempty, np.arange(n)), len(nonempty) - 1)]
 
     def basis_rows(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Basis values at many points: ``(k, rows)`` with ``rows[p]`` the
@@ -243,7 +240,7 @@ class KnotSequence:
         """
         x = np.asarray(xs, dtype=float).reshape(-1)
         a, b = self.domain
-        outside = (x < a) | (x > b)
+        outside = ~((x >= a) & (x <= b))  # NaN fails both comparisons
         if outside.any():
             raise ValueError(f"x={x[np.argmax(outside)]} outside domain [{a}, {b}]")
         t, k0, p = self._t, self._k0, self.m
@@ -272,51 +269,57 @@ class KnotSequence:
         k, rows = self.basis_rows([x])
         return int(k[0]), rows[0]
 
-    def _integral(self, deg: int, j: int) -> float:
-        """Integral of the degree-``deg`` spline B_j, (t_{j+1} - t_{j-deg})/(deg+1)."""
-        return (self.knot(j + 1) - self.knot(j - deg)) / (deg + 1)
-
-    def basis_integral_domain(self, i: int) -> float:
-        """Integral of B_i over [a, b]: its full-support integral, except for
-        cardinal boundary splines whose support leaves the domain."""
-        full = self._integral(self.m, i)
-        if not self.cardinal:
-            return full
-        if self.knot(i - self.m) >= self.a and self.knot(i + 1) <= self.b:
-            return full
-        # Gauss nodes lie inside their spans: those in (a, b) cover the domain spans
-        nodes, wts = self._kernel_rule(self.m, i, self.m // 2 + 1)
-        return full * float(wts[(nodes > self.a) & (nodes < self.b)].sum())
+    def basis_integrals(self) -> np.ndarray:
+        """Integral of each B_i over [a, b]: its full-support integral
+        (t_{i+1} - t_{i-m})/(m + 1), which a cardinal boundary spline scales
+        by the weight of its basis kernel rule on the nodes in (a, b)."""
+        m, t, (a, b), pos = self.m, self._t, self.domain, np.arange(self.nbasis) - self._k0
+        out = (t[pos + 1] - t[pos - m]) / (m + 1)
+        if self.cardinal:
+            edge = np.flatnonzero((t[pos - m] < a) | (t[pos + 1] > b))
+            nodes, wts, live = self.kernel_rules("basis", edge, m // 2 + 1)
+            # Gauss nodes lie inside their spans: those in (a, b) cover the domain spans
+            inside = live & (nodes > a) & (nodes < b)
+            out[edge] *= [w[on].sum() for w, on in zip(wts, inside)]
+        return out
 
     # ---------------------------------------------------------------- kernels
 
-    def _kernel_rule(self, deg: int, j: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss nodes, ``npts`` per nonempty knot span of the support of the
-        degree-``deg`` spline ``B_j`` on these knots, and weights such that
-        ``wts @ f(nodes)`` integrates f against the unit-integral kernel
-        ``B_j / integral(B_j)``; cached."""
-        key = (deg, j, npts)
-        rule = self._rules.get(key)
-        if rule is None:
-            w = self._kernel_windows(deg, np.array(j))
-            live = w[1:] > w[:-1]
+    def kernel_rules(self, kind: str, js, npts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gauss rules against the unit-integral ``"dual"`` or ``"basis"``
+        kernels (see ``moments``, which validates ``js`` alike): ``(nodes,
+        weights, live)``, ``npts`` entries per knot span of each window on the
+        last axis, so that ``weights[g] @ f(nodes[g])`` integrates f against
+        the kernel of ``js[g]``; an empty span's entries are not live and
+        weigh 0.  The rules of every stored kernel of a degree are built at
+        once on first use, by the Cox-de Boor recursion on each kernel's own
+        knot window, and cached per ``(degree, npts)``."""
+        if kind not in ("dual", "basis"):
+            raise ValueError(f"unknown kernel kind {kind!r}")
+        npts, js = _int_arg("npts", npts, 1), self._indices(kind, js)
+        deg, first = (self.m - 2, js - self.m + 1) if kind == "dual" else (self.m, js - self.m)
+        if (deg, npts) not in self._rules:
+            nwin = len(self._t) - deg - 1
+            w = self._t[np.arange(nwin)[:, None] + np.arange(deg + 2)]  # every stored window
             gx, gw = np.polynomial.legendre.leggauss(npts)
-            mid, half = 0.5 * (w[:-1] + w[1:])[live, None], 0.5 * (w[1:] - w[:-1])[live, None]
-            x = (mid + half * gx).ravel()
-            # the Cox-de Boor recursion of B_j on its own window, all nodes at once
-            N = [((w[r] <= x) & (x < w[r + 1])).astype(float) for r in range(deg + 1)]
+            u0, u1 = w[:, :-1, None], w[:, 1:, None]
+            live = np.broadcast_to(u1 > u0, (nwin, deg + 1, npts)).reshape(nwin, -1)
+            half = 0.5 * (u1 - u0)
+            x = (0.5 * (u0 + u1) + half * gx).reshape(nwin, -1)
+            c = w.T[:, :, None]  # c[r]: knot r of every window
+
+            def ratio(num, den):  # num / den, and 0 where den is not positive
+                return np.divide(num, den, out=np.zeros_like(x), where=den > 0.0)
+
+            N = [((c[r] <= x) & (x < c[r + 1])).astype(float) for r in range(deg + 1)]
             for d in range(1, deg + 1):
                 for r in range(deg + 1 - d):
-                    acc, den = 0.0, w[r + d] - w[r]
-                    if den > 0.0:
-                        acc = acc + (x - w[r]) / den * N[r]
-                    den = w[r + d + 1] - w[r + 1]
-                    if den > 0.0:
-                        acc = acc + (w[r + d + 1] - x) / den * N[r + 1]
-                    N[r] = acc
-            rule = (x, (half * gw).ravel() * N[0] / ((w[-1] - w[0]) / (deg + 1)))
-            self._rules[key] = rule
-        return rule
+                    left = ratio(x - c[r], c[r + d] - c[r]) * N[r]
+                    N[r] = 0.0 + left + ratio(c[r + d + 1] - x, c[r + d + 1] - c[r + 1]) * N[r + 1]
+            wts = (half * gw).reshape(nwin, -1) * N[0]
+            wts = np.divide(wts, (c[-1] - c[0]) / (deg + 1), out=np.zeros_like(x), where=live)
+            self._rules[deg, npts] = (x, wts, live)
+        return tuple(v[first - self._k0] for v in self._rules[deg, npts])
 
     def _kernel_windows(self, deg: int, js: np.ndarray) -> np.ndarray:
         """Knots t_{j-deg}, ..., t_{j+1} of the degree-``deg`` splines B_j,
@@ -363,42 +366,32 @@ class KnotSequence:
             )
         return N[:, :, 0, :] * ((deg + 1) * inverse(w[:, -1] - w[:, 0]))[:, None, None]
 
-    def _dual_window(self, i: int) -> np.ndarray:
-        """Knots t_{i-m+1}, ..., t_i of the dual kernel at index i, validated."""
-        if self.m < 2:
-            raise ValueError("dual kernels need degree >= 2")
-        if not self.cardinal and not (1 <= i <= self.nbasis - 2):
-            raise ValueError(f"dual kernel index {i} outside interior range [1, {self.nbasis - 2}]")
-        w = self._window(i)
-        if w[-1] <= w[0]:
-            raise ValueError(f"degenerate dual kernel window at index {i}")
-        return w
-
-    def dual_rule(self, i: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
-        """Quadrature nodes and weights for integrating f against the
-        unit-integral degree-(m-2) kernel on [t_{i-m+1}, t_i]."""
-        self._dual_window(i)
-        return self._kernel_rule(self.m - 2, i - 1, npts)
-
     def dual_moment(self, i: int, r: int, *, center: float = 0.0, scale: float = 1.0) -> float:
         """r-th moment of the unit-integral degree-(m-2) kernel at index i in
         the variable ``(x - center)/scale``; its knots are the Greville window."""
         return float(self.moments("dual", [i], r, center=center, scale=scale)[0, r])
 
-    def _basis_window(self, i: int) -> None:
-        """Validates that the knots t_{i-m}, ..., t_{i+1} of B_i are stored."""
-        if not (self._k0 <= i - self.m and i + 1 < self._k0 + len(self._t)):
-            raise IndexError(f"basis kernel window for index {i} not stored")
-
-    def basis_rule(self, i: int, npts: int) -> tuple[np.ndarray, np.ndarray]:
-        """Quadrature nodes and weights against the unit-integral basis kernel B_i."""
-        self._basis_window(i)
-        return self._kernel_rule(self.m, i, npts)
-
     def basis_moment(self, i: int, r: int, *, center: float = 0.0, scale: float = 1.0) -> float:
         """r-th moment of the unit-integral basis kernel B_i in the variable
         ``(x - center)/scale``."""
         return float(self.moments("basis", [i], r, center=center, scale=scale)[0, r])
+
+    def _indices(self, kind: str, js) -> np.ndarray:
+        """``js`` as validated indices of a window quantity of ``kind``, with
+        the messages of the one-index methods."""
+        js, m, o = _int_indices(js), self.m, -self._k0
+        if kind == "dual" and m < 2:
+            raise ValueError("dual kernels need degree >= 2")
+        for j in (int(js.min()), int(js.max())) if js.size else ():  # the valid indices form a range
+            if kind == "basis" and not (0 <= j - m + o and j + 1 + o < len(self._t)):
+                raise IndexError(f"basis kernel window for index {j} not stored")
+            if kind == "dual" and not self.cardinal and not 1 <= j <= self.nbasis - 2:
+                raise ValueError(f"dual kernel index {j} outside interior range [1, {self.nbasis - 2}]")
+            if kind != "basis":
+                self._window(j)
+        if kind == "dual" and (flat := self._t[js + o] <= self._t[js + o - m + 1]).any():
+            raise ValueError(f"degenerate dual kernel window at index {js[flat][0]}")
+        return js
 
     def moments(self, kind: str, js, rmax: int, *, center=0.0, scale=1.0) -> np.ndarray:
         """Orders 0..rmax of a window quantity at many indices at once, in the
@@ -422,7 +415,7 @@ class KnotSequence:
         """
         if kind not in ("point", "symmetric", "dual", "basis"):
             raise ValueError(f"unknown moment kind {kind!r}")
-        m, js = self.m, _int_indices(js)
+        m, js = self.m, self._indices(kind, js)
         if kind == "symmetric" and not 0 <= rmax <= m:
             raise ValueError(f"order r={rmax} must satisfy 0 <= r <= degree={m}")
         if rmax < 0:
@@ -431,18 +424,12 @@ class KnotSequence:
         # one reduction over the broadcast arrays; NaN fails every comparison
         if not ((np.abs(center) < np.inf) & (scale > 0.0) & (scale < np.inf)).all():
             raise ValueError("center must be finite, and scale finite and > 0")
-        # the valid indices form a range: its two ends validate them all
-        window = {"dual": self._dual_window, "basis": self._basis_window}.get(kind, self._window)
-        for j in (js.min(), js.max()) if js.size else ():
-            window(int(j))
         if kind == "point":
             knots = self._greville[js - self.greville_range()[0]][..., None]
         elif kind == "basis":
             knots = self._kernel_windows(m, js)
         else:  # the Greville window t_{j-m+1..j} is the degree-(m-2) window of j - 1
             knots = self._kernel_windows(m - 2, js - 1)
-        if kind == "dual" and (flat := knots[..., -1] <= knots[..., 0]).any():
-            raise ValueError(f"degenerate dual kernel window at index {js[flat][0]}")
         u = (knots - center[..., None]) / scale[..., None]
         shape, u = u.shape[:-1], u.reshape(-1, u.shape[-1]).T  # u[k, index]
         h = np.zeros((rmax + 1, u.shape[1]))

@@ -206,9 +206,8 @@ def test_c08_monotone_preservation():
         for _ in range(100):
             ks = random_clamped(m, 8, rng)
             g1 = gs1(ks)
-            rules = [None] * ks.nbasis
-            for i in range(1, ks.nbasis - 1):
-                rules[i] = ks.dual_rule(i, 8)
+            nodes, wts, live = ks.kernel_rules("dual", np.arange(1, ks.nbasis - 1), 8)
+            rules = [None] + [(x[on], w[on]) for x, w, on in zip(nodes, wts, live)]
             for f, sense in funcs:
                 coeffs = np.empty(ks.nbasis)
                 coeffs[0] = float(f(ks.a))
@@ -379,7 +378,8 @@ def test_c11_exactness_suite():
             target = ks.symmetric_coeff(i, 2, center=c)
             res_s1 = 0.0 - target
             worst_res = max(worst_res, abs(res_s1 - lam) / max(lam, 1e-300))
-            nodes, wts = ks.dual_rule(i, (m + 2) // 2 + 1)
+            nodes, wts, live = ks.kernel_rules("dual", [i], (m + 2) // 2 + 1)
+            nodes, wts = nodes[live], wts[live]
             res_g1 = float(np.dot(wts, (nodes - c) ** 2)) - target
             want = 2.0 * m / (m + 1.0) * lam
             worst_res = max(worst_res, abs(res_g1 - want) / max(want, 1e-300))

@@ -239,6 +239,14 @@ class TestPlumbing:
         assert out == ""
         assert "error" in json.loads(err.strip())
 
+    def test_unclamped_inline_knots_are_an_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "quad", "--family", "s1", "--m", "2", "--knots", "0 1 2 3 4 5 6 7 8 9 10 11"
+        )
+        assert code == 2
+        assert out == ""
+        assert "3 equal knots at each end" in json.loads(err.strip())["error"]
+
     def test_inline_knots(self, capsys):
         code, out, _ = run_cli(
             capsys, "build", "--family", "s1", "--m", "2",

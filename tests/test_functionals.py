@@ -21,20 +21,22 @@ from splineqi import (
     uniform_nb_dqi,
     uniform_nb_iqi,
 )
+from splineqi.normest import lebesgue_function
 from splineqi.partitions import random_admissible_clamped, random_clamped
 
 
 def _apply(lam, f, npts=8):
     """One functional applied to f, entry by entry: f at the Greville points,
-    and its integrals against the kernels from their Gauss rules."""
+    and its integrals against the kernels from the live entries of their
+    Gauss rules."""
     ks = lam.ks
-    rule = ks.dual_rule if lam.kind == DUAL_SPLINE else ks.basis_rule
+    kind = "dual" if lam.kind == DUAL_SPLINE else "basis"
     total = 0.0
     for idx, w in lam.point_entries:
         total += w * float(f(ks.greville(idx)))
     for idx, w in lam.kernel_entries:
-        nodes, wts = rule(idx, npts)
-        total += w * float(np.dot(wts, np.asarray(f(nodes), dtype=float)))
+        nodes, wts, live = ks.kernel_rules(kind, [idx], npts)
+        total += w * float(np.dot(wts[live], np.asarray(f(nodes[live]), dtype=float)))
     return total
 
 
@@ -272,6 +274,9 @@ class TestQuasiInterpolant:
             q.evaluate(f, 1.5)
         with pytest.raises(ValueError, match=r"^x=-0\.25 outside domain \[0\.0, 1\.0\]$"):
             q.evaluate(f, [0.5, -0.25, 2.0])
+        for call in (lambda: q.evaluate(f, float("nan")), lambda: lebesgue_function(q, np.nan)):
+            with pytest.raises(ValueError, match=r"^x=nan outside domain \[0\.0, 1\.0\]$"):
+                call()
 
     def test_coefficients_accept_a_constant_function(self, quad_uniform):
         for q in (s2(quad_uniform), gs2(quad_uniform)):

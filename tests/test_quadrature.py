@@ -62,8 +62,7 @@ class TestRuleConstruction:
             ops += [schoenberg(ks), s2(ks)]
         for q in ops:
             ks, acc = q.ks, {}
-            for i in ks.basis_indices:
-                bi = ks.basis_integral_domain(i)
+            for i, bi in enumerate(ks.basis_integrals().tolist()):
                 for node, w in q.functionals[i].point_entries:
                     acc[node] = acc.get(node, 0.0) + w * bi
             rule = qi_to_quadrature(q)

@@ -23,6 +23,7 @@ from splineqi import (
     uniform_nb_dqi,
     uniform_nb_iqi,
 )
+from splineqi.normest import integral_lebesgue_function
 from splineqi.quasiinterp import (
     _stencil_bounds,
     gs2_quadratic_closed_form,
@@ -407,10 +408,17 @@ _KS = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 13))
         ("p", lambda: partition_condition_violations(_KS, 2.5)),
         ("samples_per_span", lambda: empirical_norm_discrete(s2(_KS), samples_per_span=16.5)),
         ("samples_per_span", lambda: empirical_norm_integral(gs2(_KS), samples_per_span=np.float64(32))),
+        ("npts", lambda: gs2(_KS).coefficients(np.sin, npts=2.5)),
+        ("npts", lambda: gs2(_KS).coefficients(np.sin, npts=0)),
+        ("npts", lambda: gs2(_KS).evaluate(np.sin, 0.5, npts=-1)),
+        ("sign_samples", lambda: empirical_norm_integral(gs2(_KS), 16, sign_samples=-1, mode="kernel")),
+        ("sign_samples", lambda: empirical_norm_integral(gs2(_KS), 16, sign_samples=2.5, mode="kernel")),
+        ("sign_samples", lambda: integral_lebesgue_function(gs2(_KS), 0.5, "kernel", np.float64(8.0))),
     ],
 )
 def test_size_arguments_must_be_integers(name, call):
-    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+    # a size argument with a lower bound names it in the message
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer( >= \d+)?, got "):
         call()
 
 

@@ -1,6 +1,7 @@
 """Tests for the B-spline core: knots, Greville data, evaluation, moments."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,12 @@ def gauss_apply(rule, f):
     return float(np.dot(wts, np.asarray(f(nodes), dtype=float)))
 
 
+def kernel_rule(ks, kind, j, npts):
+    """The live entries of the kernel rule of index j (``kernel_rules``)."""
+    nodes, wts, live = ks.kernel_rules(kind, [j], npts)
+    return nodes[live], wts[live]
+
+
 class TestConstruction:
     def test_clamped_layout(self):
         ks = KnotSequence.clamped(2, [0.0, 0.25, 0.6, 1.0])
@@ -201,6 +208,15 @@ class TestConstruction:
     def test_rejects_nonincreasing_breakpoints(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             KnotSequence.clamped(2, [0.0, 0.5, 0.5, 1.0])
+
+    @pytest.mark.parametrize(
+        "knots", [np.arange(12.0), [0, 0, 0.2, 0.5, 0.7, 1, 1, 1], [0, 0, 0, 0.2, 0.5, 0.7, 1, 1]]
+    )
+    def test_rejects_unclamped_knots(self, knots):
+        # the basis needs degree + 1 equal knots at each domain end unless cardinal
+        with pytest.raises(ValueError, match="^non-cardinal knots need 3 equal knots at each end of the domain$"):
+            KnotSequence(2, knots)
+        assert KnotSequence(2, knots, cardinal=True).cardinal
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_knots(self, bad):
@@ -420,6 +436,9 @@ class TestBasisRows:
         assert k.shape == (0,) and rows.shape == (0, 3)
         with pytest.raises(ValueError, match=r"x=1\.5 outside domain \[0\.0, 1\.0\]"):
             ks.basis_rows([0.2, 1.5, -1.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=rf"^x={bad} outside domain \[0\.0, 1\.0\]$"):
+                ks.basis_rows([0.2, bad])
 
 
 class TestKernelPieces:
@@ -496,7 +515,7 @@ class TestDualMoments:
             ks = random_clamped(m, 8, rng)
             for i in range(1, ks.nbasis - 1):
                 c = ks.greville(i)
-                nodes, wts = ks.dual_rule(i, (m + 2) // 2 + 1)
+                nodes, wts = kernel_rule(ks, "dual", i, (m + 2) // 2 + 1)
                 mu2c = float(np.dot(wts, (nodes - c) ** 2))
                 gap = mu2c - ks.symmetric_coeff(i, 2, center=c)
                 want = 2.0 * m / (m + 1.0) * ks.lam(i)
@@ -512,28 +531,28 @@ class TestIntegrals:
     def test_uniform_interior(self):
         ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 11))
         for i in range(2, ks.nbasis - 2):
-            assert ks.basis_integral_domain(i) == pytest.approx(0.1, rel=1e-13)
+            assert ks.basis_integrals()[i] == pytest.approx(0.1, rel=1e-13)
 
     def test_clamped_end(self):
         ks = KnotSequence.clamped(2, [0.0, 0.3, 1.0])
-        assert ks.basis_integral_domain(0) == pytest.approx(0.1)
+        assert ks.basis_integrals()[0] == pytest.approx(0.1)
 
     def test_sum_is_domain_width(self):
         rng = np.random.default_rng(50)
         for m in (1, 2, 3, 5):
             ks = random_clamped(m, 9, rng)
-            total = sum(ks.basis_integral_domain(i) for i in range(ks.nbasis))
+            total = sum(ks.basis_integrals().tolist())
             assert total == pytest.approx(ks.b - ks.a, rel=1e-12)
 
     def test_domain_integral_matches_basis_integral_when_clamped(self):
         # the full-support integral (t_{i+1} - t_{i-m}) / (m + 1)
         ks = KnotSequence.clamped(3, [0.0, 0.2, 0.9, 1.0])
         for i in range(ks.nbasis):
-            assert ks.basis_integral_domain(i) == (ks.knot(i + 1) - ks.knot(i - 3)) / 4
+            assert ks.basis_integrals()[i] == (ks.knot(i + 1) - ks.knot(i - 3)) / 4
 
     def test_domain_integrals_sum_on_cardinal(self):
         ks = KnotSequence.cardinal_uniform(3, 12, pad=2)
-        total = sum(ks.basis_integral_domain(i) for i in range(ks.nbasis))
+        total = sum(ks.basis_integrals().tolist())
         assert total == pytest.approx(12.0, rel=1e-12)
 
 
@@ -561,7 +580,7 @@ class TestClosedFormMoments:
         ks = random_clamped(m, 9, np.random.default_rng(60 + m))
         for i in range(1, ks.nbasis - 1):
             for r in range(m + 2):
-                want = gauss_apply(ks.dual_rule(i, 8), lambda x: x**r)
+                want = gauss_apply(kernel_rule(ks, "dual", i, 8), lambda x: x**r)
                 assert ks.dual_moment(i, r) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("m", range(2, 8))
@@ -569,7 +588,7 @@ class TestClosedFormMoments:
         ks = random_clamped(m, 9, np.random.default_rng(70 + m))
         for i in range(ks.nbasis):
             for r in range(m + 2):
-                want = gauss_apply(ks.basis_rule(i, 8), lambda x: x**r)
+                want = gauss_apply(kernel_rule(ks, "basis", i, 8), lambda x: x**r)
                 assert ks.basis_moment(i, r) == pytest.approx(want, rel=1e-12)
 
     def test_repeated_knots_inside_a_window(self):
@@ -578,10 +597,10 @@ class TestClosedFormMoments:
         assert ks.dual_moment(3, 1) == pytest.approx((0.3 + 0.3 + 0.7) / 3, rel=1e-14)
         for r in range(5):
             for i in range(1, ks.nbasis - 1):
-                want = gauss_apply(ks.dual_rule(i, 8), lambda x: x**r)
+                want = gauss_apply(kernel_rule(ks, "dual", i, 8), lambda x: x**r)
                 assert ks.dual_moment(i, r) == pytest.approx(want, rel=1e-12)
             for i in range(ks.nbasis):
-                want = gauss_apply(ks.basis_rule(i, 8), lambda x: x**r)
+                want = gauss_apply(kernel_rule(ks, "basis", i, 8), lambda x: x**r)
                 assert ks.basis_moment(i, r) == pytest.approx(want, rel=1e-12)
 
     def test_negative_order_rejected(self):
@@ -793,36 +812,66 @@ class TestKernelRules:
 
     @pytest.mark.parametrize("npts", [1, 2, 5, 8])
     def test_bitwise_equal_to_the_scalar_rule(self, npts):
+        # every stored window of both degrees, degenerate ones included, as
+        # the cached table holds them: its live entries are the scalar rule
         for ks in self.sequences():
-            lo, hi = ks.greville_range()
-            for deg, js in ((ks.m, range(lo + 1, hi)), (ks.m - 2, range(lo - 1, hi))):
-                for j in js:
-                    nodes, wts = ks._kernel_rule(deg, j, npts)
+            for kind, deg in (("basis", ks.m), ("dual", ks.m - 2)):
+                ks.kernel_rules(kind, [], npts)  # builds the table
+                nodes, wts, live = ks._rules[deg, npts]
+                assert nodes.shape == wts.shape == live.shape == (len(ks.knots) - deg - 1, (deg + 1) * npts)
+                for s, (x, w, on) in enumerate(zip(nodes, wts, live)):
+                    j = s + deg - ks.m - ks.pad  # the window starts at knot j - deg
                     want_nodes, want_wts = kernel_rule_oracle(ks, deg, j, npts)
-                    assert np.array_equal(nodes, want_nodes), (ks, deg, j)
-                    assert np.array_equal(wts, want_wts), (ks, deg, j)
+                    assert np.array_equal(x[on], want_nodes), (ks, deg, j)
+                    assert np.array_equal(w[on], want_wts), (ks, deg, j)
+                    assert not w[~on].any()
 
     def test_public_rules_and_domain_integrals(self):
         for ks in self.sequences():
             m = ks.m
+            nodes, wts, live = ks.kernel_rules("basis", ks.basis_indices, 4)
+            integrals = ks.basis_integrals()
             for i in range(ks.nbasis):
-                for got, want in zip(ks.basis_rule(i, 4), kernel_rule_oracle(ks, m, i, 4)):
-                    assert np.array_equal(got, want)
+                want = kernel_rule_oracle(ks, m, i, 4)
+                assert np.array_equal(nodes[i][live[i]], want[0])
+                assert np.array_equal(wts[i][live[i]], want[1])
                 full = (ks.knot(i + 1) - ks.knot(i - m)) / (m + 1)
                 if ks.cardinal and not (ks.knot(i - m) >= ks.a and ks.knot(i + 1) <= ks.b):
-                    nodes, wts = kernel_rule_oracle(ks, m, i, m // 2 + 1)
-                    full *= float(wts[(nodes > ks.a) & (nodes < ks.b)].sum())
-                assert ks.basis_integral_domain(i) == full
-            for i in range(1, ks.nbasis - 1):
-                if ks.knot(i) > ks.knot(i - m + 1):
-                    for got, want in zip(ks.dual_rule(i, 3), kernel_rule_oracle(ks, m - 2, i - 1, 3)):
-                        assert np.array_equal(got, want)
+                    x, w = kernel_rule_oracle(ks, m, i, m // 2 + 1)
+                    full *= float(w[(x > ks.a) & (x < ks.b)].sum())
+                assert integrals[i] == full
+            dual = [i for i in range(1, ks.nbasis - 1) if ks.knot(i) > ks.knot(i - m + 1)]
+            nodes, wts, live = ks.kernel_rules("dual", dual, 3)
+            for i, x, w, on in zip(dual, nodes, wts, live):
+                want = kernel_rule_oracle(ks, m - 2, i - 1, 3)
+                assert np.array_equal(x[on], want[0]) and np.array_equal(w[on], want[1])
 
     def test_empty_spans_get_no_nodes(self):
         ks = KnotSequence(3, [0, 0, 0, 0, 0.3, 0.3, 0.3, 0.7, 1, 1, 1, 1])
-        nodes, wts = ks.basis_rule(3, 4)  # support t_0..t_4 = 0, 0.3, 0.3, 0.3, 0.7
+        nodes, wts, live = ks.kernel_rules("basis", [3], 4)  # support t_0..t_4 = 0, 0.3, 0.3, 0.3, 0.7
+        assert nodes.shape == (1, 16) and live.sum() == 8 and not wts[~live].any()
+        nodes, wts = nodes[live], wts[live]
         assert len(nodes) == 8 and np.all(np.diff(nodes) > 0)
         assert wts.sum() == pytest.approx(1.0, rel=1e-14)
+
+    def test_indices_checked_as_by_moments(self):
+        ks = KnotSequence(3, [0, 0, 0, 0, 0.3, 0.3, 0.3, 0.7, 1, 1, 1, 1])
+        for kind, js in (("dual", [0, 1]), ("dual", [1, 3, 4]), ("basis", [-1]), ("basis", [0.5])):
+            with pytest.raises((ValueError, IndexError)) as want:
+                ks.moments(kind, js, 1)
+            with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                ks.kernel_rules(kind, js, 4)
+        with pytest.raises(ValueError, match="unknown kernel kind 'point'"):
+            ks.kernel_rules("point", [1], 4)
+        with pytest.raises(ValueError, match="dual kernels need degree >= 2"):
+            KnotSequence.clamped(1, [0.0, 0.5, 1.0]).kernel_rules("dual", [1], 4)
+
+    @pytest.mark.parametrize("npts", [0, -1, 2.5, np.float64(3.0), True, "4"])
+    def test_npts_must_be_a_positive_integer(self, npts):
+        ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 5))
+        with pytest.raises(ValueError, match=r"^npts must be an integer >= 1, got "):
+            ks.kernel_rules("basis", [1], npts)
+        assert ks._rules == {}
 
 
 class TestGrevillePoints:

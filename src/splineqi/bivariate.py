@@ -5,11 +5,11 @@ quadratic splines; the operators here are handled entirely at the
 coefficient level.  The monomial targets come from the known expansions of
 the quadratics in that basis: the coefficient of e_rs for r, s <= 1 is the
 cell-centre monomial value, and the second-degree targets pick up the
--h^2/4 (resp. -k^2/4) correction.  The reproduction check, the norm bound
-and the residual tables run over all cells at once, from moments and
-targets computed once per axis.  Pointwise evaluation is provided only
-for the uniform four-direction quadratic box spline, whose value is
-computed exactly as a square/diamond convolution overlap area.
+-h^2/4 (resp. -k^2/4) correction.  These targets and the cell functionals'
+marginal moments come from one per-axis table, and a family's stencils and
+l1 norms are arrays over the interior cells.  Pointwise evaluation is
+provided only for the uniform four-direction quadratic box spline, whose
+value is computed exactly as a square/diamond convolution overlap area.
 """
 
 from __future__ import annotations
@@ -27,13 +27,12 @@ __all__ = [
     "crisscross_t2",
     "crisscross_g2",
     "monomial_residuals",
-    "bcoef_monomial",
-    "family_moment",
     "eval_zp_box",
     "zp_dqi_empirical_norm",
 ]
 
 _MONOMIALS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
+_SPREAD = {"point": np.inf, "pyramid": 20.0, "cell": 12.0}  # variance = span^2 / spread
 
 
 @dataclass(frozen=True)
@@ -94,45 +93,6 @@ class TensorMesh:
     def ncy(self) -> int:
         return len(self.y) - 1
 
-    def interior_cells(self):
-        for i in range(1, self.ncx - 1):
-            for j in range(1, self.ncy - 1):
-                yield i, j
-
-
-_SPREAD = {"point": np.inf, "pyramid": 20.0, "cell": 12.0}  # variance = span^2 / spread
-
-
-def _axis_moment(kind: str, mid: float, span: float, r: int) -> float:
-    """r-th raw moment (r <= 2) of the 1-D marginal of a cell functional."""
-    if r in (0, 1):
-        return (1.0, mid)[r]
-    if r != 2 or kind not in _SPREAD:
-        raise ValueError(f"unsupported moment order {r} for kind {kind}")
-    return mid * mid + span * span / _SPREAD[kind]
-
-
-def family_moment(kind: str, mesh: TensorMesh, i: int, j: int, r: int, s: int) -> float:
-    """Moment of e_rs against the cell functional of the given kind on cell (i, j).
-
-    Valid for r + s <= 2, where the pyramid and cell-average moments
-    factorize across the axes.
-    """
-    if r + s > 2:
-        raise ValueError("moments available for total degree <= 2 only")
-    return _axis_moment(kind, mesh.sx[i], mesh.hx[i], r) * _axis_moment(
-        kind, mesh.sy[j], mesh.hy[j], s
-    )
-
-
-def bcoef_monomial(mesh: TensorMesh, i: int, j: int, r: int, s: int) -> float:
-    """Coefficient of e_rs in the criss-cross quadratic basis at cell (i, j)."""
-    if (r, s) not in _MONOMIALS:
-        raise ValueError("targets available for total degree <= 2 only")
-    cx = mesh.sx[i] ** r if r < 2 else mesh.sx[i] ** 2 - mesh.hx[i] ** 2 / 4.0
-    cy = mesh.sy[j] ** s if s < 2 else mesh.sy[j] ** 2 - mesh.hy[j] ** 2 / 4.0
-    return cx * cy
-
 
 def nb_box_coeffs(mesh_type: str, s: int) -> tuple[float, float, float]:
     """Near-best stencil weights on the uniform three/four direction meshes.
@@ -158,8 +118,10 @@ class BivariateFunctionalFamily:
     """Directional weights of a degree-2-reproducing cell-moment operator.
 
     ``a``/``abar`` act on the x-neighbour cells, ``c``/``cbar`` on the
-    y-neighbours; the centre weight closes the partition of unity.  Arrays
-    are indexed by cell and hold NaN where a neighbour is missing.
+    y-neighbours; the centre weight closes the partition of unity.  These
+    four are indexed by cell column or row and hold NaN at boundary cells;
+    ``stencils()`` and ``nu()`` hold each interior cell's weights and l1 norm,
+    entry ``[..., i - 1, j - 1]`` for cell (i, j), 0 < i < ncx - 1, 0 < j < ncy - 1.
     """
 
     tag: str
@@ -170,34 +132,21 @@ class BivariateFunctionalFamily:
     c: np.ndarray
     cbar: np.ndarray
 
-    def center(self, i: int, j: int) -> float:
-        return 1.0 - (self.a[i] + self.abar[i] + self.c[j] + self.cbar[j])
-
-    def weights(self, i: int, j: int) -> dict:
-        """Stencil weights keyed by the neighbour cell."""
-        return {
-            (i - 1, j): self.a[i],
-            (i + 1, j): self.abar[i],
-            (i, j): self.center(i, j),
-            (i, j - 1): self.c[j],
-            (i, j + 1): self.cbar[j],
-        }
-
-    def nu(self, i: int, j: int) -> float:
-        return float(sum(abs(w) for w in self.weights(i, j).values()))
-
-    def _interior_weights(self) -> tuple:
-        """``(a, abar, centre, c, cbar)`` over the interior cells, as in ``weights``."""
+    def stencils(self) -> np.ndarray:
+        """``(a, abar, centre, c, cbar)`` stacked over the interior cells: the
+        weights of the cells left of, right of, at, below and above each one."""
         a, abar = self.a[1:-1, None], self.abar[1:-1, None]
         c, cbar = self.c[None, 1:-1], self.cbar[None, 1:-1]
-        return a, abar, 1.0 - (a + abar + c + cbar), c, cbar
+        w = np.empty((5, len(a), c.shape[1]))
+        w[0], w[1], w[2], w[3], w[4] = a, abar, 1.0 - (a + abar + c + cbar), c, cbar
+        return w
+
+    def nu(self) -> np.ndarray:
+        """Each interior cell's l1 norm, its stencil's weights summed in order."""
+        return sum(np.abs(self.stencils()))
 
     def nu_bound(self) -> float:
-        return float(sum(np.abs(w) for w in self._interior_weights()).max())
-
-    def max_directional_weight(self) -> float:
-        vals = [self.a, self.abar, self.c, self.cbar]
-        return float(max(np.nanmax(np.abs(v)) for v in vals))
+        return float(self.nu().max())
 
     def is_exact_pi2(self, rtol: float = 1e-10) -> tuple[bool, float]:
         """Coefficient-level reproduction of all monomials of total degree <= 2,
@@ -205,7 +154,7 @@ class BivariateFunctionalFamily:
         is at most ``rtol * scale**(r+s)``, ``scale`` being the largest of 1 and
         ``|s| + max h`` over the neighbour spans on either axis."""
         mesh = self.mesh
-        a, abar, centre, c, cbar = self._interior_weights()
+        a, abar, centre, c, cbar = self.stencils()
         mx, tx, sx = _axis(self.moment_kind, mesh.sx, mesh.hx)
         my, ty, sy = _axis(self.moment_kind, mesh.sy, mesh.hy)
         scale = np.maximum(np.maximum(1.0, sx[:, None]), sy[None, :])
@@ -227,7 +176,8 @@ def _axis(kind: str, mid: np.ndarray, span: np.ndarray) -> tuple:
     orders 0, 1, 2, and for each interior cell |mid| + its largest neighbour span."""
     one = np.ones_like(mid)
     reach = np.abs(mid[1:-1]) + np.maximum(np.maximum(span[:-2], span[1:-1]), span[2:])
-    return [one, mid, _axis_moment(kind, mid, span, 2)], [one, mid, mid**2 - span**2 / 4.0], reach
+    moments = [one, mid, mid * mid + span * span / _SPREAD[kind]]
+    return moments, [one, mid, mid**2 - span**2 / 4.0], reach
 
 
 def _directional_weights(h: np.ndarray, three: float, four: float) -> tuple[np.ndarray, np.ndarray]:
@@ -282,11 +232,10 @@ def monomial_residuals(tag: str, mesh: TensorMesh) -> dict:
     kinds = {"S1": "point", "T1": "pyramid", "G1": "cell"}
     if tag not in kinds:
         raise ValueError("tag must be one of S1, T1, G1")
-    kind = kinds[tag]
-    ii, jj = np.ix_(np.arange(mesh.ncx), np.arange(mesh.ncy))
-    res20 = family_moment(kind, mesh, ii, jj, 2, 0) - bcoef_monomial(mesh, ii, jj, 2, 0)
-    res02 = family_moment(kind, mesh, ii, jj, 0, 2) - bcoef_monomial(mesh, ii, jj, 0, 2)
-    return {"e20": res20, "e02": res02}
+    mx, tx, _ = _axis(kinds[tag], mesh.sx, mesh.hx)
+    my, ty, _ = _axis(kinds[tag], mesh.sy, mesh.hy)
+    zero = np.zeros((mesh.ncx, mesh.ncy))
+    return {"e20": zero + (mx[2] - tx[2])[:, None], "e02": zero + (my[2] - ty[2])[None, :]}
 
 
 def eval_zp_box(x, y):

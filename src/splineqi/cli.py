@@ -175,18 +175,19 @@ def cmd_biv(args):
     elif args.table in ("t2", "g2"):
         mesh = _load_mesh(args)
         fam = bivariate.crisscross_t2(mesh) if args.table == "t2" else bivariate.crisscross_g2(mesh)
-        for i, j in mesh.interior_cells():
+        a, abar, centre, c, cbar = fam.stencils()
+        for (i, j), nu in np.ndenumerate(fam.nu()):  # entry [i, j] is cell (i + 1, j + 1)
             rows.append(
                 {
                     "table": args.table,
-                    "i": i,
-                    "j": j,
-                    "a": fam.a[i],
-                    "abar": fam.abar[i],
-                    "c": fam.c[j],
-                    "cbar": fam.cbar[j],
-                    "center": fam.center(i, j),
-                    "nu_ij": fam.nu(i, j),
+                    "i": i + 1,
+                    "j": j + 1,
+                    "a": a[i, j],
+                    "abar": abar[i, j],
+                    "c": c[i, j],
+                    "cbar": cbar[i, j],
+                    "center": centre[i, j],
+                    "nu_ij": nu,
                 }
             )
     elif args.table == "residuals":
@@ -274,15 +275,14 @@ def _repro_rows(section: str | None, samples: int) -> list[dict]:
         checks.append(("s2-uniform/nu-within-2.5", 2.5, normest.nu_bound(q), 1e-12, "le"))
     if "crisscross-uniform" in groups:
         mesh = bivariate.TensorMesh.uniform(6, 6)
-        t2 = bivariate.crisscross_t2(mesh)
-        g2 = bivariate.crisscross_g2(mesh)
-        i = j = 3
-        checks.append(("crisscross/t2/a", -3.0 / 20.0, float(t2.a[i]), 1e-12, "eq"))
-        checks.append(("crisscross/t2/center", 8.0 / 5.0, t2.center(i, j), 1e-12, "eq"))
-        checks.append(("crisscross/t2/nu", 11.0 / 5.0, t2.nu(i, j), 1e-12, "eq"))
-        checks.append(("crisscross/g2/a", -1.0 / 6.0, float(g2.a[i]), 1e-12, "eq"))
-        checks.append(("crisscross/g2/center", 5.0 / 3.0, g2.center(i, j), 1e-12, "eq"))
-        checks.append(("crisscross/g2/nu", 7.0 / 3.0, g2.nu(i, j), 1e-12, "eq"))
+        t2, g2 = bivariate.crisscross_t2(mesh), bivariate.crisscross_g2(mesh)
+        # cell (3, 3): entry [2, 2] of the interior-cell arrays
+        checks.append(("crisscross/t2/a", -3.0 / 20.0, float(t2.a[3]), 1e-12, "eq"))
+        checks.append(("crisscross/t2/center", 8.0 / 5.0, float(t2.stencils()[2][2, 2]), 1e-12, "eq"))
+        checks.append(("crisscross/t2/nu", 11.0 / 5.0, float(t2.nu()[2, 2]), 1e-12, "eq"))
+        checks.append(("crisscross/g2/a", -1.0 / 6.0, float(g2.a[3]), 1e-12, "eq"))
+        checks.append(("crisscross/g2/center", 5.0 / 3.0, float(g2.stencils()[2][2, 2]), 1e-12, "eq"))
+        checks.append(("crisscross/g2/nu", 7.0 / 3.0, float(g2.nu()[2, 2]), 1e-12, "eq"))
 
     rows = []
     for claim, ref, got, tol, kind in checks:

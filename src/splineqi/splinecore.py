@@ -85,6 +85,12 @@ class KnotSequence:
             raise ValueError("knots must be finite (no NaN or inf)")
         if np.any(np.diff(t) < 0):
             raise ValueError("knots must be non-decreasing")
+        # a knot repeated more than degree + 1 times leaves a B-spline with empty support
+        over = np.flatnonzero(t[degree + 1 :] == t[: -degree - 1])
+        if over.size:
+            knot = t[over[0]]
+            mult = np.count_nonzero(t == knot)
+            raise ValueError(f"knot {knot:g} has multiplicity {mult}, above degree + 1 = {degree + 1}")
         n = len(t) - 2 * degree - 2 * pad - 1
         if n < 1:
             raise ValueError("too few knots for this degree")

@@ -1,6 +1,7 @@
 """Tests for the bivariate criss-cross machinery and the box-spline element."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -14,18 +15,37 @@ from splineqi import (
     monomial_residuals,
     nb_box_coeffs,
 )
-from splineqi.bivariate import (
-    _MONOMIALS,
-    _directional_weights,
-    bcoef_monomial,
-    family_moment,
-    zp_dqi_empirical_norm,
-)
+from splineqi.bivariate import _MONOMIALS, _directional_weights, zp_dqi_empirical_norm
 from splineqi.partitions import random_mesh
 
 
 # ------------------------------------------------------------------ oracles
-# The per-cell loops that the whole-mesh array code replaced.
+# The per-cell loops that the whole-mesh array code replaced, reading only
+# the directional weights and the closed forms written here.
+
+
+def _interior_cells(mesh):
+    return itertools.product(range(1, mesh.ncx - 1), range(1, mesh.ncy - 1))
+
+
+def _cell_stencil(fam, i, j):
+    """Cell (i, j)'s weights keyed by its left, right, own, lower and upper neighbour."""
+    a, abar, c, cbar = fam.a[i], fam.abar[i], fam.c[j], fam.cbar[j]
+    centre = 1.0 - (a + abar + c + cbar)
+    return {(i - 1, j): a, (i + 1, j): abar, (i, j): centre, (i, j - 1): c, (i, j + 1): cbar}
+
+
+def _marginal_moment(kind, mid, h, r):
+    """r-th moment of the 1-D marginal of a cell functional on a span h around
+    mid: its variance is 0 for the point value, h^2/20 for the normalised
+    pyramid and h^2/12 for the cell average."""
+    variance = {"point": 0.0, "pyramid": h * h / 20.0, "cell": h * h / 12.0}[kind]
+    return (1.0, mid, mid * mid + variance)[r]
+
+
+def _basis_target(mid, h, r):
+    """Factor of x^r's coefficient in the criss-cross quadratic basis on a cell."""
+    return (1.0, mid, mid * mid - h * h / 4.0)[r]
 
 
 def _directional_weights_loop(h, three, four):
@@ -42,8 +62,8 @@ def _directional_weights_loop(h, three, four):
 def _is_exact_pi2_loop(fam, rtol=1e-10):
     ok = True
     worst = 0.0
-    mesh = fam.mesh
-    for i, j in mesh.interior_cells():
+    mesh, kind = fam.mesh, fam.moment_kind
+    for i, j in _interior_cells(mesh):
         scale = max(
             1.0,
             abs(mesh.sx[i]) + mesh.hx[max(i - 1, 0) : i + 2].max(),
@@ -51,9 +71,11 @@ def _is_exact_pi2_loop(fam, rtol=1e-10):
         )
         for r, s in _MONOMIALS:
             got = 0.0
-            for (ci, cj), w in fam.weights(i, j).items():
-                got += w * family_moment(fam.moment_kind, mesh, ci, cj, r, s)
-            res = abs(got - bcoef_monomial(mesh, i, j, r, s))
+            for (ci, cj), w in _cell_stencil(fam, i, j).items():
+                x = _marginal_moment(kind, mesh.sx[ci], mesh.hx[ci], r)
+                got += w * (x * _marginal_moment(kind, mesh.sy[cj], mesh.hy[cj], s))
+            target = _basis_target(mesh.sx[i], mesh.hx[i], r) * _basis_target(mesh.sy[j], mesh.hy[j], s)
+            res = abs(got - target)
             worst = max(worst, res)
             if res > rtol * scale ** (r + s):
                 ok = False
@@ -208,14 +230,15 @@ class TestCrissCrossFamilies:
     def test_t2_uniform_values(self):
         fam = crisscross_t2(TensorMesh.uniform(5, 5))
         assert fam.a[2] == pytest.approx(-3.0 / 20.0, rel=1e-14)
-        assert fam.center(2, 2) == pytest.approx(8.0 / 5.0, rel=1e-14)
-        assert fam.nu(2, 2) == pytest.approx(11.0 / 5.0, rel=1e-14)
+        # cell (2, 2) is entry [1, 1] of the interior-cell arrays
+        assert fam.stencils()[2][1, 1] == pytest.approx(8.0 / 5.0, rel=1e-14)
+        assert fam.nu()[1, 1] == pytest.approx(11.0 / 5.0, rel=1e-14)
 
     def test_g2_uniform_values(self):
         fam = crisscross_g2(TensorMesh.uniform(5, 5))
         assert fam.a[2] == pytest.approx(-1.0 / 6.0, rel=1e-14)
-        assert fam.center(2, 2) == pytest.approx(5.0 / 3.0, rel=1e-14)
-        assert fam.nu(2, 2) == pytest.approx(7.0 / 3.0, rel=1e-14)
+        assert fam.stencils()[2][1, 1] == pytest.approx(5.0 / 3.0, rel=1e-14)
+        assert fam.nu()[1, 1] == pytest.approx(7.0 / 3.0, rel=1e-14)
 
     def test_directional_weight_bounds_on_rough_meshes(self):
         rng = np.random.default_rng(10)
@@ -223,9 +246,9 @@ class TestCrissCrossFamilies:
             mesh = random_mesh(6, 6, rng, ratio=1e6)
             t2 = crisscross_t2(mesh)
             g2 = crisscross_g2(mesh)
-            assert t2.max_directional_weight() <= 0.75 + 1e-12
+            assert np.nanmax(np.abs([t2.a, t2.abar, t2.c, t2.cbar])) <= 0.75 + 1e-12
             assert np.nanmax([-t2.a, -t2.abar, -t2.c, -t2.cbar]) >= 0  # all nonpositive
-            assert g2.max_directional_weight() <= 1.0 + 1e-12
+            assert np.nanmax(np.abs([g2.a, g2.abar, g2.c, g2.cbar])) <= 1.0 + 1e-12
 
     def test_norm_bounds_on_rough_meshes(self):
         rng = np.random.default_rng(11)
@@ -238,8 +261,8 @@ class TestCrissCrossFamilies:
         rng = np.random.default_rng(12)
         mesh = random_mesh(6, 6, rng)
         for fam in (crisscross_t2(mesh), crisscross_g2(mesh)):
-            for i, j in mesh.interior_cells():
-                assert sum(fam.weights(i, j).values()) == pytest.approx(1.0, rel=1e-12)
+            assert fam.nu().shape == (mesh.ncx - 2, mesh.ncy - 2)
+            np.testing.assert_allclose(sum(fam.stencils()), 1.0, rtol=1e-12)
 
     def test_exact_on_quadratics(self):
         rng = np.random.default_rng(13)
@@ -323,7 +346,12 @@ class TestWholeMeshChecks:
     def test_nu_bound_bitwise_equal_to_the_per_cell_max(self, maker):
         for mesh in _test_meshes():
             fam = maker(mesh)
-            assert fam.nu_bound() == max(fam.nu(i, j) for i, j in mesh.interior_cells())
+            nu = fam.nu()
+            want = {}
+            for i, j in _interior_cells(mesh):
+                want[i, j] = sum(abs(w) for w in _cell_stencil(fam, i, j).values())
+                assert nu[i - 1, j - 1] == want[i, j]
+            assert fam.nu_bound() == max(want.values())
 
     def test_monomial_residuals_match_the_per_cell_loop(self):
         for mesh in _test_meshes():
@@ -332,11 +360,13 @@ class TestWholeMeshChecks:
                 res = monomial_residuals(tag, mesh)
                 for i in range(mesh.ncx):
                     for j in range(mesh.ncy):
+                        mx, my = mesh.sx[i], mesh.sy[j]
                         for key, (r, s) in (("e20", (2, 0)), ("e02", (0, 2))):
-                            want = family_moment(kind, mesh, i, j, r, s) - bcoef_monomial(
-                                mesh, i, j, r, s
+                            moment = _marginal_moment(kind, mx, mesh.hx[i], r) * _marginal_moment(
+                                kind, my, mesh.hy[j], s
                             )
-                            assert abs(res[key][i, j] - want) <= 1e-15 * big
+                            target = _basis_target(mx, mesh.hx[i], r) * _basis_target(my, mesh.hy[j], s)
+                            assert abs(res[key][i, j] - (moment - target)) <= 1e-15 * big
 
 
 class TestMonomialResiduals:
@@ -366,17 +396,6 @@ class TestMonomialResiduals:
                     assert res["e02"][i, j] == pytest.approx(
                         fac * mesh.hy[j] ** 2, rel=1e-12
                     )
-
-    def test_bilinear_monomials_are_exact(self):
-        rng = np.random.default_rng(15)
-        mesh = random_mesh(4, 4, rng)
-        for kind in ("point", "pyramid", "cell"):
-            for i in range(mesh.ncx):
-                for j in range(mesh.ncy):
-                    for r, s in ((0, 0), (1, 0), (0, 1), (1, 1)):
-                        assert family_moment(kind, mesh, i, j, r, s) == pytest.approx(
-                            bcoef_monomial(mesh, i, j, r, s), rel=1e-12
-                        )
 
 
 class TestZPElement:

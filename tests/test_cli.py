@@ -15,12 +15,19 @@ from splineqi.partitions import parse_knot_spec
 GOLDEN_REPRO = Path(__file__).parent / "data" / "repro_golden.csv"
 GOLDEN_NEARBEST = Path(__file__).parent / "data" / "nearbest_golden.csv"
 GOLDEN_BUILD = Path(__file__).parent / "data" / "build_golden.csv"
+GOLDEN_BIV = Path(__file__).parent / "data" / "biv_golden.csv"
 # every family; the knot families at degrees 2 and 3 on rough clamped spans
 # (Q_p2 on geometric spans, the random ones violate its balance condition)
 BUILD_SPECS = [
     *(f"--family {f} --m {m} --knots random:12:4" for f in ("s1", "s2", "g1", "g2") for m in (2, 3)),
     *(f"--family qp2 --m 2 --p {p} --knots geometric:12:2" for p in (2, 3)),
     *(f"--family {f} --order {o} --n 2 --spans 8" for f in ("udqi", "uiqi") for o in (4, 6)),
+]
+# a uniform mesh, a random one and one whose spans vary by a factor up to 1e6
+BIV_MESHES = [
+    "--mesh uniform --nx 6 --ny 5",
+    "--mesh random --nx 7 --ny 4 --seed 3",
+    "--mesh random --nx 3 --ny 9 --ratio 1e6",
 ]
 NEARBEST_SPECS = [(2, 3, 2, "cardinal:20"), (3, 2, 3, "random:12:4"), (4, 4, 4, "geometric:14:1.3")]
 
@@ -157,6 +164,19 @@ class TestBiv:
         rows = [r.split(",") for r in out.strip().splitlines()[1:]]
         assert float(rows[0][4]) == pytest.approx(2.0)
         assert float(rows[1][4]) == pytest.approx(1.25)
+
+    def test_table_bytes_match_the_golden_file(self, capsys):
+        # every printed line, headers included, prefixed by the arguments
+        out = io.StringIO()
+        golden = csv.writer(out, lineterminator="\n")
+        for table in ("t2", "g2", "residuals"):
+            for spec in BIV_MESHES:
+                args = f"--table {table} {spec}"
+                code, text, _ = run_cli(capsys, "biv", *args.split())
+                assert code == 0
+                for row in csv.reader(io.StringIO(text)):
+                    golden.writerow([args] + row)
+        assert out.getvalue().encode() == GOLDEN_BIV.read_bytes()
 
     def test_t2_weight_table_on_mesh_file(self, capsys, tmp_path):
         mesh = tmp_path / "mesh.txt"

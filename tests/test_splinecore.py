@@ -218,6 +218,25 @@ class TestConstruction:
             KnotSequence(2, knots)
         assert KnotSequence(2, knots, cardinal=True).cardinal
 
+    @pytest.mark.parametrize(
+        "knots, knot, mult",
+        [
+            ([0, 0, 0, 0.5, 0.5, 0.5, 0.5, 1, 1, 1], "0.5", 4),
+            ([0, 0, 0, 0, 0.5, 1, 1, 1], "0", 4),
+            ([0, 0, 0, 0.5, 1, 1, 1, 1, 1], "1", 5),
+        ],
+    )
+    @pytest.mark.parametrize("cardinal", [False, True])
+    def test_rejects_a_knot_repeated_more_than_degree_plus_one_times(self, knots, knot, mult, cardinal):
+        # such a knot leaves a B-spline with empty support, whose kernel has no quadrature node
+        with pytest.raises(ValueError, match=rf"^knot {knot} has multiplicity {mult}, above degree \+ 1 = 3$"):
+            KnotSequence(2, knots, cardinal=cardinal)
+
+    def test_knots_of_multiplicity_degree_plus_one_keep_every_kernel_live(self):
+        ks = KnotSequence(2, [0, 0, 0, 0.5, 0.5, 0.5, 1, 1, 1])
+        _, _, live = ks.kernel_rules("basis", np.asarray(ks.basis_indices), 4)
+        assert live.any(axis=1).all()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_knots(self, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -132,6 +132,10 @@ class BivariateFunctionalFamily:
     c: np.ndarray
     cbar: np.ndarray
 
+    def __post_init__(self):
+        if self.moment_kind not in _SPREAD:
+            raise ValueError(f"unknown moment kind {self.moment_kind!r}; use one of {', '.join(_SPREAD)}")
+
     def stencils(self) -> np.ndarray:
         """``(a, abar, centre, c, cbar)`` stacked over the interior cells: the
         weights of the cells left of, right of, at, below and above each one."""

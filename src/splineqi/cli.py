@@ -43,8 +43,6 @@ def _fmt(v) -> str:
 
 
 def _emit(rows: list[dict], out_path: str | None, json_path: str | None) -> None:
-    if not rows:
-        return
     header = list(rows[0].keys())
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -71,10 +69,7 @@ def _build_family(args):
     ks = parse_knot_spec(args.knots, args.m, seed=args.seed)
     if name == "qp2":
         return nb_dqi_nonuniform(ks, args.p)
-    makers = {"s1": schoenberg, "s2": s2, "g1": gs1, "g2": gs2}
-    if name not in makers:
-        raise ValueError(f"unknown family {name}")
-    return makers[name](ks)
+    return {"s1": schoenberg, "s2": s2, "g1": gs1, "g2": gs2}[name](ks)
 
 
 def cmd_build(args):
@@ -190,7 +185,7 @@ def cmd_biv(args):
                     "nu_ij": nu,
                 }
             )
-    elif args.table == "residuals":
+    else:  # residuals
         mesh = _load_mesh(args)
         for tag in ("S1", "T1", "G1"):
             res = bivariate.monomial_residuals(tag, mesh)
@@ -205,8 +200,6 @@ def cmd_biv(args):
                             "res_e02": res["e02"][i, j],
                         }
                     )
-    else:
-        raise ValueError(f"unknown bivariate table {args.table}")
     _emit(rows, args.out, args.json)
     return 0
 
@@ -310,16 +303,22 @@ def cmd_repro(args):
 
 # --------------------------------------------------------------------- main
 
-def _apply_config(parser: argparse.ArgumentParser, path: str):
-    defaults = {}
+def _apply_config(parsers, path: str):
+    """``key=value`` lines (``#`` comments) become the defaults of the options
+    of that name on every parser; argparse converts a string default by the
+    option's type, a list option splits at whitespace.  The SUPPRESS copies of
+    the globals are skipped, so a global flag before the subcommand wins."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+        pairs = [ln.split("=", 1) for ln in map(str.strip, fh) if "=" in ln and ln[0] != "#"]
+    defaults = {key.strip().replace("-", "_"): val.strip() for key, val in pairs}
+    for parser in parsers:
+        for action in parser._actions:
+            val = defaults.get(action.dest)
+            if val is None or action.default is argparse.SUPPRESS:
                 continue
-            key, val = (part.strip() for part in line.split("=", 1))
-            defaults[key.replace("-", "_")] = val
-    parser.set_defaults(**defaults)
+            if action.nargs == "+":
+                val = [action.type(item) for item in val.split()]
+            parser.set_defaults(**{action.dest: val})
 
 
 def _add_family_args(sp):
@@ -388,15 +387,14 @@ def main(argv=None) -> int:
     sp.add_argument("--samples", type=int, default=64)
     sp.set_defaults(func=cmd_repro)
 
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else argv
     if "--config" in argv:
         idx = argv.index("--config")
         if idx + 1 >= len(argv):
             parser.error("--config needs a file path")
         try:
-            _apply_config(parser, argv[idx + 1])
-        except OSError as exc:
+            _apply_config([parser, *sub.choices.values()], argv[idx + 1])
+        except (OSError, ValueError) as exc:
             parser.error(f"cannot read config file: {exc}")
     args = parser.parse_args(argv)
     try:

@@ -261,25 +261,34 @@ def solve_l1(prob: NearBestProblem) -> NearBestSolution:
     return NearBestSolution(weights=lam, nu=float(nu), residual=residual, duality_gap=gap)
 
 
-def solve_symmetric_uniform(order: int, n: int, r: int, kind: str = "dqi", nspans: int = 24):
-    """Near-best symmetric weights (a_0, ..., a_n) in the uniform cardinal setting.
-
-    Exploits the even symmetry a_j = a_{-j}: only the even-degree reproduction
-    constraints survive (the odd ones vanish identically on a centred uniform
-    stencil), and the objective becomes |a_0| + 2 sum |a_j|.  Returns the full
-    symmetric weight vector over offsets -n..n together with its l1 norm.
-    """
-    order, n, r = _int_arg("order", order), _int_arg("n", n), _int_arg("r", r)
+def _uniform_args(order, n, r) -> tuple[int, int, int]:
+    """Checked ``(order, n, r)`` of a symmetric uniform stencil: an even spline
+    order, half-width n >= 1 and 0 <= r <= order - 1 (r None: order - 1)."""
+    order, n = _int_arg("order", order), _int_arg("n", n)
     if order < 2 or order % 2 != 0:
         raise ValueError("order must be an even integer >= 2")
     if n < 1:
         raise ValueError("stencil half-width n must be >= 1")
-    degree = order - 1
-    if r > degree:
-        raise ValueError("reproduction degree r must be <= order - 1")
+    r = order - 1 if r is None else _int_arg("r", r)
+    if not 0 <= r <= order - 1:
+        raise ValueError("reproduction degree r must satisfy 0 <= r <= order - 1")
+    return order, n, r
+
+
+def solve_symmetric_uniform(order: int, n: int, r: int, kind: str = "dqi"):
+    """Near-best symmetric weights (a_0, ..., a_n) in the uniform cardinal setting.
+
+    Exploits the even symmetry a_j = a_{-j}: only the even-degree reproduction
+    constraints survive (the odd ones vanish identically on a centred uniform
+    stencil), and the objective becomes |a_0| + 2 sum |a_j|.  The data come
+    from the centre of 24 unit spans; the arguments are checked as for
+    ``uniform_nb_dqi``.  Returns the full symmetric weight vector over
+    offsets -n..n together with its l1 norm.
+    """
+    order, n, r = _uniform_args(order, n, r)
     if kind not in ("dqi", "iqi"):
         raise ValueError("kind must be 'dqi' or 'iqi'")
-    ks = KnotSequence.cardinal_uniform(degree, nspans, pad=n + 1)
+    ks = KnotSequence.cardinal_uniform(order - 1, 24, pad=n + 1)
     i = ks.nbasis // 2
     # built directly: q > 2p is admissible here because the odd constraints
     # vanish identically on the symmetric stencil

@@ -60,7 +60,7 @@ def _sample_points(q: QuasiInterpolant, samples_per_span: int) -> np.ndarray:
     keep = (u1 > u0) & (u1 > lo) & (u0 < hi)
     offs = np.arange(samples_per_span) / samples_per_span
     loc = (u0[keep, None] + (u1 - u0)[keep, None] * offs).ravel()
-    return np.concatenate([loc[(loc >= lo) & (loc <= hi)], [min(hi, b)]])
+    return np.concatenate([loc[(loc >= lo) & (loc <= hi)], [hi]])
 
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -171,11 +171,7 @@ def empirical_norm_discrete(
     """Grid maximum of the pointwise absolute-weight sum (a lower estimate)."""
     if not q.is_discrete:
         raise ValueError("operator has integral functionals; use empirical_norm_integral")
-    xs = _sample_points(q, samples_per_span)
-    vals = _lebesgue_values(q, xs, "coefficient", 0)
-    if polish:
-        return _polish(xs, vals, lambda x: lebesgue_function(q, x))
-    return float(vals.max())
+    return empirical_norm_integral(q, samples_per_span, polish=polish)
 
 
 def integral_lebesgue_function(

@@ -22,7 +22,7 @@ from .functionals import (
     QuasiInterpolant,
     is_exact_on,
 )
-from .nearbest import solve_symmetric_uniform
+from .nearbest import _uniform_args, solve_symmetric_uniform
 from .splinecore import KnotSequence, _int_arg
 
 __all__ = [
@@ -106,25 +106,19 @@ def s2(ks: KnotSequence) -> QuasiInterpolant:
     Each functional subtracts lam_i times the second divided difference of f
     over the neighbouring Greville points from the sample at theta_i; any
     second divided difference reproduces half the second derivative on
-    quadratics, so the correction is degree-independent.  Where a neighbour
-    is missing the nearest three Greville points are used one-sided, which
-    preserves the reproduction property.  All stencils are built at once.
+    quadratics, so the correction is degree-independent.  All stencils are
+    built at once; every index with lam_i > 0 has both neighbours.
     """
     if ks.m < 2:
         raise ValueError("s2 requires degree >= 2")
     _require_distinct_interior(ks, "s2")
-    lo, hi = _stencil_bounds(ks)
     lam = _lams(ks)
     live = np.flatnonzero(lam > 0.0)  # lam = 0: the plain sample
-    first = np.clip(live - 1, lo, hi - 2)
-    nodes = first[:, None] + np.arange(3)
+    nodes = live[:, None] + np.arange(-1, 2)
     x = ks.moments("point", nodes, 1)[..., 1]
-    bad = np.any(np.diff(x, axis=1) <= 0.0, axis=1)
-    if bad.any():
-        raise ValueError(f"coincident Greville points near index {live[bad][0]}")
     # weights 1 / ((x_k - x_{k-1})(x_k - x_{k-2})) of the second divided difference
     w = -lam[live, None] * (1.0 / ((x - np.roll(x, 1, axis=1)) * (x - np.roll(x, 2, axis=1))))
-    w[np.arange(len(live)), live - first] += 1.0
+    w[:, 1] += 1.0
     return _validated(_operator(ks, DISCRETE, live, nodes, w, 2, "S2"))
 
 
@@ -189,16 +183,8 @@ def gs2_quadratic_closed_form(ks: KnotSequence, i: int) -> tuple[float, float, f
 
 def _uniform_nb(kind: str, order: int, n: int, r, nspans: int, start: float, spacing: float):
     """Body of uniform_nb_dqi (kind "dqi") and uniform_nb_iqi (kind "iqi")."""
-    order, n = _int_arg("order", order), _int_arg("n", n)
-    if order < 2 or order % 2 != 0:
-        raise ValueError("order must be an even integer >= 2")
-    if n < 1:
-        raise ValueError("stencil half-width n must be >= 1")
-    degree = order - 1
-    r = degree if r is None else _int_arg("r", r)
-    if not 0 <= r <= degree:
-        raise ValueError("reproduction degree r must satisfy 0 <= r <= order - 1")
-    ks = KnotSequence.cardinal_uniform(degree, nspans, pad=n + 1, start=start, spacing=spacing)
+    order, n, r = _uniform_args(order, n, r)
+    ks = KnotSequence.cardinal_uniform(order - 1, nspans, pad=n + 1, start=start, spacing=spacing)
     if order == 4 and r == 3:
         # the cubic optimum is a_0 = 1 + 2c, a_n = -c
         c = (1.0 if kind == "dqi" else 2.0) / (6.0 * n * n)

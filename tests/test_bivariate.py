@@ -189,8 +189,20 @@ class TestTensorMesh:
         mesh = TensorMesh.from_text("0 0.5 1\n0 1 2 3\n")
         assert mesh.ncx == 2 and mesh.ncy == 3
 
+    def test_rejects_a_single_grid_line(self):
+        with pytest.raises(ValueError, match="^need at least one cell per direction$"):
+            TensorMesh([0.0, 1.0], [0.5])
+
+    def test_from_text_needs_two_lines(self):
+        with pytest.raises(ValueError, match="^expected one line of x knots and one of y knots$"):
+            TensorMesh.from_text("0 0.5 1\n\n")
+
 
 class TestBoxCoeffs:
+    def test_rejects_an_unknown_mesh_type(self):
+        with pytest.raises(ValueError, match="^mesh_type must be 'three-direction' or 'four-direction'$"):
+            nb_box_coeffs("six-direction", 1)
+
     def test_three_direction_values(self):
         center, vertex, nu = nb_box_coeffs("three-direction", 2)
         assert center == pytest.approx(1 + 1 / 8)
@@ -227,6 +239,11 @@ class TestBoxCoeffs:
 
 
 class TestCrissCrossFamilies:
+    def test_rejects_an_unknown_moment_kind(self):
+        fam = crisscross_t2(TensorMesh.uniform(5, 5))
+        with pytest.raises(ValueError, match="^unknown moment kind 'gauss'; use one of point, pyramid, cell$"):
+            dataclasses.replace(fam, moment_kind="gauss")
+
     def test_t2_uniform_values(self):
         fam = crisscross_t2(TensorMesh.uniform(5, 5))
         assert fam.a[2] == pytest.approx(-3.0 / 20.0, rel=1e-14)
@@ -370,6 +387,10 @@ class TestWholeMeshChecks:
 
 
 class TestMonomialResiduals:
+    def test_rejects_an_unknown_tag(self):
+        with pytest.raises(ValueError, match="^tag must be one of S1, T1, G1$"):
+            monomial_residuals("G2", TensorMesh.uniform(4, 4))
+
     def test_uniform_unit_mesh(self):
         mesh = TensorMesh.uniform(4, 4)
         assert monomial_residuals("S1", mesh)["e20"][2, 2] == pytest.approx(0.25, rel=1e-12)

@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from splineqi import normest
 from splineqi.cli import main
 from splineqi.nearbest import NearBestProblem
 from splineqi.partitions import parse_knot_spec
@@ -198,6 +200,17 @@ class TestNorms:
         assert float(row[3]) == pytest.approx(1.074, abs=0.01)
         assert row[5] == "lower-estimate"
 
+    def test_integral_norm_row(self, capsys):
+        # G2 has moment functionals: the coefficient-mode estimate, below the l1 bound
+        code, out, _ = run_cli(
+            capsys, "norms", "--family", "g2", "--knots", "cardinal:12", "--samples", "16"
+        )
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        assert row[0] == "G2"
+        assert float(row[2]) == pytest.approx(5.0 / 3.0, rel=1e-12)
+        assert 1.0 < float(row[3]) <= float(row[2])
+
 
 class TestRepro:
     def test_section_alias(self, capsys):
@@ -221,6 +234,19 @@ class TestRepro:
         code, out, _ = run_cli(capsys, "repro", "--out", str(path))
         assert code == 0 and out == ""
         assert path.read_bytes() == GOLDEN_REPRO.read_bytes()
+
+    def test_unknown_section_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "repro", "--section", "9.9")
+        assert code == 2 and out == ""
+        assert json.loads(err.strip())["error"].startswith("unknown table key '9.9'; use one of uniform-dqi")
+
+    def test_a_failed_claim_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(normest, "nu_bound", lambda q: 3.0)
+        code, out, err = run_cli(capsys, "repro", "--section", "4.1", "--samples", "16")
+        assert code == 1
+        assert err == "repro: at least one claim failed\n"
+        status = {row["claim"]: row["status"] for row in csv.DictReader(io.StringIO(out))}
+        assert status == {"s2-uniform/norm": "pass", "s2-uniform/nu-within-2.5": "fail"}
 
     def test_box_group_passes(self, capsys):
         code, out, _ = run_cli(capsys, "repro", "--section", "3.3")
@@ -252,6 +278,55 @@ class TestPlumbing:
         # config fills option defaults; the required flag still selects the command
         code, out, _ = run_cli(capsys, "--config", str(cfg), "biv", "--table", "nb4")
         assert code == 0
+        assert out.splitlines()[1:] == ["nb4,1,1.5,-0.125,2"]
+
+    def test_config_sets_subcommand_options(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("# knots for the build\nknots = uniform:4\nm=3\nunknown-key=1\nno pair here\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "build", "--family", "s1")
+        assert code == 0
+        # 4 spans of degree 3: 7 basis splines
+        assert len(out.splitlines()) == 1 + 7
+
+    def test_config_list_option_takes_whitespace_separated_items(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("scales=1 2\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "biv", "--table", "nb4")
+        assert code == 0
+        assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["1", "2"]
+
+    def test_command_line_flags_beat_the_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("knots=uniform:4\nm=3\nseed=4\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "build", "--family", "s1", "--m", "2")
+        assert code == 0 and len(out.splitlines()) == 1 + 6
+        # a global flag before the subcommand wins as well
+        argv = ["build", "--family", "s2", "--m", "2", "--knots", "random:6"]
+        _, with_config, _ = run_cli(capsys, "--config", str(cfg), "--seed", "5", *argv)
+        _, plain, _ = run_cli(capsys, "--seed", "5", *argv)
+        _, seed_4, _ = run_cli(capsys, "--seed", "4", *argv)
+        assert with_config == plain != seed_4
+
+    def test_config_needs_a_path(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["biv", "--table", "nb4", "--config"])
+        assert exc.value.code == 2
+        assert "--config needs a file path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [None, "scales=1 x\n"])
+    def test_unreadable_config(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.txt"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "biv", "--table", "nb4"])
+        assert exc.value.code == 2
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["splineqi", "biv", "--table", "nb3", "--scales", "2"])
+        assert main() == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("nb3,2,")
 
     def test_error_is_machine_readable(self, capsys):
         code, out, err = run_cli(capsys, "build", "--family", "qp2", "--m", "3", "--knots", "uniform:8")

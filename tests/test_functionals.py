@@ -188,6 +188,14 @@ class TestEntries:
 
 
 class TestConstructionValidation:
+    def test_record_kind_must_be_known(self, quad_uniform):
+        with pytest.raises(ValueError, match="^unknown functional kind 'moment'$"):
+            CoefficientFunctional(quad_uniform, "moment", 3, ((3, 1.0),))
+
+    def test_discrete_record_carries_no_kernel_entries(self, quad_uniform):
+        with pytest.raises(ValueError, match="^discrete functionals cannot carry kernel entries$"):
+            CoefficientFunctional(quad_uniform, DISCRETE, 3, ((3, 1.0),), ((3, 0.0),))
+
     @staticmethod
     def _replace_row(q, i, **entries):
         funs = list(q.functionals)

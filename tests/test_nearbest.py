@@ -91,6 +91,15 @@ class TestSimplex:
         assert obj == pytest.approx(2.0)
         assert obj == pytest.approx(float(y @ [4.0]))
 
+    def test_unbounded_objective(self):
+        # z0 - z1 = 0 with z0 = z1 = t, objective -t
+        with pytest.raises(RuntimeError, match="^objective unbounded below$"):
+            simplex_min([[1.0, -1.0]], [0.0], [-1.0, 0.0])
+
+    def test_iteration_limit(self):
+        with pytest.raises(RuntimeError, match="^simplex iteration limit reached in phase 1$"):
+            simplex_min([[1.0, 2.0]], [4.0], [1.0, 1.0], max_iter=0)
+
     def test_negative_rhs_handled(self):
         z, obj, _ = simplex_min(np.array([[-1.0, -2.0]]), np.array([-4.0]), np.array([1.0, 1.0]))
         np.testing.assert_allclose(z, [0.0, 2.0], atol=1e-12)
@@ -171,6 +180,18 @@ class TestProblemConstruction:
             NearBestProblem.from_discrete(ks, 10, 1, 3)
         with pytest.raises(ValueError, match="q <= min"):
             NearBestProblem.from_integral(ks, 10, 2, 4)
+
+    @pytest.mark.parametrize(
+        "matrix, rhs, message",
+        [
+            (np.zeros((2, 5)), np.zeros(3), "matrix shape inconsistent with p, q"),
+            (np.zeros((3, 3)), np.zeros(3), "matrix shape inconsistent with p, q"),
+            (np.zeros((3, 5)), np.zeros(2), "rhs shape inconsistent with q"),
+        ],
+    )
+    def test_shapes_must_match_p_and_q(self, matrix, rhs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NearBestProblem(matrix=matrix, rhs=rhs, anchor=10, p=2, q=2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["matrix", "rhs"])

@@ -228,6 +228,29 @@ class TestS2:
         with pytest.raises(ValueError, match="degree >= 2"):
             s2(ks)
 
+    @pytest.mark.parametrize(
+        "ks",
+        [
+            KnotSequence.clamped(2, [0.0, 1.0]),
+            KnotSequence.clamped(5, [0.0, 1e-6, 0.5, 1.0]),
+            KnotSequence.cardinal_uniform(2, 3, pad=0),
+            KnotSequence.cardinal_uniform(4, 2, pad=0, start=-1.5, spacing=0.25),
+            # outer knots of multiplicity m + 1 around the domain of a cardinal sequence
+            KnotSequence(2, [0.0, 0.0, 0.0, 1.0, 2.0, 2.0, 2.0], cardinal=True),
+        ],
+    )
+    def test_every_corrected_index_has_both_neighbours(self, ks):
+        # lam_i > 0 leaves theta_{i-1} < theta_i < theta_{i+1} inside the stored range
+        q = s2(ks)
+        for i, f in enumerate(q.functionals):
+            offsets, _ = _stencil(f)
+            assert offsets == ([-1, 0, 1] if ks.lam(i) > 0.0 else [0])
+
+    def test_repeated_interior_knot_rejected(self):
+        ks = KnotSequence(2, [0.0, 0.0, 0.0, 0.5, 0.5, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="^s2 requires strictly increasing interior knots$"):
+            s2(ks)
+
 
 class TestGS1:
     def test_exact_degree_one(self):
@@ -286,6 +309,15 @@ class TestGS1:
 
 
 class TestGS2:
+    @pytest.mark.parametrize("maker, name", [(gs1, "gs1"), (gs2, "gs2")])
+    def test_degree_one_rejected(self, maker, name):
+        with pytest.raises(ValueError, match=f"^{name} requires degree >= 2$"):
+            maker(KnotSequence.clamped(1, [0.0, 0.5, 1.0]))
+
+    def test_closed_form_is_for_degree_two(self):
+        with pytest.raises(ValueError, match="^closed form is for degree 2 only$"):
+            gs2_quadratic_closed_form(KnotSequence.clamped(3, np.linspace(0.0, 1.0, 6)), 3)
+
     def test_uniform_cardinal_weights(self):
         q = gs2(KnotSequence.cardinal_uniform(2, 30, pad=2))
         _, weights = _stencil(q.functionals[15])
@@ -464,6 +496,26 @@ class TestUniformFamilies:
             uniform_nb_dqi(4, 0)
         with pytest.raises(ValueError, match="order - 1"):
             uniform_nb_iqi(4, 2, r=4)
+
+    @pytest.mark.parametrize(
+        "order, n, r, message",
+        [
+            (3, 2, 1, "order must be an even integer >= 2"),
+            (4, 0, 1, "stencil half-width n must be >= 1"),
+            (4, 2, -1, "reproduction degree r must satisfy 0 <= r <= order - 1"),
+            (4, 2, 4, "reproduction degree r must satisfy 0 <= r <= order - 1"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["dqi", "iqi"])
+    def test_families_and_solver_check_arguments_alike(self, order, n, r, message, kind):
+        family = uniform_nb_dqi if kind == "dqi" else uniform_nb_iqi
+        for call in (lambda: family(order, n, r), lambda: solve_symmetric_uniform(order, n, r, kind=kind)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
+    def test_solver_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="^kind must be 'dqi' or 'iqi'$"):
+            solve_symmetric_uniform(4, 2, 3, kind="gqi")
 
 
 class TestNonuniformNB:

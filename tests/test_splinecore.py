@@ -242,6 +242,39 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite"):
             KnotSequence(2, [0.0, 0.0, 0.0, bad, 1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: KnotSequence(0, [0.0, 1.0, 2.0]), "degree must be >= 1"),
+            (lambda: KnotSequence(1, [0.0, 0.0, 1.0, 1.0], pad=-1), "pad must be >= 0"),
+            (lambda: KnotSequence(1, [[0.0, 0.0], [1.0, 1.0]]), "knots must be a flat sequence"),
+            (lambda: KnotSequence(2, [0.0, 0.0, 0.0, 1.0, 1.0]), "too few knots for this degree"),
+            # the domain [t_1, t_2] of one degree-1 span is the point 1
+            (lambda: KnotSequence(1, [0.0, 1.0, 1.0, 2.0]), "empty domain"),
+            (lambda: KnotSequence.clamped(2, [0.5]), "need at least two breakpoints"),
+            (lambda: KnotSequence.cardinal_uniform(2, 0), "nspans must be >= 1"),
+            (lambda: KnotSequence.cardinal_uniform(2, 4, spacing=0.0), "spacing must be positive"),
+        ],
+    )
+    def test_rejects_malformed_arguments(self, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make()
+
+    def test_knot_outside_the_stored_range(self):
+        ks = KnotSequence.clamped(2, [0.0, 0.5, 1.0])
+        assert ks.knot(-2) == 0.0 and ks.knot(4) == 1.0
+        for k in (-3, 5):
+            with pytest.raises(IndexError, match=f"^knot index {k} outside stored range$"):
+                ks.knot(k)
+
+    def test_repr(self):
+        assert repr(KnotSequence.clamped(2, [0.0, 0.5, 1.0])) == (
+            "KnotSequence(degree=2, spans=2, clamped, domain=[0, 1])"
+        )
+        assert repr(KnotSequence.cardinal_uniform(3, 5, pad=1, spacing=0.5)) == (
+            "KnotSequence(degree=3, spans=5, cardinal, domain=[0, 2.5])"
+        )
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_breakpoints(self, bad):
         with pytest.raises(ValueError, match="finite"):

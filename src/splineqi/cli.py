@@ -129,17 +129,12 @@ def cmd_nearbest(args):
 
 def cmd_norms(args):
     q = _build_family(args)
-    bound = normest.nu_bound(q)
-    if q.is_discrete:
-        emp = normest.empirical_norm_discrete(q, samples_per_span=args.samples)
-    else:
-        emp = normest.empirical_norm_integral(q, samples_per_span=args.samples)
     rows = [
         {
             "family": q.family,
             "params": ";".join(str(p) for p in q.params),
-            "nu_bound": bound,
-            "empirical": emp,
+            "nu_bound": normest.nu_bound(q),
+            "empirical": normest.empirical_norm_integral(q, samples_per_span=args.samples),
             "samples_per_span": args.samples,
             "estimate_kind": "lower-estimate",
         }
@@ -169,6 +164,8 @@ def cmd_biv(args):
             )
     elif args.table in ("t2", "g2"):
         mesh = _load_mesh(args)
+        if min(mesh.ncx, mesh.ncy) < 3:  # no interior cell, so no row
+            raise ValueError(f"--table {args.table} needs 3+ cells per axis, not {mesh.ncx} x {mesh.ncy}")
         fam = bivariate.crisscross_t2(mesh) if args.table == "t2" else bivariate.crisscross_g2(mesh)
         a, abar, centre, c, cbar = fam.stencils()
         for (i, j), nu in np.ndenumerate(fam.nu()):  # entry [i, j] is cell (i + 1, j + 1)
@@ -305,20 +302,22 @@ def cmd_repro(args):
 
 def _apply_config(parsers, path: str):
     """``key=value`` lines (``#`` comments) become the defaults of the options
-    of that name on every parser; argparse converts a string default by the
-    option's type, a list option splits at whitespace.  The SUPPRESS copies of
-    the globals are skipped, so a global flag before the subcommand wins."""
+    of that name on every parser, converted and checked as on the command
+    line: by the option's type and choices, a list option's value split at
+    whitespace.  The SUPPRESS copies of the globals are skipped, so a global
+    flag before the subcommand wins."""
     with open(path) as fh:
         pairs = [ln.split("=", 1) for ln in map(str.strip, fh) if "=" in ln and ln[0] != "#"]
     defaults = {key.strip().replace("-", "_"): val.strip() for key, val in pairs}
     for parser in parsers:
         for action in parser._actions:
             val = defaults.get(action.dest)
-            if val is None or action.default is argparse.SUPPRESS:
+            if val is None or not action.option_strings or action.default is argparse.SUPPRESS:
                 continue
-            if action.nargs == "+":
-                val = [action.type(item) for item in val.split()]
-            parser.set_defaults(**{action.dest: val})
+            items = [(action.type or str)(item) for item in (val.split() if action.nargs else [val])]
+            if not items or (action.choices and not set(items) <= set(action.choices)):
+                raise ValueError(f"invalid {action.option_strings[0]} value {val!r}")
+            parser.set_defaults(**{action.dest: items if action.nargs else items[0]})
 
 
 def _add_family_args(sp):

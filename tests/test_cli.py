@@ -188,6 +188,15 @@ class TestBiv:
         header = out.splitlines()[0].split(",")
         assert "nu_ij" in header
 
+    @pytest.mark.parametrize(
+        "table, size, shape", [("t2", ("--nx", "2"), "2 x 8"), ("g2", ("--ny", "1"), "8 x 1")]
+    )
+    def test_crisscross_table_needs_an_interior_cell(self, capsys, table, size, shape):
+        code, out, err = run_cli(capsys, "biv", "--table", table, *size)
+        assert code == 2 and out == ""
+        msg = json.loads(err.strip())["error"]
+        assert msg == f"--table {table} needs 3+ cells per axis, not {shape}"
+
 
 class TestNorms:
     def test_discrete_norm_row(self, capsys):
@@ -313,7 +322,7 @@ class TestPlumbing:
         assert exc.value.code == 2
         assert "--config needs a file path" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [None, "scales=1 x\n"])
+    @pytest.mark.parametrize("text", [None, "scales=1 x\n", "scales=\n", "mesh=hex\n", "mesh=Uniform\n"])
     def test_unreadable_config(self, capsys, tmp_path, text):
         cfg = tmp_path / "cfg.txt"
         if text is not None:

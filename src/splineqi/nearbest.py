@@ -14,14 +14,24 @@ returns owned copies of its anchor's row.
 The solver is a dense two-phase simplex on the split form
 ``lam = u - v, u, v >= 0``.  The pivot order is Bland's (first column with a
 negative reduced cost; least ratio, ties to the smallest basic variable), so
-results are deterministic and termination is finite.  A pivot is one rank-1
-update of the whole tableau; the scans run over Python floats.
+results are deterministic and termination is finite.  It runs on a stack of
+tableaux in lockstep: each round, every live problem makes one pivot, a
+rank-1 update of its own tableau, and a problem leaves the stack when it is
+done or fails.  The first ``solve_l1`` on a problem from a cached stack
+solves every anchor of that stack this way and keeps the answers on it; the
+problem links to its stack weakly, so kept problems do not keep stacks
+alive.  A problem whose stack is gone, whose arrays the caller wrote into,
+or whose anchor failed in the stack is solved alone, as a stack of one;
+``simplex_min`` is that stack of one, and gives each problem the same bits
+as the whole stack does.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +61,8 @@ class NearBestProblem:
     anchor: int
     p: int
     q: int
+    # weak reference to the cached _Stack, for problems made by ``from_*``
+    _stack: weakref.ref | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows, cols = self.matrix.shape
@@ -79,15 +91,30 @@ class NearBestProblem:
         if (kind, p, q) not in ks._problems:  # every anchor whose stencil fits, at once
             lo, hi = ks.greville_range()
             lo, hi = (lo + 1, hi - 1) if kind == "basis" else (lo, hi)  # B_j reads t_{j-m}..t_{j+1}
-            ks._problems[kind, p, q] = (lo + p, *_problem_data(ks, kind, np.arange(lo + p, hi - p + 1), p, q))
-        first, V, b = ks._problems[kind, p, q]
-        k = operator.index(i) - first
-        if not 0 <= k < len(b):  # the stencil does not fit: fail as the one-anchor assembly
+            ks._problems[kind, p, q] = _Stack(lo + p, *_problem_data(ks, kind, np.arange(lo + p, hi - p + 1), p, q))
+        stack = ks._problems[kind, p, q]
+        k = operator.index(i) - stack.first
+        if not 0 <= k < len(stack.b):  # the stencil does not fit: fail as the one-anchor assembly
             for j in (i, i - p, i + p):
                 ks.greville(j)
-            V, b, k = *_problem_data(ks, kind, np.array([i]), p, q), 0
+            stack, k = _Stack(i, *_problem_data(ks, kind, np.array([i]), p, q)), 0
         # owned C-contiguous copies, not views of the cached stack: the problems are kept
-        return cls(matrix=V[k].copy(), rhs=b[k].copy(), anchor=i, p=p, q=q)
+        prob = cls(matrix=stack.V[k].copy(), rhs=stack.b[k].copy(), anchor=i, p=p, q=q)
+        # weak, so that kept problems do not keep their sequences' stacks alive
+        object.__setattr__(prob, "_stack", weakref.ref(stack))
+        return prob
+
+
+@dataclass(eq=False)
+class _Stack:
+    """The problems of every anchor ``first + k`` of one ``(ks, kind, p, q)``:
+    matrices ``V[k]``, right-hand sides ``b[k]``, and ``solution``, the
+    lockstep solve of all of them that the first ``solve_l1`` makes."""
+
+    first: int
+    V: np.ndarray
+    b: np.ndarray
+    solution: tuple | None = None
 
 
 def _problem_data(ks: KnotSequence, kind: str, anchors: np.ndarray, p: int, q: int):
@@ -112,122 +139,172 @@ class NearBestSolution:
     duality_gap: float
 
 
-def _bland_entering(z: np.ndarray, tol: float) -> int:
-    for j, v in enumerate(z.tolist()):
-        if v < -tol:
-            return j
-    return -1
+def _pivot(T: np.ndarray, idx: np.ndarray, row: np.ndarray, col: np.ndarray):
+    """Pivot problem ``idx[g]`` of the stack on ``(row[g], col[g])``: the pivot
+    row is divided by its pivot, then every other row r of the tableau becomes
+    ``T[r] - T[r, col] * T[row]``."""
+    T[idx, row] /= T[idx, row, col][:, None]
+    f = T[idx, :, col]
+    f[np.arange(len(idx)), row] = 0.0
+    T[idx] -= f[:, :, None] * T[idx, row][:, None, :]
 
 
-def _ratio_leaving(T: np.ndarray, col: int, basis, tol: float) -> int:
-    best, leave = None, -1
-    for r, (a, rhs) in enumerate(zip(T[:-1, col].tolist(), T[:-1, -1].tolist())):
-        if a > tol:
-            key = (rhs / a, basis[r])
-            if best is None or key < best:
-                best, leave = key, r
-    return leave
-
-
-def _pivot(T: np.ndarray, row: int, col: int):
-    T[row] /= T[row, col]
-    f = T[:, col].copy()
-    f[row] = 0.0  # every other row r becomes T[r] - T[r, col] * T[row]
-    T -= np.multiply.outer(f, T[row])
-
-
-def _run_phase(T, basis, ncols: int, tol: float, max_iter: int, phase: int, stop=None):
-    """Bland pivots until no reduced cost in ``T[-1, :ncols]`` is below
-    ``-tol`` or, given ``stop``, the objective value ``-T[-1, -1]`` is at most
-    ``stop`` (at value 0 phase 1 is done; a roundoff reduced cost must not
-    pivot on)."""
-    for _ in range(max_iter):
-        if stop is not None and -T[-1, -1] <= stop:
+def _run_phase(T, basis, live, errors, ncols: int, tol: float, max_iter: int, phase: int, stop=None):
+    """Bland pivots on every live problem k until no reduced cost in
+    ``T[k, -1, :ncols]`` is below ``-tol`` or, given ``stop``, the objective
+    value ``-T[k, -1, -1]`` is at most ``stop[k]`` (at value 0 phase 1 is done;
+    a roundoff reduced cost must not pivot on).  The problems pivot in
+    lockstep, so each has made ``it`` pivots of this phase at round ``it``.  A
+    problem that is unbounded or reaches ``max_iter`` pivots gets its error
+    and leaves ``live``."""
+    idx = np.flatnonzero(live)
+    for it in itertools.count():
+        if it == max_iter:
+            _fail(errors, live, idx, lambda k: RuntimeError(f"simplex iteration limit reached in phase {phase}"))
             return
-        col = _bland_entering(T[-1, :ncols], tol)
-        if col < 0:
+        obj = T[idx, -1]
+        neg = obj[:, :ncols] < -tol
+        going = neg.any(axis=1)
+        if stop is not None:
+            going &= -obj[:, -1] > stop[idx]
+        idx, col = idx[going], neg[going].argmax(axis=1)  # Bland: the first negative reduced cost
+        if not len(idx):
             return
-        row = _ratio_leaving(T, col, basis, tol)
-        if row < 0:
-            raise RuntimeError(
-                "phase 1 unbounded (should be impossible)" if phase == 1 else "objective unbounded below"
-            )
-        _pivot(T, row, col)
-        basis[row] = col
-    raise RuntimeError(f"simplex iteration limit reached in phase {phase}")
+        # ratio test: the least (rhs / a, basic variable) over the rows with a > tol
+        a, rhs = T[idx, :-1, col], T[idx, :-1, -1]
+        ok = a > tol
+        ratio = np.divide(rhs, a, out=np.full(a.shape, np.inf), where=ok)
+        tie = ok & (ratio == ratio.min(axis=1, keepdims=True))
+        row = np.where(tie, basis[idx], T.shape[2]).argmin(axis=1)  # T.shape[2] > every basic variable
+        bounded = ok.any(axis=1)
+        if not bounded.all():
+            msg = "phase 1 unbounded (should be impossible)" if phase == 1 else "objective unbounded below"
+            _fail(errors, live, idx[~bounded], lambda k: RuntimeError(msg))
+            idx, row, col = idx[bounded], row[bounded], col[bounded]
+        _pivot(T, idx, row, col)
+        basis[idx, row] = col
+
+
+def _fail(errors: list, live: np.ndarray, idx: np.ndarray, error):
+    """Record ``error(k)`` for each problem k in ``idx`` and take it out of ``live``."""
+    for k in idx.tolist():
+        errors[k] = error(k)
+    live[idx] = False
+
+
+def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float, max_iter: int):
+    """Minimize ``c @ z`` subject to ``A[k] z = b[k]``, ``z >= 0`` for every
+    problem k of the stack ``A`` (K, m, n), ``b`` (K, m), in lockstep.
+
+    Returns ``(Z, Y, errors)``: the solutions and duals of the problems
+    whose ``errors[k]`` is None, each re-solved from the original data on its
+    final basis (so ``c @ Z[k] - Y[k] @ b[k]`` is the duality gap, zero up to
+    roundoff), and for the others the exception that ``simplex_min`` raises.
+    """
+    K, m, n = A.shape
+    errors: list = [None] * K
+    live = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
+    _fail(errors, live, np.flatnonzero(~live), lambda k: InfeasibleError("A and b must be finite"))
+    if not np.isfinite(c).all():
+        _fail(errors, live, np.flatnonzero(live), lambda k: ValueError("c must be finite"))
+    flip = np.where(b < 0, -1.0, 1.0)
+    A, b = A * flip[:, :, None], b * flip
+    A[~live], b[~live] = 0.0, 0.0  # no arithmetic on non-finite data
+
+    # phase 1: minimize the sum of artificial variables
+    T = np.zeros((K, m + 1, n + m + 1))
+    T[:, :m, :n] = A
+    T[:, :m, n : n + m] = np.eye(m)
+    T[:, :m, -1] = b
+    basis = np.tile(np.arange(n, n + m), (K, 1))
+    T[:, m] = -T[:, :m].sum(axis=1)
+    T[:, m, n : n + m] = 0.0
+    scale = np.maximum(1.0, np.abs(b).sum(axis=1))
+    _run_phase(T, basis, live, errors, n + m, tol, max_iter, 1, stop=tol * scale)
+    value = -T[:, m, -1]
+    _fail(
+        errors, live, np.flatnonzero(live & (value > 1e-9 * scale)),
+        lambda k: InfeasibleError(f"constraints infeasible (phase 1 value {value[k]:g})"),
+    )
+
+    # drive remaining artificials out of the basis; a redundant row is zeroed,
+    # so no later pivot or ratio test reads it
+    kept = np.ones((K, m), dtype=bool)
+    for r in np.flatnonzero((live[:, None] & (basis >= n)).any(axis=0)).tolist():
+        art = np.flatnonzero(live & (basis[:, r] >= n))
+        big = np.abs(T[art, r, :n]) > tol
+        has = big.any(axis=1)
+        T[art[~has], r] = 0.0
+        kept[art[~has], r] = False
+        art, piv = art[has], big[has].argmax(axis=1)
+        _pivot(T, art, np.full(len(art), r), piv)
+        basis[art, r] = piv
+
+    # phase 2 in place, the artificial columns ignored: objective row
+    # c - sum_r c_B[r] T[r] over the kept rows in order
+    T[:, m, :n] = c
+    T[:, m, n:] = 0.0
+    for r in range(m):
+        s = np.flatnonzero(live & kept[:, r])
+        T[s, m] -= c[basis[s, r]][:, None] * T[s, r]
+    _run_phase(T, basis, live, errors, n, tol, max_iter, 2)
+
+    # basic values and duals from the original data, free of the pivots'
+    # roundoff: one stacked solve for the problems that kept every row
+    Z, Y = np.zeros((K, n)), np.zeros((K, m))
+    full = kept.all(axis=1)
+    alone = np.flatnonzero(live & ~full)
+    F = np.flatnonzero(live & full)
+    try:
+        B = np.take_along_axis(A[F], basis[F, None, :], axis=2)
+        Z[F[:, None], basis[F]] = np.linalg.solve(B, b[F, :, None])[..., 0]
+        Y[F] = np.linalg.solve(B.transpose(0, 2, 1), c[basis[F], None])[..., 0]
+    except np.linalg.LinAlgError:  # some basis is singular: each on its own
+        alone = np.concatenate((F, alone))
+    for k in alone.tolist():
+        rows = np.flatnonzero(kept[k])
+        bas = basis[k, rows]
+        Z[k, bas] = T[k, rows, -1]
+        B = A[k][rows][:, bas]
+        if len(bas):
+            try:
+                Z[k, bas] = np.linalg.solve(B, b[k, rows])
+            except np.linalg.LinAlgError:
+                pass  # keep the tableau values
+        try:
+            Y[k, rows] = np.linalg.solve(B.T, c[bas]) if len(bas) else 0.0
+        except np.linalg.LinAlgError:
+            Y[k, rows] = np.linalg.lstsq(B.T, c[bas], rcond=None)[0]
+    return Z, Y * flip, errors
+
+
+def _answer(Z: np.ndarray, Y: np.ndarray, k: int, c: np.ndarray):
+    """``(z, c @ z, y)`` of problem k on owned copies: BLAS may round a dot
+    product of a view into the stack differently."""
+    z = Z[k].copy()
+    return z, float(c @ z), Y[k].copy()
 
 
 def simplex_min(A, b, c, *, tol: float = 1e-11, max_iter: int = 20000):
     """Minimize c @ z subject to A z = b, z >= 0.
 
-    Dense two-phase simplex with Bland's rule on one tableau.  Returns
+    Dense two-phase simplex with Bland's rule, run as a stack of one.  Returns
     ``(z, objective, y)`` where z and y are re-solved from the original data
     on the final basis (so ``objective - y @ b`` is the duality gap, zero up
     to roundoff).  Non-finite ``A`` or ``b`` raise ``InfeasibleError``, a
     non-finite ``c`` ``ValueError``.
     """
     A, b, c = (np.array(v, dtype=float) for v in (A, b, c))
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):  # no finite z solves A z = b
-        raise InfeasibleError("A and b must be finite")
-    if not np.isfinite(c).all():
-        raise ValueError("c must be finite")
-    m, n = A.shape
-    flip = np.where(b < 0, -1.0, 1.0)
-    A *= flip[:, None]
-    b *= flip
+    Z, Y, errors = _simplex(A[None], b[None], c, tol, max_iter)
+    if errors[0] is not None:
+        raise errors[0]
+    return _answer(Z, Y, 0, c)
 
-    # phase 1: minimize the sum of artificial variables
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    np.fill_diagonal(T[:m, n:], 1.0)
-    T[:m, -1] = b
-    basis = list(range(n, n + m))
-    T[m, :] = -T[:m, :].sum(axis=0)
-    T[m, n : n + m] = 0.0
-    scale = max(1.0, float(np.abs(b).sum()))
-    _run_phase(T, basis, n + m, tol, max_iter, 1, stop=tol * scale)
-    if -T[m, -1] > 1e-9 * scale:
-        raise InfeasibleError(f"constraints infeasible (phase 1 value {-T[m, -1]:g})")
 
-    # drive remaining artificials out of the basis; a redundant row is zeroed,
-    # so no later pivot or ratio test reads it
-    keep_rows = []
-    for r in range(m):
-        if basis[r] >= n:
-            piv = next((j for j, v in enumerate(T[r, :n].tolist()) if abs(v) > tol), None)
-            if piv is None:
-                T[r] = 0.0
-                continue
-            _pivot(T, r, piv)
-            basis[r] = piv
-        keep_rows.append(r)
-
-    # phase 2 in place, the artificial columns ignored: objective row
-    # c - sum_r c_B[r] T[r] over the kept rows in order
-    T[m, :n] = c
-    T[m, n:] = 0.0
-    for r in keep_rows:
-        T[m] -= c[basis[r]] * T[r]
-    _run_phase(T, basis, n, tol, max_iter, 2)
-
-    rows = keep_rows if len(keep_rows) < m else slice(m)
-    basis = [basis[r] for r in keep_rows]
-    z = np.zeros(n)
-    z[basis] = T[rows, -1]
-    B = A[rows][:, basis]
-    if basis:
-        try:  # basic values from the original data, free of the pivots' roundoff
-            z[basis] = np.linalg.solve(B, b[rows])
-        except np.linalg.LinAlgError:
-            pass  # keep the tableau values
-    obj = float(c @ z)
-    try:
-        y_red = np.linalg.solve(B.T, c[basis]) if basis else np.zeros(0)
-    except np.linalg.LinAlgError:
-        y_red = np.linalg.lstsq(B.T, c[basis], rcond=None)[0]
-    y = np.zeros(m)
-    y[rows] = y_red
-    return z, obj, y * flip
+def _split_answer(z: np.ndarray, obj: float, y: np.ndarray, b):
+    """``(x, objective, duality gap)`` of the split LP's answer, ``x = u - v``."""
+    n = len(z) // 2
+    return z[:n] - z[n:], obj, abs(obj - float(y @ b))
 
 
 def solve_weighted_l1(A, b, obj_weights=None, *, tol: float = 1e-11):
@@ -245,14 +322,33 @@ def solve_weighted_l1(A, b, obj_weights=None, *, tol: float = 1e-11):
         if (w < 0).any():
             raise ValueError("obj_weights must be nonnegative")
         c[:n] = c[n:] = w
-    z, obj, y = simplex_min(np.concatenate((A, -A), axis=1), b, c, tol=tol)
-    return z[:n] - z[n:], obj, abs(obj - float(y @ b))
+    return _split_answer(*simplex_min(np.concatenate((A, -A), axis=1), b, c, tol=tol), b)
+
+
+def _stack_answer(prob: NearBestProblem):
+    """``solve_weighted_l1``'s answer for ``prob`` from the lockstep solve of
+    its whole stack, made on the first call; None when the stack is gone,
+    the caller wrote into the problem's arrays, or the stack solve flagged
+    this anchor (solved alone, it raises its own error)."""
+    stack = prob._stack() if prob._stack is not None else None
+    if stack is None:
+        return None
+    k = prob.anchor - stack.first
+    if prob.matrix.tobytes() != stack.V[k].tobytes() or prob.rhs.tobytes() != stack.b[k].tobytes():
+        return None
+    c = np.ones(2 * stack.V.shape[2])
+    if stack.solution is None:
+        stack.solution = _simplex(np.concatenate((stack.V, -stack.V), axis=2), stack.b, c, 1e-11, 20000)
+    Z, Y, errors = stack.solution
+    if errors[k] is not None:
+        return None
+    return _split_answer(*_answer(Z, Y, k, c), prob.rhs)
 
 
 def solve_l1(prob: NearBestProblem) -> NearBestSolution:
     """Solve one anchor's minimization; certifies feasibility and optimality
     (a NaN residual or gap fails its certificate)."""
-    lam, nu, gap = solve_weighted_l1(prob.matrix, prob.rhs)
+    lam, nu, gap = _stack_answer(prob) or solve_weighted_l1(prob.matrix, prob.rhs)
     residual = float(np.abs(prob.matrix @ lam - prob.rhs).max())
     if not residual <= 1e-9 * max(float(np.abs(prob.rhs).max()), 1.0):
         raise InfeasibleError(f"feasibility residual {residual:g} too large")

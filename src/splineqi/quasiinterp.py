@@ -242,14 +242,15 @@ def uniform_nb_iqi(
 def partition_condition_violations(ks: KnotSequence, p: int) -> list[int]:
     """Indices violating the stencil balance condition
     theta_{i-1} + theta_i <= theta_{i-p} + theta_{i+p} <= theta_i + theta_{i+1},
-    checked wherever the full +-p window exists."""
+    checked wherever the full +-p window exists, to a tolerance relative to
+    the window, so that a scaled partition gives the same answer."""
     p = _int_arg("p", p)
     glo, ghi = _stencil_bounds(ks)
     reach = max(abs(p), 1)
     i = np.arange(max(glo + reach, 0), min(ghi - reach, ks.nbasis - 1) + 1)
     g = ks.moments("point", i[:, None] + np.array([-p, -1, 0, 1, p]), 1)[..., 1]
     mid = g[:, 0] + g[:, 4]
-    width = np.maximum(1.0, np.abs(mid))
+    width = np.maximum(np.abs(mid), g[:, 4] - g[:, 0])
     bad = (g[:, 1] + g[:, 2] > mid + 1e-12 * width) | (mid > g[:, 2] + g[:, 3] + 1e-12 * width)
     return i[bad].tolist()
 

@@ -69,7 +69,8 @@ class KnotSequence:
     so instances are safe for concurrent read access: the Greville points, the
     span map, the Gauss kernel rule tables, one per ``(degree, npts)``
     (``_rules``), and the near-best problem stacks that ``nearbest`` fills
-    once per ``(kind, p, q)`` (``_problems``).
+    once per ``(kind, p, q)`` (``_problems``), each with the answers of its
+    lockstep solve once the first ``solve_l1`` has made them.
     """
 
     def __init__(self, degree: int, knots, *, cardinal: bool = False, pad: int = 0):
@@ -105,7 +106,7 @@ class KnotSequence:
         if not cardinal and (t[pad] < t[pad + degree] or t[-1 - pad - degree] < t[-1 - pad]):
             raise ValueError(f"non-cardinal knots need {degree + 1} equal knots at each end of the domain")
         self._rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._problems: dict[tuple[str, int, int], tuple] = {}
+        self._problems: dict[tuple[str, int, int], object] = {}  # nearbest._Stack
 
     # ------------------------------------------------------------------ setup
 

@@ -653,56 +653,84 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _sweep():
-    """Rough partitions (ratio 1e3), m = 2..5, several (p, q), both kinds."""
-    for m in (2, 3, 4, 5):
-        for seed in range(2):
-            ks = random_clamped(m, 14, np.random.default_rng(70 + 10 * m + seed))
-            for p in (1, 2, 3, 4):
-                for q in sorted({1, min(m, 2 * p) - 1, min(m, 2 * p)}):
-                    for i in range(p, ks.nbasis - p):
-                        for maker in (NearBestProblem.from_discrete, NearBestProblem.from_integral):
-                            yield maker(ks, i, p, q)
+    """Rough partitions (ratio 1e3), m = 2..5, several (p, q), both kinds.
+    The sequences come back with the problems: while they live, so do the
+    cached stacks that ``solve_l1`` solves in lockstep."""
+    seqs = [random_clamped(m, 14, np.random.default_rng(70 + 10 * m + seed)) for m in (2, 3, 4, 5) for seed in range(2)]
+    probs = [
+        maker(ks, i, p, q)
+        for ks in seqs
+        for p in (1, 2, 3, 4)
+        for q in sorted({1, min(ks.m, 2 * p) - 1, min(ks.m, 2 * p)})
+        for i in range(p, ks.nbasis - p)
+        for maker in (NearBestProblem.from_discrete, NearBestProblem.from_integral)
+    ]
+    return seqs, probs
 
 
 def _fixed_anchors():
     ks = random_clamped(4, 100, np.random.default_rng(8))
-    return [
+    return [ks], [
         getattr(NearBestProblem, f"from_{kind}")(ks, i, 4, 4)
         for kind, i in (("discrete", 25), ("discrete", 40), ("integral", 25), ("integral", 37))
     ]
 
 
+def _stack(prob):
+    """The live cached stack of ``prob`` and its row there."""
+    stack = prob._stack()
+    return stack, prob.anchor - stack.first
+
+
 class TestSimplexAgainstTheTableauOracle:
     @pytest.mark.parametrize("source", ["sweep", "fixed"])
-    def test_solutions_bitwise_equal(self, source):
-        probs = list(_sweep()) if source == "sweep" else _fixed_anchors()
+    def test_solutions_bitwise_equal(self, source, monkeypatch):
+        seqs, probs = _sweep() if source == "sweep" else _fixed_anchors()
+        alone = []
+        single = nearbest.solve_weighted_l1
+        monkeypatch.setattr(nearbest, "solve_weighted_l1", lambda *a: alone.append(a) or single(*a))
         solved = 0
         for prob in probs:
             want = _outcome(_oracle_solve_l1, prob)
             assert _outcome(solve_l1, prob) == want, (prob.anchor, prob.p, prob.q)
+            stack, _ = _stack(prob)
+            assert stack.solution is not None and len(stack.b) > 1
             A = np.hstack([prob.matrix, -prob.matrix])
             c = np.ones(A.shape[1])
             assert _outcome(simplex_min, A, prob.rhs, c) == _outcome(_oracle_simplex_min, A, prob.rhs, c)
             solved += isinstance(want, list)
+        assert alone == []  # every answer came from a stack solve
         assert solved == len(probs) >= 4
         assert source == "fixed" or solved > 1000
 
     def test_same_pivot_sequence(self, monkeypatch):
         # full-rank problems: no row is dropped, so phase-2 rows index alike
-        seen = {"new": [], "oracle": []}
-        pivots = {"new": nearbest._pivot, "oracle": _oracle_pivot}
+        seqs, probs = _sweep()
+        fixed_seqs, fixed = _fixed_anchors()
+        new, oracle = [], []
+        stacked, oracle_pivot = nearbest._pivot, _oracle_pivot
 
-        def recorder(side):
-            return lambda T, row, col: (seen[side].append((row, col)), pivots[side](T, row, col))
+        def record(T, idx, row, col):
+            new.extend(zip(idx.tolist(), row.tolist(), col.tolist()))
+            stacked(T, idx, row, col)
 
-        monkeypatch.setattr(nearbest, "_pivot", recorder("new"))
-        monkeypatch.setitem(globals(), "_oracle_pivot", recorder("oracle"))
-        for prob in [*_sweep(), *_fixed_anchors()]:
-            solve_l1(prob)
+        def record_oracle(T, row, col):
+            oracle.append((row, col))
+            oracle_pivot(T, row, col)
+
+        monkeypatch.setattr(nearbest, "_pivot", record)
+        monkeypatch.setitem(globals(), "_oracle_pivot", record_oracle)
+        seen = {}  # stack -> pivots per problem of its lockstep solve
+        for prob in probs + fixed:
+            stack, k = _stack(prob)
+            if stack not in seen:
+                new.clear()
+                solve_l1(prob)
+                seen[stack] = [[(r, c) for g, r, c in new if g == h] for h in range(len(stack.b))]
+            oracle.clear()
             _oracle_solve_l1(prob)
-            assert seen["new"] == seen["oracle"], (prob.anchor, prob.p, prob.q)
-            seen["new"].clear()
-            seen["oracle"].clear()
+            assert seen[stack][k] == oracle, (prob.anchor, prob.p, prob.q)
+        assert len(seen) > 100 and min(len(stack.b) for stack in seen) > 1
 
     def test_symmetric_uniform_bitwise_equal(self, monkeypatch):
         cases = [(o, n, r, k) for o in (4, 6, 8) for n in (1, 2, 3) for r in range(o) for k in ("dqi", "iqi")]
@@ -722,3 +750,117 @@ class TestSimplexAgainstTheTableauOracle:
         ):
             assert _outcome(simplex_min, A, b, np.ones(2)) == _outcome(_oracle_simplex_min, A, b, np.ones(2))
             assert _outcome(solve_weighted_l1, A, b) == _outcome(_oracle_solve_weighted_l1, A, b)
+
+
+def _mixed_stack():
+    """Five LPs of one shape, min c @ z with c = (1, 1, -1): bounded,
+    unbounded (the ray (0, 1, 2)), a redundant row, infeasible, non-finite."""
+    A = np.array(
+        [
+            [[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+            [[1.0, 0.0, 0.0], [0.0, 2.0, -1.0]],
+            [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],
+            [[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]],
+            [[1.0, np.nan, 1.0], [1.0, 1.0, 1.0]],
+        ]
+    )
+    b = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 2.0], [1.0, 2.0], [1.0, 1.0]])
+    return A, b, np.array([1.0, 1.0, -1.0])
+
+
+def _stack_outcomes(A, b, c, max_iter=20000):
+    """Per problem, what the lockstep solve of the whole stack gives it, as ``_outcome`` reads it."""
+    Z, Y, errors = nearbest._simplex(A, b, c, 1e-11, max_iter)
+
+    def outcome(k, e):
+        if e:
+            return type(e), str(e)
+        return [(v.dtype, v.shape, v.tobytes()) for v in map(np.asarray, nearbest._answer(Z, Y, k, c))]
+
+    return [outcome(k, e) for k, e in enumerate(errors)]
+
+
+class TestStackSolve:
+    """The first ``solve_l1`` on a problem of a cached stack solves every
+    anchor of the stack in lockstep; each answer must be the one-problem
+    answer, bit for bit, and a failing anchor must fail as it does alone."""
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3, 20000])
+    def test_each_problem_as_alone(self, max_iter):
+        A, b, c = _mixed_stack()
+        want = [_outcome(simplex_min, A[k], b[k], c, max_iter=max_iter) for k in range(len(A))]
+        assert _stack_outcomes(A, b, c, max_iter) == want
+        if max_iter == 20000:
+            assert [w[0] if isinstance(w, tuple) else list for w in want] == [
+                list, RuntimeError, list, InfeasibleError, InfeasibleError,
+            ]
+
+    def test_non_finite_cost_fails_every_finite_problem(self):
+        A, b, _ = _mixed_stack()
+        c = np.array([1.0, np.inf, 1.0])
+        got = _stack_outcomes(A, b, c)
+        for k in range(4):
+            with pytest.raises(ValueError, match="^c must be finite$"):
+                simplex_min(A[k], b[k], c)
+            assert got[k] == (ValueError, "c must be finite")
+        assert got[4] == _outcome(simplex_min, A[4], b[4], c) == (InfeasibleError, "A and b must be finite")
+
+    def test_singular_bases(self, monkeypatch):
+        # no LP of these tests ends on a basis that LAPACK finds exactly
+        # singular, so every square solve is made to fail: the answers are
+        # then the tableau values and the least-squares duals
+        def singular(B, rhs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        probs = _sweep()[1][::40]
+        A = np.stack([np.hstack([p.matrix, -p.matrix]) for p in probs if p.matrix.shape == (3, 3)])
+        b = np.stack([p.rhs for p in probs if p.matrix.shape == (3, 3)])
+        c = np.ones(A.shape[2])
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        want = [_outcome(_oracle_simplex_min, A[k], b[k], c) for k in range(len(A))]
+        assert _stack_outcomes(A, b, c) == want
+        assert len(want) > 5 and all(isinstance(w, list) for w in want)
+
+    def test_roundoff_pivot_anchors_fail_alone(self):
+        # the FOUND case of CHANGES.md: at offset 1e4, six anchors pivot on
+        # roundoff and raise InfeasibleError; the others solve
+        ks = KnotSequence.clamped(2, 1e4 + np.linspace(0.0, 1.0, 13))
+        lo, hi = ks.greville_range()
+        probs = [NearBestProblem.from_integral(ks, i, 1, 2) for i in range(lo + 2, hi - 1)]
+        failing = [3, 4, 6, 7, 9, 10]
+        got = [_outcome(solve_l1, prob) for prob in probs]
+        stack, _ = _stack(probs[0])
+        assert len(stack.b) == len(probs) > 6
+        assert [stack.first + k for k, e in enumerate(stack.solution[2]) if e] == failing
+        for prob, out in zip(probs, got):
+            assert out == _outcome(_oracle_solve_l1, prob), prob.anchor
+            failed = prob.anchor in failing
+            assert (out[0] is InfeasibleError) == failed, prob.anchor
+            if failed:
+                assert out[1].startswith("constraints infeasible (phase 1 value ")
+
+    @pytest.mark.parametrize("field", ["matrix", "rhs"])
+    def test_written_problem_solved_as_written(self, field, monkeypatch):
+        ks = random_clamped(4, 12, np.random.default_rng(90))
+        probs = [NearBestProblem.from_integral(ks, i, 2, 4) for i in (5, 6, 7)]
+        getattr(probs[0], field)[1] *= 1.5
+        alone = []
+        single = nearbest.solve_weighted_l1
+        monkeypatch.setattr(nearbest, "solve_weighted_l1", lambda *a: alone.append(a) or single(*a))
+        for prob in probs:
+            assert _outcome(solve_l1, prob) == _outcome(_oracle_solve_l1, prob), prob.anchor
+        # the stack was solved from its own data; only the written problem went alone
+        assert len(alone) == 1 and alone[0][0] is probs[0].matrix
+        assert _stack(probs[0])[0].solution is not None
+        assert _outcome(solve_l1, NearBestProblem.from_integral(ks, 5, 2, 4)) != _outcome(solve_l1, probs[0])
+
+    def test_dropped_sequence_solves_the_same(self):
+        def make():
+            return NearBestProblem.from_discrete(random_clamped(5, 12, np.random.default_rng(91)), 6, 3, 5)
+
+        orphan = make()  # its sequence, and with it the stack, is gone
+        assert orphan._stack() is None
+        ks = random_clamped(5, 12, np.random.default_rng(91))
+        kept = NearBestProblem.from_discrete(ks, 6, 3, 5)
+        assert _outcome(solve_l1, orphan) == _outcome(solve_l1, kept) == _outcome(_oracle_solve_l1, orphan)
+        assert _stack(kept)[0].solution is not None

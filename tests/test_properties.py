@@ -91,8 +91,7 @@ def test_discrete_and_g1_weights_are_invariant_under_power_of_two_scaling(m, spa
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(4, 12), seed=st.integers(0, 2**32 - 1), p=st.integers(2, 3), e=exponents)
 def test_qp2_weights_are_invariant_under_power_of_two_scaling(n, seed, p, e):
-    # partitions that satisfy the balance condition: its tolerance has an
-    # absolute floor, so on a tiny domain it passes violations (CHANGES.md)
+    # partitions that satisfy the balance condition, so that both scales build
     bp = np.unique(random_admissible_clamped(n, np.random.default_rng(seed), p).knots)
     want = _outcome(lambda: nb_dqi_nonuniform(KnotSequence.clamped(2, bp), p))
     assert _outcome(lambda: nb_dqi_nonuniform(KnotSequence.clamped(2, bp * 2.0**e), p)) == want

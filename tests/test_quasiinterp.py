@@ -30,6 +30,7 @@ from splineqi.quasiinterp import (
     partition_condition_violations,
 )
 from splineqi.partitions import (
+    geometric_breakpoints,
     random_admissible_clamped,
     random_clamped,
 )
@@ -82,7 +83,7 @@ def _partition_violations_loop(ks, p):
         if i - p < glo or i + p > ghi or i - 1 < glo or i + 1 > ghi:
             continue
         mid = ks.greville(i - p) + ks.greville(i + p)
-        width = max(1.0, abs(mid))
+        width = max(abs(mid), ks.greville(i + p) - ks.greville(i - p))
         if (
             ks.greville(i - 1) + ks.greville(i) > mid + 1e-12 * width
             or mid > ks.greville(i) + ks.greville(i + 1) + 1e-12 * width
@@ -542,6 +543,13 @@ class TestNonuniformNB:
             for _ in range(25):
                 ks = random_admissible_clamped(12, rng, p)
                 assert nu_bound(nb_dqi_nonuniform(ks, p)) <= 3.0 + 1e-12
+
+    @pytest.mark.parametrize("e", [0, -35, -40])
+    def test_violation_found_at_every_scale(self, e):
+        # index 2 violates the condition by 0.028 on [0, 1] (0.829 > 0.801);
+        # an absolute tolerance floor passed it once scaled by 2^-35
+        ks = KnotSequence.clamped(2, geometric_breakpoints(4, 2.0) * 2.0**e)
+        assert partition_condition_violations(ks, 2) == [2]
 
     def test_violating_partition_reports_index(self):
         # one very long span in the middle breaks the balance condition

@@ -181,7 +181,7 @@ class QuasiInterpolant:
         """f at the point sources, or its kernel integrals: one call of f on the live nodes."""
         ks, kind = self.ks, _MOMENT_KINDS[band.kind]
         if kind == "point":
-            nodes = ks.moments("point", band.sources, 1)[:, 1]
+            nodes = ks.greville_points(band.sources)
             return np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
         nodes, wts, live = ks.kernel_rules(kind, band.sources, npts)
         counts = live.sum(axis=1)
@@ -221,7 +221,7 @@ def is_exact_on(q: QuasiInterpolant, degree: int, rtol: float = 1e-10) -> tuple[
     if degree > ks.m:
         raise ValueError("cannot be exact beyond the spline degree")
     scale = ks.b - ks.a
-    theta = ks.moments("point", ks.basis_indices, 1)[:, 1]
+    theta = ks.greville_points(ks.basis_indices)
     got = -ks.moments("symmetric", ks.basis_indices, degree, center=theta, scale=scale)
     for band in [b for b in q.bands if b.sources.size]:
         rows, cols = np.nonzero(band.weights)

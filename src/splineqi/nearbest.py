@@ -122,7 +122,7 @@ def _problem_data(ks: KnotSequence, kind: str, anchors: np.ndarray, p: int, q: i
     ``i = anchors[g]`` in the monomials ``((x - theta_i)/scale_i)**r``:
     Greville-point powers (``kind`` "point") or basis-kernel moments ("basis")
     at the sources i-p..i+p, and the symmetric coefficients of i."""
-    theta = ks._greville[anchors[:, None] + np.array([0, -p, p]) - ks.greville_range()[0]]
+    theta = ks.greville_points(anchors[:, None] + np.array([0, -p, p]))
     center, lo, hi = theta.T
     spread = np.maximum(hi - center, center - lo) if kind == "point" else (hi - lo) / 2.0
     scale = np.maximum(spread, 1e-300)

@@ -14,12 +14,16 @@ them into the weight of each source at each point
 (``WeightBand.at``); the absolute-weight sums follow directly.  In kernel
 mode the combined kernel at every point is, on each kernel-space span, one
 polynomial: the point's kernel weights times the power-form pieces of the
-kernels on that span (``KnotSequence.kernel_pieces``, built once per call
-from each kernel's own knot window).  Its values on a subgrid of
-``sign_samples`` midpoints plus the span ends bracket the roots; bisection,
-run on all brackets together, refines them, and each sign-constant piece
-is integrated exactly through the antiderivative.  The single-point
-functions are one-point calls into the same path.
+kernels on that span (``KnotSequence.kernel_pieces``, gathered from a table
+that each sequence builds once per degree, every kernel from its own knot
+window).  Its values on a subgrid of ``sign_samples`` midpoints plus the
+span ends bracket the roots; bisection, run on all brackets together,
+refines them to width ``2**-27`` in the span variable, and each
+sign-constant piece is integrated exactly through the antiderivative.  A
+cut at distance ``d`` from a simple root changes the integral by at most
+``|f'|max d**2``, here ``|f'|max 2**-56``, so the cuts need not be roots
+to full precision (``_bisect``).  The single-point functions are one-point
+calls into the same path.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ def _sample_points(q: QuasiInterpolant, samples_per_span: int) -> np.ndarray:
         lo, hi = a + width / 4.0, b - width / 4.0
     else:
         lo, hi = a, b
-    t = ks.knots[ks.m + ks.pad : ks.m + ks.pad + ks.n + 1]  # t_0, ..., t_n
+    t = ks._t[ks.m + ks.pad : ks.m + ks.pad + ks.n + 1]  # t_0, ..., t_n, without copying the knots
     u0, u1 = t[:-1], t[1:]
     keep = (u1 > u0) & (u1 > lo) & (u0 < hi)
     offs = np.arange(samples_per_span) / samples_per_span
@@ -64,28 +68,40 @@ def _sample_points(q: QuasiInterpolant, samples_per_span: int) -> np.ndarray:
 
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Polynomials with power coefficients ``c[..., p]`` at ``x``."""
-    out = c[..., -1] * np.ones_like(x)
-    for p in range(c.shape[-1] - 2, -1, -1):
-        out = out * x + c[..., p]
+    """Polynomials with power coefficients ``c[p]`` (first axis) at ``x``."""
+    out = c[-1]
+    for p in range(len(c) - 2, -1, -1):
+        out = out * x + c[p]
     return out
 
 
-def _bisect(c, lo, hi, flo, tol: float = 1e-13, steps: int = 60) -> np.ndarray:
-    """Sign changes of the polynomials ``c`` (one per bracket, power form)
-    inside the brackets ``[lo, hi]``, ``flo`` the values at ``lo``.  A
-    bracket stops at an exact zero of its midpoint or once narrower than
-    ``tol``; the result is the midpoint of the final bracket."""
+def _bisect(c, lo, hi, flo, tol: float = 2.0**-27, steps: int = 60) -> np.ndarray:
+    """Sign changes of the polynomials ``c[:, i]`` (one per bracket, power
+    form, coefficients first) inside the brackets ``[lo, hi]``, ``flo`` the
+    values at ``lo``.  A bracket stops at an exact zero of its midpoint or
+    once no wider than ``tol``; the result is the midpoint of the final
+    bracket.
+
+    The cuts only split the integral of ``|f|`` into sign-constant pieces,
+    so they need not be roots to full precision: a cut at distance ``d``
+    from a simple root changes the integral by at most ``|f'|max d**2``.
+    With ``d <= tol/2`` and ``tol = 2**-27`` in tau in [0, 1] the change is
+    at most ``|f'|max 2**-56``, under the rounding of the integral itself
+    (``2**-53 |f|max``) wherever ``|f'|max <= 8 |f|max``.  A bracket of
+    width 1/8 stops after 24 halvings.
+    """
+    neg = flo < 0  # the sign at lo, which every move of lo keeps
+    lo, hi = lo.copy(), hi.copy()  # moved in place
     active = np.ones(len(lo), dtype=bool)
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         fm = _horner(c, mid)
-        active &= (fm != 0.0) & (hi - lo >= tol)
-        if not active.any():
+        active &= (fm != 0.0) & (hi - lo > tol)
+        if not np.count_nonzero(active):
             break
-        left = active & ((fm < 0) == (flo < 0))
-        lo, flo = np.where(left, mid, lo), np.where(left, fm, flo)
-        hi = np.where(active & ~left, mid, hi)
+        left = active & ((fm < 0) == neg)
+        np.copyto(lo, mid, where=left)
+        np.copyto(hi, mid, where=active ^ left)
     return 0.5 * (lo + hi)
 
 
@@ -102,9 +118,11 @@ def _abs_kernel_integrals(q: QuasiInterpolant, k, weights, sign_samples: int) ->
     # poly[p, s]: the combined kernel on kernel-space span k[p] + lo + shift - deg + s
     nspans = nsrc + deg
     poly = np.zeros((npts, nspans, deg + 1))
+    terms = weights[:, :, None, None] * table[k[:, None] + np.arange(nsrc)]
     for s in range(nsrc):
-        poly[:, s : s + deg + 1] += weights[:, s, None, None] * table[k + s]
-    t = ks.knots
+        poly[:, s : s + deg + 1] += terms[:, s]
+    coef = np.moveaxis(poly, -1, 0)  # coef[p]: the coefficients of tau**p
+    t = ks._t
     first = band.lo + shift - deg + ks.m + ks.pad  # knot-array position of span s = 0 at k = 0
     pos = np.clip(k[:, None] + first + np.arange(nspans), 0, len(t) - 2)
     span_width = t[pos + 1] - t[pos]
@@ -115,12 +133,12 @@ def _abs_kernel_integrals(q: QuasiInterpolant, k, weights, sign_samples: int) ->
     pi, si, ii = np.nonzero((va != 0.0) & (vb != 0.0) & ((va < 0) != (vb < 0)))
     cuts = np.full(vals.shape[:-1] + (sign_samples + 3,), -np.inf)
     cuts[..., 0], cuts[..., -1] = 0.0, 1.0
-    cuts[pi, si, ii + 1] = _bisect(poly[pi, si], tau[ii], tau[ii + 1], va[pi, si, ii])
+    cuts[pi, si, ii + 1] = _bisect(coef[:, pi, si], tau[ii], tau[ii + 1], va[pi, si, ii])
     # a sample interval without a root repeats the previous cut: a piece of width 0
     cuts = np.maximum.accumulate(cuts, axis=-1)
-    anti = np.zeros((npts, nspans, deg + 2))
-    anti[..., 1:] = poly / np.arange(1, deg + 2)
-    ends = _horner(anti[..., None, :], cuts)
+    anti = np.zeros((deg + 2, npts, nspans, 1))
+    anti[1:, ..., 0] = coef / np.arange(1, deg + 2)[:, None, None]
+    ends = _horner(anti, cuts)
     return (np.abs(np.diff(ends, axis=-1)).sum(axis=-1) * span_width).sum(axis=1)
 
 

@@ -68,9 +68,9 @@ def _stencil_bounds(ks: KnotSequence) -> tuple[int, int]:
 
 
 def _lams(ks: KnotSequence) -> np.ndarray:
-    """``KnotSequence.lam`` at every basis index: one ``moments`` call for the
-    Greville points, one for the symmetric functions centred at them."""
-    theta = ks.moments("point", ks.basis_indices, 1)[:, 1]
+    """``KnotSequence.lam`` at every basis index: one gather of the Greville
+    points, one ``moments`` call for the symmetric functions centred at them."""
+    theta = ks.greville_points(ks.basis_indices)
     return -ks.moments("symmetric", ks.basis_indices, 2, center=theta)[:, 2]
 
 
@@ -115,7 +115,7 @@ def s2(ks: KnotSequence) -> QuasiInterpolant:
     lam = _lams(ks)
     live = np.flatnonzero(lam > 0.0)  # lam = 0: the plain sample
     nodes = live[:, None] + np.arange(-1, 2)
-    x = ks.moments("point", nodes, 1)[..., 1]
+    x = ks.greville_points(nodes)
     # weights 1 / ((x_k - x_{k-1})(x_k - x_{k-2})) of the second divided difference
     w = -lam[live, None] * (1.0 / ((x - np.roll(x, 1, axis=1)) * (x - np.roll(x, 2, axis=1))))
     w[:, 1] += 1.0
@@ -150,7 +150,7 @@ def gs2(ks: KnotSequence) -> QuasiInterpolant:
     _require_distinct_interior(ks, "gs2")
     ends = () if ks.cardinal else (0, ks.nbasis - 1)
     inner = np.array([i for i in ks.basis_indices if i not in ends], dtype=int)
-    center = ks.moments("point", inner, 1)[:, 1]
+    center = ks.greville_points(inner)
     idxs = inner[:, None] + np.arange(-1, 2)
     point = np.isin(idxs, ends)  # members at a clamped end: the sample there
     dual = ks.moments("dual", np.where(point, inner[:, None], idxs), 2, center=center[:, None])
@@ -248,7 +248,7 @@ def partition_condition_violations(ks: KnotSequence, p: int) -> list[int]:
     glo, ghi = _stencil_bounds(ks)
     reach = max(abs(p), 1)
     i = np.arange(max(glo + reach, 0), min(ghi - reach, ks.nbasis - 1) + 1)
-    g = ks.moments("point", i[:, None] + np.array([-p, -1, 0, 1, p]), 1)[..., 1]
+    g = ks.greville_points(i[:, None] + np.array([-p, -1, 0, 1, p]))
     mid = g[:, 0] + g[:, 4]
     width = np.maximum(np.abs(mid), g[:, 4] - g[:, 0])
     bad = (g[:, 1] + g[:, 2] > mid + 1e-12 * width) | (mid > g[:, 2] + g[:, 3] + 1e-12 * width)
@@ -280,7 +280,7 @@ def nb_dqi_nonuniform(ks: KnotSequence, p: int) -> QuasiInterpolant:
     lam = _lams(ks)
     live = np.flatnonzero(lam > 0.0)
     nodes = np.stack([np.maximum(live - p, lo), live, np.minimum(live + p, hi)], axis=1)
-    tm, t0, tp = ks.moments("point", nodes, 1)[..., 1].T
+    tm, t0, tp = ks.greville_points(nodes).T
     A, B, l = t0 - tm, tp - t0, lam[live]
     w = np.stack([-l / (A * (A + B)), 1.0 + l / (A * B), -l / (B * (A + B))], axis=1)
     return _validated(_operator(ks, DISCRETE, live, nodes, w, 2, "Q_p2", (p,)))

@@ -3,18 +3,21 @@ symmetric functions, evaluation, kernel moments, kernel rules and integrals.
 
 Each window quantity has one implementation, ``KnotSequence.moments``, which
 works on many indices at once: Greville points (one cached array, which
-``greville`` also reads), the normalised elementary symmetric functions of
-the Greville windows, and the kernel moments.  The one-index methods
-``symmetric_coeff``, ``lam``, ``dual_moment`` and ``basis_moment`` are calls
-into it with one index.  Kernel moments are closed forms, not quadratures:
-the unit-integral B-spline on knots ``t_0, ..., t_k`` has r-th raw moment
+``greville`` and the gather ``greville_points`` also read), the normalised
+elementary symmetric functions of the Greville windows, and the kernel
+moments.  The one-index methods ``symmetric_coeff``, ``lam``,
+``dual_moment`` and ``basis_moment`` are calls into it with one index.
+Kernel moments are closed forms, not quadratures: the unit-integral
+B-spline on knots ``t_0, ..., t_k`` has r-th raw moment
 ``h_r(t_0, ..., t_k) / binomial(r + k, r)``, where ``h_r`` is the complete
 homogeneous symmetric polynomial (de Boor, *A Practical Guide to Splines*;
 E. Neuman, "Moments of B-splines", J. Comput. Appl. Math. 1981).  Gauss
 quadrature over the knot spans remains only for integrating general
 functions against a kernel: ``kernel_rules`` reads the rules of many kernels
 from one cached table per degree, which ``basis_integrals`` also reads for
-the domain integrals of the cardinal boundary splines.
+the domain integrals of the cardinal boundary splines.  ``kernel_pieces``
+likewise gathers the power-form pieces of the kernels, which kernel-mode
+norms integrate exactly, from one cached table per degree.
 
 Index conventions
 -----------------
@@ -68,7 +71,8 @@ class KnotSequence:
     Immutable after construction.  Its caches are internal and append-only,
     so instances are safe for concurrent read access: the Greville points, the
     span map, the Gauss kernel rule tables, one per ``(degree, npts)``
-    (``_rules``), and the near-best problem stacks that ``nearbest`` fills
+    (``_rules``), the power-form kernel pieces, one table per degree
+    (``_pieces``), and the near-best problem stacks that ``nearbest`` fills
     once per ``(kind, p, q)`` (``_problems``), each with the answers of its
     lockstep solve once the first ``solve_l1`` has made them.
     """
@@ -106,6 +110,7 @@ class KnotSequence:
         if not cardinal and (t[pad] < t[pad + degree] or t[-1 - pad - degree] < t[-1 - pad]):
             raise ValueError(f"non-cardinal knots need {degree + 1} equal knots at each end of the domain")
         self._rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._pieces: dict[int, np.ndarray] = {}
         self._problems: dict[tuple[str, int, int], object] = {}  # nearbest._Stack
 
     # ------------------------------------------------------------------ setup
@@ -204,6 +209,17 @@ class KnotSequence:
         if not 0 <= g < len(theta):
             self._window(j)  # raises, naming the stored range
         return theta.item(g)
+
+    def greville_points(self, js) -> np.ndarray:
+        """Greville points at many indices at once, ``out[...]`` for
+        ``js[...]``: one gather from the array that ``greville`` reads, with
+        its ``IndexError`` for an index outside the stored range."""
+        js = _int_indices(js)
+        g = js - (self._k0 + self.m - 1)  # positions in theta
+        if g.size and (g.min() < 0 or g.max() >= len(self._greville)):
+            for j in (js.min(), js.max()):
+                self._window(int(j))  # raises, naming the stored range
+        return self._greville[g]
 
     def symmetric_coeff(self, j: int, r: int, *, center: float = 0.0, scale: float = 1.0) -> float:
         """Normalized elementary symmetric function of the Greville window.
@@ -328,13 +344,19 @@ class KnotSequence:
             self._rules[deg, npts] = (x, wts, live)
         return tuple(v[first - self._k0] for v in self._rules[deg, npts])
 
-    def _kernel_windows(self, deg: int, js: np.ndarray) -> np.ndarray:
-        """Knots t_{j-deg}, ..., t_{j+1} of the degree-``deg`` splines B_j,
-        one row per index."""
+    def _kernel_starts(self, deg: int, js: np.ndarray) -> np.ndarray:
+        """Knot-array positions of t_{j-deg}, the first knot of the window of
+        the degree-``deg`` spline B_j, for each index; the whole window
+        ``t_{j-deg}, ..., t_{j+1}`` must be stored."""
         start = js - deg - self._k0
         if js.size and (start.min() < 0 or start.max() + deg + 1 >= len(self._t)):
             raise IndexError(f"knot window of a degree-{deg} kernel not stored")
-        return self._t[start[..., None] + np.arange(deg + 2)]
+        return start
+
+    def _kernel_windows(self, deg: int, js: np.ndarray) -> np.ndarray:
+        """Knots t_{j-deg}, ..., t_{j+1} of the degree-``deg`` splines B_j,
+        one row per index."""
+        return self._t[self._kernel_starts(deg, js)[..., None] + np.arange(deg + 2)]
 
     def kernel_pieces(self, deg: int, js) -> np.ndarray:
         """Polynomial pieces of the unit-integral degree-``deg`` kernels
@@ -346,32 +368,38 @@ class KnotSequence:
         ``tau = (x - u)/(v - u)``.  The Cox-de Boor recursion runs on
         polynomials: each level multiplies by the linear factors
         ``(x - t_i)/(t_{i+d} - t_i)``, written in tau, and a factor with a
-        zero denominator is zero, so the pieces of empty spans vanish.
+        zero denominator is zero, so the pieces of empty spans vanish.  The
+        pieces of every stored window of a degree are built at once on first
+        use and cached per degree (``_pieces``); a call gathers its rows, so
+        a kernel's pieces do not depend on the other indices asked for.
         """
-        js = _int_indices(js)
-        w = self._kernel_windows(deg, js)
-        u0, h = w[:, :-1, None], np.diff(w, axis=1)[:, :, None]
-        span = np.arange(deg + 1)
-        # N[g, r, i, p]: the spline on w[i..i+d+1] on span r, coefficient of tau^p
-        N = np.zeros((len(js), deg + 1, deg + 1, deg + 1))
-        N[:, span, span, 0] = 1.0
+        start = self._kernel_starts(deg, _int_indices(js))
+        if deg not in self._pieces:
+            nwin = len(self._t) - deg - 1
+            w = self._t[np.arange(nwin)[:, None] + np.arange(deg + 2)]  # every stored window
+            u0, h = w[:, :-1, None], np.diff(w, axis=1)[:, :, None]
+            span = np.arange(deg + 1)
+            # N[g, r, i, p]: the spline on w[i..i+d+1] on span r, coefficient of tau^p
+            N = np.zeros((nwin, deg + 1, deg + 1, deg + 1))
+            N[:, span, span, 0] = 1.0
 
-        def inverse(den):
-            return np.divide(1.0, den, out=np.zeros_like(den), where=den > 0.0)
+            def inverse(den):
+                return np.divide(1.0, den, out=np.zeros_like(den), where=den > 0.0)
 
-        def times_linear(P, alpha, beta):
-            out = alpha[..., None] * P
-            out[..., 1:] += beta[..., None] * P[..., :-1]
-            return out
+            def times_linear(P, alpha, beta):
+                out = alpha[..., None] * P
+                out[..., 1:] += beta[..., None] * P[..., :-1]
+                return out
 
-        for d in range(1, deg + 1):
-            i = np.arange(deg + 1 - d)
-            inv_a = inverse(w[:, i + d] - w[:, i])[:, None, :]
-            inv_b = inverse(w[:, i + d + 1] - w[:, i + 1])[:, None, :]
-            N = times_linear(N[:, :, i], (u0 - w[:, None, i]) * inv_a, h * inv_a) + times_linear(
-                N[:, :, i + 1], (w[:, None, i + d + 1] - u0) * inv_b, -h * inv_b
-            )
-        return N[:, :, 0, :] * ((deg + 1) * inverse(w[:, -1] - w[:, 0]))[:, None, None]
+            for d in range(1, deg + 1):
+                i = np.arange(deg + 1 - d)
+                inv_a = inverse(w[:, i + d] - w[:, i])[:, None, :]
+                inv_b = inverse(w[:, i + d + 1] - w[:, i + 1])[:, None, :]
+                N = times_linear(N[:, :, i], (u0 - w[:, None, i]) * inv_a, h * inv_a) + times_linear(
+                    N[:, :, i + 1], (w[:, None, i + d + 1] - u0) * inv_b, -h * inv_b
+                )
+            self._pieces[deg] = N[:, :, 0, :] * ((deg + 1) * inverse(w[:, -1] - w[:, 0]))[:, None, None]
+        return self._pieces[deg][start]
 
     def dual_moment(self, i: int, r: int, *, center: float = 0.0, scale: float = 1.0) -> float:
         """r-th moment of the unit-integral degree-(m-2) kernel at index i in

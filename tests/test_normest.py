@@ -16,6 +16,7 @@ from splineqi import (
     uniform_nb_dqi,
     uniform_nb_iqi,
 )
+from splineqi import normest
 from splineqi.functionals import DUAL_SPLINE
 from splineqi.normest import _sample_points, integral_lebesgue_function, lebesgue_function
 from splineqi.partitions import random_admissible_clamped, random_clamped
@@ -248,6 +249,22 @@ class TestLebesgueFunctions:
         )
 
 
+class TestBisection:
+    def test_cuts_stop_at_the_tolerance(self, monkeypatch):
+        # the sign-sample brackets of width 1/16 (ends) and 1/8 around simple
+        # roots: at most 24 halvings to width 2**-27 and one evaluation to stop
+        calls = []
+        horner = normest._horner
+        monkeypatch.setattr(normest, "_horner", lambda c, x: calls.append(len(x)) or horner(c, x))
+        roots = np.array([0.01, 1 / 3, 0.5, 0.61, 0.999])
+        lo = np.array([0.0, 5 / 16, 7 / 16, 9 / 16, 15 / 16])
+        c = np.stack([-roots * 2.0, 2.0 - roots, np.ones(5)])  # (x - root)(x + 2), coefficients first
+        flo = horner(c, lo)
+        cut = normest._bisect(c, lo, lo + np.array([1, 2, 2, 2, 1]) / 16, flo)
+        assert len(calls) <= 25
+        assert np.all(np.abs(cut - roots) <= 2.0**-28)
+
+
 class TestBatchedAgainstOracle:
     def test_discrete_values(self):
         rng = np.random.default_rng(61)
@@ -278,7 +295,7 @@ class TestBatchedAgainstOracle:
             for sign_samples in (8, 3):
                 want = [lebesgue_oracle(q, x, "kernel", sign_samples) for x in xs]
                 got = [integral_lebesgue_function(q, x, "kernel", sign_samples) for x in xs]
-                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=label)
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0, err_msg=label)
 
     @pytest.mark.parametrize("order,n", [(6, 2), (6, 3), (8, 3)])
     def test_kernel_mode_on_a_short_cardinal_sequence(self, order, n):

@@ -93,6 +93,14 @@ class TestExactnessDegree:
         rule = qi_to_quadrature(uniform_nb_dqi(4, 2, nspans=20))
         assert exactness_degree(rule, 3) >= 3
 
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4, 1e6])
+    def test_same_degree_on_a_shifted_domain(self, offset):
+        # far from 0 the degree-2 error of S1 fell under a tolerance relative
+        # to the raw monomial integrals, so the degree was overstated
+        ks = KnotSequence.clamped(2, offset + np.linspace(0.0, 1.0, 11))
+        assert exactness_degree(qi_to_quadrature(schoenberg(ks)), 3) == 1
+        assert exactness_degree(qi_to_quadrature(s2(ks)), 3) == 3
+
 
 class TestConvergence:
     @pytest.mark.parametrize(

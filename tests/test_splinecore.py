@@ -516,6 +516,34 @@ class TestKernelPieces:
                     got = np.polynomial.polynomial.polyval(tau, pieces[g, r]) * integral
                     assert got == pytest.approx(single_value_oracle(t, k0, deg, j, x), abs=1e-13)
 
+    @pytest.mark.parametrize("deg", [0, 1, 2, 4])
+    def test_pieces_do_not_depend_on_the_call(self, deg):
+        # the cached table gives every call the bits of a fresh sequence,
+        # whatever was asked before and however the indices are grouped
+        rng = np.random.default_rng(57 + deg)
+        for make in (
+            lambda: random_clamped(deg + 2, 9, np.random.default_rng(58 + deg), ratio=1e6),
+            lambda: KnotSequence.cardinal_uniform(deg + 2, 5, pad=2, start=-0.7, spacing=0.3),
+        ):
+            ks = make()
+            lo, hi = -ks.m - ks.pad + deg, -ks.m - ks.pad + len(ks.knots) - 2
+            js = rng.permutation(np.arange(lo, hi + 1))[: (hi - lo) // 2 + 1]
+            fresh = make().kernel_pieces(deg, js)
+            others = np.setdiff1d(np.arange(lo, hi + 1), js)
+            ks.kernel_pieces(deg, others)
+            ks.kernel_pieces(deg + 1, [lo + 1])
+            assert ks.kernel_pieces(deg, js).tobytes() == fresh.tobytes()
+            one = np.concatenate([make().kernel_pieces(deg, [j]) for j in js])
+            assert one.tobytes() == fresh.tobytes()
+            assert ks.kernel_pieces(deg, js.reshape(-1, 1))[:, 0].tobytes() == fresh.tobytes()
+
+    def test_pieces_are_copies_of_the_cache(self):
+        ks = KnotSequence.clamped(2, [0.0, 0.3, 0.5, 1.0])
+        got = ks.kernel_pieces(1, [1, 2])
+        want = got.copy()
+        got[...] = np.nan
+        assert ks.kernel_pieces(1, [1, 2]).tobytes() == want.tobytes()
+
     def test_window_must_be_stored(self):
         ks = KnotSequence.clamped(2, [0.0, 0.5, 1.0])
         with pytest.raises(IndexError, match="not stored"):
@@ -946,6 +974,29 @@ class TestGrevillePoints:
         for j in (lo - 1, hi + 1):
             with pytest.raises(IndexError, match="Greville index"):
                 ks.greville(j)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_gather_is_the_point_moment(self, m):
+        for ks in TestBatchedMoments._sequences(m):
+            lo, hi = ks.greville_range()
+            js = np.arange(lo, hi + 1)
+            for idx in (js, js[::-1].reshape(-1, 1) + np.array([0, 0]), js[:0]):
+                got = ks.greville_points(idx)
+                want = ks.moments("point", idx, 1)[..., 1]
+                assert got.shape == want.shape
+                # equal up to the sign of a zero: the moment sums map -0.0 to +0.0
+                np.testing.assert_array_equal(got, want, strict=True)
+            assert ks.greville_points(js).tolist() == [ks.greville(j) for j in js]
+
+    def test_gather_validated_as_greville(self):
+        ks = KnotSequence.clamped(3, [0.0, 0.5, 1.0])
+        lo, hi = ks.greville_range()
+        for js in ([lo, lo - 1], [[hi + 1], [lo]], np.array([lo - 3, hi + 2])):
+            j = np.min(js) if np.min(js) < lo else np.max(js)
+            with pytest.raises(IndexError, match=rf"^Greville index {j} outside stored range \[{lo}, {hi}\]$"):
+                ks.greville_points(js)
+        with pytest.raises(ValueError, match="indices must be integers"):
+            ks.greville_points([1.0])
 
 
 class TestMomentsInput:

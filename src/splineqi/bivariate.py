@@ -33,6 +33,7 @@ __all__ = [
 
 _MONOMIALS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
 _SPREAD = {"point": np.inf, "pyramid": 20.0, "cell": 12.0}  # variance = span^2 / spread
+_ZP_BLOCK = 1 << 15  # elements per scratch array of the ZP norm's row blocks
 
 
 @dataclass(frozen=True)
@@ -288,6 +289,18 @@ def zp_dqi_empirical_norm(s: int, grid: int = 400) -> float:
     Z), so each is one quadratic there, fitted at the six P2 nodes (vertices
     and edge midpoints); folded with the stencil weights they give one
     quadratic per node n.  The result is a lower estimate of the true norm.
+
+    The rows y = const of the triangle are evaluated in blocks: one pass of
+    numpy calls covers several rows on a (nodes, rows, columns) array, the
+    samples with x < y left out of the maximum.  The number of rows per
+    block follows a fixed element budget (more rows as the triangle
+    narrows, one row where a row alone exceeds it), and two scratch arrays
+    serve every block, so the memory stays bounded at any grid.  Every
+    sample keeps the bits of a one-row-at-a-time evaluation: the
+    elementwise operations run in the same order, and the sum over the
+    nodes runs in node order.  The last row, the diagonal point alone, is
+    summed on its own: numpy sums a single column pairwise, and the bits
+    of that sum are kept too.
     """
     grid = _int_arg("grid", grid, 1)
     center, vertex, _ = nb_box_coeffs("four-direction", s)
@@ -306,9 +319,31 @@ def zp_dqi_empirical_norm(s: int, grid: int = 400) -> float:
     c0, cx, cy, cxy, cxx, cyy = (fit @ weights[: len(nodes)].T)[:, :, None]
     half = (np.arange((grid + 1) // 2) + 0.5) / grid  # the midpoints in [0, 1/2]
     xpart = cx * half + cxx * (half * half)
+    nn, n = xpart.shape
+    # a block of rows half[j:j + rows] spans the columns half[j:]; it fills at
+    # most _ZP_BLOCK elements of each scratch array unless one row needs more
+    cap = min(max(_ZP_BLOCK // nn, n), n * (n - 1))  # elements per node
+    scratch = np.empty((2, nn * cap))
     best = 0.0
-    # row y = half[j]: x-only part + y-only constant + xy term, nodes x grid/2 at most
-    for j, y in enumerate(half):
-        row = xpart[:, j:] + (c0 + cy * y + cyy * (y * y)) + (cxy * y) * half[j:]
-        best = max(best, float(np.abs(row).sum(axis=0).max()))
-    return best
+    j = 0
+    while j < n - 1:
+        cols = n - j
+        rows = min(cap // cols, n - 1 - j)
+        y = half[j : j + rows]
+        val, xy = (buf[: nn * rows * cols].reshape(nn, rows, cols) for buf in scratch)
+        # x-only part + y-only constant + xy term
+        np.copyto(val, xpart[:, None, j:])
+        val += (c0 + cy * y + cyy * (y * y))[:, :, None]
+        np.copyto(xy, half[j:])
+        xy *= (cxy * y)[:, :, None]
+        val += xy
+        # summed over the node axis in node order; x < y is outside the triangle
+        lebesgue = np.abs(val, out=val).sum(axis=0)
+        inside = np.arange(cols) >= np.arange(rows)[:, None]
+        best = max(best, float(lebesgue.max(initial=0.0, where=inside)))
+        j += rows
+    # the last row is the diagonal point alone: numpy sums a one-column array
+    # pairwise, not in node order, and the s = 1 maximum at grid 400 is there
+    y = half[-1]
+    row = xpart[:, -1:] + (c0 + cy * y + cyy * (y * y)) + (cxy * y) * half[-1:]
+    return max(best, float(np.abs(row).sum(axis=0).max()))

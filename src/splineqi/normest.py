@@ -113,12 +113,16 @@ def _abs_kernel_integrals(q: QuasiInterpolant, k, weights, sign_samples: int) ->
     # kernel g is the spline B_{g + shift} of degree deg on the same knots
     deg, shift = (ks.m - 2, -1) if band.kind == DUAL_SPLINE else (ks.m, 0)
     npts, nsrc = weights.shape
-    table = np.zeros((ks.n + nsrc - 1, deg + 1, deg + 1))
-    table[band.sources - band.lo] = ks.kernel_pieces(deg, band.sources + shift)
+    # table[g - lo - kmin] for the sources the points reach, g - lo in kmin .. kmax + nsrc - 1
+    kmin, kmax = int(k.min()), int(k.max())
+    i0, i1 = np.searchsorted(band.sources, band.lo + np.array([kmin, kmax + nsrc]))
+    near = band.sources[i0:i1]
+    table = np.zeros((kmax - kmin + nsrc, deg + 1, deg + 1))
+    table[near - band.lo - kmin] = ks.kernel_pieces(deg, near + shift)
     # poly[p, s]: the combined kernel on kernel-space span k[p] + lo + shift - deg + s
     nspans = nsrc + deg
     poly = np.zeros((npts, nspans, deg + 1))
-    terms = weights[:, :, None, None] * table[k[:, None] + np.arange(nsrc)]
+    terms = weights[:, :, None, None] * table[(k - kmin)[:, None] + np.arange(nsrc)]
     for s in range(nsrc):
         poly[:, s : s + deg + 1] += terms[:, s]
     coef = np.moveaxis(poly, -1, 0)  # coef[p]: the coefficients of tau**p

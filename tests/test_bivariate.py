@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,29 @@ def _zp_norm_row_loop(s, grid):
     for j, y in enumerate(half):
         vals = eval_zp_box(half[None, j:] - kx[:, None], y - ky[:, None])
         best = max(best, float(np.abs(weights @ vals).sum(axis=0).max()))
+    return best
+
+
+def _zp_norm_poly_rows(s, grid):
+    """The polynomial form one row y at a time, as before the row blocks."""
+    center, vertex, _ = nb_box_coeffs("four-direction", s)
+    stencil = ((0, 0, center), (-s, 0, vertex), (s, 0, vertex), (0, -s, vertex), (0, s, vertex))
+    kx, ky = (k.ravel() for k in np.meshgrid([-1, 0, 1], [-1, 0, 1], indexing="ij"))
+    nodes = {}
+    weights = np.zeros((len(stencil) * len(kx), len(kx)))
+    for col, (tx, ty) in enumerate(zip(kx, ky)):
+        for ox, oy, w in stencil:
+            weights[nodes.setdefault((tx + ox, ty + oy), len(nodes)), col] = w
+    px, py = np.array([0.0, 0.5, 0.5, 0.25, 0.5, 0.25]), np.array([0.0, 0.0, 0.5, 0.0, 0.25, 0.25])
+    vander = np.stack([np.ones(6), px, py, px * py, px * px, py * py], axis=1)
+    fit = np.linalg.solve(vander, eval_zp_box(px[:, None] - kx, py[:, None] - ky))
+    c0, cx, cy, cxy, cxx, cyy = (fit @ weights[: len(nodes)].T)[:, :, None]
+    half = (np.arange((grid + 1) // 2) + 0.5) / grid
+    xpart = cx * half + cxx * (half * half)
+    best = 0.0
+    for j, y in enumerate(half):
+        row = xpart[:, j:] + (c0 + cy * y + cyy * (y * y)) + (cxy * y) * half[j:]
+        best = max(best, float(np.abs(row).sum(axis=0).max()))
     return best
 
 
@@ -467,10 +491,11 @@ class TestZPElement:
         )
 
     @pytest.mark.parametrize(
-        "s,want", [(1, 1.4999957031250002), (2, 1.2499963867187502), (3, 1.1111111111111127)]
+        "s,want", [(1, 1.4999957031250004), (2, 1.2499963867187498), (3, 1.1111111111111127)]
     )
     def test_default_grid_values(self, s, want):
-        assert zp_dqi_empirical_norm(s) == pytest.approx(want, rel=1e-14)
+        # the bits of box-dqi/nb4/norm/s=* in tests/data/repro_golden.csv
+        assert zp_dqi_empirical_norm(s) == want
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_abs_weight_sum_is_d4_invariant(self, s):
@@ -528,6 +553,24 @@ class TestZPPolynomialPiece:
         assert zp_dqi_empirical_norm(s, grid=grid) == pytest.approx(
             _zp_norm_row_loop(s, grid), rel=1e-14
         )
+
+    # grid 1: one row of one sample; 8 and 37: one block, with and without a
+    # remainder; 400, 401: growing blocks; 2001: a row alone over the budget
+    @pytest.mark.parametrize("grid", [1, 2, 3, 8, 37, 400, 401, 2001])
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_row_blocks_keep_the_bits_of_single_rows(self, s, grid):
+        assert zp_dqi_empirical_norm(s, grid=grid) == _zp_norm_poly_rows(s, grid)
+
+    def test_row_block_memory_is_bounded(self):
+        # one row at grid 4000 alone is 45 nodes x 2000 samples (703 KiB)
+        zp_dqi_empirical_norm(3, grid=8)
+        tracemalloc.start()
+        try:
+            zp_dqi_empirical_norm(3, grid=4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
     @pytest.mark.parametrize("grid", [0, -3, 2.5, 400.0, "400", None])
     def test_rejects_a_grid_that_is_not_a_positive_integer(self, grid):

@@ -297,6 +297,18 @@ class TestBatchedAgainstOracle:
                 got = [integral_lebesgue_function(q, x, "kernel", sign_samples) for x in xs]
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=0, err_msg=label)
 
+    def test_one_point_reads_only_the_kernels_it_reaches(self, monkeypatch):
+        q = gs2(KnotSequence.clamped(3, np.linspace(0, 1, 801)))
+        asked = []
+        pieces = KnotSequence.kernel_pieces
+        monkeypatch.setattr(
+            KnotSequence, "kernel_pieces", lambda ks, deg, js: asked.append(len(js)) or pieces(ks, deg, js)
+        )
+        integral_lebesgue_function(q, 0.37, "kernel")
+        # the point's weights reach nsrc consecutive sources, not the whole band
+        nsrc = q.bands[1].at(*q.ks.basis_rows([0.37])).shape[1]
+        assert asked == [nsrc] and nsrc < 10
+
     @pytest.mark.parametrize("order,n", [(6, 2), (6, 3), (8, 3)])
     def test_kernel_mode_on_a_short_cardinal_sequence(self, order, n):
         # the kernels next to the padded ends have their windows stored, but

@@ -20,10 +20,11 @@ rank-1 update of its own tableau, and a problem leaves the stack when it is
 done or fails.  The first ``solve_l1`` on a problem from a cached stack
 solves every anchor of that stack this way and keeps the answers on it; the
 problem links to its stack weakly, so kept problems do not keep stacks
-alive.  A problem whose stack is gone, whose arrays the caller wrote into,
-or whose anchor failed in the stack is solved alone, as a stack of one;
-``simplex_min`` is that stack of one, and gives each problem the same bits
-as the whole stack does.
+alive.  An anchor that failed in the stack raises the error the stack
+solve recorded for it.  A problem whose stack is gone or whose arrays the
+caller wrote into is solved alone, as a stack of one; ``simplex_min`` is that
+stack of one, and gives each problem the same bits and the same errors as
+the whole stack does.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .splinecore import KnotSequence, _int_arg
+
+_TOL, _MAX_ITER = 1e-11, 20000  # the simplex pivot tolerance and iteration limit of every solve
 
 __all__ = [
     "NearBestProblem",
@@ -285,7 +288,7 @@ def _answer(Z: np.ndarray, Y: np.ndarray, k: int, c: np.ndarray):
     return z, float(c @ z), Y[k].copy()
 
 
-def simplex_min(A, b, c, *, tol: float = 1e-11, max_iter: int = 20000):
+def simplex_min(A, b, c, *, tol: float = _TOL, max_iter: int = _MAX_ITER):
     """Minimize c @ z subject to A z = b, z >= 0.
 
     Dense two-phase simplex with Bland's rule, run as a stack of one.  Returns
@@ -307,7 +310,7 @@ def _split_answer(z: np.ndarray, obj: float, y: np.ndarray, b):
     return z[:n] - z[n:], obj, abs(obj - float(y @ b))
 
 
-def solve_weighted_l1(A, b, obj_weights=None, *, tol: float = 1e-11):
+def solve_weighted_l1(A, b, obj_weights=None, *, tol: float = _TOL):
     """Minimize sum(w_j |x_j|) subject to A x = b via the split LP
     ``x = u - v``; the weights must be finite and nonnegative, one per column."""
     A = np.asarray(A, dtype=float)
@@ -327,9 +330,9 @@ def solve_weighted_l1(A, b, obj_weights=None, *, tol: float = 1e-11):
 
 def _stack_answer(prob: NearBestProblem):
     """``solve_weighted_l1``'s answer for ``prob`` from the lockstep solve of
-    its whole stack, made on the first call; None when the stack is gone,
-    the caller wrote into the problem's arrays, or the stack solve flagged
-    this anchor (solved alone, it raises its own error)."""
+    its whole stack, made on the first call; None when the stack is gone or
+    the caller wrote into the problem's arrays.  A flagged anchor raises a
+    copy of the error recorded for it, the one it raises alone."""
     stack = prob._stack() if prob._stack is not None else None
     if stack is None:
         return None
@@ -338,10 +341,10 @@ def _stack_answer(prob: NearBestProblem):
         return None
     c = np.ones(2 * stack.V.shape[2])
     if stack.solution is None:
-        stack.solution = _simplex(np.concatenate((stack.V, -stack.V), axis=2), stack.b, c, 1e-11, 20000)
+        stack.solution = _simplex(np.concatenate((stack.V, -stack.V), axis=2), stack.b, c, _TOL, _MAX_ITER)
     Z, Y, errors = stack.solution
     if errors[k] is not None:
-        return None
+        raise type(errors[k])(*errors[k].args)
     return _split_answer(*_answer(Z, Y, k, c), prob.rhs)
 
 

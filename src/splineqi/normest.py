@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functionals import DUAL_SPLINE, QuasiInterpolant
+from .functionals import _MOMENT_KINDS, QuasiInterpolant
 from .splinecore import _int_arg
 
 __all__ = [
@@ -110,16 +110,17 @@ def _abs_kernel_integrals(q: QuasiInterpolant, k, weights, sign_samples: int) ->
     at each point p, where ``K_g`` is the unit-integral kernel of source
     ``g = k[p] + lo + s`` of the kernel band."""
     ks, band = q.ks, q.bands[1]
-    # kernel g is the spline B_{g + shift} of degree deg on the same knots
-    deg, shift = (ks.m - 2, -1) if band.kind == DUAL_SPLINE else (ks.m, 0)
+    kind = _MOMENT_KINDS[band.kind]
+    # the kernels' degree, and the knot-array position of the first knot of kernel lo's window
+    deg, first = ks._kernel(kind, band.lo)
     npts, nsrc = weights.shape
     # table[g - lo - kmin] for the sources the points reach, g - lo in kmin .. kmax + nsrc - 1
     kmin, kmax = int(k.min()), int(k.max())
     i0, i1 = np.searchsorted(band.sources, band.lo + np.array([kmin, kmax + nsrc]))
     near = band.sources[i0:i1]
     table = np.zeros((kmax - kmin + nsrc, deg + 1, deg + 1))
-    table[near - band.lo - kmin] = ks.kernel_pieces(deg, near + shift)
-    # poly[p, s]: the combined kernel on kernel-space span k[p] + lo + shift - deg + s
+    table[near - band.lo - kmin] = ks.kernel_pieces(kind, near)
+    # poly[p, s]: the combined kernel on the knot span at position first + k[p] + s
     nspans = nsrc + deg
     poly = np.zeros((npts, nspans, deg + 1))
     terms = weights[:, :, None, None] * table[(k - kmin)[:, None] + np.arange(nsrc)]
@@ -127,7 +128,6 @@ def _abs_kernel_integrals(q: QuasiInterpolant, k, weights, sign_samples: int) ->
         poly[:, s : s + deg + 1] += terms[:, s]
     coef = np.moveaxis(poly, -1, 0)  # coef[p]: the coefficients of tau**p
     t = ks._t
-    first = band.lo + shift - deg + ks.m + ks.pad  # knot-array position of span s = 0 at k = 0
     pos = np.clip(k[:, None] + first + np.arange(nspans), 0, len(t) - 2)
     span_width = t[pos + 1] - t[pos]
 

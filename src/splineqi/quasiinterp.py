@@ -164,23 +164,6 @@ def gs2(ks: KnotSequence) -> QuasiInterpolant:
     return _validated(_operator(ks, DUAL_SPLINE, inner, idxs, w, 2, "G2"))
 
 
-def gs2_quadratic_closed_form(ks: KnotSequence, i: int) -> tuple[float, float, float]:
-    """Closed-form degree-2 stencil weights (a_i, b_i, c_i) for quadratics.
-
-    Uses spans h_k = t_k - t_{k-1}; on a clamped sequence the spans just
-    outside the domain are zero, which matches the point-evaluation
-    convention for the end functionals.
-    """
-    if ks.m != 2:
-        raise ValueError("closed form is for degree 2 only")
-    h_im1 = ks.knot(i - 1) - ks.knot(i - 2)
-    h_i = ks.knot(i) - ks.knot(i - 1)
-    h_ip1 = ks.knot(i + 1) - ks.knot(i)
-    a = -(h_i**2) / ((h_im1 + h_i) * (h_im1 + h_i + h_ip1))
-    c = -(h_i**2) / ((h_im1 + h_i + h_ip1) * (h_i + h_ip1))
-    return a, 1.0 - a - c, c
-
-
 def _uniform_nb(kind: str, order: int, n: int, r, nspans: int, start: float, spacing: float):
     """Body of uniform_nb_dqi (kind "dqi") and uniform_nb_iqi (kind "iqi")."""
     order, n, r = _uniform_args(order, n, r)

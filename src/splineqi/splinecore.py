@@ -5,19 +5,21 @@ Each window quantity has one implementation, ``KnotSequence.moments``, which
 works on many indices at once: Greville points (one cached array, which
 ``greville`` and the gather ``greville_points`` also read), the normalised
 elementary symmetric functions of the Greville windows, and the kernel
-moments.  The one-index methods ``symmetric_coeff``, ``lam``,
-``dual_moment`` and ``basis_moment`` are calls into it with one index.
-Kernel moments are closed forms, not quadratures: the unit-integral
-B-spline on knots ``t_0, ..., t_k`` has r-th raw moment
-``h_r(t_0, ..., t_k) / binomial(r + k, r)``, where ``h_r`` is the complete
+moments.  The one-index methods ``lam``, ``dual_moment`` and
+``basis_moment`` are calls into it with one index.  ``moments``,
+``kernel_rules`` and ``kernel_pieces`` take a kind and indices alike, and
+one helper decides which knots a kernel kind reads (``_kernel``).  Kernel
+moments are closed forms, not quadratures: the unit-integral B-spline on
+knots ``t_0, ..., t_k`` has r-th raw moment ``h_r(t_0, ..., t_k) /
+binomial(r + k, r)``, where ``h_r`` is the complete
 homogeneous symmetric polynomial (de Boor, *A Practical Guide to Splines*;
 E. Neuman, "Moments of B-splines", J. Comput. Appl. Math. 1981).  Gauss
 quadrature over the knot spans remains only for integrating general
 functions against a kernel: ``kernel_rules`` reads the rules of many kernels
 from one cached table per degree, which ``basis_integrals`` also reads for
 the domain integrals of the cardinal boundary splines.  ``kernel_pieces``
-likewise gathers the power-form pieces of the kernels, which kernel-mode
-norms integrate exactly, from one cached table per degree.
+likewise gathers the power-form pieces of the dual or basis kernels, which
+kernel-mode norms integrate exactly, from one cached table per kernel degree.
 
 Index conventions
 -----------------
@@ -70,8 +72,8 @@ class KnotSequence:
 
     Immutable after construction.  Its caches are internal and append-only,
     so instances are safe for concurrent read access: the Greville points, the
-    span map, the Gauss kernel rule tables, one per ``(degree, npts)``
-    (``_rules``), the power-form kernel pieces, one table per degree
+    span map, the Gauss kernel rule tables, one per ``(kernel degree, npts)``
+    (``_rules``), the power-form kernel pieces, one table per kernel degree
     (``_pieces``), and the near-best problem stacks that ``nearbest`` fills
     once per ``(kind, p, q)`` (``_problems``), each with the answers of its
     lockstep solve once the first ``solve_l1`` has made them.
@@ -221,17 +223,6 @@ class KnotSequence:
                 self._window(int(j))  # raises, naming the stored range
         return self._greville[g]
 
-    def symmetric_coeff(self, j: int, r: int, *, center: float = 0.0, scale: float = 1.0) -> float:
-        """Normalized elementary symmetric function of the Greville window.
-
-        Returns the r-th elementary symmetric function of the (optionally
-        shifted and scaled) window knots divided by binomial(m, r), so that
-        ``e_r = sum_j coeff(j, r) B_j`` expands the monomial of degree r in
-        the basis.  ``center``/``scale`` move the expansion to the monomials
-        ``((x - center)/scale)**r`` without loss of accuracy.
-        """
-        return float(self.moments("symmetric", [j], r, center=center, scale=scale)[0, r])
-
     def lam(self, j: int) -> float:
         """Local spread gap theta_j^2 - theta_j^(2); zero only for coincident
         windows.  Evaluated on the window shifted to its own Greville point,
@@ -239,7 +230,7 @@ class KnotSequence:
         the raw difference."""
         if self.m < 2:
             raise ValueError("lam is undefined for degree 1")
-        return -self.symmetric_coeff(j, 2, center=self.greville(j))
+        return -float(self.moments("symmetric", [j], 2, center=self.greville(j))[0, 2])
 
     # ------------------------------------------------------------- evaluation
 
@@ -308,6 +299,15 @@ class KnotSequence:
 
     # ---------------------------------------------------------------- kernels
 
+    def _kernel(self, kind: str, js):
+        """``(degree, knot-array position of each window's first knot)`` of the
+        ``kind`` kernels at validated indices: basis kernel j is the degree-m
+        B_j on t_{j-m..j+1}, dual kernel j the degree-(m-2) spline on the
+        Greville window t_{j-m+1..j}, which ``"symmetric"`` also reads."""
+        if kind == "basis":
+            return self.m, js - self.m - self._k0
+        return self.m - 2, js - self.m + 1 - self._k0
+
     def kernel_rules(self, kind: str, js, npts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gauss rules against the unit-integral ``"dual"`` or ``"basis"``
         kernels (see ``moments``, which validates ``js`` alike): ``(nodes,
@@ -320,7 +320,7 @@ class KnotSequence:
         if kind not in ("dual", "basis"):
             raise ValueError(f"unknown kernel kind {kind!r}")
         npts, js = _int_arg("npts", npts, 1), self._indices(kind, js)
-        deg, first = (self.m - 2, js - self.m + 1) if kind == "dual" else (self.m, js - self.m)
+        deg, start = self._kernel(kind, js)
         if (deg, npts) not in self._rules:
             nwin = len(self._t) - deg - 1
             w = self._t[np.arange(nwin)[:, None] + np.arange(deg + 2)]  # every stored window
@@ -342,26 +342,12 @@ class KnotSequence:
             wts = (half * gw).reshape(nwin, -1) * N[0]
             wts = np.divide(wts, (c[-1] - c[0]) / (deg + 1), out=np.zeros_like(x), where=live)
             self._rules[deg, npts] = (x, wts, live)
-        return tuple(v[first - self._k0] for v in self._rules[deg, npts])
+        return tuple(v[start] for v in self._rules[deg, npts])
 
-    def _kernel_starts(self, deg: int, js: np.ndarray) -> np.ndarray:
-        """Knot-array positions of t_{j-deg}, the first knot of the window of
-        the degree-``deg`` spline B_j, for each index; the whole window
-        ``t_{j-deg}, ..., t_{j+1}`` must be stored."""
-        start = js - deg - self._k0
-        if js.size and (start.min() < 0 or start.max() + deg + 1 >= len(self._t)):
-            raise IndexError(f"knot window of a degree-{deg} kernel not stored")
-        return start
-
-    def _kernel_windows(self, deg: int, js: np.ndarray) -> np.ndarray:
-        """Knots t_{j-deg}, ..., t_{j+1} of the degree-``deg`` splines B_j,
-        one row per index."""
-        return self._t[self._kernel_starts(deg, js)[..., None] + np.arange(deg + 2)]
-
-    def kernel_pieces(self, deg: int, js) -> np.ndarray:
-        """Polynomial pieces of the unit-integral degree-``deg`` kernels
-        ``B_j / integral(B_j)`` for the indices ``js``, each from its own
-        knot window ``t_{j-deg}, ..., t_{j+1}`` alone.
+    def kernel_pieces(self, kind: str, js) -> np.ndarray:
+        """Polynomial pieces of the unit-integral ``"dual"`` or ``"basis"``
+        kernels (see ``moments``, which validates ``js`` alike) for the
+        indices ``js``, each from its own knot window alone.
 
         ``out[g, r, p]`` is the coefficient of ``tau**p`` on the r-th span
         ``[u, v]`` of the window of ``js[g]``, in the local variable
@@ -369,11 +355,13 @@ class KnotSequence:
         polynomials: each level multiplies by the linear factors
         ``(x - t_i)/(t_{i+d} - t_i)``, written in tau, and a factor with a
         zero denominator is zero, so the pieces of empty spans vanish.  The
-        pieces of every stored window of a degree are built at once on first
-        use and cached per degree (``_pieces``); a call gathers its rows, so
-        a kernel's pieces do not depend on the other indices asked for.
+        pieces of every stored window of the kernel degree are built at once
+        on first use and cached per degree (``_pieces``); a call gathers its
+        rows, so a kernel's pieces do not depend on the other indices.
         """
-        start = self._kernel_starts(deg, _int_indices(js))
+        if kind not in ("dual", "basis"):
+            raise ValueError(f"unknown kernel kind {kind!r}")
+        deg, start = self._kernel(kind, self._indices(kind, js))
         if deg not in self._pieces:
             nwin = len(self._t) - deg - 1
             w = self._t[np.arange(nwin)[:, None] + np.arange(deg + 2)]  # every stored window
@@ -437,12 +425,13 @@ class KnotSequence:
 
         ``kind`` is ``"point"`` (``((theta_j - center)/scale)**r`` by repeated
         products, theta_j from the array that ``greville`` reads),
-        ``"symmetric"`` (``symmetric_coeff``: ``e_r / binomial(m, r)`` of the
-        Greville window, by the elementary symmetric recurrence), ``"dual"``
-        or ``"basis"`` (``dual_moment`` / ``basis_moment``: ``h_r /
-        binomial(r + k, r)`` of the kernel's k + 1 knots, by the complete
-        homogeneous one, one cumulative sum over the knots per order).  Each
-        recurrence runs on every window together.
+        ``"symmetric"`` (``e_r / binomial(m, r)`` of the Greville window, so
+        that ``x**r = sum_j out[j, r] B_j(x)`` in the variable, by the
+        elementary symmetric recurrence), ``"dual"`` or ``"basis"``
+        (``dual_moment`` / ``basis_moment``: ``h_r / binomial(r + k, r)`` of
+        the kernel's k + 1 knots, by the complete homogeneous one, one
+        cumulative sum over the knots per order).  Each recurrence runs on
+        every window together.
         Indices are validated as by the one-index methods, with their
         messages; an unknown kind, a negative order, non-integer indices, a
         non-finite ``center`` and a ``scale`` that is not finite and positive
@@ -461,10 +450,9 @@ class KnotSequence:
             raise ValueError("center must be finite, and scale finite and > 0")
         if kind == "point":
             knots = self._greville[js - self.greville_range()[0]][..., None]
-        elif kind == "basis":
-            knots = self._kernel_windows(m, js)
-        else:  # the Greville window t_{j-m+1..j} is the degree-(m-2) window of j - 1
-            knots = self._kernel_windows(m - 2, js - 1)
+        else:
+            deg, start = self._kernel(kind, js)
+            knots = self._t[start[..., None] + np.arange(deg + 2)]
         u = (knots - center[..., None]) / scale[..., None]
         shape, u = u.shape[:-1], u.reshape(-1, u.shape[-1]).T  # u[k, index]
         h = np.zeros((rmax + 1, u.shape[1]))

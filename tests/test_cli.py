@@ -343,6 +343,21 @@ class TestPlumbing:
         assert out == ""
         assert "error" in json.loads(err.strip())
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(["build", "--family", "s2", "--m", "2", "--knots", spec]
+              for spec in ("uniform", "geometric:12", "random", "cardinal", "uniform:-3", "geometric:8:nan")),
+            *(["biv", "--table", "t2", "--mesh", "random", "--ratio", r] for r in ("0", "-1", "nan")),
+        ],
+    )
+    def test_malformed_partition_is_one_json_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        line, = err.splitlines()
+        assert set(json.loads(line)) == {"error"}
+
     def test_unclamped_inline_knots_are_an_error(self, capsys):
         code, out, err = run_cli(
             capsys, "quad", "--family", "s1", "--m", "2", "--knots", "0 1 2 3 4 5 6 7 8 9 10 11"

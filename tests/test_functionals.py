@@ -62,7 +62,8 @@ def _is_exact_on_loop(q, degree, rtol=1e-10):
         center = ks.greville(j)
         for r in range(degree + 1):
             got = _apply_monomial(q.functionals[j], r, center=center, scale=scale)
-            worst = max(worst, abs(got - ks.symmetric_coeff(j, r, center=center, scale=scale)))
+            want = ks.moments("symmetric", [j], r, center=center, scale=scale)[0, r]
+            worst = max(worst, abs(got - want))
     return worst <= rtol, worst
 
 
@@ -130,7 +131,7 @@ class TestApplyMonomial:
         g2 = gs2(ks)
         for i in range(ks.nbasis):
             assert _apply_monomial(g2.functionals[i], 2) == pytest.approx(
-                ks.symmetric_coeff(i, 2), rel=1e-10, abs=1e-12
+                ks.moments("symmetric", [i], 2)[0, 2], rel=1e-10, abs=1e-12
             )
 
     def test_schoenberg_overshoot_is_lam(self):
@@ -138,7 +139,7 @@ class TestApplyMonomial:
         ks = random_clamped(2, 9, rng)
         s1 = schoenberg(ks)
         for i in range(ks.nbasis):
-            over = _apply_monomial(s1.functionals[i], 2) - ks.symmetric_coeff(i, 2)
+            over = _apply_monomial(s1.functionals[i], 2) - ks.moments("symmetric", [i], 2)[0, 2]
             assert over == pytest.approx(ks.lam(i), rel=1e-9, abs=1e-14)
 
     def test_agreement_with_apply(self):

@@ -768,9 +768,9 @@ def _mixed_stack():
     return A, b, np.array([1.0, 1.0, -1.0])
 
 
-def _stack_outcomes(A, b, c, max_iter=20000):
+def _stack_outcomes(A, b, c, max_iter=nearbest._MAX_ITER):
     """Per problem, what the lockstep solve of the whole stack gives it, as ``_outcome`` reads it."""
-    Z, Y, errors = nearbest._simplex(A, b, c, 1e-11, max_iter)
+    Z, Y, errors = nearbest._simplex(A, b, c, nearbest._TOL, max_iter)
 
     def outcome(k, e):
         if e:
@@ -821,13 +821,18 @@ class TestStackSolve:
         assert _stack_outcomes(A, b, c) == want
         assert len(want) > 5 and all(isinstance(w, list) for w in want)
 
-    def test_roundoff_pivot_anchors_fail_alone(self):
+    def test_roundoff_pivot_anchors_fail_alone(self, monkeypatch):
         # the FOUND case of CHANGES.md: at offset 1e4, six anchors pivot on
-        # roundoff and raise InfeasibleError; the others solve
+        # roundoff and raise InfeasibleError, the error each raises alone;
+        # the others solve.  The stack solve answers all of them: none is
+        # solved alone again.
         ks = KnotSequence.clamped(2, 1e4 + np.linspace(0.0, 1.0, 13))
         lo, hi = ks.greville_range()
         probs = [NearBestProblem.from_integral(ks, i, 1, 2) for i in range(lo + 2, hi - 1)]
         failing = [3, 4, 6, 7, 9, 10]
+        alone = []
+        single = nearbest.solve_weighted_l1
+        monkeypatch.setattr(nearbest, "solve_weighted_l1", lambda *a: alone.append(a) or single(*a))
         got = [_outcome(solve_l1, prob) for prob in probs]
         stack, _ = _stack(probs[0])
         assert len(stack.b) == len(probs) > 6
@@ -838,6 +843,8 @@ class TestStackSolve:
             assert (out[0] is InfeasibleError) == failed, prob.anchor
             if failed:
                 assert out[1].startswith("constraints infeasible (phase 1 value ")
+                assert _outcome(solve_l1, prob) == out  # a second call raises the same
+        assert alone == []
 
     @pytest.mark.parametrize("field", ["matrix", "rhs"])
     def test_written_problem_solved_as_written(self, field, monkeypatch):

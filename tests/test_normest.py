@@ -302,7 +302,7 @@ class TestBatchedAgainstOracle:
         asked = []
         pieces = KnotSequence.kernel_pieces
         monkeypatch.setattr(
-            KnotSequence, "kernel_pieces", lambda ks, deg, js: asked.append(len(js)) or pieces(ks, deg, js)
+            KnotSequence, "kernel_pieces", lambda ks, kind, js: asked.append(len(js)) or pieces(ks, kind, js)
         )
         integral_lebesgue_function(q, 0.37, "kernel")
         # the point's weights reach nsrc consecutive sources, not the whole band

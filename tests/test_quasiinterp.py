@@ -26,7 +26,6 @@ from splineqi import (
 from splineqi.normest import integral_lebesgue_function
 from splineqi.quasiinterp import (
     _stencil_bounds,
-    gs2_quadratic_closed_form,
     partition_condition_violations,
 )
 from splineqi.partitions import (
@@ -104,7 +103,7 @@ def _gs2_weights_loop(ks, i):
         return ks.dual_moment(idx, r, center=center)
 
     M = np.array([[member(idx, r) for idx in (i - 1, i, i + 1)] for r in range(3)])
-    rhs = np.array([ks.symmetric_coeff(i, r, center=center) for r in range(3)])
+    rhs = ks.moments("symmetric", [i], 2, center=center)[0]
     return np.linalg.solve(M, rhs)
 
 
@@ -272,7 +271,7 @@ class TestGS1:
             g1 = gs1(ks)
             for i in range(1, ks.nbasis - 1):
                 assert g1.functionals[i].kernel_entries == ((i, 1.0),)
-                res = ks.dual_moment(i, 2) - ks.symmetric_coeff(i, 2)
+                res = ks.dual_moment(i, 2) - ks.moments("symmetric", [i], 2)[0, 2]
                 assert res == pytest.approx(2 * m / (m + 1) * ks.lam(i), rel=1e-9)
 
     def test_positivity(self):
@@ -315,10 +314,6 @@ class TestGS2:
         with pytest.raises(ValueError, match=f"^{name} requires degree >= 2$"):
             maker(KnotSequence.clamped(1, [0.0, 0.5, 1.0]))
 
-    def test_closed_form_is_for_degree_two(self):
-        with pytest.raises(ValueError, match="^closed form is for degree 2 only$"):
-            gs2_quadratic_closed_form(KnotSequence.clamped(3, np.linspace(0.0, 1.0, 6)), 3)
-
     def test_uniform_cardinal_weights(self):
         q = gs2(KnotSequence.cardinal_uniform(2, 30, pad=2))
         _, weights = _stencil(q.functionals[15])
@@ -331,19 +326,6 @@ class TestGS2:
         for _ in range(5):
             ok, worst = is_exact_on(gs2(random_clamped(m, 8, rng)), 2)
             assert ok, worst
-
-    def test_quadratic_closed_form_on_random_partitions(self):
-        rng = np.random.default_rng(410)
-        for _ in range(20):
-            ks = random_clamped(2, 9, rng)
-            q = gs2(ks)
-            for i in range(1, ks.nbasis - 1):
-                a, b, c = gs2_quadratic_closed_form(ks, i)
-                lam = q.functionals[i]
-                got = dict(lam.point_entries) | dict(lam.kernel_entries)
-                assert got[i - 1] == pytest.approx(a, rel=1e-12, abs=1e-12)
-                assert got[i] == pytest.approx(b, rel=1e-12)
-                assert got[i + 1] == pytest.approx(c, rel=1e-12, abs=1e-12)
 
     def test_batched_weights_match_the_per_index_loop(self):
         for ks in _sequences(430):

@@ -315,23 +315,23 @@ class TestSymmetricCoeffs:
     def test_order_zero_is_one(self):
         ks = KnotSequence.clamped(3, [0.0, 0.4, 1.0])
         for j in range(ks.nbasis):
-            assert ks.symmetric_coeff(j, 0) == 1.0
+            assert ks.moments("symmetric", [j], 0)[0, 0] == 1.0
 
     def test_quadratic_product(self):
         ks = KnotSequence.clamped(2, [0.0, 1.0, 2.0])
         # window {0, 1} -> product 0
-        assert ks.symmetric_coeff(1, 2) == pytest.approx(0.0)
+        assert ks.moments("symmetric", [1], 2)[0, 2] == pytest.approx(0.0)
 
     def test_cubic_pair_sum(self):
         ks = KnotSequence.cardinal_uniform(3, 8)
         # window {0, 1, 2}: (0*1 + 0*2 + 1*2)/3
         j = next(j for j in range(ks.nbasis) if ks.greville(j) == pytest.approx(1.0))
-        assert ks.symmetric_coeff(j, 2) == pytest.approx(2.0 / 3.0)
+        assert ks.moments("symmetric", [j], 2)[0, 2] == pytest.approx(2.0 / 3.0)
 
     def test_order_above_degree_rejected(self):
         ks = KnotSequence.clamped(2, [0.0, 0.5, 1.0])
         with pytest.raises(ValueError, match="0 <= r <= degree"):
-            ks.symmetric_coeff(1, 3)
+            ks.moments("symmetric", [1], 3)
 
     def test_matches_poly_expansion(self):
         rng = np.random.default_rng(2)
@@ -339,9 +339,10 @@ class TestSymmetricCoeffs:
         for j in (4, 6, 8):
             w = np.array([ks.knot(k) for k in range(j - 4, j + 1)])
             coeffs = np.poly(w)
+            got = ks.moments("symmetric", [j], 5)[0]
             for r in range(6):
                 sig = (-1.0) ** r * coeffs[r]
-                assert ks.symmetric_coeff(j, r) == pytest.approx(
+                assert got[r] == pytest.approx(
                     sig / math.comb(5, r), rel=1e-12
                 )
 
@@ -396,11 +397,12 @@ class TestEvaluation:
         ks = random_clamped(m, 9, rng)
         xs = np.linspace(ks.a, ks.b, 257)
         width = max(1.0, ks.b - ks.a)
+        sym = ks.moments("symmetric", np.arange(ks.nbasis), m)
         for r in range(m + 1):
             worst = 0.0
             for x in xs:
                 k, row = ks.basis_row(x)
-                val = sum(row[s] * ks.symmetric_coeff(k + s, r) for s in range(m + 1))
+                val = sum(row[s] * sym[k + s, r] for s in range(m + 1))
                 worst = max(worst, abs(val - x**r))
             assert worst < 1e-9 * width**r
 
@@ -493,18 +495,29 @@ class TestBasisRows:
                 ks.basis_rows([0.2, bad])
 
 
+def kernel_index_range(ks, kind):
+    """First and last index whose ``kind`` kernel ``moments`` accepts."""
+    if kind == "basis":
+        return -ks.pad, len(ks.knots) - 2 - ks.m - ks.pad
+    return ks.greville_range() if ks.cardinal else (1, ks.nbasis - 2)
+
+
 class TestKernelPieces:
-    @pytest.mark.parametrize("deg", [0, 1, 2, 3, 5])
-    def test_pieces_match_single_values(self, deg):
-        # the degree-deg splines on the knots of a degree-(deg+2) sequence
-        ks = random_clamped(deg + 2, 9, np.random.default_rng(53 + deg))
+    @pytest.mark.parametrize(
+        "kind, m",
+        [("dual", 2), ("dual", 3), ("dual", 4), ("dual", 5), ("dual", 7), ("basis", 1), ("basis", 2), ("basis", 5)],
+    )
+    def test_pieces_match_single_values(self, kind, m):
+        # dual kernel j is the degree-(m-2) spline B_{j-1}, basis kernel j the degree-m B_j
+        deg, shift = (m - 2, -1) if kind == "dual" else (m, 0)
+        ks = random_clamped(m, 9, np.random.default_rng(53 + deg))
         t, k0 = ks.knots, -ks.m
-        js = np.arange(k0 + deg, k0 + len(t) - 1)
-        pieces = ks.kernel_pieces(deg, js)
-        for g, j in enumerate(js):
+        lo, hi = kernel_index_range(ks, kind)
+        js = np.arange(lo, hi + 1)
+        pieces = ks.kernel_pieces(kind, js)
+        assert pieces.shape == (len(js), deg + 1, deg + 1)
+        for g, j in enumerate(js + shift):
             w = t[j - deg - k0 : j + 2 - k0]
-            if w[-1] <= w[0]:
-                continue
             integral = (w[-1] - w[0]) / (deg + 1)
             for r in range(deg + 1):
                 if w[r + 1] <= w[r]:
@@ -516,44 +529,49 @@ class TestKernelPieces:
                     got = np.polynomial.polynomial.polyval(tau, pieces[g, r]) * integral
                     assert got == pytest.approx(single_value_oracle(t, k0, deg, j, x), abs=1e-13)
 
-    @pytest.mark.parametrize("deg", [0, 1, 2, 4])
-    def test_pieces_do_not_depend_on_the_call(self, deg):
+    @pytest.mark.parametrize("kind, m", [("dual", 2), ("dual", 3), ("dual", 4), ("dual", 6), ("basis", 2), ("basis", 4)])
+    def test_pieces_do_not_depend_on_the_call(self, kind, m):
         # the cached table gives every call the bits of a fresh sequence,
         # whatever was asked before and however the indices are grouped
-        rng = np.random.default_rng(57 + deg)
+        rng = np.random.default_rng(55 + m)
+        other = "basis" if kind == "dual" else "dual"
         for make in (
-            lambda: random_clamped(deg + 2, 9, np.random.default_rng(58 + deg), ratio=1e6),
-            lambda: KnotSequence.cardinal_uniform(deg + 2, 5, pad=2, start=-0.7, spacing=0.3),
+            lambda: random_clamped(m, 9, np.random.default_rng(56 + m), ratio=1e6),
+            lambda: KnotSequence.cardinal_uniform(m, 5, pad=2, start=-0.7, spacing=0.3),
         ):
             ks = make()
-            lo, hi = -ks.m - ks.pad + deg, -ks.m - ks.pad + len(ks.knots) - 2
+            lo, hi = kernel_index_range(ks, kind)
             js = rng.permutation(np.arange(lo, hi + 1))[: (hi - lo) // 2 + 1]
-            fresh = make().kernel_pieces(deg, js)
+            fresh = make().kernel_pieces(kind, js)
             others = np.setdiff1d(np.arange(lo, hi + 1), js)
-            ks.kernel_pieces(deg, others)
-            ks.kernel_pieces(deg + 1, [lo + 1])
-            assert ks.kernel_pieces(deg, js).tobytes() == fresh.tobytes()
-            one = np.concatenate([make().kernel_pieces(deg, [j]) for j in js])
+            ks.kernel_pieces(kind, others)
+            ks.kernel_pieces(other, [kernel_index_range(ks, other)[0]])
+            assert ks.kernel_pieces(kind, js).tobytes() == fresh.tobytes()
+            one = np.concatenate([make().kernel_pieces(kind, [j]) for j in js])
             assert one.tobytes() == fresh.tobytes()
-            assert ks.kernel_pieces(deg, js.reshape(-1, 1))[:, 0].tobytes() == fresh.tobytes()
+            assert ks.kernel_pieces(kind, js.reshape(-1, 1))[:, 0].tobytes() == fresh.tobytes()
+            for j in (lo - 1, hi + 1):  # the range is every index the kind accepts
+                with pytest.raises((IndexError, ValueError)):
+                    ks.kernel_pieces(kind, [j])
 
     def test_pieces_are_copies_of_the_cache(self):
         ks = KnotSequence.clamped(2, [0.0, 0.3, 0.5, 1.0])
-        got = ks.kernel_pieces(1, [1, 2])
+        got = ks.kernel_pieces("basis", [1, 2])
         want = got.copy()
         got[...] = np.nan
-        assert ks.kernel_pieces(1, [1, 2]).tobytes() == want.tobytes()
+        assert ks.kernel_pieces("basis", [1, 2]).tobytes() == want.tobytes()
 
     def test_window_must_be_stored(self):
         ks = KnotSequence.clamped(2, [0.0, 0.5, 1.0])
         with pytest.raises(IndexError, match="not stored"):
-            ks.kernel_pieces(2, [ks.nbasis + 1])
+            ks.kernel_pieces("basis", [ks.nbasis + 1])
 
     @pytest.mark.parametrize("js", [[3.7], [3.0], np.array([2.5, 3.0]), [True]])
     def test_non_integral_indices_rejected(self, js):
         ks = KnotSequence.clamped(3, [0.0, 0.2, 0.5, 0.7, 1.0])
-        with pytest.raises(ValueError, match="indices must be integers"):
-            ks.kernel_pieces(3, js)
+        for kind in ("dual", "basis"):
+            with pytest.raises(ValueError, match="indices must be integers"):
+                ks.kernel_pieces(kind, js)
 
 
 class TestDualMoments:
@@ -597,7 +615,7 @@ class TestDualMoments:
                 c = ks.greville(i)
                 nodes, wts = kernel_rule(ks, "dual", i, (m + 2) // 2 + 1)
                 mu2c = float(np.dot(wts, (nodes - c) ** 2))
-                gap = mu2c - ks.symmetric_coeff(i, 2, center=c)
+                gap = mu2c - ks.moments("symmetric", [i], 2, center=c)[0, 2]
                 want = 2.0 * m / (m + 1.0) * ks.lam(i)
                 assert gap == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -766,9 +784,6 @@ class TestBatchedMoments:
             js = np.arange(lo, hi + 1)
             theta = ks.moments("point", js, 1)[:, 1]
             assert [ks.greville(j) for j in js] == theta.tolist()
-            sym = ks.moments("symmetric", js, m, center=0.25, scale=2.0)
-            for j, row in zip(js.tolist(), sym.tolist()):
-                assert [ks.symmetric_coeff(j, r, center=0.25, scale=2.0) for r in range(m + 1)] == row
             if m < 2:
                 continue
             lam = -ks.moments("symmetric", js, 2, center=theta)[:, 2]
@@ -936,15 +951,23 @@ class TestKernelRules:
 
     def test_indices_checked_as_by_moments(self):
         ks = KnotSequence(3, [0, 0, 0, 0, 0.3, 0.3, 0.3, 0.7, 1, 1, 1, 1])
-        for kind, js in (("dual", [0, 1]), ("dual", [1, 3, 4]), ("basis", [-1]), ("basis", [0.5])):
+        calls = (
+            lambda ks, kind, js: ks.kernel_rules(kind, js, 4),
+            lambda ks, kind, js: ks.kernel_pieces(kind, js),
+        )
+        # dual index 3 has the degenerate window 0.3, 0.3, 0.3
+        bad = (("dual", [0, 1]), ("dual", [1, 3, 4]), ("dual", [3]), ("basis", [-1]), ("basis", [0.5]))
+        for kind, js in bad:
             with pytest.raises((ValueError, IndexError)) as want:
                 ks.moments(kind, js, 1)
-            with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-                ks.kernel_rules(kind, js, 4)
-        with pytest.raises(ValueError, match="unknown kernel kind 'point'"):
-            ks.kernel_rules("point", [1], 4)
-        with pytest.raises(ValueError, match="dual kernels need degree >= 2"):
-            KnotSequence.clamped(1, [0.0, 0.5, 1.0]).kernel_rules("dual", [1], 4)
+            for call in calls:
+                with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                    call(ks, kind, js)
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown kernel kind 'point'"):
+                call(ks, "point", [1])
+            with pytest.raises(ValueError, match="dual kernels need degree >= 2"):
+                call(KnotSequence.clamped(1, [0.0, 0.5, 1.0]), "dual", [1])
 
     @pytest.mark.parametrize("npts", [0, -1, 2.5, np.float64(3.0), True, "4"])
     def test_npts_must_be_a_positive_integer(self, npts):
@@ -1026,7 +1049,6 @@ class TestMomentsInput:
         for call in (
             lambda: self.ks.dual_moment(1.5, 1),
             lambda: self.ks.basis_moment(2.5, 1),
-            lambda: self.ks.symmetric_coeff(1.5, 1),
         ):
             with pytest.raises(ValueError, match="indices must be integers"):
                 call()
@@ -1055,7 +1077,6 @@ class TestMomentsInput:
         for call in (
             self.ks.dual_moment,
             self.ks.basis_moment,
-            self.ks.symmetric_coeff,
         ):
             with pytest.raises(ValueError, match="center must be finite, and scale finite and > 0"):
                 call(2, 2, center=center, scale=scale)

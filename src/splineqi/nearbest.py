@@ -88,7 +88,7 @@ class NearBestProblem:
 
     @classmethod
     def _from_stack(cls, ks: KnotSequence, kind: str, i: int, p: int, q: int) -> "NearBestProblem":
-        p, q = _int_arg("p", p), _int_arg("q", q)
+        p, q = _int_arg("p", p, 0), _int_arg("q", q, 0)
         if q > min(ks.m, 2 * p):
             raise ValueError("reproduction degree must satisfy q <= min(m, 2p)")
         if (kind, p, q) not in ks._problems:  # every anchor whose stencil fits, at once

@@ -8,9 +8,11 @@ integral operators) or the integral of the absolute combined kernel
 (kernel mode).  They converge to the true norm from below under
 refinement, so reported values are lower estimates.
 
-All samples are evaluated in one batch.  ``KnotSequence.basis_rows`` gives
-the basis rows of every sample point, and the operator's weight bands turn
-them into the weight of each source at each point
+All samples are evaluated in one batch.  The grid and the basis rows of
+its points (``KnotSequence.basis_rows``) come from the sequence, which
+keeps them once per ``samples_per_span`` (``_sample_grid``), so every
+operator on a sequence reads the same rows; the operator's weight bands
+turn them into the weight of each source at each point
 (``WeightBand.at``); the absolute-weight sums follow directly.  In kernel
 mode the combined kernel at every point is, on each kernel-space span, one
 polynomial: the point's kernel weights times the power-form pieces of the
@@ -31,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .functionals import _MOMENT_KINDS, QuasiInterpolant
-from .splinecore import _int_arg
+from .splinecore import KnotSequence, _int_arg
 
 __all__ = [
     "nu_bound",
@@ -46,13 +48,18 @@ def nu_bound(q: QuasiInterpolant) -> float:
     return float(np.max(q.row_norms))
 
 
-def _sample_points(q: QuasiInterpolant, samples_per_span: int) -> np.ndarray:
-    """Per-span uniform grid; restricted to the central half for cardinal
+def _sample_grid(ks: KnotSequence, samples_per_span: int):
+    """``(xs, k, rows)``: the sample points of the norm estimates and their
+    basis rows (``KnotSequence.basis_rows``), computed once per
+    ``samples_per_span`` and kept read-only on the sequence (``_grids``).
+
+    The grid is uniform per span, restricted to the central half for cardinal
     sequences so that the emulated boundary cannot pollute the estimate.
     Refining by doubling ``samples_per_span`` yields nested grids."""
-    ks = q.ks
-    if _int_arg("samples_per_span", samples_per_span) < 16:
+    if (spp := _int_arg("samples_per_span", samples_per_span)) < 16:
         raise ValueError("need at least 16 samples per span")
+    if spp in ks._grids:
+        return ks._grids[spp]
     a, b = ks.domain
     if ks.cardinal:
         width = b - a
@@ -62,9 +69,14 @@ def _sample_points(q: QuasiInterpolant, samples_per_span: int) -> np.ndarray:
     t = ks._t[ks.m + ks.pad : ks.m + ks.pad + ks.n + 1]  # t_0, ..., t_n, without copying the knots
     u0, u1 = t[:-1], t[1:]
     keep = (u1 > u0) & (u1 > lo) & (u0 < hi)
-    offs = np.arange(samples_per_span) / samples_per_span
+    offs = np.arange(spp) / spp
     loc = (u0[keep, None] + (u1 - u0)[keep, None] * offs).ravel()
-    return np.concatenate([loc[(loc >= lo) & (loc <= hi)], [hi]])
+    xs = np.concatenate([loc[(loc >= lo) & (loc <= hi)], [hi]])
+    grid = (xs, *ks.basis_rows(xs))
+    for v in grid:
+        v.flags.writeable = False
+    ks._grids[spp] = grid
+    return grid
 
 
 def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -146,13 +158,13 @@ def _abs_kernel_integrals(q: QuasiInterpolant, k, weights, sign_samples: int) ->
     return (np.abs(np.diff(ends, axis=-1)).sum(axis=-1) * span_width).sum(axis=1)
 
 
-def _lebesgue_values(q: QuasiInterpolant, xs, mode: str, sign_samples: int) -> np.ndarray:
-    """Lebesgue-type values at the points xs (see integral_lebesgue_function)."""
+def _lebesgue_values(q: QuasiInterpolant, k, rows, mode: str, sign_samples: int) -> np.ndarray:
+    """Lebesgue-type values at the points with basis rows ``(k, rows)`` (see
+    integral_lebesgue_function)."""
     if mode not in ("coefficient", "kernel"):
         raise ValueError("mode must be 'coefficient' or 'kernel'")
     sign_samples = _int_arg("sign_samples", sign_samples, 0)
     point, kernel = q.bands
-    k, rows = q.ks.basis_rows(xs)
     total = np.abs(point.at(k, rows)).sum(axis=1)
     if not kernel.sources.size:
         return total
@@ -165,7 +177,7 @@ def _lebesgue_values(q: QuasiInterpolant, xs, mode: str, sign_samples: int) -> n
 def lebesgue_function(q: QuasiInterpolant, x: float) -> float:
     """Pointwise absolute-weight sum of a discrete operator at x (for an
     operator with moment functionals, its coefficient-mode value)."""
-    return float(_lebesgue_values(q, [x], "coefficient", 0)[0])
+    return float(_lebesgue_values(q, *q.ks.basis_rows([x]), "coefficient", 0)[0])
 
 
 def _polish(xs: np.ndarray, vals: np.ndarray, fn) -> float:
@@ -208,7 +220,7 @@ def integral_lebesgue_function(
     exact sup-norm bound at x and never exceeds the coefficient value.
     Point entries contribute their absolute weights in both modes.
     """
-    return float(_lebesgue_values(q, [x], mode, sign_samples)[0])
+    return float(_lebesgue_values(q, *q.ks.basis_rows([x]), mode, sign_samples)[0])
 
 
 def empirical_norm_integral(
@@ -225,8 +237,8 @@ def empirical_norm_integral(
     norm tables; ``kernel`` mode integrates the absolute combined kernel and
     gives the (smaller) true sup-norm estimate.
     """
-    xs = _sample_points(q, samples_per_span)
-    vals = _lebesgue_values(q, xs, mode, sign_samples)
+    xs, k, rows = _sample_grid(q.ks, samples_per_span)
+    vals = _lebesgue_values(q, k, rows, mode, sign_samples)
     if polish:
         return _polish(xs, vals, lambda x: integral_lebesgue_function(q, x, mode, sign_samples))
     return float(vals.max())

@@ -74,9 +74,11 @@ class KnotSequence:
     so instances are safe for concurrent read access: the Greville points, the
     span map, the Gauss kernel rule tables, one per ``(kernel degree, npts)``
     (``_rules``), the power-form kernel pieces, one table per kernel degree
-    (``_pieces``), and the near-best problem stacks that ``nearbest`` fills
+    (``_pieces``), the near-best problem stacks that ``nearbest`` fills
     once per ``(kind, p, q)`` (``_problems``), each with the answers of its
-    lockstep solve once the first ``solve_l1`` has made them.
+    lockstep solve once the first ``solve_l1`` has made them, and the
+    read-only norm sample grids with their basis rows that ``normest`` fills
+    once per ``samples_per_span`` (``_grids``).
     """
 
     def __init__(self, degree: int, knots, *, cardinal: bool = False, pad: int = 0):
@@ -114,13 +116,14 @@ class KnotSequence:
         self._rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._pieces: dict[int, np.ndarray] = {}
         self._problems: dict[tuple[str, int, int], object] = {}  # nearbest._Stack
+        self._grids: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # normest._sample_grid
 
     # ------------------------------------------------------------------ setup
 
     @classmethod
     def clamped(cls, degree: int, breakpoints) -> "KnotSequence":
         """Clamped sequence from breakpoints a = x_0 < x_1 < ... < x_n = b."""
-        degree = _int_arg("degree", degree)
+        degree = _int_arg("degree", degree, 1)
         bp = np.asarray(breakpoints, dtype=float)
         if len(bp) < 2:
             raise ValueError("need at least two breakpoints")

@@ -358,6 +358,21 @@ class TestPlumbing:
         line, = err.splitlines()
         assert set(json.loads(line)) == {"error"}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["nearbest", "--m", "2", "--p", "-1", "--q", "-3"], "p must be an integer >= 0, got -1"),
+            (["nearbest", "--m", "2", "--p", "-1", "--q", "0"], "p must be an integer >= 0, got -1"),
+            (["build", "--family", "s2", "--m", "-1"], "degree must be an integer >= 1, got -1"),
+        ],
+    )
+    def test_negative_sizes_are_one_json_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--knots", "uniform:8")
+        assert code == 2
+        assert out == ""
+        line, = err.splitlines()
+        assert json.loads(line) == {"error": message}
+
     def test_unclamped_inline_knots_are_an_error(self, capsys):
         code, out, err = run_cli(
             capsys, "quad", "--family", "s1", "--m", "2", "--knots", "0 1 2 3 4 5 6 7 8 9 10 11"

@@ -181,6 +181,23 @@ class TestProblemConstruction:
         with pytest.raises(ValueError, match="q <= min"):
             NearBestProblem.from_integral(ks, 10, 2, 4)
 
+    @pytest.mark.parametrize("p, q, name", [(-1, -3, "p"), (-1, 0, "p"), (2, -1, "q")])
+    @pytest.mark.parametrize("kind", ["from_discrete", "from_integral"])
+    def test_negative_half_width_or_degree_rejected(self, kind, p, q, name):
+        # checked before q <= min(m, 2p), which p = -1, q = -3 would pass
+        ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 9))
+        bad = p if name == "p" else q
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got {bad}$"):
+            getattr(NearBestProblem, kind)(ks, 4, p, q)
+
+    @pytest.mark.parametrize("kind", ["from_discrete", "from_integral"])
+    def test_zero_half_width_is_one_weight(self, kind):
+        ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 9))
+        prob = getattr(NearBestProblem, kind)(ks, 4, 0, 0)
+        assert prob.matrix.shape == (1, 1) and prob.rhs.shape == (1,)
+        sol = solve_l1(prob)
+        assert sol.weights.tolist() == [1.0] and sol.nu == 1.0
+
     @pytest.mark.parametrize(
         "matrix, rhs, message",
         [

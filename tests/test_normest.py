@@ -1,5 +1,7 @@
 """Tests for norm bounds and empirical norm estimation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from splineqi import (
 )
 from splineqi import normest
 from splineqi.functionals import DUAL_SPLINE
-from splineqi.normest import _sample_points, integral_lebesgue_function, lebesgue_function
+from splineqi.normest import _sample_grid, integral_lebesgue_function, lebesgue_function
 from splineqi.partitions import random_admissible_clamped, random_clamped
 
 
@@ -102,6 +104,32 @@ def lebesgue_oracle(q, x, mode="coefficient", sign_samples=8):
     integral = lambda j: (t[j + 1 - k0] - t[j - deg - k0]) / (deg + 1)  # noqa: E731
     coef = {g + shift: w / integral(g + shift) for g, w in kernel.items()}
     return total + _abs_kernel_integral_oracle(t, k0, deg, coef, sign_samples)
+
+
+def _sample_points_oracle(q, samples_per_span):
+    """The grid that each norm computed for itself before the sequence kept it."""
+    ks = q.ks
+    a, b = ks.domain
+    if ks.cardinal:
+        width = b - a
+        lo, hi = a + width / 4.0, b - width / 4.0
+    else:
+        lo, hi = a, b
+    t = ks._t[ks.m + ks.pad : ks.m + ks.pad + ks.n + 1]
+    u0, u1 = t[:-1], t[1:]
+    keep = (u1 > u0) & (u1 > lo) & (u0 < hi)
+    offs = np.arange(samples_per_span) / samples_per_span
+    loc = (u0[keep, None] + (u1 - u0)[keep, None] * offs).ravel()
+    return np.concatenate([loc[(loc >= lo) & (loc <= hi)], [hi]])
+
+
+def empirical_norm_oracle(q, samples_per_span, polish, mode="coefficient", sign_samples=8):
+    """``empirical_norm_integral`` with the grid and its basis rows made per call."""
+    xs = _sample_points_oracle(q, samples_per_span)
+    vals = normest._lebesgue_values(q, *q.ks.basis_rows(xs), mode, sign_samples)
+    if polish:
+        return normest._polish(xs, vals, lambda x: integral_lebesgue_function(q, x, mode, sign_samples))
+    return float(vals.max())
 
 
 def _operators_with_kernels():
@@ -265,6 +293,63 @@ class TestBisection:
         assert np.all(np.abs(cut - roots) <= 2.0**-28)
 
 
+class TestSampleGrid:
+    """Each sequence evaluates its norm grid once per density, and every norm
+    on it reads the same points and rows."""
+
+    @staticmethod
+    def _norms(q):
+        """Every empirical norm of q, as ``float.hex``, polished and unpolished."""
+        modes = ("coefficient",) if q.is_discrete else ("coefficient", "kernel")
+        out = {}
+        for mode, spp, polish in itertools.product(modes, (16, 64), (False, True)):
+            if q.is_discrete:
+                got = empirical_norm_discrete(q, spp, polish=polish)
+            else:
+                got = empirical_norm_integral(q, spp, polish=polish, mode=mode)
+            out[q.family, mode, spp, polish] = (got.hex(), empirical_norm_oracle(q, spp, polish, mode).hex())
+        return out
+
+    def test_norms_bitwise_equal_to_the_per_call_grid(self):
+        ks = random_clamped(3, 12, np.random.default_rng(62), ratio=1e3)
+        ops = [schoenberg(ks), s2(ks), gs1(ks), gs2(ks)] + [uniform_nb_iqi(4, n, nspans=8) for n in (1, 2, 3)]
+        for _ in range(2):  # the first pass fills the grids, the second reads them
+            for q in ops:
+                for key, (got, want) in self._norms(q).items():
+                    assert got == want, key
+        assert sorted(ks._grids) == [16, 64]
+
+    def test_one_grid_evaluation_per_density(self, monkeypatch):
+        ks = random_clamped(4, 10, np.random.default_rng(63), ratio=1e3)
+        ops = [schoenberg(ks), s2(ks), gs1(ks), gs2(ks)]
+        batches = []
+        rows = KnotSequence.basis_rows
+        monkeypatch.setattr(KnotSequence, "basis_rows", lambda ks, xs: batches.append(len(xs)) or rows(ks, xs))
+        for spp in (32, 32, 48):
+            for q in ops:
+                empirical_norm_integral(q, spp, polish=False)
+        assert batches == [10 * 32 + 1, 10 * 48 + 1]
+        for q in ops:  # the polish evaluates its one point, not the grid again
+            empirical_norm_integral(q, 32)
+        assert batches[2:] == [1] * 4
+
+    def test_cached_arrays_reject_writes(self):
+        q = s2(KnotSequence.clamped(2, np.linspace(0.0, 1.0, 5)))
+        empirical_norm_discrete(q, 16)
+        xs, k, rows = _sample_grid(q.ks, 16)
+        for arr in (xs, k, rows):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        assert empirical_norm_discrete(q, 16) == empirical_norm_oracle(q, 16, True)
+
+    @pytest.mark.parametrize("bad, message", [(8, "16 samples"), (16.0, "integer"), (True, "integer")])
+    def test_bad_density_never_reaches_the_cache(self, bad, message):
+        q = s2(KnotSequence.clamped(2, np.linspace(0.0, 1.0, 5)))
+        with pytest.raises(ValueError, match=message):
+            empirical_norm_discrete(q, bad)
+        assert q.ks._grids == {}
+
+
 class TestBatchedAgainstOracle:
     def test_discrete_values(self):
         rng = np.random.default_rng(61)
@@ -273,7 +358,7 @@ class TestBatchedAgainstOracle:
             ks = random_clamped(m, 9, rng)
             ops += [schoenberg(ks), s2(ks)]
         for q in ops:
-            xs = _sample_points(q, 16)
+            xs = _sample_grid(q.ks, 16)[0]
             got = [lebesgue_function(q, x) for x in xs]
             want = [lebesgue_oracle(q, x) for x in xs]
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
@@ -282,7 +367,7 @@ class TestBatchedAgainstOracle:
 
     def test_coefficient_mode_values(self):
         for label, q in _operators_with_kernels():
-            xs = _sample_points(q, 16)
+            xs = _sample_grid(q.ks, 16)[0]
             want = [lebesgue_oracle(q, x) for x in xs]
             got = [integral_lebesgue_function(q, x) for x in xs]
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=label)
@@ -291,7 +376,7 @@ class TestBatchedAgainstOracle:
 
     def test_kernel_mode_values(self):
         for label, q in _operators_with_kernels():
-            xs = _sample_points(q, 16)[::3]
+            xs = _sample_grid(q.ks, 16)[0][::3]
             for sign_samples in (8, 3):
                 want = [lebesgue_oracle(q, x, "kernel", sign_samples) for x in xs]
                 got = [integral_lebesgue_function(q, x, "kernel", sign_samples) for x in xs]

@@ -260,6 +260,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
 
+    @pytest.mark.parametrize("degree", [-1, 0])
+    def test_clamped_rejects_a_degree_below_one(self, degree):
+        # checked before the end knots are repeated, which a negative degree cannot
+        with pytest.raises(ValueError, match=f"^degree must be an integer >= 1, got {degree}$"):
+            KnotSequence.clamped(degree, [0.0, 0.5, 1.0])
+
     def test_knot_outside_the_stored_range(self):
         ks = KnotSequence.clamped(2, [0.0, 0.5, 1.0])
         assert ks.knot(-2) == 0.0 and ks.knot(4) == 1.0

@@ -6,10 +6,7 @@ and reproduction degree q is the (q+1) x (2p+1) Vandermonde-type matrix of
 node powers; integral functionals replace node powers with kernel moments.
 Columns are assembled in monomials shifted to the anchor and scaled by the
 stencil half-width, which keeps the systems well conditioned without
-changing the feasible set.  Assembly happens once per knot sequence and
-``(kind, p, q)``: the first ``from_*`` call builds every anchor whose stencil
-fits in one vectorised pass and caches the stack on the sequence; each call
-returns owned copies of its anchor's row.
+changing the feasible set.
 
 The solver is a dense two-phase simplex on the split form
 ``lam = u - v, u, v >= 0``.  The pivot order is Bland's (first column with a
@@ -17,28 +14,29 @@ negative reduced cost; least ratio, ties to the smallest basic variable), so
 results are deterministic and termination is finite.  It runs on a stack of
 tableaux in lockstep: each round, every live problem makes one pivot, a
 rank-1 update of its own tableau, and a problem leaves the stack when it is
-done or fails.  The first ``solve_l1`` on a problem from a cached stack
-solves every anchor of that stack this way and keeps the answers on it; the
-problem links to its stack weakly, so kept problems do not keep stacks
-alive.  An anchor that failed in the stack raises the error the stack
-solve recorded for it.  A problem whose stack is gone or whose arrays the
-caller wrote into is solved alone, as a stack of one; ``simplex_min`` is that
-stack of one, and gives each problem the same bits and the same errors as
-the whole stack does.
+done or fails.  Each problem gets the same bits and the same error as it
+does alone, in a stack of one.
+
+The first ``from_*`` call for a knot sequence and ``(kind, p, q)`` assembles
+every anchor whose stencil fits in one vectorised pass, solves that stack in
+lockstep, and caches both on the sequence.  Each problem it returns holds
+owned, read-only copies of its anchor's arrays and carries its anchor's
+answer, or the error recorded for it, which ``solve_l1`` raises afresh.  A
+problem made directly from arrays is solved by ``solve_l1`` as a stack of
+one.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .splinecore import KnotSequence, _int_arg
 
-_TOL, _MAX_ITER = 1e-11, 20000  # the simplex pivot tolerance and iteration limit of every solve
+_TOL, _MAX_ITER = 1e-11, 20000  # the simplex pivot tolerance and iteration limit, read at each solve
 
 __all__ = [
     "NearBestProblem",
@@ -57,17 +55,20 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class NearBestProblem:
-    """One anchor's minimization data: matrix, right-hand side, and sizes."""
+    """One anchor's minimization data: matrix and right-hand side (owned, read-only copies), and sizes."""
 
     matrix: np.ndarray  # (q+1, 2p+1)
     rhs: np.ndarray  # (q+1,)
     anchor: int
     p: int
     q: int
-    # weak reference to the cached _Stack, for problems made by ``from_*``
-    _stack: weakref.ref | None = field(default=None, init=False, repr=False, compare=False)
+    # ``(x, nu, gap)`` or the error of the cached stack solve, for problems made by ``from_*``
+    _answer: tuple | Exception | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("matrix", "rhs"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float, order="C"))
+            getattr(self, name).flags.writeable = False
         rows, cols = self.matrix.shape
         if rows != self.q + 1 or cols != 2 * self.p + 1:
             raise ValueError("matrix shape inconsistent with p, q")
@@ -91,33 +92,20 @@ class NearBestProblem:
         p, q = _int_arg("p", p, 0), _int_arg("q", q, 0)
         if q > min(ks.m, 2 * p):
             raise ValueError("reproduction degree must satisfy q <= min(m, 2p)")
-        if (kind, p, q) not in ks._problems:  # every anchor whose stencil fits, at once
+        if (kind, p, q) not in ks._problems:  # every anchor whose stencil fits, assembled and solved at once
             lo, hi = ks.greville_range()
             lo, hi = (lo + 1, hi - 1) if kind == "basis" else (lo, hi)  # B_j reads t_{j-m}..t_{j+1}
-            ks._problems[kind, p, q] = _Stack(lo + p, *_problem_data(ks, kind, np.arange(lo + p, hi - p + 1), p, q))
-        stack = ks._problems[kind, p, q]
-        k = operator.index(i) - stack.first
-        if not 0 <= k < len(stack.b):  # the stencil does not fit: fail as the one-anchor assembly
+            V, b = _problem_data(ks, kind, np.arange(lo + p, hi - p + 1), p, q)
+            ks._problems[kind, p, q] = lo + p, V, b, _l1_stack(V, b, np.ones(2 * V.shape[2]))
+        first, V, b, solved = ks._problems[kind, p, q]
+        k = operator.index(i) - first
+        if not 0 <= k < len(b):  # the stencil does not fit: raise the one-anchor assembly's error
             for j in (i, i - p, i + p):
                 ks.greville(j)
-            stack, k = _Stack(i, *_problem_data(ks, kind, np.array([i]), p, q)), 0
-        # owned C-contiguous copies, not views of the cached stack: the problems are kept
-        prob = cls(matrix=stack.V[k].copy(), rhs=stack.b[k].copy(), anchor=i, p=p, q=q)
-        # weak, so that kept problems do not keep their sequences' stacks alive
-        object.__setattr__(prob, "_stack", weakref.ref(stack))
+            return cls(*(a[0] for a in _problem_data(ks, kind, np.array([i]), p, q)), anchor=i, p=p, q=q)
+        prob = cls(matrix=V[k], rhs=b[k], anchor=i, p=p, q=q)
+        object.__setattr__(prob, "_answer", _l1_answer(solved, k, prob.rhs, np.ones(2 * V.shape[2])))
         return prob
-
-
-@dataclass(eq=False)
-class _Stack:
-    """The problems of every anchor ``first + k`` of one ``(ks, kind, p, q)``:
-    matrices ``V[k]``, right-hand sides ``b[k]``, and ``solution``, the
-    lockstep solve of all of them that the first ``solve_l1`` makes."""
-
-    first: int
-    V: np.ndarray
-    b: np.ndarray
-    solution: tuple | None = None
 
 
 def _problem_data(ks: KnotSequence, kind: str, anchors: np.ndarray, p: int, q: int):
@@ -195,7 +183,7 @@ def _fail(errors: list, live: np.ndarray, idx: np.ndarray, error):
     live[idx] = False
 
 
-def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float, max_iter: int):
+def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Minimize ``c @ z`` subject to ``A[k] z = b[k]``, ``z >= 0`` for every
     problem k of the stack ``A`` (K, m, n), ``b`` (K, m), in lockstep.
 
@@ -204,6 +192,7 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float, max_iter: 
     final basis (so ``c @ Z[k] - Y[k] @ b[k]`` is the duality gap, zero up to
     roundoff), and for the others the exception that ``simplex_min`` raises.
     """
+    tol, max_iter = _TOL, _MAX_ITER
     K, m, n = A.shape
     errors: list = [None] * K
     live = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
@@ -282,13 +271,12 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float, max_iter: 
 
 
 def _answer(Z: np.ndarray, Y: np.ndarray, k: int, c: np.ndarray):
-    """``(z, c @ z, y)`` of problem k on owned copies: BLAS may round a dot
-    product of a view into the stack differently."""
+    """``(z, c @ z, y)`` of problem k, on owned copies: BLAS may round a dot product of a view differently."""
     z = Z[k].copy()
     return z, float(c @ z), Y[k].copy()
 
 
-def simplex_min(A, b, c, *, tol: float = _TOL, max_iter: int = _MAX_ITER):
+def simplex_min(A, b, c):
     """Minimize c @ z subject to A z = b, z >= 0.
 
     Dense two-phase simplex with Bland's rule, run as a stack of one.  Returns
@@ -298,22 +286,40 @@ def simplex_min(A, b, c, *, tol: float = _TOL, max_iter: int = _MAX_ITER):
     non-finite ``c`` ``ValueError``.
     """
     A, b, c = (np.array(v, dtype=float) for v in (A, b, c))
-    Z, Y, errors = _simplex(A[None], b[None], c, tol, max_iter)
+    Z, Y, errors = _simplex(A[None], b[None], c)
     if errors[0] is not None:
         raise errors[0]
     return _answer(Z, Y, 0, c)
 
 
-def _split_answer(z: np.ndarray, obj: float, y: np.ndarray, b):
-    """``(x, objective, duality gap)`` of the split LP's answer, ``x = u - v``."""
+def _l1_stack(V: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """``_simplex``'s ``(Z, Y, errors)`` for the split form of every problem k of
+    the stack: minimize ``c @ (u, v)`` subject to ``V[k] (u - v) = b[k]``, ``u, v >= 0``."""
+    return _simplex(np.concatenate((V, -V), axis=2), b, c)
+
+
+def _l1_answer(solved, k: int, b: np.ndarray, c: np.ndarray):
+    """``(x, objective, duality gap)`` of problem k of the solved split stack,
+    ``x = u - v``, or the error recorded for it."""
+    Z, Y, errors = solved
+    if errors[k] is not None:
+        return errors[k]
+    z, obj, y = _answer(Z, Y, k, c)
     n = len(z) // 2
     return z[:n] - z[n:], obj, abs(obj - float(y @ b))
 
 
-def solve_weighted_l1(A, b, obj_weights=None, *, tol: float = _TOL):
+def _raised(answer):
+    """``answer``, unless it is an error: then a fresh copy of it is raised."""
+    if isinstance(answer, Exception):
+        raise type(answer)(*answer.args)
+    return answer
+
+
+def solve_weighted_l1(A, b, obj_weights=None):
     """Minimize sum(w_j |x_j|) subject to A x = b via the split LP
     ``x = u - v``; the weights must be finite and nonnegative, one per column."""
-    A = np.asarray(A, dtype=float)
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     n = A.shape[1]
     c = np.ones(2 * n)
     if obj_weights is not None:
@@ -325,33 +331,18 @@ def solve_weighted_l1(A, b, obj_weights=None, *, tol: float = _TOL):
         if (w < 0).any():
             raise ValueError("obj_weights must be nonnegative")
         c[:n] = c[n:] = w
-    return _split_answer(*simplex_min(np.concatenate((A, -A), axis=1), b, c, tol=tol), b)
-
-
-def _stack_answer(prob: NearBestProblem):
-    """``solve_weighted_l1``'s answer for ``prob`` from the lockstep solve of
-    its whole stack, made on the first call; None when the stack is gone or
-    the caller wrote into the problem's arrays.  A flagged anchor raises a
-    copy of the error recorded for it, the one it raises alone."""
-    stack = prob._stack() if prob._stack is not None else None
-    if stack is None:
-        return None
-    k = prob.anchor - stack.first
-    if prob.matrix.tobytes() != stack.V[k].tobytes() or prob.rhs.tobytes() != stack.b[k].tobytes():
-        return None
-    c = np.ones(2 * stack.V.shape[2])
-    if stack.solution is None:
-        stack.solution = _simplex(np.concatenate((stack.V, -stack.V), axis=2), stack.b, c, _TOL, _MAX_ITER)
-    Z, Y, errors = stack.solution
-    if errors[k] is not None:
-        raise type(errors[k])(*errors[k].args)
-    return _split_answer(*_answer(Z, Y, k, c), prob.rhs)
+    return _raised(_l1_answer(_l1_stack(A[None], b[None], c), 0, b, c))
 
 
 def solve_l1(prob: NearBestProblem) -> NearBestSolution:
     """Solve one anchor's minimization; certifies feasibility and optimality
-    (a NaN residual or gap fails its certificate)."""
-    lam, nu, gap = _stack_answer(prob) or solve_weighted_l1(prob.matrix, prob.rhs)
+    (a NaN residual or gap fails its certificate).  A problem made directly,
+    not by ``from_*``, is solved here as a stack of one."""
+    answer = prob._answer
+    if answer is None:
+        c = np.ones(2 * prob.matrix.shape[1])
+        answer = _l1_answer(_l1_stack(prob.matrix[None], prob.rhs[None], c), 0, prob.rhs, c)
+    lam, nu, gap = _raised(answer)
     residual = float(np.abs(prob.matrix @ lam - prob.rhs).max())
     if not residual <= 1e-9 * max(float(np.abs(prob.rhs).max()), 1.0):
         raise InfeasibleError(f"feasibility residual {residual:g} too large")
@@ -392,15 +383,9 @@ def solve_symmetric_uniform(order: int, n: int, r: int, kind: str = "dqi"):
     # built directly: q > 2p is admissible here because the odd constraints
     # vanish identically on the symmetric stencil
     V, b = (a[0] for a in _problem_data(ks, "point" if kind == "dqi" else "basis", np.array([i]), n, r))
-    even = [rr for rr in range(r + 1) if rr % 2 == 0]
-    odd = [rr for rr in range(r + 1) if rr % 2 == 1]
-    if odd:
-        sym_defect = max(np.abs(V[odd, n + 1 :] + V[odd, :n][:, ::-1]).max(), np.abs(b[odd]).max())
-        if sym_defect > 1e-9:
-            raise RuntimeError("stencil is not symmetric; odd constraints do not vanish")
-    cols = [V[even, n]] + [V[even, n + j] + V[even, n - j] for j in range(1, n + 1)]
-    A = np.column_stack(cols)
-    weights_obj = np.array([1.0] + [2.0] * n)
-    a, nu, _gap = solve_weighted_l1(A, b[even], weights_obj)
-    full = np.concatenate([a[:0:-1], a])
-    return full, float(nu)
+    even, odd = list(range(0, r + 1, 2)), list(range(1, r + 1, 2))
+    if odd and max(np.abs(V[odd, n + 1 :] + V[odd, :n][:, ::-1]).max(), np.abs(b[odd]).max()) > 1e-9:
+        raise RuntimeError("stencil is not symmetric; odd constraints do not vanish")
+    A = np.column_stack([V[even, n]] + [V[even, n + j] + V[even, n - j] for j in range(1, n + 1)])
+    a, nu, _gap = solve_weighted_l1(A, b[even], np.array([1.0] + [2.0] * n))
+    return np.concatenate([a[:0:-1], a]), float(nu)

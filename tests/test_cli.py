@@ -220,6 +220,16 @@ class TestNorms:
         assert float(row[2]) == pytest.approx(5.0 / 3.0, rel=1e-12)
         assert 1.0 < float(row[3]) <= float(row[2])
 
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        # a --samples too large to allocate fails like the other input errors
+        def too_large(q, samples_per_span):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+        monkeypatch.setattr(normest, "empirical_norm_integral", too_large)
+        code, out, err = run_cli(capsys, "norms", "--family", "s2", "--samples", "100000000000")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "Unable to allocate 745. GiB for an array with shape (100000000000,)"}
+
 
 class TestRepro:
     def test_section_alias(self, capsys):

@@ -1,7 +1,9 @@
 """Tests for the l1-minimization machinery."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from splineqi import (
 )
 from splineqi import nearbest
 from splineqi.nearbest import simplex_min, solve_weighted_l1
-from splineqi.partitions import random_admissible_clamped, random_clamped
+from splineqi.partitions import random_admissible_clamped, random_breakpoints, random_clamped
 
 
 # ------------------------------------------------------------------ oracles
@@ -96,9 +98,10 @@ class TestSimplex:
         with pytest.raises(RuntimeError, match="^objective unbounded below$"):
             simplex_min([[1.0, -1.0]], [0.0], [-1.0, 0.0])
 
-    def test_iteration_limit(self):
+    def test_iteration_limit(self, monkeypatch):
+        monkeypatch.setattr(nearbest, "_MAX_ITER", 0)
         with pytest.raises(RuntimeError, match="^simplex iteration limit reached in phase 1$"):
-            simplex_min([[1.0, 2.0]], [4.0], [1.0, 1.0], max_iter=0)
+            simplex_min([[1.0, 2.0]], [4.0], [1.0, 1.0])
 
     def test_negative_rhs_handled(self):
         z, obj, _ = simplex_min(np.array([[-1.0, -2.0]]), np.array([-4.0]), np.array([1.0, 1.0]))
@@ -263,6 +266,16 @@ class TestSolveL1:
             assert sol.duality_gap <= 1e-9 * max(sol.nu, 1.0)
             assert sol.residual <= 1e-9
 
+    def test_ill_conditioned_gap_is_not_certified(self):
+        # condition 5.9e9: the first spans are tiny and the Greville points
+        # cluster at the clamped end, so the re-solved optimum misses its dual
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            bp = random_breakpoints(12, rng)
+        prob = NearBestProblem.from_discrete(KnotSequence.clamped(6, bp), 3, 3, 6)
+        with pytest.raises(RuntimeError, match=r"^duality gap 1\.93496e-07 too large$"):
+            solve_l1(prob)
+
     def test_vertex_sparsity(self):
         # optimal vectors live on a vertex: at most q+1 nonzero entries
         rng = np.random.default_rng(5)
@@ -305,12 +318,16 @@ class TestSolveL1:
 
     @pytest.mark.parametrize("field", ["matrix", "rhs"])
     def test_nan_data_are_not_certified(self, field):
-        # the arrays of a checked problem stay writable; a NaN written later
-        # must not come back as a certified optimum with nu = nan
+        # a NaN can reach a problem neither at construction nor by a later
+        # write, so none comes back as a certified optimum with nu = nan
         prob = NearBestProblem.from_discrete(KnotSequence.cardinal_uniform(3, 20, pad=3), 10, 2, 3)
-        getattr(prob, field)[0] = np.nan
-        with np.errstate(invalid="ignore"), pytest.raises(InfeasibleError):
-            solve_l1(prob)
+        data = {"matrix": prob.matrix.copy(), "rhs": prob.rhs.copy()}
+        data[field][0] = np.nan
+        with pytest.raises(ValueError, match="^matrix and rhs must be finite$"):
+            NearBestProblem(anchor=10, p=2, q=3, **data)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(prob, field)[0] = np.nan
+        assert np.isfinite(solve_l1(prob).nu)
 
 
 def enumerated_l1_optimum(A, b):
@@ -445,12 +462,21 @@ class TestAssemblyAgainstThePerEntryPath:
         ks = random_clamped(4, 10, np.random.default_rng(31))
         for make in (NearBestProblem.from_discrete, NearBestProblem.from_integral):
             prob = make(ks, 6, 2, 4)
-            assert prob.matrix.base is None and prob.rhs.base is None
-            assert prob.matrix.flags.c_contiguous and prob.rhs.flags.c_contiguous
             want = (prob.matrix.tobytes(), prob.rhs.tobytes())
-            # the arrays are the caller's: writing into them leaves the cached stack alone
-            prob.matrix[:] = 7.0
-            prob.rhs[:] = 7.0
+            # made directly from writable arrays: the problem keeps copies of its own
+            matrix, rhs = prob.matrix.copy(), prob.rhs.copy()
+            direct = NearBestProblem(matrix=matrix, rhs=rhs, anchor=6, p=2, q=4)
+            matrix[:] = 7.0
+            rhs[:] = 7.0
+            for held in (prob, direct):
+                assert held.matrix.base is None and held.rhs.base is None
+                assert held.matrix.flags.c_contiguous and held.rhs.flags.c_contiguous
+                assert not (held.matrix.flags.writeable or held.rhs.flags.writeable)
+                assert (held.matrix.tobytes(), held.rhs.tobytes()) == want
+                with pytest.raises(ValueError, match="read-only"):
+                    held.matrix[:] = 7.0
+                with pytest.raises(ValueError, match="read-only"):
+                    held.rhs[:] = 7.0
             again = make(ks, 6, 2, 4)
             assert (again.matrix.tobytes(), again.rhs.tobytes()) == want
 
@@ -670,62 +696,62 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _sweep():
-    """Rough partitions (ratio 1e3), m = 2..5, several (p, q), both kinds.
-    The sequences come back with the problems: while they live, so do the
-    cached stacks that ``solve_l1`` solves in lockstep."""
+    """Rough partitions (ratio 1e3), m = 2..5, several (p, q), both kinds, as
+    ``(ks, kind, problem)``: the sequences hold the cached stacks."""
     seqs = [random_clamped(m, 14, np.random.default_rng(70 + 10 * m + seed)) for m in (2, 3, 4, 5) for seed in range(2)]
-    probs = [
-        maker(ks, i, p, q)
+    return [
+        (ks, kind, getattr(NearBestProblem, f"from_{maker}")(ks, i, p, q))
         for ks in seqs
         for p in (1, 2, 3, 4)
         for q in sorted({1, min(ks.m, 2 * p) - 1, min(ks.m, 2 * p)})
         for i in range(p, ks.nbasis - p)
-        for maker in (NearBestProblem.from_discrete, NearBestProblem.from_integral)
+        for maker, kind in (("discrete", "point"), ("integral", "basis"))
     ]
-    return seqs, probs
 
 
 def _fixed_anchors():
     ks = random_clamped(4, 100, np.random.default_rng(8))
-    return [ks], [
-        getattr(NearBestProblem, f"from_{kind}")(ks, i, 4, 4)
-        for kind, i in (("discrete", 25), ("discrete", 40), ("integral", 25), ("integral", 37))
+    return [
+        (ks, kind, getattr(NearBestProblem, f"from_{maker}")(ks, i, 4, 4))
+        for maker, kind, i in (
+            ("discrete", "point", 25), ("discrete", "point", 40), ("integral", "basis", 25), ("integral", "basis", 37),
+        )
     ]
 
 
-def _stack(prob):
-    """The live cached stack of ``prob`` and its row there."""
-    stack = prob._stack()
-    return stack, prob.anchor - stack.first
+def _count_simplex(monkeypatch):
+    """Record the stack size of every ``_simplex`` call from now on."""
+    sizes = []
+    simplex = nearbest._simplex
+    monkeypatch.setattr(nearbest, "_simplex", lambda A, b, c: sizes.append(len(A)) or simplex(A, b, c))
+    return sizes
 
 
 class TestSimplexAgainstTheTableauOracle:
     @pytest.mark.parametrize("source", ["sweep", "fixed"])
     def test_solutions_bitwise_equal(self, source, monkeypatch):
-        seqs, probs = _sweep() if source == "sweep" else _fixed_anchors()
-        alone = []
-        single = nearbest.solve_weighted_l1
-        monkeypatch.setattr(nearbest, "solve_weighted_l1", lambda *a: alone.append(a) or single(*a))
+        sizes = _count_simplex(monkeypatch)
+        cases = _sweep() if source == "sweep" else _fixed_anchors()
+        # the from_* calls solved each stack once, every stack of more than one problem
+        assert len(sizes) == len({(id(ks), kind, prob.p, prob.q) for ks, kind, prob in cases})
+        assert min(sizes) > 1
         solved = 0
-        for prob in probs:
+        for _, _, prob in cases:
             want = _outcome(_oracle_solve_l1, prob)
+            before = len(sizes)
             assert _outcome(solve_l1, prob) == want, (prob.anchor, prob.p, prob.q)
-            stack, _ = _stack(prob)
-            assert stack.solution is not None and len(stack.b) > 1
+            assert len(sizes) == before  # the answer came with the problem, from its stack's solve
             A = np.hstack([prob.matrix, -prob.matrix])
             c = np.ones(A.shape[1])
             assert _outcome(simplex_min, A, prob.rhs, c) == _outcome(_oracle_simplex_min, A, prob.rhs, c)
             solved += isinstance(want, list)
-        assert alone == []  # every answer came from a stack solve
-        assert solved == len(probs) >= 4
+        assert solved == len(cases) >= 4
         assert source == "fixed" or solved > 1000
 
     def test_same_pivot_sequence(self, monkeypatch):
         # full-rank problems: no row is dropped, so phase-2 rows index alike
-        seqs, probs = _sweep()
-        fixed_seqs, fixed = _fixed_anchors()
         new, oracle = [], []
-        stacked, oracle_pivot = nearbest._pivot, _oracle_pivot
+        stacked, oracle_pivot, l1_stack = nearbest._pivot, _oracle_pivot, nearbest._l1_stack
 
         def record(T, idx, row, col):
             new.extend(zip(idx.tolist(), row.tolist(), col.tolist()))
@@ -735,19 +761,26 @@ class TestSimplexAgainstTheTableauOracle:
             oracle.append((row, col))
             oracle_pivot(T, row, col)
 
+        seen = {}  # id of a cached stack's matrices -> pivots per problem of its lockstep solve
+
+        def record_stack(V, b, c):
+            new.clear()
+            out = l1_stack(V, b, c)
+            seen[id(V)] = [[(r, c) for g, r, c in new if g == h] for h in range(len(V))]
+            return out
+
         monkeypatch.setattr(nearbest, "_pivot", record)
+        monkeypatch.setattr(nearbest, "_l1_stack", record_stack)
         monkeypatch.setitem(globals(), "_oracle_pivot", record_oracle)
-        seen = {}  # stack -> pivots per problem of its lockstep solve
-        for prob in probs + fixed:
-            stack, k = _stack(prob)
-            if stack not in seen:
-                new.clear()
-                solve_l1(prob)
-                seen[stack] = [[(r, c) for g, r, c in new if g == h] for h in range(len(stack.b))]
+        cases = _sweep() + _fixed_anchors()  # each stack is solved at its first from_* call
+        used = set()
+        for ks, kind, prob in cases:
+            first, V, _, _ = ks._problems[kind, prob.p, prob.q]
             oracle.clear()
             _oracle_solve_l1(prob)
-            assert seen[stack][k] == oracle, (prob.anchor, prob.p, prob.q)
-        assert len(seen) > 100 and min(len(stack.b) for stack in seen) > 1
+            assert seen[id(V)][prob.anchor - first] == oracle, (prob.anchor, prob.p, prob.q)
+            used.add(id(V))
+        assert len(used) > 100 and min(len(seen[v]) for v in used) > 1
 
     def test_symmetric_uniform_bitwise_equal(self, monkeypatch):
         cases = [(o, n, r, k) for o in (4, 6, 8) for n in (1, 2, 3) for r in range(o) for k in ("dqi", "iqi")]
@@ -785,9 +818,9 @@ def _mixed_stack():
     return A, b, np.array([1.0, 1.0, -1.0])
 
 
-def _stack_outcomes(A, b, c, max_iter=nearbest._MAX_ITER):
+def _stack_outcomes(A, b, c):
     """Per problem, what the lockstep solve of the whole stack gives it, as ``_outcome`` reads it."""
-    Z, Y, errors = nearbest._simplex(A, b, c, nearbest._TOL, max_iter)
+    Z, Y, errors = nearbest._simplex(A, b, c)
 
     def outcome(k, e):
         if e:
@@ -798,15 +831,16 @@ def _stack_outcomes(A, b, c, max_iter=nearbest._MAX_ITER):
 
 
 class TestStackSolve:
-    """The first ``solve_l1`` on a problem of a cached stack solves every
-    anchor of the stack in lockstep; each answer must be the one-problem
-    answer, bit for bit, and a failing anchor must fail as it does alone."""
+    """The first ``from_*`` call for a ``(ks, kind, p, q)`` solves every anchor
+    of the stack in lockstep; each answer must be the one-problem answer, bit
+    for bit, and a failing anchor must fail as it does alone."""
 
     @pytest.mark.parametrize("max_iter", [0, 1, 2, 3, 20000])
-    def test_each_problem_as_alone(self, max_iter):
+    def test_each_problem_as_alone(self, max_iter, monkeypatch):
+        monkeypatch.setattr(nearbest, "_MAX_ITER", max_iter)
         A, b, c = _mixed_stack()
-        want = [_outcome(simplex_min, A[k], b[k], c, max_iter=max_iter) for k in range(len(A))]
-        assert _stack_outcomes(A, b, c, max_iter) == want
+        want = [_outcome(simplex_min, A[k], b[k], c) for k in range(len(A))]
+        assert _stack_outcomes(A, b, c) == want
         if max_iter == 20000:
             assert [w[0] if isinstance(w, tuple) else list for w in want] == [
                 list, RuntimeError, list, InfeasibleError, InfeasibleError,
@@ -829,9 +863,9 @@ class TestStackSolve:
         def singular(B, rhs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        probs = _sweep()[1][::40]
-        A = np.stack([np.hstack([p.matrix, -p.matrix]) for p in probs if p.matrix.shape == (3, 3)])
-        b = np.stack([p.rhs for p in probs if p.matrix.shape == (3, 3)])
+        probs = [prob for _, _, prob in _sweep()[::40] if prob.matrix.shape == (3, 3)]
+        A = np.stack([np.hstack([p.matrix, -p.matrix]) for p in probs])
+        b = np.stack([p.rhs for p in probs])
         c = np.ones(A.shape[2])
         monkeypatch.setattr(np.linalg, "solve", singular)
         want = [_outcome(_oracle_simplex_min, A[k], b[k], c) for k in range(len(A))]
@@ -842,18 +876,17 @@ class TestStackSolve:
         # the FOUND case of CHANGES.md: at offset 1e4, six anchors pivot on
         # roundoff and raise InfeasibleError, the error each raises alone;
         # the others solve.  The stack solve answers all of them: none is
-        # solved alone again.
+        # solved again.
         ks = KnotSequence.clamped(2, 1e4 + np.linspace(0.0, 1.0, 13))
         lo, hi = ks.greville_range()
         probs = [NearBestProblem.from_integral(ks, i, 1, 2) for i in range(lo + 2, hi - 1)]
         failing = [3, 4, 6, 7, 9, 10]
-        alone = []
-        single = nearbest.solve_weighted_l1
-        monkeypatch.setattr(nearbest, "solve_weighted_l1", lambda *a: alone.append(a) or single(*a))
+        first, V, _, (_, _, errors) = ks._problems["basis", 1, 2]
+        assert len(V) == len(probs) > 6
+        assert [first + k for k, e in enumerate(errors) if e] == failing
+        sizes = _count_simplex(monkeypatch)
         got = [_outcome(solve_l1, prob) for prob in probs]
-        stack, _ = _stack(probs[0])
-        assert len(stack.b) == len(probs) > 6
-        assert [stack.first + k for k, e in enumerate(stack.solution[2]) if e] == failing
+        assert sizes == []
         for prob, out in zip(probs, got):
             assert out == _outcome(_oracle_solve_l1, prob), prob.anchor
             failed = prob.anchor in failing
@@ -861,30 +894,39 @@ class TestStackSolve:
             if failed:
                 assert out[1].startswith("constraints infeasible (phase 1 value ")
                 assert _outcome(solve_l1, prob) == out  # a second call raises the same
-        assert alone == []
+        assert sizes == []
 
     @pytest.mark.parametrize("field", ["matrix", "rhs"])
-    def test_written_problem_solved_as_written(self, field, monkeypatch):
+    def test_written_problem_is_refused(self, field):
+        # a carried answer cannot go stale: the arrays it answers are read-only
         ks = random_clamped(4, 12, np.random.default_rng(90))
         probs = [NearBestProblem.from_integral(ks, i, 2, 4) for i in (5, 6, 7)]
-        getattr(probs[0], field)[1] *= 1.5
-        alone = []
-        single = nearbest.solve_weighted_l1
-        monkeypatch.setattr(nearbest, "solve_weighted_l1", lambda *a: alone.append(a) or single(*a))
-        for prob in probs:
-            assert _outcome(solve_l1, prob) == _outcome(_oracle_solve_l1, prob), prob.anchor
-        # the stack was solved from its own data; only the written problem went alone
-        assert len(alone) == 1 and alone[0][0] is probs[0].matrix
-        assert _stack(probs[0])[0].solution is not None
-        assert _outcome(solve_l1, NearBestProblem.from_integral(ks, 5, 2, 4)) != _outcome(solve_l1, probs[0])
+        want = [_outcome(solve_l1, prob) for prob in probs]
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(probs[0], field)[1] *= 1.5
+        for prob, out in zip(probs, want):
+            assert _outcome(solve_l1, prob) == out == _outcome(_oracle_solve_l1, prob), prob.anchor
 
-    def test_dropped_sequence_solves_the_same(self):
+    def test_dropped_sequence_solves_the_same(self, monkeypatch):
         def make():
-            return NearBestProblem.from_discrete(random_clamped(5, 12, np.random.default_rng(91)), 6, 3, 5)
+            ks = random_clamped(5, 12, np.random.default_rng(91))
+            return NearBestProblem.from_discrete(ks, 6, 3, 5), weakref.ref(ks)
 
-        orphan = make()  # its sequence, and with it the stack, is gone
-        assert orphan._stack() is None
+        orphan, gone = make()  # its sequence, and with it the cached stack, is gone
+        gc.collect()
+        assert gone() is None
         ks = random_clamped(5, 12, np.random.default_rng(91))
         kept = NearBestProblem.from_discrete(ks, 6, 3, 5)
+        sizes = _count_simplex(monkeypatch)
         assert _outcome(solve_l1, orphan) == _outcome(solve_l1, kept) == _outcome(_oracle_solve_l1, orphan)
-        assert _stack(kept)[0].solution is not None
+        assert sizes == []  # the orphan kept its answer
+
+    def test_remade_problem_same_bits(self, monkeypatch):
+        # a problem made directly from a from_* problem's arrays is solved
+        # alone, as a stack of one, and gets the same bits
+        cases = _sweep()[::13] + _fixed_anchors()
+        sizes = _count_simplex(monkeypatch)
+        for _, _, prob in cases:
+            again = NearBestProblem(matrix=prob.matrix, rhs=prob.rhs, anchor=prob.anchor, p=prob.p, q=prob.q)
+            assert _outcome(solve_l1, again) == _outcome(solve_l1, prob), (prob.anchor, prob.p, prob.q)
+        assert sizes == [1] * len(cases)

@@ -23,6 +23,7 @@ from splineqi import (
     uniform_nb_dqi,
     uniform_nb_iqi,
 )
+from splineqi import quasiinterp
 from splineqi.normest import integral_lebesgue_function
 from splineqi.quasiinterp import (
     _stencil_bounds,
@@ -192,6 +193,12 @@ class TestSchoenberg:
 
 
 class TestS2:
+    def test_failed_reproduction_check_names_family_and_residual(self, monkeypatch):
+        monkeypatch.setattr(quasiinterp, "is_exact_on", lambda qi, degree: (False, 1.5e-3))
+        msg = r"^S2 failed its reproduction check at degree 2 \(worst residual 1\.500e-03\)$"
+        with pytest.raises(RuntimeError, match=msg):
+            s2(KnotSequence.clamped(2, np.linspace(0.0, 1.0, 9)))
+
     def test_uniform_interior_weights(self):
         ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 21))
         q = s2(ks)

@@ -19,11 +19,12 @@ does alone, in a stack of one.
 
 The first ``from_*`` call for a knot sequence and ``(kind, p, q)`` assembles
 every anchor whose stencil fits in one vectorised pass, solves that stack in
-lockstep, and caches both on the sequence.  Each problem it returns holds
-owned, read-only copies of its anchor's arrays and carries its anchor's
-answer, or the error recorded for it, which ``solve_l1`` raises afresh.  A
-problem made directly from arrays is solved by ``solve_l1`` as a stack of
-one.
+lockstep and certifies it in one stacked pass: weights, ``nu``, feasibility
+residuals, duality gaps and the verdicts at 1e-9, as arrays cached on the
+sequence.  Each problem it returns holds owned, read-only copies of its
+arrays and carries its anchor's solution or error, which ``solve_l1`` raises
+afresh.  Problems made directly, ``solve_weighted_l1`` and ``simplex_min``
+go the same way as stacks of one.
 """
 
 from __future__ import annotations
@@ -39,13 +40,8 @@ from .splinecore import KnotSequence, _int_arg
 _TOL, _MAX_ITER = 1e-11, 20000  # the simplex pivot tolerance and iteration limit, read at each solve
 
 __all__ = [
-    "NearBestProblem",
-    "NearBestSolution",
-    "InfeasibleError",
-    "simplex_min",
-    "solve_l1",
-    "solve_weighted_l1",
-    "solve_symmetric_uniform",
+    "NearBestProblem", "NearBestSolution", "InfeasibleError",
+    "simplex_min", "solve_l1", "solve_weighted_l1", "solve_symmetric_uniform",
 ]
 
 
@@ -62,8 +58,8 @@ class NearBestProblem:
     anchor: int
     p: int
     q: int
-    # ``(x, nu, gap)`` or the error of the cached stack solve, for problems made by ``from_*``
-    _answer: tuple | Exception | None = field(default=None, init=False, repr=False, compare=False)
+    # the solution or the error of the cached stack, for problems made by ``from_*``
+    _answer: NearBestSolution | Exception | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("matrix", "rhs"):
@@ -92,19 +88,19 @@ class NearBestProblem:
         p, q = _int_arg("p", p, 0), _int_arg("q", q, 0)
         if q > min(ks.m, 2 * p):
             raise ValueError("reproduction degree must satisfy q <= min(m, 2p)")
-        if (kind, p, q) not in ks._problems:  # every anchor whose stencil fits, assembled and solved at once
+        if (kind, p, q) not in ks._problems:  # every anchor whose stencil fits, assembled, solved and certified at once
             lo, hi = ks.greville_range()
             lo, hi = (lo + 1, hi - 1) if kind == "basis" else (lo, hi)  # B_j reads t_{j-m}..t_{j+1}
-            V, b = _problem_data(ks, kind, np.arange(lo + p, hi - p + 1), p, q)
+            V, b = map(np.ascontiguousarray, _problem_data(ks, kind, np.arange(lo + p, hi - p + 1), p, q))
             ks._problems[kind, p, q] = lo + p, V, b, _l1_stack(V, b, np.ones(2 * V.shape[2]))
-        first, V, b, solved = ks._problems[kind, p, q]
+        first, V, b, stack = ks._problems[kind, p, q]
         k = operator.index(i) - first
         if not 0 <= k < len(b):  # the stencil does not fit: raise the one-anchor assembly's error
             for j in (i, i - p, i + p):
                 ks.greville(j)
             return cls(*(a[0] for a in _problem_data(ks, kind, np.array([i]), p, q)), anchor=i, p=p, q=q)
         prob = cls(matrix=V[k], rhs=b[k], anchor=i, p=p, q=q)
-        object.__setattr__(prob, "_answer", _l1_answer(solved, k, prob.rhs, np.ones(2 * V.shape[2])))
+        object.__setattr__(prob, "_answer", _solution(stack, k))
         return prob
 
 
@@ -133,11 +129,16 @@ class NearBestSolution:
 def _pivot(T: np.ndarray, idx: np.ndarray, row: np.ndarray, col: np.ndarray):
     """Pivot problem ``idx[g]`` of the stack on ``(row[g], col[g])``: the pivot
     row is divided by its pivot, then every other row r of the tableau becomes
-    ``T[r] - T[r, col] * T[row]``."""
-    T[idx, row] /= T[idx, row, col][:, None]
-    f = T[idx, :, col]
-    f[np.arange(len(idx)), row] = 0.0
-    T[idx] -= f[:, :, None] * T[idx, row][:, None, :]
+    ``T[r] - T[r, col] * T[row]``.  ``idx`` is increasing; its tableaux are
+    gathered once and written back, or updated in place when all are live."""
+    S = T if len(idx) == len(T) else T[idx]
+    g = np.arange(len(idx))
+    S[g, row] /= S[g, row, col][:, None]
+    f = S[g, :, col]
+    f[g, row] = 0.0
+    S -= f[:, :, None] * S[g, row][:, None, :]
+    if S is not T:
+        T[idx] = S
 
 
 def _run_phase(T, basis, live, errors, ncols: int, tol: float, max_iter: int, phase: int, stop=None):
@@ -256,24 +257,26 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     for k in alone.tolist():
         rows = np.flatnonzero(kept[k])
         bas = basis[k, rows]
-        Z[k, bas] = T[k, rows, -1]
         B = A[k][rows][:, bas]
-        if len(bas):
-            try:
-                Z[k, bas] = np.linalg.solve(B, b[k, rows])
-            except np.linalg.LinAlgError:
-                pass  # keep the tableau values
         try:
-            Y[k, rows] = np.linalg.solve(B.T, c[bas]) if len(bas) else 0.0
+            Z[k, bas] = np.linalg.solve(B, b[k, rows])
+        except np.linalg.LinAlgError:  # keep the tableau values
+            Z[k, bas] = T[k, rows, -1]
+        try:
+            Y[k, rows] = np.linalg.solve(B.T, c[bas])
         except np.linalg.LinAlgError:
             Y[k, rows] = np.linalg.lstsq(B.T, c[bas], rcond=None)[0]
     return Z, Y * flip, errors
 
 
-def _answer(Z: np.ndarray, Y: np.ndarray, k: int, c: np.ndarray):
-    """``(z, c @ z, y)`` of problem k, on owned copies: BLAS may round a dot product of a view differently."""
-    z = Z[k].copy()
-    return z, float(c @ z), Y[k].copy()
+def _lp_args(A, b):
+    """``A`` and ``b`` as float arrays, ``A`` 2-D with one entry of ``b`` per row."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"A must be 2-D, got shape {A.shape}")
+    if b.shape != A.shape[:1]:
+        raise ValueError(f"b must have one entry per row of A: A has shape {A.shape}, b has shape {b.shape}")
+    return A, b
 
 
 def simplex_min(A, b, c):
@@ -282,44 +285,58 @@ def simplex_min(A, b, c):
     Dense two-phase simplex with Bland's rule, run as a stack of one.  Returns
     ``(z, objective, y)`` where z and y are re-solved from the original data
     on the final basis (so ``objective - y @ b`` is the duality gap, zero up
-    to roundoff).  Non-finite ``A`` or ``b`` raise ``InfeasibleError``, a
-    non-finite ``c`` ``ValueError``.
-    """
-    A, b, c = (np.array(v, dtype=float) for v in (A, b, c))
+    to roundoff).  Non-finite ``A`` or ``b`` raise ``InfeasibleError``; a
+    non-finite ``c`` and shapes that do not match raise ``ValueError``."""
+    A, b = _lp_args(A, b)
+    c = np.array(c, dtype=float)
+    if c.shape != A.shape[1:]:
+        raise ValueError(f"c must have one entry per column of A: A has shape {A.shape}, c has shape {c.shape}")
     Z, Y, errors = _simplex(A[None], b[None], c)
     if errors[0] is not None:
         raise errors[0]
-    return _answer(Z, Y, 0, c)
+    return Z[0], float(_dots(Z, c)[0]), Y[0]
+
+
+def _dots(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """``P[k] @ Q[k]`` (``Q`` 1-D: ``P[k] @ Q``) for every k, each a BLAS dot product as for one pair of vectors."""
+    return np.matmul(P[:, None, :], Q[..., None])[:, 0, 0]
 
 
 def _l1_stack(V: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """``_simplex``'s ``(Z, Y, errors)`` for the split form of every problem k of
-    the stack: minimize ``c @ (u, v)`` subject to ``V[k] (u - v) = b[k]``, ``u, v >= 0``."""
-    return _simplex(np.concatenate((V, -V), axis=2), b, c)
+    """Solve and certify every problem k of the split stack at once: minimize
+    ``c @ (u, v)`` subject to ``V[k] (u - v) = b[k]``, ``u, v >= 0``.  Returns
+    ``(X, nu, residual, gap, errors, feasible, optimal)`` over the stack:
+    ``x = u - v``, the objective, ``max |V[k] x - b[k]|``, the duality gap,
+    the simplex's error or None, and the two certificates at 1e-9 (NaN fails).
+    C-contiguous ``V`` and ``b`` round as the products of one problem do."""
+    n = V.shape[2]
+    Z, Y, errors = _simplex(np.concatenate((V, -V), axis=2), b, c)
+    X = Z[:, :n] - Z[:, n:]
+    with np.errstate(invalid="ignore"):  # a failed problem's non-finite data give NaN
+        nu = _dots(Z, c)
+        residual = np.abs(np.matmul(V, X[:, :, None])[:, :, 0] - b).max(axis=1, initial=0.0)
+        gap = np.abs(nu - _dots(Y, b))
+    feasible = residual <= 1e-9 * np.maximum(np.abs(b).max(axis=1, initial=0.0), 1.0)
+    return X, nu, residual, gap, errors, feasible, gap <= 1e-9 * np.maximum(nu, 1.0)
 
 
-def _l1_answer(solved, k: int, b: np.ndarray, c: np.ndarray):
-    """``(x, objective, duality gap)`` of problem k of the solved split stack,
-    ``x = u - v``, or the error recorded for it."""
-    Z, Y, errors = solved
+def _solution(stack, k: int) -> NearBestSolution | Exception:
+    """Problem k's solution from an ``_l1_stack``, or its error: the simplex's, else a failed certificate's."""
+    X, nu, residual, gap, errors, feasible, optimal = stack
     if errors[k] is not None:
         return errors[k]
-    z, obj, y = _answer(Z, Y, k, c)
-    n = len(z) // 2
-    return z[:n] - z[n:], obj, abs(obj - float(y @ b))
-
-
-def _raised(answer):
-    """``answer``, unless it is an error: then a fresh copy of it is raised."""
-    if isinstance(answer, Exception):
-        raise type(answer)(*answer.args)
-    return answer
+    if not feasible[k]:
+        return InfeasibleError(f"feasibility residual {residual[k]:g} too large")
+    if not optimal[k]:
+        return RuntimeError(f"duality gap {gap[k]:g} too large")
+    return NearBestSolution(X[k].copy(), float(nu[k]), float(residual[k]), float(gap[k]))
 
 
 def solve_weighted_l1(A, b, obj_weights=None):
     """Minimize sum(w_j |x_j|) subject to A x = b via the split LP
-    ``x = u - v``; the weights must be finite and nonnegative, one per column."""
-    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    ``x = u - v``; the weights must be finite and nonnegative, one per column.
+    Returns ``(x, objective, duality gap)``, not certified."""
+    A, b = _lp_args(A, b)
     n = A.shape[1]
     c = np.ones(2 * n)
     if obj_weights is not None:
@@ -331,24 +348,20 @@ def solve_weighted_l1(A, b, obj_weights=None):
         if (w < 0).any():
             raise ValueError("obj_weights must be nonnegative")
         c[:n] = c[n:] = w
-    return _raised(_l1_answer(_l1_stack(A[None], b[None], c), 0, b, c))
+    X, nu, _, gap, errors, _, _ = _l1_stack(A[None], b[None], c)
+    if errors[0] is not None:
+        raise errors[0]
+    return X[0], float(nu[0]), float(gap[0])
 
 
 def solve_l1(prob: NearBestProblem) -> NearBestSolution:
-    """Solve one anchor's minimization; certifies feasibility and optimality
-    (a NaN residual or gap fails its certificate).  A problem made directly,
-    not by ``from_*``, is solved here as a stack of one."""
-    answer = prob._answer
-    if answer is None:
-        c = np.ones(2 * prob.matrix.shape[1])
-        answer = _l1_answer(_l1_stack(prob.matrix[None], prob.rhs[None], c), 0, prob.rhs, c)
-    lam, nu, gap = _raised(answer)
-    residual = float(np.abs(prob.matrix @ lam - prob.rhs).max())
-    if not residual <= 1e-9 * max(float(np.abs(prob.rhs).max()), 1.0):
-        raise InfeasibleError(f"feasibility residual {residual:g} too large")
-    if not gap <= 1e-9 * max(nu, 1.0):
-        raise RuntimeError(f"duality gap {gap:g} too large")
-    return NearBestSolution(weights=lam, nu=float(nu), residual=residual, duality_gap=gap)
+    """Solve one anchor's minimization; certifies feasibility and optimality (a
+    NaN residual or gap fails).  A problem made by ``from_*`` carries its
+    answer; one made directly is solved here as a stack of one."""
+    answer = prob._answer or _solution(_l1_stack(prob.matrix[None], prob.rhs[None], np.ones(4 * prob.p + 2)), 0)
+    if isinstance(answer, Exception):
+        raise type(answer)(*answer.args)
+    return answer
 
 
 def _uniform_args(order, n, r) -> tuple[int, int, int]:

@@ -74,10 +74,11 @@ class KnotSequence:
     so instances are safe for concurrent read access: the Greville points, the
     span map, the Gauss kernel rule tables, one per ``(kernel degree, npts)``
     (``_rules``), the power-form kernel pieces, one table per kernel degree
-    (``_pieces``), the near-best problem stacks that ``nearbest`` assembles
-    and solves in lockstep once per ``(kind, p, q)`` (``_problems``), and the
-    read-only norm sample grids with their basis rows that ``normest`` fills
-    once per ``samples_per_span`` (``_grids``).
+    (``_pieces``), the near-best problem stacks that ``nearbest`` assembles,
+    solves in lockstep and certifies once per ``(kind, p, q)``, with every
+    anchor's solution arrays (``_problems``), and the read-only norm sample
+    grids with their basis rows that ``normest`` fills once per
+    ``samples_per_span`` (``_grids``).
     """
 
     def __init__(self, degree: int, knots, *, cardinal: bool = False, pad: int = 0):
@@ -114,7 +115,7 @@ class KnotSequence:
             raise ValueError(f"non-cardinal knots need {degree + 1} equal knots at each end of the domain")
         self._rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._pieces: dict[int, np.ndarray] = {}
-        self._problems: dict[tuple[str, int, int], tuple] = {}  # nearbest: (first, V, b, stack solve)
+        self._problems: dict[tuple[str, int, int], tuple] = {}  # nearbest: (first, V, b, certified stack)
         self._grids: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # normest._sample_grid
 
     # ------------------------------------------------------------------ setup

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import re
 import weakref
 
 import numpy as np
@@ -158,6 +159,28 @@ class TestSimplex:
         with pytest.raises(ValueError, match="c must be finite"):
             simplex_min([[1.0, 2.0]], [4.0], [1.0, bad])
 
+    SHAPE_ERRORS = {
+        "A": "A must be 2-D, got shape {}",
+        "b": "b must have one entry per row of A: A has shape (1, 2), b has shape {}",
+        "c": "c must have one entry per column of A: A has shape (1, 2), c has shape {}",
+    }
+
+    @pytest.mark.parametrize(
+        "solve,args,bad,shape",
+        [
+            (solve_weighted_l1, ([[1.0, 2.0]], [1.0, 2.0]), "b", (2,)),
+            (solve_weighted_l1, ([1.0, 2.0], [1.0]), "A", (2,)),
+            (simplex_min, ([[1.0, 2.0]], [1.0, 2.0], [1.0, 1.0]), "b", (2,)),
+            (simplex_min, ([[1.0, 2.0]], [[1.0]], [1.0, 1.0]), "b", (1, 1)),
+            (simplex_min, ([[1.0, 2.0]], [1.0], [1.0, 1.0, 1.0]), "c", (3,)),
+            (simplex_min, ([[[1.0, 2.0]]], [1.0], [1.0, 1.0]), "A", (1, 1, 2)),
+        ],
+    )
+    def test_lp_shapes_checked(self, solve, args, bad, shape):
+        # these raised numpy's broadcast or unpacking errors from inside the simplex
+        with pytest.raises(ValueError, match=f"^{re.escape(self.SHAPE_ERRORS[bad].format(shape))}$"):
+            solve(*args)
+
     def test_weighted_l1_zero_weight_allowed(self):
         x, obj, _ = solve_weighted_l1(np.array([[1.0, -1.0]]), np.array([2.0]), [0.0, 1.0])
         assert obj == 0.0
@@ -275,6 +298,15 @@ class TestSolveL1:
         prob = NearBestProblem.from_discrete(KnotSequence.clamped(6, bp), 3, 3, 6)
         with pytest.raises(RuntimeError, match=r"^duality gap 1\.93496e-07 too large$"):
             solve_l1(prob)
+
+    def test_infeasible_residual_is_not_certified(self):
+        # the third row is the sum of the first two but for 2**-21 in its last
+        # entry: the simplex solves, and its optimum misses b by 7.5e-9
+        prob = NearBestProblem(matrix=[[1, 2, 3], [4, 5, 6], [5, 7, 9 + 2**-21]], rhs=[1, 2, 0], anchor=0, p=1, q=2)
+        with pytest.raises(InfeasibleError, match=r"^feasibility residual 7\.45058e-09 too large$"):
+            solve_l1(prob)
+        *_, errors, feasible, optimal = nearbest._l1_stack(prob.matrix[None], prob.rhs[None], np.ones(6))
+        assert errors == [None] and not feasible[0]
 
     def test_vertex_sparsity(self):
         # optimal vectors live on a vertex: at most q+1 nonzero entries
@@ -402,6 +434,19 @@ class TestSymmetricUniform:
                 )
                 sol = solve_l1(maker(ks, ks.nbasis // 2, n, 3))
                 assert nu_sym == pytest.approx(sol.nu, rel=1e-10)
+
+    def test_asymmetric_stencil_refused(self, monkeypatch):
+        problem_data = nearbest._problem_data
+
+        def lopsided(*args):
+            V, b = problem_data(*args)
+            V = V.copy()
+            V[:, 1, -1] += 1.0  # the first odd row no longer cancels
+            return V, b
+
+        monkeypatch.setattr(nearbest, "_problem_data", lopsided)
+        with pytest.raises(RuntimeError, match="^stencil is not symmetric; odd constraints do not vanish$"):
+            solve_symmetric_uniform(4, 2, 3)
 
     def test_order_six(self):
         w, nu = solve_symmetric_uniform(6, 3, 3, kind="dqi")
@@ -819,13 +864,15 @@ def _mixed_stack():
 
 
 def _stack_outcomes(A, b, c):
-    """Per problem, what the lockstep solve of the whole stack gives it, as ``_outcome`` reads it."""
+    """Per problem, what the lockstep solve of the whole stack gives it, as
+    ``_outcome`` reads ``simplex_min``'s ``(z, c @ z, y)``."""
     Z, Y, errors = nearbest._simplex(A, b, c)
 
     def outcome(k, e):
         if e:
             return type(e), str(e)
-        return [(v.dtype, v.shape, v.tobytes()) for v in map(np.asarray, nearbest._answer(Z, Y, k, c))]
+        z = Z[k].copy()
+        return [(v.dtype, v.shape, v.tobytes()) for v in map(np.asarray, (z, float(c @ z), Y[k]))]
 
     return [outcome(k, e) for k, e in enumerate(errors)]
 
@@ -881,9 +928,11 @@ class TestStackSolve:
         lo, hi = ks.greville_range()
         probs = [NearBestProblem.from_integral(ks, i, 1, 2) for i in range(lo + 2, hi - 1)]
         failing = [3, 4, 6, 7, 9, 10]
-        first, V, _, (_, _, errors) = ks._problems["basis", 1, 2]
+        # the cached stack: (first anchor, V, b, (X, nu, residual, gap, errors, feasible, optimal))
+        first, V, _, (*_, errors, feasible, optimal) = ks._problems["basis", 1, 2]
         assert len(V) == len(probs) > 6
         assert [first + k for k, e in enumerate(errors) if e] == failing
+        assert (feasible & optimal)[[e is None for e in errors]].all()  # the others pass both certificates
         sizes = _count_simplex(monkeypatch)
         got = [_outcome(solve_l1, prob) for prob in probs]
         assert sizes == []

@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import bivariate, normest, quadrature
-from .functionals import DISCRETE
 from .nearbest import NearBestProblem, solve_l1
 from .partitions import parse_knot_spec, random_mesh
 from .quasiinterp import (
@@ -74,7 +73,6 @@ def _build_family(args):
 
 def cmd_build(args):
     q = _build_family(args)
-    kind = q.bands[1].kind or DISCRETE
     rows = []
     for i, nu in enumerate(q.row_norms.tolist()):
         offsets, weights = [], []
@@ -86,7 +84,7 @@ def cmd_build(args):
             {
                 "family": q.family,
                 "index": i,
-                "kind": kind,
+                "kind": q.kind,
                 "offsets": ";".join(map(str, offsets)),
                 "weights": ";".join(map(_fmt, weights)),
                 "nu_i": nu,

@@ -5,9 +5,10 @@ weights.  Their sources are either point evaluations at Greville points
 (referenced by Greville index) or moments against unit-integral spline
 kernels (referenced by kernel index); one functional may mix both, which
 the boundary rows of the moment operators on clamped sequences use.  The
-weights form two banded matrices, one over point sources and one over
-kernel sources (``WeightBand``): every functional's stencil lies within a
-fixed range of offsets from its own index.
+kernels of one operator share its ``kind``.  The weights form two banded
+matrices, one over point sources and one over kernel sources
+(``WeightBand``): every functional's stencil lies within a fixed range of
+offsets from its own index.
 
 The bands are the operator.  ``CoefficientFunctional`` is only their input:
 a record of one index's ``(source, weight)`` entries, from which the
@@ -40,32 +41,18 @@ DISCRETE = "discrete"
 DUAL_SPLINE = "integral-dual-spline"
 BASIS_SPLINE = "integral-basis-spline"
 
-_KINDS = (DISCRETE, DUAL_SPLINE, BASIS_SPLINE)
 _MOMENT_KINDS = {DISCRETE: "point", DUAL_SPLINE: "dual", BASIS_SPLINE: "basis"}
 
 
 @dataclass(frozen=True)
 class CoefficientFunctional:
-    """The entries of the functional at basis index ``anchor``.
+    """One functional's ``(greville_index, weight)`` pairs and its
+    ``(kernel_index, weight)`` pairs of the operator's kernel flavour.  A
+    record only: ``QuasiInterpolant`` turns the records into its weight
+    bands and validates them there.  Immutable; safe for concurrent reads."""
 
-    ``point_entries`` holds ``(greville_index, weight)`` pairs, and
-    ``kernel_entries`` holds ``(kernel_index, weight)`` pairs whose kernel
-    flavour is given by ``kind``.  A record only: ``QuasiInterpolant``
-    turns the records into its weight bands and validates the weights
-    there.  Immutable; safe for concurrent reads.
-    """
-
-    ks: KnotSequence
-    kind: str
-    anchor: int
     point_entries: tuple = ()
     kernel_entries: tuple = ()
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown functional kind {self.kind!r}")
-        if self.kind == DISCRETE and self.kernel_entries:
-            raise ValueError("discrete functionals cannot carry kernel entries")
 
 
 class WeightBand:
@@ -74,14 +61,14 @@ class WeightBand:
     Built from ``(source, weight)`` entry lists, one per basis index.  Row i
     holds the weights of functional i on the sources ``i + lo``, ...,
     ``i + lo + width - 1``, so ``W[i, i + lo + c] = weights[i, c]``.  A
-    source is a Greville index (``kind`` DISCRETE) or a kernel index of the
-    kernel flavour ``kind``.  ``sources`` lists, sorted, the source indices
-    that some functional references.  Read-only.
+    source is an index of the ``KnotSequence`` kind ``kind``: ``"point"``,
+    ``"dual"`` or ``"basis"``.  ``sources`` lists, sorted, the source
+    indices that some functional references.  Read-only.
     """
 
     __slots__ = ("kind", "lo", "weights", "sources")
 
-    def __init__(self, kind: str | None, rows):
+    def __init__(self, kind: str, rows):
         offsets = [idx - i for i, entries in enumerate(rows) for idx, _ in entries]
         lo = min(offsets, default=0)
         weights = np.zeros((len(rows), max(offsets, default=lo - 1) - lo + 1))
@@ -133,10 +120,10 @@ class WeightBand:
 class QuasiInterpolant:
     """An operator on a spline basis, given by one functional per basis index.
 
+    ``kind`` is the flavour of every kernel entry (``DISCRETE``: none).
     Construction builds ``bands``, the weights as ``(point band, kernel
-    band)``, and validates them: every weight is finite, every source is a
-    stored Greville point or kernel, and the kernel entries share one flavour.
-    Everything else reads the bands.
+    band)``, and validates them: every weight is finite and every source is
+    a stored Greville point or kernel.  Everything else reads the bands.
     """
 
     ks: KnotSequence
@@ -144,22 +131,24 @@ class QuasiInterpolant:
     degree_exact: int
     family: str
     params: tuple = field(default=())
+    kind: str = DISCRETE
 
     def __post_init__(self):
+        if self.kind not in _MOMENT_KINDS:
+            raise ValueError(f"unknown functional kind {self.kind!r}")
         if len(self.functionals) != self.ks.nbasis:
             raise ValueError(
                 f"need one functional per basis index "
                 f"({len(self.functionals)} given, {self.ks.nbasis} required)"
             )
-        kinds = {lam.kind for lam in self.functionals if lam.kernel_entries}
-        if len(kinds) > 1:
-            raise ValueError("mixed kernel flavours in one operator")
-        point = WeightBand(DISCRETE, [lam.point_entries for lam in self.functionals])
-        kind = kinds.pop() if kinds else None
-        kernel = WeightBand(kind, [lam.kernel_entries for lam in self.functionals])
+        kernel_rows = [lam.kernel_entries for lam in self.functionals]
+        if self.kind == DISCRETE and any(kernel_rows):
+            raise ValueError("discrete functionals cannot carry kernel entries")
+        point = WeightBand("point", [lam.point_entries for lam in self.functionals])
+        kernel = WeightBand(_MOMENT_KINDS[self.kind], kernel_rows)
         for band in (point, kernel):
             if band.sources.size:  # raises on a source whose Greville window or kernel is not stored
-                self.ks.moments(_MOMENT_KINDS[band.kind], band.sources, 0)
+                self.ks.moments(band.kind, band.sources, 0)
         if not (np.isfinite(point.weights).all() and np.isfinite(kernel.weights).all()):
             raise ValueError("non-finite weight")
         object.__setattr__(self, "bands", (point, kernel))
@@ -179,11 +168,10 @@ class QuasiInterpolant:
 
     def _source_data(self, band: WeightBand, f, npts: int) -> np.ndarray:
         """f at the point sources, or its kernel integrals: one call of f on the live nodes."""
-        ks, kind = self.ks, _MOMENT_KINDS[band.kind]
-        if kind == "point":
-            nodes = ks.greville_points(band.sources)
+        if band.kind == "point":
+            nodes = self.ks.greville_points(band.sources)
             return np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
-        nodes, wts, live = ks.kernel_rules(kind, band.sources, npts)
+        nodes, wts, live = self.ks.kernel_rules(band.kind, band.sources, npts)
         counts = live.sum(axis=1)
         vals = np.broadcast_to(np.asarray(f(nodes[live]), dtype=float), counts.sum())
         return np.add.reduceat(wts[live] * vals, np.cumsum(counts) - counts)
@@ -226,7 +214,7 @@ def is_exact_on(q: QuasiInterpolant, degree: int, rtol: float = 1e-10) -> tuple[
     for band in [b for b in q.bands if b.sources.size]:
         rows, cols = np.nonzero(band.weights)
         js = rows + band.lo + cols
-        mom = ks.moments(_MOMENT_KINDS[band.kind], js, degree, center=theta[rows], scale=scale)
+        mom = ks.moments(band.kind, js, degree, center=theta[rows], scale=scale)
         np.add.at(got, rows, band.weights[rows, cols, None] * mom)
     worst = float(np.abs(got).max())
     return worst <= rtol, worst

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functionals import _MOMENT_KINDS, QuasiInterpolant
+from .functionals import QuasiInterpolant
 from .splinecore import KnotSequence, _int_arg
 
 __all__ = [
@@ -122,16 +122,15 @@ def _abs_kernel_integrals(q: QuasiInterpolant, k, weights, sign_samples: int) ->
     at each point p, where ``K_g`` is the unit-integral kernel of source
     ``g = k[p] + lo + s`` of the kernel band."""
     ks, band = q.ks, q.bands[1]
-    kind = _MOMENT_KINDS[band.kind]
     # the kernels' degree, and the knot-array position of the first knot of kernel lo's window
-    deg, first = ks._kernel(kind, band.lo)
+    deg, first = ks._kernel(band.kind, band.lo)
     npts, nsrc = weights.shape
     # table[g - lo - kmin] for the sources the points reach, g - lo in kmin .. kmax + nsrc - 1
     kmin, kmax = int(k.min()), int(k.max())
     i0, i1 = np.searchsorted(band.sources, band.lo + np.array([kmin, kmax + nsrc]))
     near = band.sources[i0:i1]
     table = np.zeros((kmax - kmin + nsrc, deg + 1, deg + 1))
-    table[near - band.lo - kmin] = ks.kernel_pieces(kind, near)
+    table[near - band.lo - kmin] = ks.kernel_pieces(band.kind, near)
     # poly[p, s]: the combined kernel on the knot span at position first + k[p] + s
     nspans = nsrc + deg
     poly = np.zeros((npts, nspans, deg + 1))

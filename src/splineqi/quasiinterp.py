@@ -67,32 +67,25 @@ def _stencil_bounds(ks: KnotSequence) -> tuple[int, int]:
     return ks.greville_range() if ks.cardinal else (0, ks.nbasis - 1)
 
 
-def _lams(ks: KnotSequence) -> np.ndarray:
-    """``KnotSequence.lam`` at every basis index: one gather of the Greville
-    points, one ``moments`` call for the symmetric functions centred at them."""
-    theta = ks.greville_points(ks.basis_indices)
-    return -ks.moments("symmetric", ks.basis_indices, 2, center=theta)[:, 2]
-
-
 def _operator(ks, kind: str, live, nodes, weights, degree: int, family: str, params=()):
     """Operator with the stencil ``zip(nodes[k], weights[k])`` at index
     ``live[k]`` and the unit weight on its own source at every other index,
     as point entries or as kernel entries of flavour ``kind``.  On a clamped
     sequence indices 0 and nbasis-1 have no dual kernel: dual-flavour
     entries there sample f at the domain end (their Greville point)."""
-    entries = {i: ((i, 1.0),) for i in ks.basis_indices}
+    entries = [((i, 1.0),) for i in ks.basis_indices]
     for i, idx, w in zip(*(np.asarray(v).tolist() for v in (live, nodes, weights))):
         entries[i] = tuple(zip(idx, w))
     ends = (0, ks.nbasis - 1) if kind == DUAL_SPLINE and not ks.cardinal else ()
     funs = []
-    for i, row in entries.items():
+    for row in entries:
         if kind == DISCRETE:
             point, kernel = row, ()
         else:
             point = tuple(e for e in row if e[0] in ends)
             kernel = tuple(e for e in row if e[0] not in ends)
-        funs.append(CoefficientFunctional(ks, kind, i, point, kernel))
-    return QuasiInterpolant(ks, tuple(funs), degree_exact=degree, family=family, params=params)
+        funs.append(CoefficientFunctional(point, kernel))
+    return QuasiInterpolant(ks, tuple(funs), degree_exact=degree, family=family, params=params, kind=kind)
 
 
 def schoenberg(ks: KnotSequence) -> QuasiInterpolant:
@@ -112,7 +105,7 @@ def s2(ks: KnotSequence) -> QuasiInterpolant:
     if ks.m < 2:
         raise ValueError("s2 requires degree >= 2")
     _require_distinct_interior(ks, "s2")
-    lam = _lams(ks)
+    lam = ks.lam(ks.basis_indices)
     live = np.flatnonzero(lam > 0.0)  # lam = 0: the plain sample
     nodes = live[:, None] + np.arange(-1, 2)
     x = ks.greville_points(nodes)
@@ -260,7 +253,7 @@ def nb_dqi_nonuniform(ks: KnotSequence, p: int) -> QuasiInterpolant:
             bad[0], f"partition violates the stencil balance condition at index {bad[0]}"
         )
     lo, hi = _stencil_bounds(ks)
-    lam = _lams(ks)
+    lam = ks.lam(ks.basis_indices)
     live = np.flatnonzero(lam > 0.0)
     nodes = np.stack([np.maximum(live - p, lo), live, np.minimum(live + p, hi)], axis=1)
     tm, t0, tp = ks.greville_points(nodes).T

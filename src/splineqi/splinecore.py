@@ -5,13 +5,13 @@ Each window quantity has one implementation, ``KnotSequence.moments``, which
 works on many indices at once: Greville points (one cached array, which
 ``greville`` and the gather ``greville_points`` also read), the normalised
 elementary symmetric functions of the Greville windows, and the kernel
-moments.  The one-index methods ``lam``, ``dual_moment`` and
-``basis_moment`` are calls into it with one index.  ``moments``,
-``kernel_rules`` and ``kernel_pieces`` take a kind and indices alike, and
-one helper decides which knots a kernel kind reads (``_kernel``).  Kernel
-moments are closed forms, not quadratures: the unit-integral B-spline on
-knots ``t_0, ..., t_k`` has r-th raw moment ``h_r(t_0, ..., t_k) /
-binomial(r + k, r)``, where ``h_r`` is the complete
+moments.  ``lam`` reads it at many indices; ``dual_moment`` and
+``basis_moment`` call it with one.  ``moments``, ``kernel_rules`` and
+``kernel_pieces`` take a kind and indices alike; one helper checks every
+index (``_indices``), and one decides which knots a kernel kind reads
+(``_kernel``).  Kernel moments are closed forms, not quadratures: the
+unit-integral B-spline on knots ``t_0, ..., t_k`` has r-th raw moment
+``h_r(t_0, ..., t_k) / binomial(r + k, r)``, where ``h_r`` is the complete
 homogeneous symmetric polynomial (de Boor, *A Practical Guide to Splines*;
 E. Neuman, "Moments of B-splines", J. Comput. Appl. Math. 1981).  Gauss
 quadrature over the knot spans remains only for integrating general
@@ -70,9 +70,10 @@ def _int_arg(name: str, value, low: int | None = None) -> int:
 class KnotSequence:
     """A knot sequence of one degree, with cached Greville points and kernel rules.
 
-    Immutable after construction.  Its caches are internal and append-only,
-    so instances are safe for concurrent read access: the Greville points, the
-    span map, the Gauss kernel rule tables, one per ``(kernel degree, npts)``
+    Every index a method takes is checked in ``_indices``.  Immutable after
+    construction.  Its caches are internal and append-only, so instances are
+    safe for concurrent read access: the Greville points, the span map, the
+    Gauss kernel rule tables, one per ``(kernel degree, npts)``
     (``_rules``), the power-form kernel pieces, one table per kernel degree
     (``_pieces``), the near-best problem stacks that ``nearbest`` assembles,
     solves in lockstep and certifies once per ``(kind, p, q)``, with every
@@ -147,6 +148,9 @@ class KnotSequence:
         """Plain uniform sequence emulating the bi-infinite cardinal setting."""
         if _int_arg("nspans", nspans) < 1:
             raise ValueError("nspans must be >= 1")
+        for name, value in (("start", start), ("spacing", spacing)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if spacing <= 0:
             raise ValueError("spacing must be positive")
         k = np.arange(-(degree + pad), nspans + degree + pad + 1)
@@ -194,13 +198,6 @@ class KnotSequence:
         """Indices j for which the Greville window t_{j-m+1..j} is stored."""
         return self._k0 + self.m - 1, self._k0 + len(self._t) - 1
 
-    def _window(self, j: int) -> np.ndarray:
-        lo, hi = self.greville_range()
-        if j < lo or j > hi:
-            raise IndexError(f"Greville index {j} outside stored range [{lo}, {hi}]")
-        pos = j - self._k0
-        return self._t[pos - self.m + 1 : pos + 1]
-
     @cached_property
     def _greville(self) -> np.ndarray:
         """Every stored Greville point, from index ``greville_range()[0]`` on."""
@@ -209,31 +206,21 @@ class KnotSequence:
 
     def greville(self, j: int) -> float:
         """Greville point: mean of the m knots t_{j-m+1}, ..., t_j."""
-        theta = self._greville
-        g = operator.index(j) - self._k0 - self.m + 1  # position in theta
-        if not 0 <= g < len(theta):
-            self._window(j)  # raises, naming the stored range
-        return theta.item(g)
+        return float(self.greville_points(operator.index(j)))
 
     def greville_points(self, js) -> np.ndarray:
         """Greville points at many indices at once, ``out[...]`` for
-        ``js[...]``: one gather from the array that ``greville`` reads, with
-        its ``IndexError`` for an index outside the stored range."""
-        js = _int_indices(js)
-        g = js - (self._k0 + self.m - 1)  # positions in theta
-        if g.size and (g.min() < 0 or g.max() >= len(self._greville)):
-            for j in (js.min(), js.max()):
-                self._window(int(j))  # raises, naming the stored range
-        return self._greville[g]
+        ``js[...]``: one gather from the array that ``greville`` reads."""
+        return self._greville[self._indices("point", js) - self.greville_range()[0]]
 
-    def lam(self, j: int) -> float:
-        """Local spread gap theta_j^2 - theta_j^(2); zero only for coincident
-        windows.  Evaluated on the window shifted to its own Greville point,
-        which is the same quantity without the catastrophic cancellation of
-        the raw difference."""
+    def lam(self, js) -> np.ndarray:
+        """Local spread gap theta_j^2 - theta_j^(2) at each index (a scalar
+        for one); zero only for coincident windows.  Evaluated on each window
+        shifted to its own Greville point, which is the same quantity without
+        the catastrophic cancellation of the raw difference."""
         if self.m < 2:
             raise ValueError("lam is undefined for degree 1")
-        return -float(self.moments("symmetric", [j], 2, center=self.greville(j))[0, 2])
+        return -self.moments("symmetric", js, 2, center=self.greville_points(js))[..., 2]
 
     # ------------------------------------------------------------- evaluation
 
@@ -403,18 +390,19 @@ class KnotSequence:
         return float(self.moments("basis", [i], r, center=center, scale=scale)[0, r])
 
     def _indices(self, kind: str, js) -> np.ndarray:
-        """``js`` as validated indices of a window quantity of ``kind``, with
-        the messages of the one-index methods."""
+        """``js`` as validated indices of a window quantity of ``kind``: the
+        one place that checks an index against the stored range."""
         js, m, o = _int_indices(js), self.m, -self._k0
         if kind == "dual" and m < 2:
             raise ValueError("dual kernels need degree >= 2")
+        lo, hi = self.greville_range()
         for j in (int(js.min()), int(js.max())) if js.size else ():  # the valid indices form a range
             if kind == "basis" and not (0 <= j - m + o and j + 1 + o < len(self._t)):
                 raise IndexError(f"basis kernel window for index {j} not stored")
             if kind == "dual" and not self.cardinal and not 1 <= j <= self.nbasis - 2:
                 raise ValueError(f"dual kernel index {j} outside interior range [1, {self.nbasis - 2}]")
-            if kind != "basis":
-                self._window(j)
+            if kind != "basis" and not lo <= j <= hi:
+                raise IndexError(f"Greville index {j} outside stored range [{lo}, {hi}]")
         if kind == "dual" and (flat := self._t[js + o] <= self._t[js + o - m + 1]).any():
             raise ValueError(f"degenerate dual kernel window at index {js[flat][0]}")
         return js
@@ -435,14 +423,14 @@ class KnotSequence:
         the kernel's k + 1 knots, by the complete homogeneous one, one
         cumulative sum over the knots per order).  Each recurrence runs on
         every window together.
-        Indices are validated as by the one-index methods, with their
-        messages; an unknown kind, a negative order, non-integer indices, a
-        non-finite ``center`` and a ``scale`` that is not finite and positive
-        raise ``ValueError``.
+        Indices are validated by ``_indices``; an unknown kind, an order that
+        is negative or not an integer, non-integer indices, a non-finite
+        ``center`` and a ``scale`` that is not finite and positive raise
+        ``ValueError``.
         """
         if kind not in ("point", "symmetric", "dual", "basis"):
             raise ValueError(f"unknown moment kind {kind!r}")
-        m, js = self.m, self._indices(kind, js)
+        m, js, rmax = self.m, self._indices(kind, js), _int_arg("moment order", rmax)
         if kind == "symmetric" and not 0 <= rmax <= m:
             raise ValueError(f"order r={rmax} must satisfy 0 <= r <= degree={m}")
         if rmax < 0:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import runpy
 import sys
 from pathlib import Path
 
@@ -271,6 +272,16 @@ class TestRepro:
         code, out, _ = run_cli(capsys, "repro", "--section", "3.3")
         assert code == 0
         assert "fail" not in out
+
+    @pytest.mark.filterwarnings("ignore:'splineqi.cli' found in sys.modules:RuntimeWarning")
+    def test_module_runs_as_a_script(self, monkeypatch, tmp_path):
+        # in process, so that the line tracer of tools/unrun_lines.py sees it
+        path = tmp_path / "repro.csv"
+        monkeypatch.setattr(sys, "argv", ["splineqi", "repro", "--section", "2.1", "--out", str(path)])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_module("splineqi.cli", run_name="__main__")
+        assert stop.value.code == 0
+        assert path.read_text().startswith("claim,reference,computed,abs_diff,status\n")
 
 
 class TestPlumbing:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from splineqi import (
-    BASIS_SPLINE,
     DISCRETE,
     DUAL_SPLINE,
     CoefficientFunctional,
@@ -25,12 +24,12 @@ from splineqi.normest import lebesgue_function
 from splineqi.partitions import random_admissible_clamped, random_clamped
 
 
-def _apply(lam, f, npts=8):
-    """One functional applied to f, entry by entry: f at the Greville points,
-    and its integrals against the kernels from the live entries of their
-    Gauss rules."""
-    ks = lam.ks
-    kind = "dual" if lam.kind == DUAL_SPLINE else "basis"
+def _apply(q, i, f, npts=8):
+    """Functional i of q applied to f, entry by entry: f at the Greville
+    points, and its integrals against the kernels from the live entries of
+    their Gauss rules."""
+    ks, lam = q.ks, q.functionals[i]
+    kind = "dual" if q.kind == DUAL_SPLINE else "basis"
     total = 0.0
     for idx, w in lam.point_entries:
         total += w * float(f(ks.greville(idx)))
@@ -40,11 +39,11 @@ def _apply(lam, f, npts=8):
     return total
 
 
-def _apply_monomial(lam, r, *, center=0.0, scale=1.0):
-    """One functional on ((x - center)/scale)**r, entry by entry from the
+def _apply_monomial(q, i, r, *, center=0.0, scale=1.0):
+    """Functional i of q on ((x - center)/scale)**r, entry by entry from the
     Greville points and the one-index kernel moments."""
-    ks = lam.ks
-    moment = ks.dual_moment if lam.kind == DUAL_SPLINE else ks.basis_moment
+    ks, lam = q.ks, q.functionals[i]
+    moment = ks.dual_moment if q.kind == DUAL_SPLINE else ks.basis_moment
     total = 0.0
     for idx, w in lam.point_entries:
         total += w * ((ks.greville(idx) - center) / scale) ** r
@@ -61,7 +60,7 @@ def _is_exact_on_loop(q, degree, rtol=1e-10):
     for j in ks.basis_indices:
         center = ks.greville(j)
         for r in range(degree + 1):
-            got = _apply_monomial(q.functionals[j], r, center=center, scale=scale)
+            got = _apply_monomial(q, j, r, center=center, scale=scale)
             want = ks.moments("symmetric", [j], r, center=center, scale=scale)[0, r]
             worst = max(worst, abs(got - want))
     return worst <= rtol, worst
@@ -100,20 +99,19 @@ class TestApply:
         ks = random_clamped(3, 9, rng)
         g1 = gs1(ks)
         for i in range(1, ks.nbasis - 1):
-            got = _apply(g1.functionals[i], lambda x: np.asarray(x))
+            got = _apply(g1, i, lambda x: np.asarray(x))
             assert got == pytest.approx(ks.greville(i), rel=1e-12)
 
     def test_linearity_on_random_polynomials(self):
         rng = np.random.default_rng(5)
         ks = random_clamped(2, 8, rng)
         for q in (schoenberg(ks), s2(ks), gs1(ks), gs2(ks)):
-            lam = q.functionals[3]
             c1, c2 = rng.standard_normal(3), rng.standard_normal(3)
             f = lambda x: np.polyval(c1, x)
             g = lambda x: np.polyval(c2, x)
             al, be = 0.7, -1.3
-            combined = _apply(lam, lambda x: al * f(x) + be * g(x))
-            split = al * _apply(lam, f) + be * _apply(lam, g)
+            combined = _apply(q, 3, lambda x: al * f(x) + be * g(x))
+            split = al * _apply(q, 3, f) + be * _apply(q, 3, g)
             assert combined == pytest.approx(split, rel=1e-12, abs=1e-12)
 
 
@@ -122,15 +120,15 @@ class TestApplyMonomial:
         rng = np.random.default_rng(6)
         ks = random_clamped(3, 7, rng)
         for q in (schoenberg(ks), s2(ks), gs1(ks), gs2(ks)):
-            for lam in q.functionals:
-                assert _apply_monomial(lam, 0) == pytest.approx(1.0, rel=1e-12)
+            for i in ks.basis_indices:
+                assert _apply_monomial(q, i, 0) == pytest.approx(1.0, rel=1e-12)
 
     def test_gs2_reproduces_second_symmetric(self):
         rng = np.random.default_rng(7)
         ks = random_clamped(3, 8, rng)
         g2 = gs2(ks)
         for i in range(ks.nbasis):
-            assert _apply_monomial(g2.functionals[i], 2) == pytest.approx(
+            assert _apply_monomial(g2, i, 2) == pytest.approx(
                 ks.moments("symmetric", [i], 2)[0, 2], rel=1e-10, abs=1e-12
             )
 
@@ -139,7 +137,7 @@ class TestApplyMonomial:
         ks = random_clamped(2, 9, rng)
         s1 = schoenberg(ks)
         for i in range(ks.nbasis):
-            over = _apply_monomial(s1.functionals[i], 2) - ks.moments("symmetric", [i], 2)[0, 2]
+            over = _apply_monomial(s1, i, 2) - ks.moments("symmetric", [i], 2)[0, 2]
             assert over == pytest.approx(ks.lam(i), rel=1e-9, abs=1e-14)
 
     def test_agreement_with_apply(self):
@@ -147,10 +145,10 @@ class TestApplyMonomial:
         for m in (2, 3, 4):
             ks = random_clamped(m, 7, rng)
             for q in (schoenberg(ks), s2(ks), gs1(ks), gs2(ks)):
-                for lam in q.functionals[:: max(1, ks.nbasis // 4)]:
+                for i in ks.basis_indices[:: max(1, ks.nbasis // 4)]:
                     for r in range(m + 1):
-                        direct = _apply(lam, lambda x: np.asarray(x, float) ** r)
-                        assert _apply_monomial(lam, r) == pytest.approx(
+                        direct = _apply(q, i, lambda x: np.asarray(x, float) ** r)
+                        assert _apply_monomial(q, i, r) == pytest.approx(
                             direct, rel=1e-10, abs=1e-12
                         )
 
@@ -175,9 +173,9 @@ class TestRowNorms:
 
 class TestEntries:
     def test_discrete_entries(self, quad_uniform):
-        lam = s2(quad_uniform).functionals[4]
-        assert lam.kind == DISCRETE
-        assert lam.anchor == 4
+        q = s2(quad_uniform)
+        lam = q.functionals[4]
+        assert q.kind == DISCRETE
         assert [idx - 4 for idx, _ in lam.point_entries] == [-1, 0, 1]
         np.testing.assert_allclose([w for _, w in lam.point_entries], [-0.125, 1.25, -0.125], rtol=1e-12)
         assert not lam.kernel_entries
@@ -189,13 +187,15 @@ class TestEntries:
 
 
 class TestConstructionValidation:
-    def test_record_kind_must_be_known(self, quad_uniform):
+    def test_operator_kind_must_be_known(self, quad_uniform):
         with pytest.raises(ValueError, match="^unknown functional kind 'moment'$"):
-            CoefficientFunctional(quad_uniform, "moment", 3, ((3, 1.0),))
+            dataclasses.replace(schoenberg(quad_uniform), kind="moment")
 
-    def test_discrete_record_carries_no_kernel_entries(self, quad_uniform):
+    def test_discrete_operator_carries_no_kernel_entries(self, quad_uniform):
         with pytest.raises(ValueError, match="^discrete functionals cannot carry kernel entries$"):
-            CoefficientFunctional(quad_uniform, DISCRETE, 3, ((3, 1.0),), ((3, 0.0),))
+            self._replace_row(schoenberg(quad_uniform), 3, kernel_entries=((3, 0.0),))
+        with pytest.raises(ValueError, match="^discrete functionals cannot carry kernel entries$"):
+            dataclasses.replace(gs1(quad_uniform), kind=DISCRETE)
 
     @staticmethod
     def _replace_row(q, i, **entries):
@@ -240,7 +240,7 @@ class TestConstructionValidation:
 class TestQuasiInterpolant:
     def test_requires_one_functional_per_index(self, quad_uniform):
         funs = tuple(
-            CoefficientFunctional(quad_uniform, DISCRETE, i, point_entries=((i, 1.0),))
+            CoefficientFunctional(point_entries=((i, 1.0),))
             for i in range(quad_uniform.nbasis - 1)
         )
         with pytest.raises(ValueError, match="one functional per basis index"):
@@ -260,7 +260,7 @@ class TestQuasiInterpolant:
             ks = random_clamped(m, 9, rng)
             ops += [schoenberg(ks), s2(ks), gs1(ks), gs2(ks)]
         for q in ops:
-            want = np.array([_apply(lam, f) for lam in q.functionals])
+            want = np.array([_apply(q, i, f) for i in q.ks.basis_indices])
             got = q.coefficients(f)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
             a, b = q.ks.domain
@@ -313,13 +313,6 @@ class TestQuasiInterpolant:
                 assert not dense
                 refs = {idx for lam in q.functionals for idx, _ in getattr(lam, field)}
                 assert sorted(refs) == band.sources.tolist()
-
-    def test_mixed_kernel_flavours_rejected(self, quad_uniform):
-        g1 = gs1(quad_uniform)
-        funs = list(g1.functionals)
-        funs[3] = CoefficientFunctional(quad_uniform, BASIS_SPLINE, 3, kernel_entries=((3, 1.0),))
-        with pytest.raises(ValueError, match="^mixed kernel flavours in one operator$"):
-            dataclasses.replace(g1, functionals=tuple(funs))
 
     def test_is_discrete_flag(self, quad_uniform):
         assert schoenberg(quad_uniform).is_discrete

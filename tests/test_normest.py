@@ -98,8 +98,7 @@ def lebesgue_oracle(q, x, mode="coefficient", sign_samples=8):
     total = sum(abs(v) for v in point.values())
     if not kernel or mode == "coefficient":
         return total + sum(abs(v) for v in kernel.values())
-    kind = {lam.kind for lam in q.functionals if lam.kernel_entries}.pop()
-    deg, shift = (ks.m - 2, -1) if kind == DUAL_SPLINE else (ks.m, 0)
+    deg, shift = (ks.m - 2, -1) if q.kind == DUAL_SPLINE else (ks.m, 0)
     t, k0 = ks.knots, -(ks.m + ks.pad)
     integral = lambda j: (t[j + 1 - k0] - t[j - deg - k0]) / (deg + 1)  # noqa: E731
     coef = {g + shift: w / integral(g + shift) for g, w in kernel.items()}

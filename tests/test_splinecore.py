@@ -254,8 +254,13 @@ class TestConstruction:
             (lambda: KnotSequence.clamped(2, [0.5]), "need at least two breakpoints"),
             (lambda: KnotSequence.cardinal_uniform(2, 0), "nspans must be >= 1"),
             (lambda: KnotSequence.cardinal_uniform(2, 4, spacing=0.0), "spacing must be positive"),
+            (lambda: KnotSequence.cardinal_uniform(2, 4, spacing=np.inf), "spacing must be finite, got inf"),
+            (lambda: KnotSequence.cardinal_uniform(2, 4, spacing=np.nan), "spacing must be finite, got nan"),
+            (lambda: KnotSequence.cardinal_uniform(2, 4, start=-np.inf), "start must be finite, got -inf"),
+            (lambda: KnotSequence.cardinal_uniform(2, 4, start=np.nan), "start must be finite, got nan"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_rejects_malformed_arguments(self, make, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             make()
@@ -1017,6 +1022,24 @@ class TestGrevillePoints:
                 np.testing.assert_array_equal(got, want, strict=True)
             assert ks.greville_points(js).tolist() == [ks.greville(j) for j in js]
 
+    @pytest.mark.parametrize(
+        "ks",
+        [KnotSequence.clamped(3, [0.0, 0.3, 0.5, 1.0]), KnotSequence.cardinal_uniform(2, 5, pad=1)],
+        ids=["clamped", "cardinal"],
+    )
+    def test_one_rule_for_every_greville_index(self, ks):
+        lo, hi = ks.greville_range()
+        for j in (lo - 1, hi + 1):
+            for call in (
+                lambda: ks.greville(j),
+                lambda: ks.greville_points([lo, j]),
+                lambda: ks.lam(j),
+                lambda: ks.moments("point", [j], 1),
+                lambda: ks.moments("symmetric", [hi, j], 2),
+            ):
+                with pytest.raises(IndexError, match=rf"^Greville index {j} outside stored range \[{lo}, {hi}\]$"):
+                    call()
+
     def test_gather_validated_as_greville(self):
         ks = KnotSequence.clamped(3, [0.0, 0.5, 1.0])
         lo, hi = ks.greville_range()
@@ -1039,11 +1062,15 @@ class TestMomentsInput:
             self.ks.moments(kind, [1], 1)
 
     @pytest.mark.parametrize("kind", ["point", "dual", "basis"])
-    def test_negative_order(self, kind):
+    def test_bad_order(self, kind):
         with pytest.raises(ValueError, match="moment order must be >= 0"):
             self.ks.moments(kind, [1], -1)
         with pytest.raises(ValueError, match="order r=-1"):
             self.ks.moments("symmetric", [1], -1)
+        for order in (2.0, True, np.float64(1.0), "2"):
+            for k in (kind, "symmetric"):
+                with pytest.raises(ValueError, match=f"^moment order must be an integer, got {re.escape(repr(order))}$"):
+                    self.ks.moments(k, [2], order)
 
     @pytest.mark.parametrize("js", [[1.7], [1.0, 2.0], np.array([2.5]), [True, False], ["1"]])
     def test_non_integral_indices(self, js):

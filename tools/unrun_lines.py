@@ -4,7 +4,9 @@ Runs pytest in-process under ``sys.settrace``, recording line events only in
 frames whose code lives under ``src/splineqi/``, then compares the hits with
 the line table (``co_lines()``) of every code object compiled from those
 files.  Each executable line that never ran is printed as
-``path:line: source``, followed by the count.  Needs nothing beyond pytest.
+``path:line: source``, followed by the count.  Exits 1 when it lists any
+line and 0 when it lists none, so the line coverage can be checked by exit
+status.  Needs nothing beyond pytest.
 
     python tools/unrun_lines.py                 # the whole suite
     python tools/unrun_lines.py tests/test_cli.py -x
@@ -81,7 +83,7 @@ def main(argv: list[str]) -> int:
             unrun.append(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
     print("\n".join(unrun))
     print(f"{len(unrun)} executable lines of {PKG.relative_to(ROOT)} never ran")
-    return 0
+    return 1 if unrun else 0
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .splinecore import KnotSequence
+from .splinecore import KnotSequence, _int_arg, _int_indices
 
 __all__ = [
     "DISCRETE",
@@ -69,17 +69,16 @@ class WeightBand:
     __slots__ = ("kind", "lo", "weights", "sources")
 
     def __init__(self, kind: str, rows):
-        offsets = [idx - i for i, entries in enumerate(rows) for idx, _ in entries]
-        lo = min(offsets, default=0)
-        weights = np.zeros((len(rows), max(offsets, default=lo - 1) - lo + 1))
-        for i, entries in enumerate(rows):
-            for idx, w in entries:
-                weights[i, idx - i - lo] += w
-        weights.flags.writeable = False
+        entries = [(i, idx - i, w) for i, row in enumerate(rows) for idx, w in row]
+        row, offset, w = zip(*entries) if entries else ((), (), ())
+        self.sources = _int_indices(sorted({i + c for i, c in zip(row, offset)}))
+        self.lo = min(offset, default=0)
+        n, width = len(rows), max(offset, default=self.lo - 1) - self.lo + 1
+        # each weight added in entry order to 0.0, as one += per entry would
+        flat = np.array(row, dtype=int) * width + np.array(offset, dtype=int) - self.lo
+        self.weights = np.bincount(flat, weights=w, minlength=n * width).reshape(n, width)
+        self.weights.flags.writeable = False
         self.kind = kind
-        self.lo = lo
-        self.weights = weights
-        self.sources = np.array(sorted({idx for entries in rows for idx, _ in entries}), dtype=int)
 
     @property
     def width(self) -> int:
@@ -148,7 +147,7 @@ class QuasiInterpolant:
         kernel = WeightBand(_MOMENT_KINDS[self.kind], kernel_rows)
         for band in (point, kernel):
             if band.sources.size:  # raises on a source whose Greville window or kernel is not stored
-                self.ks.moments(band.kind, band.sources, 0)
+                self.ks._indices(band.kind, band.sources)
         if not (np.isfinite(point.weights).all() and np.isfinite(kernel.weights).all()):
             raise ValueError("non-finite weight")
         object.__setattr__(self, "bands", (point, kernel))
@@ -205,16 +204,17 @@ def is_exact_on(q: QuasiInterpolant, degree: int, rtol: float = 1e-10) -> tuple[
     centred at its row's Greville point.  Returns ``(ok, worst)`` with
     ``worst`` the largest residual; ``ok`` means ``worst <= rtol``.
     """
-    ks = q.ks
+    ks, degree = q.ks, _int_arg("degree", degree, 0)
     if degree > ks.m:
         raise ValueError("cannot be exact beyond the spline degree")
-    scale = ks.b - ks.a
-    theta = ks.greville_points(ks.basis_indices)
-    got = -ks.moments("symmetric", ks.basis_indices, degree, center=theta, scale=scale)
+    # every index below was checked when the operator was built
+    scale, js = np.float64(ks.b - ks.a), np.arange(ks.nbasis)
+    theta = ks.greville_points(js)
+    got = -ks._moments("symmetric", js, degree, theta, scale)
     for band in [b for b in q.bands if b.sources.size]:
         rows, cols = np.nonzero(band.weights)
         js = rows + band.lo + cols
-        mom = ks.moments(band.kind, js, degree, center=theta[rows], scale=scale)
+        mom = ks._moments(band.kind, js, degree, theta[rows], scale)
         np.add.at(got, rows, band.weights[rows, cols, None] * mom)
     worst = float(np.abs(got).max())
     return worst <= rtol, worst

@@ -30,12 +30,11 @@ go the same way as stacks of one.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .splinecore import KnotSequence, _int_arg
+from .splinecore import KnotSequence, _index, _int_arg
 
 _TOL, _MAX_ITER = 1e-11, 20000  # the simplex pivot tolerance and iteration limit, read at each solve
 
@@ -62,11 +61,11 @@ class NearBestProblem:
     _answer: NearBestSolution | Exception | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _int_arg("p", self.p, 0))
+        object.__setattr__(self, "q", _int_arg("q", self.q, 0))
         for name in ("matrix", "rhs"):
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float, order="C"))
-            getattr(self, name).flags.writeable = False
-        rows, cols = self.matrix.shape
-        if rows != self.q + 1 or cols != 2 * self.p + 1:
+            object.__setattr__(self, name, _frozen(np.asarray(getattr(self, name), dtype=float)))
+        if self.matrix.shape != (self.q + 1, 2 * self.p + 1):
             raise ValueError("matrix shape inconsistent with p, q")
         if self.rhs.shape != (self.q + 1,):
             raise ValueError("rhs shape inconsistent with q")
@@ -88,20 +87,34 @@ class NearBestProblem:
         p, q = _int_arg("p", p, 0), _int_arg("q", q, 0)
         if q > min(ks.m, 2 * p):
             raise ValueError("reproduction degree must satisfy q <= min(m, 2p)")
-        if (kind, p, q) not in ks._problems:  # every anchor whose stencil fits, assembled, solved and certified at once
+        cached = ks._problems.get((kind, p, q))
+        if cached is None:  # every anchor whose stencil fits, assembled, solved and certified at once
             lo, hi = ks.greville_range()
             lo, hi = (lo + 1, hi - 1) if kind == "basis" else (lo, hi)  # B_j reads t_{j-m}..t_{j+1}
             V, b = map(np.ascontiguousarray, _problem_data(ks, kind, np.arange(lo + p, hi - p + 1), p, q))
-            ks._problems[kind, p, q] = lo + p, V, b, _l1_stack(V, b, np.ones(2 * V.shape[2]))
-        first, V, b, stack = ks._problems[kind, p, q]
-        k = operator.index(i) - first
+            cached = ks._problems[kind, p, q] = lo + p, V, b, _l1_stack(V, b, np.ones(2 * V.shape[2]))
+        first, V, b, stack = cached
+        k = _index(i) - first
         if not 0 <= k < len(b):  # the stencil does not fit: raise the one-anchor assembly's error
             for j in (i, i - p, i + p):
                 ks.greville(j)
             return cls(*(a[0] for a in _problem_data(ks, kind, np.array([i]), p, q)), anchor=i, p=p, q=q)
-        prob = cls(matrix=V[k], rhs=b[k], anchor=i, p=p, q=q)
-        object.__setattr__(prob, "_answer", _solution(stack, k))
+        answer = _solution(stack, k)
+        if isinstance(answer, Exception):  # a row the solve refused may be non-finite: check it as made directly
+            prob = cls(matrix=V[k], rhs=b[k], anchor=i, p=p, q=q)
+        else:  # the solve read the row, so it is finite: owned read-only copies, unchecked
+            prob = object.__new__(cls)
+            for name, value in (("matrix", _frozen(V[k])), ("rhs", _frozen(b[k])), ("anchor", i), ("p", p), ("q", q)):
+                object.__setattr__(prob, name, value)  # in field order, so instances share their keys
+        object.__setattr__(prob, "_answer", answer)
         return prob
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """An owned, C-contiguous, read-only copy of ``a``."""
+    a = a.copy()
+    a.setflags(write=False)
+    return a
 
 
 def _problem_data(ks: KnotSequence, kind: str, anchors: np.ndarray, p: int, q: int):
@@ -126,55 +139,59 @@ class NearBestSolution:
     duality_gap: float
 
 
-def _pivot(T: np.ndarray, idx: np.ndarray, row: np.ndarray, col: np.ndarray):
-    """Pivot problem ``idx[g]`` of the stack on ``(row[g], col[g])``: the pivot
-    row is divided by its pivot, then every other row r of the tableau becomes
-    ``T[r] - T[r, col] * T[row]``.  ``idx`` is increasing; its tableaux are
-    gathered once and written back, or updated in place when all are live."""
-    S = T if len(idx) == len(T) else T[idx]
-    g = np.arange(len(idx))
-    S[g, row] /= S[g, row, col][:, None]
-    f = S[g, :, col]
+def _pivot(S: np.ndarray, f: np.ndarray, row: np.ndarray, col: np.ndarray, basis: np.ndarray, idx: np.ndarray):
+    """Pivot every tableau ``S[g]`` of a stack on ``(row[g], col[g])`` in
+    place, given its entering column ``f[g] = S[g, :, col[g]]`` (a copy, which
+    this overwrites), and make ``col[g]`` the basic variable of that row of
+    problem ``idx[g]`` in ``basis``: the pivot row is divided by its pivot,
+    then every other row r becomes ``S[g, r] - S[g, r, col] * S[g, row]``."""
+    g = np.arange(len(S))
+    prow = S[g, row] / f[g, row][:, None]
+    S[g, row] = prow
     f[g, row] = 0.0
-    S -= f[:, :, None] * S[g, row][:, None, :]
-    if S is not T:
-        T[idx] = S
+    S -= f[:, :, None] * prow[:, None, :]
+    basis[idx, row] = col
 
 
-def _run_phase(T, basis, live, errors, ncols: int, tol: float, max_iter: int, phase: int, stop=None):
+def _run_phase(T, basis, live, errors, tol: float, max_iter: int, phase: int, stop=None):
     """Bland pivots on every live problem k until no reduced cost in
-    ``T[k, -1, :ncols]`` is below ``-tol`` or, given ``stop``, the objective
+    ``T[k, -1, :-1]`` is below ``-tol`` or, given ``stop``, the objective
     value ``-T[k, -1, -1]`` is at most ``stop[k]`` (at value 0 phase 1 is done;
     a roundoff reduced cost must not pivot on).  The problems pivot in
-    lockstep, so each has made ``it`` pivots of this phase at round ``it``.  A
-    problem that is unbounded or reaches ``max_iter`` pivots gets its error
-    and leaves ``live``."""
+    lockstep, so each has made ``it`` pivots of this phase at round ``it``.
+    They pivot on one gathered copy of their tableaux, ``S``, and each
+    tableau goes back to ``T`` when its problem stops.  A problem that is
+    unbounded or reaches ``max_iter`` pivots gets its error and leaves
+    ``live``."""
     idx = np.flatnonzero(live)
+    S, g = T[idx], np.arange(len(idx))
+    low = None if stop is None else -stop  # going while the objective row's last entry is below -stop
     for it in itertools.count():
         if it == max_iter:
             _fail(errors, live, idx, lambda k: RuntimeError(f"simplex iteration limit reached in phase {phase}"))
             return
-        obj = T[idx, -1]
-        neg = obj[:, :ncols] < -tol
-        going = neg.any(axis=1)
-        if stop is not None:
-            going &= -obj[:, -1] > stop[idx]
-        idx, col = idx[going], neg[going].argmax(axis=1)  # Bland: the first negative reduced cost
+        neg = S[:, -1, :-1] < -tol
+        col = neg.argmax(axis=1)  # Bland: the first negative reduced cost
+        going = neg[g, col]
+        if low is not None:
+            going &= S[:, -1, -1] < low[idx]
+        if not going.all():
+            T[idx[~going]] = S[~going]
+            idx, S, col, g = idx[going], S[going], col[going], g[: going.sum()]
         if not len(idx):
             return
         # ratio test: the least (rhs / a, basic variable) over the rows with a > tol
-        a, rhs = T[idx, :-1, col], T[idx, :-1, -1]
-        ok = a > tol
-        ratio = np.divide(rhs, a, out=np.full(a.shape, np.inf), where=ok)
-        tie = ok & (ratio == ratio.min(axis=1, keepdims=True))
-        row = np.where(tie, basis[idx], T.shape[2]).argmin(axis=1)  # T.shape[2] > every basic variable
-        bounded = ok.any(axis=1)
+        f = S[g, :, col]
+        ok = f[:, :-1] > tol
+        ratio = S[:, :-1, -1] / np.where(ok, f[:, :-1], np.nan)  # NaN on the rows without a > tol
+        tie = ratio == np.fmin.reduce(ratio, axis=1, keepdims=True)
+        row = np.where(tie, basis[idx], S.shape[2]).argmin(axis=1)  # a tie row's basic variable is a column of S
+        bounded = ok[g, row]
         if not bounded.all():
             msg = "phase 1 unbounded (should be impossible)" if phase == 1 else "objective unbounded below"
             _fail(errors, live, idx[~bounded], lambda k: RuntimeError(msg))
-            idx, row, col = idx[bounded], row[bounded], col[bounded]
-        _pivot(T, idx, row, col)
-        basis[idx, row] = col
+            idx, S, f, row, col, g = idx[bounded], S[bounded], f[bounded], row[bounded], col[bounded], g[: bounded.sum()]
+        _pivot(S, f, row, col, basis, idx)
 
 
 def _fail(errors: list, live: np.ndarray, idx: np.ndarray, error):
@@ -207,18 +224,19 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     # phase 1: minimize the sum of artificial variables
     T = np.zeros((K, m + 1, n + m + 1))
     T[:, :m, :n] = A
-    T[:, :m, n : n + m] = np.eye(m)
+    T[:, np.arange(m), np.arange(n, n + m)] = 1.0  # the artificial columns: an identity
     T[:, :m, -1] = b
     basis = np.tile(np.arange(n, n + m), (K, 1))
     T[:, m] = -T[:, :m].sum(axis=1)
     T[:, m, n : n + m] = 0.0
     scale = np.maximum(1.0, np.abs(b).sum(axis=1))
-    _run_phase(T, basis, live, errors, n + m, tol, max_iter, 1, stop=tol * scale)
+    _run_phase(T, basis, live, errors, tol, max_iter, 1, stop=tol * scale)
     value = -T[:, m, -1]
     _fail(
         errors, live, np.flatnonzero(live & (value > 1e-9 * scale)),
         lambda k: InfeasibleError(f"constraints infeasible (phase 1 value {value[k]:g})"),
     )
+    T = np.concatenate((T[:, :, :n], T[:, :, -1:]), axis=2)  # no later step reads an artificial column
 
     # drive remaining artificials out of the basis; a redundant row is zeroed,
     # so no later pivot or ratio test reads it
@@ -229,18 +247,19 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray):
         has = big.any(axis=1)
         T[art[~has], r] = 0.0
         kept[art[~has], r] = False
-        art, piv = art[has], big[has].argmax(axis=1)
-        _pivot(T, art, np.full(len(art), r), piv)
-        basis[art, r] = piv
+        if has.any():
+            art, S, piv = art[has], T[art[has]], big[has].argmax(axis=1)
+            _pivot(S, S[np.arange(len(art)), :, piv], np.full(len(art), r), piv, basis, art)
+            T[art] = S
 
-    # phase 2 in place, the artificial columns ignored: objective row
-    # c - sum_r c_B[r] T[r] over the kept rows in order
+    # phase 2 in place: objective row c - sum_r c_B[r] T[r] over the kept rows
+    # in order; a zeroed row weighs +0.0, and x - 0.0 * 0.0 is x, bit for bit
     T[:, m, :n] = c
-    T[:, m, n:] = 0.0
+    T[:, m, -1] = 0.0
+    cost = np.where(live[:, None] & kept, np.append(c, np.zeros(m))[basis], 0.0)
     for r in range(m):
-        s = np.flatnonzero(live & kept[:, r])
-        T[s, m] -= c[basis[s, r]][:, None] * T[s, r]
-    _run_phase(T, basis, live, errors, n, tol, max_iter, 2)
+        T[:, m] -= cost[:, r, None] * T[:, r]
+    _run_phase(T, basis, live, errors, tol, max_iter, 2)
 
     # basic values and duals from the original data, free of the pivots'
     # roundoff: one stacked solve for the problems that kept every row

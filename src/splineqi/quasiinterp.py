@@ -76,15 +76,16 @@ def _operator(ks, kind: str, live, nodes, weights, degree: int, family: str, par
     entries = [((i, 1.0),) for i in ks.basis_indices]
     for i, idx, w in zip(*(np.asarray(v).tolist() for v in (live, nodes, weights))):
         entries[i] = tuple(zip(idx, w))
-    ends = (0, ks.nbasis - 1) if kind == DUAL_SPLINE and not ks.cardinal else ()
-    funs = []
-    for row in entries:
-        if kind == DISCRETE:
-            point, kernel = row, ()
-        else:
-            point = tuple(e for e in row if e[0] in ends)
-            kernel = tuple(e for e in row if e[0] not in ends)
-        funs.append(CoefficientFunctional(point, kernel))
+    if kind == DISCRETE:
+        funs = [CoefficientFunctional(row) for row in entries]
+    else:
+        ends = (0, ks.nbasis - 1) if kind == DUAL_SPLINE and not ks.cardinal else ()
+        funs = [CoefficientFunctional((), row) for row in entries]
+        for i, row in enumerate(entries):  # the rows that read an end sample it
+            if any(idx in ends for idx, _ in row):
+                funs[i] = CoefficientFunctional(
+                    tuple(e for e in row if e[0] in ends), tuple(e for e in row if e[0] not in ends)
+                )
     return QuasiInterpolant(ks, tuple(funs), degree_exact=degree, family=family, params=params, kind=kind)
 
 
@@ -142,13 +143,17 @@ def gs2(ks: KnotSequence) -> QuasiInterpolant:
         raise ValueError("gs2 requires degree >= 2")
     _require_distinct_interior(ks, "gs2")
     ends = () if ks.cardinal else (0, ks.nbasis - 1)
-    inner = np.array([i for i in ks.basis_indices if i not in ends], dtype=int)
+    inner = np.arange(ks.nbasis) if ks.cardinal else np.arange(1, ks.nbasis - 1)
     center = ks.greville_points(inner)
     idxs = inner[:, None] + np.arange(-1, 2)
-    point = np.isin(idxs, ends)  # members at a clamped end: the sample there
-    dual = ks.moments("dual", np.where(point, inner[:, None], idxs), 2, center=center[:, None])
-    M = np.where(point[..., None], ks.moments("point", idxs, 2, center=center[:, None]), dual)
-    rhs = ks.moments("symmetric", inner, 2, center=center)
+    point = (idxs[..., None] == ends).any(axis=-1)  # members at a clamped end: the sample there
+    # stored, non-degenerate windows by construction: a clamped sequence's
+    # dual kernels 1..nbasis-2 have distinct interior knots, a cardinal one
+    # stores every index within one of the basis range
+    one = np.float64(1.0)
+    M = ks._moments("dual", np.where(point, inner[:, None], idxs), 2, center[:, None], one)
+    M[point] = ks._moments("point", idxs[point], 2, np.broadcast_to(center[:, None], idxs.shape)[point], one)
+    rhs = ks._moments("symmetric", inner, 2, center, one)
     try:
         w = np.linalg.solve(M.transpose(0, 2, 1), rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:

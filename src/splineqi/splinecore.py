@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -54,7 +54,23 @@ def _int_indices(js) -> np.ndarray:
     idx = np.asarray(js)
     if idx.size and idx.dtype.kind not in "iu":
         raise ValueError(f"indices must be integers, got {idx.dtype} values")
-    return idx.astype(int)
+    return idx.astype(int, copy=False)
+
+
+def _index(j) -> int:
+    """One index as an int: a bool is refused as ``_int_indices`` refuses
+    bool values, and a float or non-number raises ``TypeError``."""
+    if isinstance(j, (bool, np.bool_)):
+        raise ValueError("indices must be integers, got bool values")
+    return operator.index(j)
+
+
+@cache
+def _binomials(n: int, rmax: int, shifted: bool) -> np.ndarray:
+    """``binomial(n, r)``, or ``binomial(r + n, r)`` if ``shifted``, for r = 0..rmax; read-only."""
+    out = np.array([math.comb(r + n if shifted else n, r) for r in range(rmax + 1)], dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def _int_arg(name: str, value, low: int | None = None) -> int:
@@ -206,7 +222,7 @@ class KnotSequence:
 
     def greville(self, j: int) -> float:
         """Greville point: mean of the m knots t_{j-m+1}, ..., t_j."""
-        return float(self.greville_points(operator.index(j)))
+        return float(self.greville_points(_index(j)))
 
     def greville_points(self, js) -> np.ndarray:
         """Greville points at many indices at once, ``out[...]`` for
@@ -220,7 +236,8 @@ class KnotSequence:
         the catastrophic cancellation of the raw difference."""
         if self.m < 2:
             raise ValueError("lam is undefined for degree 1")
-        return -self.moments("symmetric", js, 2, center=self.greville_points(js))[..., 2]
+        js = self._indices("symmetric", js)
+        return -self._moments("symmetric", js, 2, self.greville_points(js), np.float64(1.0))[..., 2]
 
     # ------------------------------------------------------------- evaluation
 
@@ -295,8 +312,8 @@ class KnotSequence:
         B_j on t_{j-m..j+1}, dual kernel j the degree-(m-2) spline on the
         Greville window t_{j-m+1..j}, which ``"symmetric"`` also reads."""
         if kind == "basis":
-            return self.m, js - self.m - self._k0
-        return self.m - 2, js - self.m + 1 - self._k0
+            return self.m, js - (self.m + self._k0)
+        return self.m - 2, js + (1 - self.m - self._k0)
 
     def kernel_rules(self, kind: str, js, npts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gauss rules against the unit-integral ``"dual"`` or ``"basis"``
@@ -439,6 +456,13 @@ class KnotSequence:
         # one reduction over the broadcast arrays; NaN fails every comparison
         if not ((np.abs(center) < np.inf) & (scale > 0.0) & (scale < np.inf)).all():
             raise ValueError("center must be finite, and scale finite and > 0")
+        return self._moments(kind, js, rmax, center, scale)
+
+    def _moments(self, kind: str, js: np.ndarray, rmax: int, center: np.ndarray, scale: np.ndarray) -> np.ndarray:
+        """``moments`` on arguments that passed its checks, or that a caller
+        has checked as it would: indices from ``_indices``, an order in range,
+        and float arrays ``center`` (finite) and ``scale`` (finite, > 0)."""
+        m = self.m
         if kind == "point":
             knots = self._greville[js - self.greville_range()[0]][..., None]
         else:
@@ -457,8 +481,7 @@ class KnotSequence:
                 H = np.add.accumulate(u * H + 0.0)  # the cumulative sum over the knots
                 h[s] = H[-1]
         # e_r / binomial(m, r), and h_r / binomial(r + k, r) on k + 1 knots
-        top = [m if kind == "symmetric" else s + len(u) - 1 for s in range(rmax + 1)]
-        norm = np.array([math.comb(n, s) for s, n in enumerate(top)], dtype=float)
+        norm = _binomials(m, rmax, False) if kind == "symmetric" else _binomials(len(u) - 1, rmax, True)
         return (h.T / norm).reshape(shape + (rmax + 1,))
 
     def __repr__(self) -> str:

@@ -230,11 +230,34 @@ class TestProblemConstruction:
             (np.zeros((2, 5)), np.zeros(3), "matrix shape inconsistent with p, q"),
             (np.zeros((3, 3)), np.zeros(3), "matrix shape inconsistent with p, q"),
             (np.zeros((3, 5)), np.zeros(2), "rhs shape inconsistent with q"),
+            (np.zeros(5), np.zeros(3), "matrix shape inconsistent with p, q"),
+            (np.zeros((3, 5, 1)), np.zeros(3), "matrix shape inconsistent with p, q"),
         ],
     )
     def test_shapes_must_match_p_and_q(self, matrix, rhs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             NearBestProblem(matrix=matrix, rhs=rhs, anchor=10, p=2, q=2)
+
+    @pytest.mark.parametrize(
+        "p, q, name, bad",
+        [(2.0, 2, "p", 2.0), (True, 2, "p", True), (-1, 2, "p", -1), (2, 2.0, "q", 2.0), (2, np.float64(2), "q", np.float64(2))],
+    )
+    def test_direct_sizes_must_be_integers(self, p, q, name, bad):
+        # as from_* checks them: p = 2.0 would build and fail later in the solve, q = 2.0 would pass
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got {re.escape(repr(bad))}$"):
+            NearBestProblem(matrix=np.zeros((3, 5)), rhs=np.zeros(3), anchor=10, p=p, q=q)
+        prob = NearBestProblem(matrix=np.eye(3, 5), rhs=np.ones(3), anchor=10, p=np.int64(2), q=np.int32(2))
+        assert type(prob.p) is int and type(prob.q) is int and (prob.p, prob.q) == (2, 2)
+
+    @pytest.mark.parametrize("anchor", [True, False, np.True_])
+    @pytest.mark.parametrize("kind", ["from_discrete", "from_integral"])
+    def test_bool_anchor_refused(self, kind, anchor):
+        # as ks.greville_points refuses bool indices; a bool is not read as anchor 0 or 1
+        ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 9))
+        with pytest.raises(ValueError, match="^indices must be integers, got bool values$"):
+            getattr(NearBestProblem, kind)(ks, anchor, 1, 2)
+        with pytest.raises(TypeError):
+            getattr(NearBestProblem, kind)(ks, 3.0, 1, 2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["matrix", "rhs"])
@@ -526,6 +549,55 @@ class TestAssemblyAgainstThePerEntryPath:
             assert (again.matrix.tobytes(), again.rhs.tobytes()) == want
 
 
+    @pytest.mark.parametrize("kind", ["discrete", "integral"])
+    @pytest.mark.parametrize("field, bad", [("matrix", np.nan), ("matrix", np.inf), ("rhs", -np.inf)])
+    def test_non_finite_stack_row_raises_as_made_directly(self, kind, field, bad, monkeypatch):
+        # a stack row is copied without a second check only when its solve
+        # read it; a non-finite row raises the error of direct construction
+        assemble = nearbest._problem_data
+
+        def poisoned(ks, kind, anchors, p, q):
+            V, b = assemble(ks, kind, anchors, p, q)
+            if len(anchors) > 1:
+                (V if field == "matrix" else b)[2].flat[1] = bad
+            return V, b
+
+        monkeypatch.setattr(nearbest, "_problem_data", poisoned)
+        ks = random_clamped(4, 12, np.random.default_rng(33))
+        make = getattr(NearBestProblem, f"from_{kind}")
+        first = ks.greville_range()[0] + 2 + (kind == "integral")
+        with pytest.raises(ValueError, match="^matrix and rhs must be finite$"):
+            make(ks, first + 2, 2, 4)
+        first_V, V, b, _ = ks._problems["point" if kind == "discrete" else "basis", 2, 4]
+        assert first_V == first
+        with pytest.raises(ValueError, match="^matrix and rhs must be finite$"):
+            NearBestProblem(matrix=V[2], rhs=b[2], anchor=first + 2, p=2, q=4)
+        for k in (1, 3):  # the other rows build and solve
+            prob = make(ks, first + k, 2, 4)
+            assert (prob.matrix.tobytes(), prob.rhs.tobytes()) == (V[k].tobytes(), b[k].tobytes())
+            assert _outcome(solve_l1, prob) == _outcome(_oracle_solve_l1, prob)
+
+    def test_solved_and_failed_anchors_hold_the_same_copies(self):
+        # anchors 3, 4, 6, 7, 9 and 10 of this stack fail (TestStackSolve):
+        # their problems are checked as made directly, the solved ones are
+        # copied unchecked; both hold owned, read-only, C-contiguous copies
+        ks = KnotSequence.clamped(2, 1e4 + np.linspace(0.0, 1.0, 13))
+        lo, hi = ks.greville_range()
+        outcomes = set()
+        for i in range(lo + 2, hi - 1):
+            prob = NearBestProblem.from_integral(ks, i, 1, 2)
+            direct = NearBestProblem(matrix=prob.matrix, rhs=prob.rhs, anchor=i, p=1, q=2)
+            for held in (prob, direct):
+                for a in (held.matrix, held.rhs):
+                    assert a.base is None and a.flags.c_contiguous and not a.flags.writeable
+                assert (held.matrix.tobytes(), held.rhs.tobytes()) == (direct.matrix.tobytes(), direct.rhs.tobytes())
+                assert (held.anchor, held.p, held.q) == (i, 1, 2)
+            assert prob.matrix is not direct.matrix
+            out = _outcome(solve_l1, prob)
+            outcomes.add(out[0] if isinstance(out, tuple) else NearBestSolution)
+        assert outcomes == {InfeasibleError, NearBestSolution}
+
+
 def _problem_outcome(make, ks, i, p, q):
     """The problem's bytes, shape and anchor, or its error."""
     try:
@@ -798,9 +870,10 @@ class TestSimplexAgainstTheTableauOracle:
         new, oracle = [], []
         stacked, oracle_pivot, l1_stack = nearbest._pivot, _oracle_pivot, nearbest._l1_stack
 
-        def record(T, idx, row, col):
+        def record(S, f, row, col, basis, idx):
+            assert len(idx) == len(S) > 0  # no pivot call on an empty set
             new.extend(zip(idx.tolist(), row.tolist(), col.tolist()))
-            stacked(T, idx, row, col)
+            stacked(S, f, row, col, basis, idx)
 
         def record_oracle(T, row, col):
             oracle.append((row, col))

@@ -1040,6 +1040,20 @@ class TestGrevillePoints:
                 with pytest.raises(IndexError, match=rf"^Greville index {j} outside stored range \[{lo}, {hi}\]$"):
                     call()
 
+    @pytest.mark.parametrize("j", [True, False, np.True_])
+    def test_bool_index_refused_alike(self, j):
+        ks = KnotSequence.clamped(3, [0.0, 0.3, 0.5, 1.0])
+        for call in (
+            lambda: ks.greville(j),
+            lambda: ks.greville_points(j),
+            lambda: ks.greville_points([j, False]),
+            lambda: ks.moments("point", j, 1),
+        ):
+            with pytest.raises(ValueError, match="^indices must be integers, got bool values$"):
+                call()
+        with pytest.raises(TypeError):
+            ks.greville(2.0)
+
     def test_gather_validated_as_greville(self):
         ks = KnotSequence.clamped(3, [0.0, 0.5, 1.0])
         lo, hi = ks.greville_range()

@@ -13,9 +13,10 @@ The solver is a dense two-phase simplex on the split form
 negative reduced cost; least ratio, ties to the smallest basic variable), so
 results are deterministic and termination is finite.  It runs on a stack of
 tableaux in lockstep: each round, every live problem makes one pivot, a
-rank-1 update of its own tableau, and a problem leaves the stack when it is
-done or fails.  Each problem gets the same bits and the same error as it
-does alone, in a stack of one.
+rank-1 update of its own tableau, on one compacted copy of the live
+tableaux; a problem's tableau goes back to the stack when it is done or
+fails.  Phase 2 runs without the artificial columns.  Each problem gets the
+same bits and the same error as it does alone, in a stack of one.
 
 The first ``from_*`` call for a knot sequence and ``(kind, p, q)`` assembles
 every anchor whose stencil fits in one vectorised pass, solves that stack in
@@ -23,8 +24,10 @@ lockstep and certifies it in one stacked pass: weights, ``nu``, feasibility
 residuals, duality gaps and the verdicts at 1e-9, as arrays cached on the
 sequence.  Each problem it returns holds owned, read-only copies of its
 arrays and carries its anchor's solution or error, which ``solve_l1`` raises
-afresh.  Problems made directly, ``solve_weighted_l1`` and ``simplex_min``
-go the same way as stacks of one.
+afresh.  A row that the solve read is finite and is copied without a second
+check; a row that it refused is checked as a directly made problem is.
+Problems made directly, ``solve_weighted_l1`` and ``simplex_min`` go the
+same way as stacks of one.
 """
 
 from __future__ import annotations

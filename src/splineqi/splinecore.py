@@ -5,8 +5,11 @@ Each window quantity has one implementation, ``KnotSequence.moments``, which
 works on many indices at once: Greville points (one cached array, which
 ``greville`` and the gather ``greville_points`` also read), the normalised
 elementary symmetric functions of the Greville windows, and the kernel
-moments.  ``lam`` reads it at many indices; ``dual_moment`` and
-``basis_moment`` call it with one.  ``moments``, ``kernel_rules`` and
+moments.  ``moments`` checks its arguments and computes in ``_moments``,
+which ``lam``, ``is_exact_on`` and ``gs2`` call on indices they have
+already checked; ``dual_moment`` and ``basis_moment`` call ``moments`` with
+one index.  The binomial normalisers are built once per shape.
+``moments``, ``kernel_rules`` and
 ``kernel_pieces`` take a kind and indices alike; one helper checks every
 index (``_indices``), and one decides which knots a kernel kind reads
 (``_kernel``).  Kernel moments are closed forms, not quadratures: the
@@ -86,7 +89,7 @@ def _int_arg(name: str, value, low: int | None = None) -> int:
 class KnotSequence:
     """A knot sequence of one degree, with cached Greville points and kernel rules.
 
-    Every index a method takes is checked in ``_indices``.  Immutable after
+    Every index a public method takes is checked in ``_indices``.  Immutable after
     construction.  Its caches are internal and append-only, so instances are
     safe for concurrent read access: the Greville points, the span map, the
     Gauss kernel rule tables, one per ``(kernel degree, npts)``

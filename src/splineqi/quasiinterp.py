@@ -147,11 +147,8 @@ def gs2(ks: KnotSequence) -> QuasiInterpolant:
     center = ks.greville_points(inner)
     idxs = inner[:, None] + np.arange(-1, 2)
     point = (idxs[..., None] == ends).any(axis=-1)  # members at a clamped end: the sample there
-    # stored, non-degenerate windows by construction: a clamped sequence's
-    # dual kernels 1..nbasis-2 have distinct interior knots, a cardinal one
-    # stores every index within one of the basis range
     one = np.float64(1.0)
-    M = ks._moments("dual", np.where(point, inner[:, None], idxs), 2, center[:, None], one)
+    M = ks._moments("dual", ks._indices("dual", np.where(point, inner[:, None], idxs)), 2, center[:, None], one)
     M[point] = ks._moments("point", idxs[point], 2, np.broadcast_to(center[:, None], idxs.shape)[point], one)
     rhs = ks._moments("symmetric", inner, 2, center, one)
     try:

@@ -193,7 +193,8 @@ def _run_phase(T, basis, live, errors, tol: float, max_iter: int, phase: int, st
         if not bounded.all():
             msg = "phase 1 unbounded (should be impossible)" if phase == 1 else "objective unbounded below"
             _fail(errors, live, idx[~bounded], lambda k: RuntimeError(msg))
-            idx, S, f, row, col, g = idx[bounded], S[bounded], f[bounded], row[bounded], col[bounded], g[: bounded.sum()]
+            idx, S, f, row, col = idx[bounded], S[bounded], f[bounded], row[bounded], col[bounded]
+            g = g[: len(idx)]
         _pivot(S, f, row, col, basis, idx)
 
 

@@ -321,6 +321,14 @@ class TestGS2:
         with pytest.raises(ValueError, match=f"^{name} requires degree >= 2$"):
             maker(KnotSequence.clamped(1, [0.0, 0.5, 1.0]))
 
+    def test_degenerate_pad_window_rejected(self):
+        # a cardinal sequence built directly, with a one-point Greville window
+        # t_{-3..-1} in its padding: the stencil of index 0 reads its dual kernel
+        knots = np.concatenate([[-5.0, -4.0, -3.0, -3.0, -3.0], np.arange(0.0, 13.0)])
+        ks = KnotSequence(3, knots, cardinal=True, pad=2)
+        with pytest.raises(ValueError, match="^degenerate dual kernel window at index -1$"):
+            gs2(ks)
+
     def test_uniform_cardinal_weights(self):
         q = gs2(KnotSequence.cardinal_uniform(2, 30, pad=2))
         _, weights = _stencil(q, 15)

@@ -19,13 +19,17 @@ polynomial: the point's kernel weights times the power-form pieces of the
 kernels on that span (``KnotSequence.kernel_pieces``, gathered from a table
 that each sequence builds once per degree, every kernel from its own knot
 window).  Its values on a subgrid of ``sign_samples`` midpoints plus the
-span ends bracket the roots; bisection, run on all brackets together,
-refines them to width ``2**-27`` in the span variable, and each
+span ends bracket the roots; a sample under the rounding bound of its own
+evaluation counts as a zero.  Every zero sample is a cut, and so is one
+sign change in each bracket: a few Newton steps, run on all brackets
+together, place it, and it is kept only where the computed polynomial
+changes sign within ``2**-28`` in the span variable; the brackets that fail
+are bisected to width ``2**-27`` (``_cuts``, ``_bisect``).  Each
 sign-constant piece is integrated exactly through the antiderivative.  A
 cut at distance ``d`` from a simple root changes the integral by at most
 ``|f'|max d**2``, here ``|f'|max 2**-56``, so the cuts need not be roots
-to full precision (``_bisect``).  The single-point functions are one-point
-calls into the same path.
+to full precision.  The single-point functions are one-point calls into
+the same path.
 """
 
 from __future__ import annotations
@@ -117,6 +121,40 @@ def _bisect(c, lo, hi, flo, tol: float = 2.0**-27, steps: int = 60) -> np.ndarra
     return 0.5 * (lo + hi)
 
 
+def _cuts(c, lo, hi, flo, tol: float = 2.0**-27) -> np.ndarray:
+    """Cuts with the guarantee of ``_bisect`` (same arguments) at a fraction
+    of its cost: each lies within ``tol/2`` of a sign change of the computed
+    polynomial in its bracket, or on a zero of it.
+
+    Degree 1 takes the root in closed form; higher degrees take five Newton
+    steps from the bracket midpoints, each clipped to its bracket.
+    A cut is kept when the polynomial is 0 at it, or at the point ``tol/2``
+    to one side of it (inside the bracket), or has opposite signs at those
+    two points; the brackets whose cut fails go to ``_bisect``, so a
+    bracket costs at worst what bisection costs.  Newton converges only
+    linearly at a multiple root, so such a bracket usually goes to
+    ``_bisect``.
+    """
+    deg = len(c) - 1
+    if not len(lo):  # no brackets, as always at degree 0
+        return lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if deg == 1:
+            x = np.fmin(np.fmax(-c[0] / c[1], lo), hi)
+        else:
+            fd = np.zeros((deg + 1, 2, len(lo)))  # the polynomials and their derivatives
+            fd[:, 0], fd[:-1, 1] = c, c[1:] * np.arange(1, deg + 1)[:, None]
+            x = 0.5 * (lo + hi)
+            for _ in range(5):
+                f, d = _horner(fd, x)
+                x = np.fmin(np.fmax(x - f / d, lo), hi)  # fmax takes lo for a NaN step (f = f' = 0)
+    sign = np.sign(_horner(c, np.stack([np.maximum(x - tol / 2, lo), x, np.minimum(x + tol / 2, hi)])))
+    bad = (sign[1] != 0.0) & (sign[0] * sign[2] > 0.0)
+    if np.count_nonzero(bad):
+        x[bad] = _bisect(c[:, bad], lo[bad], hi[bad], flo[bad], tol)
+    return x
+
+
 def _abs_kernel_integrals(q: QuasiInterpolant, k, weights, sign_samples: int) -> np.ndarray:
     """Integral of the absolute combined kernel ``|sum_s weights[p, s] K_g|``
     at each point p, where ``K_g`` is the unit-integral kernel of source
@@ -137,32 +175,39 @@ def _abs_kernel_integrals(q: QuasiInterpolant, k, weights, sign_samples: int) ->
     terms = weights[:, :, None, None] * table[(k - kmin)[:, None] + np.arange(nsrc)]
     for s in range(nsrc):
         poly[:, s : s + deg + 1] += terms[:, s]
-    coef = np.moveaxis(poly, -1, 0)  # coef[p]: the coefficients of tau**p
     t = ks._t
     pos = np.clip(k[:, None] + first + np.arange(nspans), 0, len(t) - 2)
     span_width = t[pos + 1] - t[pos]
 
     tau = np.concatenate([[0.0], (np.arange(sign_samples) + 0.5) / sign_samples, [1.0]])
-    vals = poly @ (tau[:, None] ** np.arange(deg + 1)).T
-    va, vb = vals[..., :-1], vals[..., 1:]
-    pi, si, ii = np.nonzero((va != 0.0) & (vb != 0.0) & ((va < 0) != (vb < 0)))
+    powers = (tau[:, None] ** np.arange(deg + 1)).T
+    vals = poly @ powers
+    # the signs of the samples; one under the rounding bound of its own evaluation has none (0)
+    sign = np.sign(vals) * (np.abs(vals) > (deg + 1) * 2.0**-53 * (np.abs(poly) @ powers))
+    pi, si, ii = np.nonzero(sign[..., :-1] * sign[..., 1:] < 0)
+    # every zero sample is a cut, in the slot of the sample interval it starts
     cuts = np.full(vals.shape[:-1] + (sign_samples + 3,), -np.inf)
     cuts[..., 0], cuts[..., -1] = 0.0, 1.0
-    cuts[pi, si, ii + 1] = _bisect(coef[:, pi, si], tau[ii], tau[ii + 1], va[pi, si, ii])
-    # a sample interval without a root repeats the previous cut: a piece of width 0
+    cuts[..., 1:-1] = np.where(sign[..., :-1] == 0.0, tau[:-1], -np.inf)
+    cuts[pi, si, ii + 1] = _cuts(poly[pi, si].T, tau[ii], tau[ii + 1], vals[pi, si, ii])
+    # a sample interval without a cut repeats the previous one: a piece of width 0
     cuts = np.maximum.accumulate(cuts, axis=-1)
     anti = np.zeros((deg + 2, npts, nspans, 1))
-    anti[1:, ..., 0] = coef / np.arange(1, deg + 2)[:, None, None]
+    anti[1:, ..., 0] = np.moveaxis(poly, -1, 0) / np.arange(1, deg + 2)[:, None, None]
     ends = _horner(anti, cuts)
     return (np.abs(np.diff(ends, axis=-1)).sum(axis=-1) * span_width).sum(axis=1)
 
 
-def _lebesgue_values(q: QuasiInterpolant, k, rows, mode: str, sign_samples: int) -> np.ndarray:
-    """Lebesgue-type values at the points with basis rows ``(k, rows)`` (see
-    integral_lebesgue_function)."""
+def _mode_args(mode: str, sign_samples: int) -> tuple[str, int]:
+    """The Lebesgue-function options, checked before any grid is made."""
     if mode not in ("coefficient", "kernel"):
         raise ValueError("mode must be 'coefficient' or 'kernel'")
-    sign_samples = _int_arg("sign_samples", sign_samples, 0)
+    return mode, _int_arg("sign_samples", sign_samples, 0)
+
+
+def _lebesgue_values(q: QuasiInterpolant, k, rows, mode: str, sign_samples: int) -> np.ndarray:
+    """Lebesgue-type values at the points with basis rows ``(k, rows)`` (see
+    integral_lebesgue_function), for options checked by ``_mode_args``."""
     point, kernel = q.bands
     total = np.abs(point.at(k, rows)).sum(axis=1)
     if not kernel.sources.size:
@@ -219,6 +264,7 @@ def integral_lebesgue_function(
     exact sup-norm bound at x and never exceeds the coefficient value.
     Point entries contribute their absolute weights in both modes.
     """
+    mode, sign_samples = _mode_args(mode, sign_samples)
     return float(_lebesgue_values(q, *q.ks.basis_rows([x]), mode, sign_samples)[0])
 
 
@@ -236,6 +282,7 @@ def empirical_norm_integral(
     norm tables; ``kernel`` mode integrates the absolute combined kernel and
     gives the (smaller) true sup-norm estimate.
     """
+    mode, sign_samples = _mode_args(mode, sign_samples)
     xs, k, rows = _sample_grid(q.ks, samples_per_span)
     vals = _lebesgue_values(q, k, rows, mode, sign_samples)
     if polish:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import QuasiInterpolant
+from .splinecore import _int_arg
 
 __all__ = ["QuadratureRule", "qi_to_quadrature", "exactness_degree"]
 
@@ -39,13 +40,17 @@ def qi_to_quadrature(q: QuasiInterpolant) -> QuadratureRule:
 
 
 def exactness_degree(rule: QuadratureRule, max_degree: int, rtol: float = 1e-10) -> int:
-    """Largest d <= max_degree with the rule exact on all polynomials of degree d.
+    """Largest d <= max_degree with the rule exact on all polynomials of degree d
+    (-1 if none); ``max_degree`` is an integer >= 0 and ``rtol`` finite and >= 0.
 
     Degree r is checked on the centred, scaled monomial ``u**r``, ``u = (x -
     mid)/(b - a)``, whose integral over [a, b] is ``(b - a) / (2**r (r + 1))``
     for even r and 0 for odd r.  The residual divided by ``b - a`` is
     dimensionless, so a domain far from 0 gives the degree it gives at 0.
     """
+    max_degree = _int_arg("max_degree", max_degree, 0)
+    if not (rtol >= 0 and np.isfinite(rtol)):
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
     a, b = rule.domain
     width = b - a
     u = (rule.nodes - a) / width - 0.5

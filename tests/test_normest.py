@@ -65,6 +65,8 @@ def _abs_kernel_integral_oracle(t, k0, deg, coef, sign_samples, tol=1e-13):
         cuts = [u0]
         for s in range(len(samples) - 1):
             va, vb = vals[s], vals[s + 1]
+            if va == 0.0:  # a zero sample between opposite signs is where the sign changes
+                cuts.append(samples[s])
             if va == 0.0 or vb == 0.0 or (va < 0) == (vb < 0):
                 continue
             lo, hi, flo = samples[s], samples[s + 1], va
@@ -276,7 +278,112 @@ class TestLebesgueFunctions:
         )
 
 
-class TestBisection:
+def _has_sign_change_near(c, x, lo, hi, tol=2.0**-27):
+    """Whether the polynomial ``c`` (power form, as ``_horner`` evaluates it)
+    is 0 or changes sign in ``[x - tol/2, x + tol/2]`` inside ``[lo, hi]``."""
+    f = normest._horner(c, np.clip(x + tol / 2 * np.linspace(-1.0, 1.0, 257), lo, hi))
+    return bool((f == 0.0).any() or (f.min() < 0.0 < f.max()))
+
+
+def _brackets(c, sign_samples):
+    """The sign-change brackets of the polynomials ``c[:, i]`` between the sign
+    samples of ``_abs_kernel_integrals``: ``(i, lo, hi, f(lo))``."""
+    tau = np.concatenate([[0.0], (np.arange(sign_samples) + 0.5) / sign_samples, [1.0]])
+    vals = normest._horner(c[:, :, None], tau)
+    i, j = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0)
+    return i, tau[j], tau[j + 1], vals[i, j]
+
+
+class TestCuts:
+    """``_cuts`` against the bisection that it replaced, which stays as its fallback."""
+
+    def test_every_cut_lies_near_a_sign_change(self, monkeypatch):
+        fallback = []
+        bisect = normest._bisect
+        monkeypatch.setattr(normest, "_bisect", lambda c, lo, *a: fallback.append(len(lo)) or bisect(c, lo, *a))
+        rng = np.random.default_rng(64)
+        cuts = 0
+        for deg in range(6):
+            # 40 polynomials with roots at least 0.02 apart, about half of them in [0, 1]
+            roots = np.sort(rng.uniform(-0.5, 1.5, (40, deg)), axis=1)
+            roots[:, 1:] = roots[:, :1] + np.cumsum(np.maximum(np.diff(roots, axis=1), 0.02), axis=1)
+            scale = 10.0 ** rng.uniform(-3, 3, 40)
+            c = np.stack([a * np.polynomial.polynomial.polyfromroots(r) for a, r in zip(scale, roots)], axis=1)
+            for sign_samples in (1, 3, 8):
+                i, lo, hi, flo = _brackets(c, sign_samples)
+                x = normest._cuts(c[:, i], lo, hi, flo)
+                assert np.all((lo <= x) & (x <= hi))
+                for g in range(len(i)):
+                    assert _has_sign_change_near(c[:, i[g]], x[g], lo[g], hi[g]), (deg, sign_samples, g)
+                    # the roots are simple and well apart, so the sign change is a root's
+                    assert np.abs(roots[i[g]] - x[g]).min() <= 2.0**-28 * (1 + 1e-6)
+                cuts += len(i)
+        # Newton places most cuts even on these roots, some 0.02 apart in brackets up to 1/2 wide
+        assert cuts > 500 and sum(fallback) < cuts / 10
+
+    def test_triple_root_falls_back_to_bisection(self, monkeypatch):
+        # Newton moves only by a third of the distance per step towards a triple
+        # root; the power form has sign changes from rounding within about 1e-5
+        # of it, one of which the bisection finds
+        fallback = []
+        bisect = normest._bisect
+        monkeypatch.setattr(normest, "_bisect", lambda c, lo, *a: fallback.append(len(lo)) or bisect(c, lo, *a))
+        for root, lo, hi in ((0.3, 3 / 16, 5 / 16), (1.0, 15 / 16, 1.0)):
+            c = np.polynomial.polynomial.polyfromroots([root] * 3)[:, None]
+            x = normest._cuts(c, np.array([lo]), np.array([hi]), normest._horner(c, np.array([lo])))
+            assert _has_sign_change_near(c[:, 0], x[0], lo, hi)
+            assert abs(x[0] - root) < 1e-5
+        assert fallback == [1, 1]
+
+    def test_two_roots_in_one_bracket(self):
+        # a simple root at 0.33 and a double root at 0.36 in [5/16, 7/16]: the
+        # sign changes at the simple root only
+        c = np.polynomial.polynomial.polyfromroots([0.33, 0.36, 0.36])[:, None]
+        lo, hi = np.array([5 / 16]), np.array([7 / 16])
+        x = normest._cuts(c, lo, hi, normest._horner(c, lo))
+        assert _has_sign_change_near(c[:, 0], x[0], lo[0], hi[0])
+        assert abs(x[0] - 0.33) <= 2.0**-28
+
+    def test_newton_iterate_on_an_exact_zero(self):
+        # tau**2 - 1/4 vanishes at the bracket midpoint, the first iterate
+        c = np.array([[-0.25], [0.0], [1.0]])
+        x = normest._cuts(c, np.array([7 / 16]), np.array([9 / 16]), np.array([-15 / 256]))
+        assert x[0] == 0.5
+
+    def test_degree_one_closed_form(self):
+        c = np.array([[-1.0, 2.0], [3.0, -5.0]])  # roots 1/3 and 2/5
+        x = normest._cuts(c, np.array([5 / 16, 3 / 8]), np.array([3 / 8, 7 / 16]), np.array([-1 / 16, 1 / 8]))
+        np.testing.assert_allclose(x, [1 / 3, 2 / 5], rtol=1e-15)
+
+    @pytest.mark.parametrize("deg", [0, 1, 3])
+    def test_empty_bracket_set(self, deg):
+        empty = np.zeros(0)
+        assert normest._cuts(np.zeros((deg + 1, 0)), empty, empty, empty).shape == (0,)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_roundoff_sign_changes_reach_the_fallback(self, monkeypatch, n):
+        # the c (tau - 1)**3 pieces of the cubic iQI kernels read as roundoff
+        # at tau = 1; taken as zeros, they make no bracket for Newton to miss
+        fallback = []
+        bisect = normest._bisect
+        monkeypatch.setattr(normest, "_bisect", lambda c, lo, *a: fallback.append(len(lo)) or bisect(c, lo, *a))
+        q = uniform_nb_iqi(4, n, nspans=4)
+        empirical_norm_integral(q, 16, polish=False, mode="kernel")
+        assert fallback == []
+
+    @pytest.mark.parametrize("sign_samples", [1, 2, 3, 8, 64])
+    def test_a_zero_sample_is_a_cut(self, sign_samples):
+        # the difference of two neighbouring hat kernels vanishes at the knot
+        # between them, which the samples reach at tau = 1/2 when sign_samples is odd
+        q = gs2(KnotSequence.clamped(3, np.linspace(0, 1, 9)))
+        _, k, rows = _sample_grid(q.ks, 16)
+        nsrc = q.bands[1].at(k[:1], rows[:1]).shape[1]
+        for s in range(1, nsrc - 1):
+            w = np.zeros((1, nsrc))
+            w[0, s], w[0, s + 1] = 1.0, -1.0
+            got = normest._abs_kernel_integrals(q, k[:1] + 2, w, sign_samples)
+            assert got[0] == pytest.approx(1.5, rel=1e-14), s
+
     def test_cuts_stop_at_the_tolerance(self, monkeypatch):
         # the sign-sample brackets of width 1/16 (ends) and 1/8 around simple
         # roots: at most 24 halvings to width 2**-27 and one evaluation to stop
@@ -341,11 +448,22 @@ class TestSampleGrid:
                 arr[0] = 0
         assert empirical_norm_discrete(q, 16) == empirical_norm_oracle(q, 16, True)
 
-    @pytest.mark.parametrize("bad, message", [(8, "16 samples"), (16.0, "integer"), (True, "integer")])
-    def test_bad_density_never_reaches_the_cache(self, bad, message):
-        q = s2(KnotSequence.clamped(2, np.linspace(0.0, 1.0, 5)))
+    @pytest.mark.parametrize(
+        "family, options, message",
+        [
+            (s2, {"samples_per_span": 8}, "16 samples"),
+            (s2, {"samples_per_span": 16.0}, "integer"),
+            (s2, {"samples_per_span": True}, "integer"),
+            (gs2, {"mode": "exact"}, "mode must be"),
+            (gs2, {"sign_samples": -1, "mode": "kernel"}, "sign_samples"),
+        ],
+        ids=["8-16 samples", "16.0-integer", "True-integer", "mode-exact", "sign_samples--1"],
+    )
+    def test_bad_density_never_reaches_the_cache(self, family, options, message):
+        q = family(KnotSequence.clamped(2, np.linspace(0.0, 1.0, 5)))
+        norm = empirical_norm_discrete if q.is_discrete else empirical_norm_integral
         with pytest.raises(ValueError, match=message):
-            empirical_norm_discrete(q, bad)
+            norm(q, **{"samples_per_span": 16, **options})
         assert q.ks._grids == {}
 
 

@@ -101,6 +101,25 @@ class TestExactnessDegree:
         assert exactness_degree(qi_to_quadrature(schoenberg(ks)), 3) == 1
         assert exactness_degree(qi_to_quadrature(s2(ks)), 3) == 3
 
+    def test_s2_rule_degree_three_of_five(self):
+        rule = qi_to_quadrature(s2(KnotSequence.clamped(2, np.linspace(0.0, 1.0, 6))))
+        assert exactness_degree(rule, 5) == 3
+        assert exactness_degree(rule, 5, rtol=0.0) <= 3
+        assert exactness_degree(rule, 0) == 0
+
+    @pytest.mark.parametrize("rtol", [math.nan, math.inf, -1e-10])
+    def test_rtol_must_be_finite_and_nonnegative(self, rtol):
+        # a NaN rtol failed no comparison, so every degree up to max_degree passed
+        rule = qi_to_quadrature(s2(KnotSequence.clamped(2, np.linspace(0.0, 1.0, 6))))
+        with pytest.raises(ValueError, match="rtol must be finite and >= 0"):
+            exactness_degree(rule, 5, rtol=rtol)
+
+    @pytest.mark.parametrize("max_degree", [True, 2.0, -1, "3"])
+    def test_max_degree_must_be_an_integer(self, max_degree):
+        rule = qi_to_quadrature(s2(KnotSequence.clamped(2, np.linspace(0.0, 1.0, 6))))
+        with pytest.raises(ValueError, match="max_degree must be an integer >= 0"):
+            exactness_degree(rule, max_degree)
+
 
 class TestConvergence:
     @pytest.mark.parametrize(

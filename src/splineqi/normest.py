@@ -178,24 +178,33 @@ def _abs_kernel_integrals(q: QuasiInterpolant, k, weights, sign_samples: int) ->
     t = ks._t
     pos = np.clip(k[:, None] + first + np.arange(nspans), 0, len(t) - 2)
     span_width = t[pos + 1] - t[pos]
+    if not deg:  # constant pieces change sign only between spans
+        return (np.abs(poly[..., 0]) * span_width).sum(axis=1)
 
     tau = np.concatenate([[0.0], (np.arange(sign_samples) + 0.5) / sign_samples, [1.0]])
     powers = (tau[:, None] ** np.arange(deg + 1)).T
     vals = poly @ powers
     # the signs of the samples; one under the rounding bound of its own evaluation has none (0)
     sign = np.sign(vals) * (np.abs(vals) > (deg + 1) * 2.0**-53 * (np.abs(poly) @ powers))
-    pi, si, ii = np.nonzero(sign[..., :-1] * sign[..., 1:] < 0)
-    # every zero sample is a cut, in the slot of the sample interval it starts
-    cuts = np.full(vals.shape[:-1] + (sign_samples + 3,), -np.inf)
-    cuts[..., 0], cuts[..., -1] = 0.0, 1.0
-    cuts[..., 1:-1] = np.where(sign[..., :-1] == 0.0, tau[:-1], -np.inf)
-    cuts[pi, si, ii + 1] = _cuts(poly[pi, si].T, tau[ii], tau[ii + 1], vals[pi, si, ii])
+    change = sign[..., :-1] * sign[..., 1:] < 0  # a sign change between neighbouring samples
+    anti = np.zeros((deg + 2, npts, nspans))  # the antiderivative, 0 at tau = 0
+    anti[1:] = np.moveaxis(poly, -1, 0) / np.arange(1, deg + 2)[:, None, None]
+    # a span with no cut inside is one sign-constant piece
+    pieces = np.abs(_horner(anti, 1.0))
+    # the spans cut inside: at a sign change, or at a zero sample of a piece that is not 0
+    zero = sign[..., 1:-1] == 0.0
+    cp, cs = np.nonzero(change.any(axis=-1) | (zero.any(axis=-1) & (poly != 0.0).any(axis=-1)))
+    bi, ii = np.nonzero(change[cp, cs])
+    # each interior zero sample is a cut, in the slot of the sample interval it starts
+    cuts = np.full((len(cp), sign_samples + 3), -np.inf)
+    cuts[:, 0], cuts[:, -1] = 0.0, 1.0
+    cuts[:, 2:-1] = np.where(zero[cp, cs], tau[1:-1], -np.inf)
+    cuts[bi, ii + 1] = _cuts(poly[cp[bi], cs[bi]].T, tau[ii], tau[ii + 1], vals[cp[bi], cs[bi], ii])
     # a sample interval without a cut repeats the previous one: a piece of width 0
     cuts = np.maximum.accumulate(cuts, axis=-1)
-    anti = np.zeros((deg + 2, npts, nspans, 1))
-    anti[1:, ..., 0] = np.moveaxis(poly, -1, 0) / np.arange(1, deg + 2)[:, None, None]
-    ends = _horner(anti, cuts)
-    return (np.abs(np.diff(ends, axis=-1)).sum(axis=-1) * span_width).sum(axis=1)
+    ends = _horner(anti[:, cp, cs, None], cuts)
+    pieces[cp, cs] = np.abs(np.diff(ends, axis=-1)).sum(axis=-1)
+    return (pieces * span_width).sum(axis=1)
 
 
 def _mode_args(mode: str, sign_samples: int) -> tuple[str, int]:

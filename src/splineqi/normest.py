@@ -25,7 +25,9 @@ sign change in each bracket: a few Newton steps, run on all brackets
 together, place it, and it is kept only where the computed polynomial
 changes sign within ``2**-28`` in the span variable; the brackets that fail
 are bisected to width ``2**-27`` (``_cuts``, ``_bisect``).  Each
-sign-constant piece is integrated exactly through the antiderivative.  A
+sign-constant piece is integrated exactly through the antiderivative; a
+span with no cut inside is one piece, as is every span of a constant
+kernel.  A
 cut at distance ``d`` from a simple root changes the integral by at most
 ``|f'|max d**2``, here ``|f'|max 2**-56``, so the cuts need not be roots
 to full precision.  The single-point functions are one-point calls into
@@ -136,7 +138,7 @@ def _cuts(c, lo, hi, flo, tol: float = 2.0**-27) -> np.ndarray:
     ``_bisect``.
     """
     deg = len(c) - 1
-    if not len(lo):  # no brackets, as always at degree 0
+    if not len(lo):  # nothing to cut
         return lo
     with np.errstate(divide="ignore", invalid="ignore"):
         if deg == 1:

@@ -297,10 +297,15 @@ def _brackets(c, sign_samples):
 class TestCuts:
     """``_cuts`` against the bisection that it replaced, which stays as its fallback."""
 
-    def test_every_cut_lies_near_a_sign_change(self, monkeypatch):
-        fallback = []
+    @pytest.fixture
+    def fallback(self, monkeypatch):
+        """The number of brackets of each call into the bisection."""
+        calls = []
         bisect = normest._bisect
-        monkeypatch.setattr(normest, "_bisect", lambda c, lo, *a: fallback.append(len(lo)) or bisect(c, lo, *a))
+        monkeypatch.setattr(normest, "_bisect", lambda c, lo, *a: calls.append(len(lo)) or bisect(c, lo, *a))
+        return calls
+
+    def test_every_cut_lies_near_a_sign_change(self, fallback):
         rng = np.random.default_rng(64)
         cuts = 0
         for deg in range(6):
@@ -321,13 +326,10 @@ class TestCuts:
         # Newton places most cuts even on these roots, some 0.02 apart in brackets up to 1/2 wide
         assert cuts > 500 and sum(fallback) < cuts / 10
 
-    def test_triple_root_falls_back_to_bisection(self, monkeypatch):
+    def test_triple_root_falls_back_to_bisection(self, fallback):
         # Newton moves only by a third of the distance per step towards a triple
         # root; the power form has sign changes from rounding within about 1e-5
         # of it, one of which the bisection finds
-        fallback = []
-        bisect = normest._bisect
-        monkeypatch.setattr(normest, "_bisect", lambda c, lo, *a: fallback.append(len(lo)) or bisect(c, lo, *a))
         for root, lo, hi in ((0.3, 3 / 16, 5 / 16), (1.0, 15 / 16, 1.0)):
             c = np.polynomial.polynomial.polyfromroots([root] * 3)[:, None]
             x = normest._cuts(c, np.array([lo]), np.array([hi]), normest._horner(c, np.array([lo])))
@@ -361,12 +363,9 @@ class TestCuts:
         assert normest._cuts(np.zeros((deg + 1, 0)), empty, empty, empty).shape == (0,)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_no_roundoff_sign_changes_reach_the_fallback(self, monkeypatch, n):
+    def test_no_roundoff_sign_changes_reach_the_fallback(self, fallback, n):
         # the c (tau - 1)**3 pieces of the cubic iQI kernels read as roundoff
         # at tau = 1; taken as zeros, they make no bracket for Newton to miss
-        fallback = []
-        bisect = normest._bisect
-        monkeypatch.setattr(normest, "_bisect", lambda c, lo, *a: fallback.append(len(lo)) or bisect(c, lo, *a))
         q = uniform_nb_iqi(4, n, nspans=4)
         empirical_norm_integral(q, 16, polish=False, mode="kernel")
         assert fallback == []
@@ -384,6 +383,8 @@ class TestCuts:
             got = normest._abs_kernel_integrals(q, k[:1] + 2, w, sign_samples)
             assert got[0] == pytest.approx(1.5, rel=1e-14), s
 
+
+class TestBisection:
     def test_cuts_stop_at_the_tolerance(self, monkeypatch):
         # the sign-sample brackets of width 1/16 (ends) and 1/8 around simple
         # roots: at most 24 halvings to width 2**-27 and one evaluation to stop

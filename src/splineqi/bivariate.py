@@ -8,8 +8,9 @@ cell-centre monomial value, and the second-degree targets pick up the
 -h^2/4 (resp. -k^2/4) correction.  These targets and the cell functionals'
 marginal moments come from one per-axis table, and a family's stencils and
 l1 norms are arrays over the interior cells.  Pointwise evaluation is
-provided only for the uniform four-direction quadratic box spline, whose
-value is computed exactly as a square/diamond convolution overlap area.
+provided only for the uniform four-direction quadratic box spline, as an
+exact square/diamond overlap area; its near-best operator's norm comes from
+a Bernstein subdivision of the element's quadratic piece.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ __all__ = [
 
 _MONOMIALS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
 _SPREAD = {"point": np.inf, "pyramid": 20.0, "cell": 12.0}  # variance = span^2 / spread
-_ZP_BLOCK = 1 << 15  # elements per scratch array of the ZP norm's row blocks
+_ZP_LEVELS = 6  # subdivision levels of the ZP norm before it gives up
 
 
 @dataclass(frozen=True)
@@ -275,34 +276,23 @@ def eval_zp_box(x, y):
     return float(result) if result.ndim == 0 else result
 
 
-def zp_dqi_empirical_norm(s: int, grid: int = 400) -> float:
-    """Empirical sup norm of the four-direction near-best operator at scale s.
+def zp_dqi_empirical_norm(s: int) -> float:
+    """Sup norm of the four-direction near-best operator at scale s, up to
+    the rounding of the element values and the sums (not a lower estimate).
 
     The Lebesgue function sum_n |sum_k w(n - k) B(x - k)| of the stencil
     operator is Z^2-periodic and, like the element and the stencil, invariant
     under x <-> y and x -> -x, so its supremum is attained on the triangle
-    0 <= y <= x <= 1/2.  The samples are the midpoints (i + 1/2)/grid of a
-    grid x grid partition of the period in that triangle: the images of all
-    of the period's midpoints, since the grid is closed under x -> 1 - x.
-    Only the translates with kx, ky in {-1, 0, 1} reach the triangle, which
-    lies in one cell of the element's mesh (lines x, y in 1/2 + Z, x +- y in
-    Z), so each is one quadratic there, fitted at the six P2 nodes (vertices
-    and edge midpoints); folded with the stencil weights they give one
-    quadratic per node n.  The result is a lower estimate of the true norm.
-
-    The rows y = const of the triangle are evaluated in blocks: one pass of
-    numpy calls covers several rows on a (nodes, rows, columns) array, the
-    samples with x < y left out of the maximum.  The number of rows per
-    block follows a fixed element budget (more rows as the triangle
-    narrows, one row where a row alone exceeds it), and two scratch arrays
-    serve every block, so the memory stays bounded at any grid.  Every
-    sample keeps the bits of a one-row-at-a-time evaluation: the
-    elementwise operations run in the same order, and the sum over the
-    nodes runs in node order.  The last row, the diagonal point alone, is
-    summed on its own: numpy sums a single column pairwise, and the bits
-    of that sum are kept too.
+    0 <= y <= x <= 1/2.  Only the translates with kx, ky in {-1, 0, 1} reach
+    it, and it lies in one cell of the element's mesh (lines x, y in 1/2 + Z,
+    x +- y in Z), so each node's term q_n is one quadratic there.  On a
+    subtriangle the Bernstein coefficients of q_n are its vertex values and
+    2 q_n(m) - (q_n(a) + q_n(b))/2 on each edge ab with midpoint m; the basis
+    is a partition of unity, so the largest sum_n |b_n| over the six control
+    points bounds the Lebesgue function there, and its vertex values bound
+    the supremum below.  Triangles whose upper bound exceeds the best vertex
+    value by more than 8 ulps are split in four until none is left.
     """
-    grid = _int_arg("grid", grid, 1)
     center, vertex, _ = nb_box_coeffs("four-direction", s)
     stencil = ((0, 0, center), (-s, 0, vertex), (s, 0, vertex), (0, -s, vertex), (0, s, vertex))
     kx, ky = (k.ravel() for k in np.meshgrid([-1, 0, 1], [-1, 0, 1], indexing="ij"))
@@ -312,38 +302,18 @@ def zp_dqi_empirical_norm(s: int, grid: int = 400) -> float:
     for col, (tx, ty) in enumerate(zip(kx, ky)):
         for ox, oy, w in stencil:
             weights[nodes.setdefault((tx + ox, ty + oy), len(nodes)), col] = w
-    px, py = np.array([0.0, 0.5, 0.5, 0.25, 0.5, 0.25]), np.array([0.0, 0.0, 0.5, 0.0, 0.25, 0.25])
-    vander = np.stack([np.ones(6), px, py, px * py, px * px, py * py], axis=1)
-    fit = np.linalg.solve(vander, eval_zp_box(px[:, None] - kx, py[:, None] - ky))
-    # coefficients of 1, x, y, xy, x^2, y^2 in each node's polynomial
-    c0, cx, cy, cxy, cxx, cyy = (fit @ weights[: len(nodes)].T)[:, :, None]
-    half = (np.arange((grid + 1) // 2) + 0.5) / grid  # the midpoints in [0, 1/2]
-    xpart = cx * half + cxx * (half * half)
-    nn, n = xpart.shape
-    # a block of rows half[j:j + rows] spans the columns half[j:]; it fills at
-    # most _ZP_BLOCK elements of each scratch array unless one row needs more
-    cap = min(max(_ZP_BLOCK // nn, n), n * (n - 1))  # elements per node
-    scratch = np.empty((2, nn * cap))
-    best = 0.0
-    j = 0
-    while j < n - 1:
-        cols = n - j
-        rows = min(cap // cols, n - 1 - j)
-        y = half[j : j + rows]
-        val, xy = (buf[: nn * rows * cols].reshape(nn, rows, cols) for buf in scratch)
-        # x-only part + y-only constant + xy term
-        np.copyto(val, xpart[:, None, j:])
-        val += (c0 + cy * y + cyy * (y * y))[:, :, None]
-        np.copyto(xy, half[j:])
-        xy *= (cxy * y)[:, :, None]
-        val += xy
-        # summed over the node axis in node order; x < y is outside the triangle
-        lebesgue = np.abs(val, out=val).sum(axis=0)
-        inside = np.arange(cols) >= np.arange(rows)[:, None]
-        best = max(best, float(lebesgue.max(initial=0.0, where=inside)))
-        j += rows
-    # the last row is the diagonal point alone: numpy sums a one-column array
-    # pairwise, not in node order, and the s = 1 maximum at grid 400 is there
-    y = half[-1]
-    row = xpart[:, -1:] + (c0 + cy * y + cyy * (y * y)) + (cxy * y) * half[-1:]
-    return max(best, float(np.abs(row).sum(axis=0).max()))
+    tri, best = np.array([[[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]]]), 0.0  # tri[triangle, vertex, xy]
+    for _ in range(_ZP_LEVELS):
+        # vertices a, b, c and the midpoints of the edges opposite them
+        pts = np.concatenate([tri, (tri[:, [1, 2, 0]] + tri[:, [2, 0, 1]]) / 2.0], axis=1)
+        # q[triangle, point, node]: the node's term at the point
+        q = eval_zp_box(pts[..., :1] - kx, pts[..., 1:] - ky) @ weights[: len(nodes)].T
+        q[:, 3:] = 2.0 * q[:, 3:] - (q[:, [1, 2, 0]] + q[:, [2, 0, 1]]) / 2.0  # Bernstein form
+        bound = np.abs(q).sum(axis=2)  # sum_n |b_n| at the six control points
+        best = max(best, float(bound[:, :3].max()))
+        live = bound.max(axis=1) > best + 8.0 * np.spacing(best)
+        if not live.any():
+            return best
+        # the four children, by index into a, b, c and the midpoints opposite them
+        tri = pts[live][:, [[0, 5, 4], [5, 1, 3], [4, 3, 2], [3, 4, 5]]].reshape(-1, 3, 2)
+    raise RuntimeError(f"ZP norm bounds at s={s} did not meet within {_ZP_LEVELS} subdivision levels")

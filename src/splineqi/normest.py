@@ -16,22 +16,21 @@ turn them into the weight of each source at each point
 (``WeightBand.at``); the absolute-weight sums follow directly.  In kernel
 mode the combined kernel at every point is, on each kernel-space span, one
 polynomial: the point's kernel weights times the power-form pieces of the
-kernels on that span (``KnotSequence.kernel_pieces``, gathered from a table
-that each sequence builds once per degree, every kernel from its own knot
-window).  Its values on a subgrid of ``sign_samples`` midpoints plus the
-span ends bracket the roots; a sample under the rounding bound of its own
-evaluation counts as a zero.  Every zero sample is a cut, and so is one
-sign change in each bracket: a few Newton steps, run on all brackets
-together, place it, and it is kept only where the computed polynomial
-changes sign within ``2**-28`` in the span variable; the brackets that fail
-are bisected to width ``2**-27`` (``_cuts``, ``_bisect``).  Each
-sign-constant piece is integrated exactly through the antiderivative; a
-span with no cut inside is one piece, as is every span of a constant
-kernel.  A
-cut at distance ``d`` from a simple root changes the integral by at most
-``|f'|max d**2``, here ``|f'|max 2**-56``, so the cuts need not be roots
-to full precision.  The single-point functions are one-point calls into
-the same path.
+kernels on that span (``KnotSequence._kernel_pieces`` on the operator's
+checked sources, gathered from a table that each sequence builds once per
+degree, every kernel from its own knot window).  Its values on a subgrid of
+``sign_samples`` midpoints plus the span ends bracket the roots; a sample
+under the rounding bound of its own evaluation counts as a zero.  Every
+zero sample is a cut, and so is one sign change in each bracket: a few
+Newton steps, run on all brackets together, place it, and it is kept only
+where the computed polynomial changes sign within ``2**-28`` in the span
+variable; the brackets that fail are bisected to width ``2**-27``
+(``_cuts``, ``_bisect``).  Each sign-constant piece is integrated exactly
+through the antiderivative; a span with no cut inside is one piece, as is
+every span of a constant kernel.  A cut at distance ``d`` from a simple
+root changes the integral by at most ``|f'|max d**2``, here ``|f'|max
+2**-56``, so the cuts need not be roots to full precision.  The
+single-point functions are one-point calls into the same path.
 """
 
 from __future__ import annotations
@@ -170,7 +169,7 @@ def _abs_kernel_integrals(q: QuasiInterpolant, k, weights, sign_samples: int) ->
     i0, i1 = np.searchsorted(band.sources, band.lo + np.array([kmin, kmax + nsrc]))
     near = band.sources[i0:i1]
     table = np.zeros((kmax - kmin + nsrc, deg + 1, deg + 1))
-    table[near - band.lo - kmin] = ks.kernel_pieces(band.kind, near)
+    table[near - band.lo - kmin] = ks._kernel_pieces(band.kind, near)
     # poly[p, s]: the combined kernel on the knot span at position first + k[p] + s
     nspans = nsrc + deg
     poly = np.zeros((npts, nspans, deg + 1))

@@ -22,7 +22,9 @@ functions against a kernel: ``kernel_rules`` reads the rules of many kernels
 from one cached table per degree, which ``basis_integrals`` also reads for
 the domain integrals of the cardinal boundary splines.  ``kernel_pieces``
 likewise gathers the power-form pieces of the dual or basis kernels, which
-kernel-mode norms integrate exactly, from one cached table per kernel degree.
+kernel-mode norms integrate exactly, from one cached table per kernel degree;
+the norms read it through ``_kernel_pieces``, on sources their operator has
+already checked.
 
 Index conventions
 -----------------
@@ -371,7 +373,12 @@ class KnotSequence:
         """
         if kind not in ("dual", "basis"):
             raise ValueError(f"unknown kernel kind {kind!r}")
-        deg, start = self._kernel(kind, self._indices(kind, js))
+        return self._kernel_pieces(kind, self._indices(kind, js))
+
+    def _kernel_pieces(self, kind: str, js: np.ndarray) -> np.ndarray:
+        """``kernel_pieces`` at indices from ``_indices``, or that a caller
+        has checked as it would."""
+        deg, start = self._kernel(kind, js)
         if deg not in self._pieces:
             nwin = len(self._t) - deg - 1
             w = self._t[np.arange(nwin)[:, None] + np.arange(deg + 2)]  # every stored window

@@ -92,7 +92,7 @@ def test_c04_box_stencil_values_and_zp_norms():
     worst_emp = 0.0
     t0 = time.perf_counter()
     for s, ref in ((1, 1.5), (2, 1.25), (3, 1.111)):
-        worst_emp = max(worst_emp, abs(zp_dqi_empirical_norm(s, grid=400) - ref))
+        worst_emp = max(worst_emp, abs(zp_dqi_empirical_norm(s) - ref))
     elapsed = time.perf_counter() - t0
     ok = worst_nu <= 1e-12 and worst_emp <= 0.01
     _report("4", ok, f"nu dev {worst_nu:.2e}, empirical dev {worst_emp:.4f}, {elapsed:.2f} s")

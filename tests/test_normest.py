@@ -503,10 +503,12 @@ class TestBatchedAgainstOracle:
     def test_one_point_reads_only_the_kernels_it_reaches(self, monkeypatch):
         q = gs2(KnotSequence.clamped(3, np.linspace(0, 1, 801)))
         asked = []
-        pieces = KnotSequence.kernel_pieces
+        pieces = KnotSequence._kernel_pieces
         monkeypatch.setattr(
-            KnotSequence, "kernel_pieces", lambda ks, kind, js: asked.append(len(js)) or pieces(ks, kind, js)
+            KnotSequence, "_kernel_pieces", lambda ks, kind, js: asked.append(len(js)) or pieces(ks, kind, js)
         )
+        # the sources were checked when the operator was built, not again here
+        monkeypatch.setattr(KnotSequence, "_indices", lambda *a: pytest.fail("index re-checked"))
         integral_lebesgue_function(q, 0.37, "kernel")
         # the point's weights reach nsrc consecutive sources, not the whole band
         nsrc = q.bands[1].at(*q.ks.basis_rows([0.37])).shape[1]

@@ -136,21 +136,61 @@ def _full_period_norm(s, grid):
     return best
 
 
+def _zp_norm_row_loop(s, grid):
+    """Eighth-period sampler: the midpoints of a grid x grid net of the
+    period that lie in 0 <= y <= x <= 1/2, one row y at a time, every
+    translate with kx, ky in {-1, 0, 1} evaluated through ``eval_zp_box``."""
+    stencil = _nb4_stencil(s)
+    kx, ky = (k.ravel() for k in np.meshgrid([-1, 0, 1], [-1, 0, 1], indexing="ij"))
+    nodes = {}
+    weights = np.zeros((len(stencil) * len(kx), len(kx)))
+    for col, (tx, ty) in enumerate(zip(kx, ky)):
+        for (ox, oy), w in stencil:
+            weights[nodes.setdefault((tx + ox, ty + oy), len(nodes)), col] = w
+    weights = weights[: len(nodes)]
+    offs = (np.arange(grid) + 0.5) / grid
+    half = offs[offs <= 0.5]
+    best = 0.0
+    for j, y in enumerate(half):
+        vals = eval_zp_box(half[None, j:] - kx[:, None], y - ky[:, None])
+        best = max(best, float(np.abs(weights @ vals).sum(axis=0).max()))
+    return best
+
+
 def _bumped_element(x, y):
     """The element plus a smooth bump that is no quadratic on any triangle."""
     return eval_zp_box(x, y) + 0.3 * np.exp(-50.0 * ((x - 0.2) ** 2 + (y - 0.1) ** 2))
 
 
-def _bumped_lebesgue_max(s, n):
+def _capped_element(x0, y0):
+    """The element plus a quadratic cap 5 (1/4 - |(x, y) - (x0, y0)|^2) on the
+    home cell -1/2 < x, y <= 1/2 only.  On 0 <= y <= x <= 1/2 only translate
+    (0, 0) meets the cap, so every node term stays one quadratic there."""
+
+    def element(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        home = (-0.5 < x) & (x <= 0.5) & (-0.5 < y) & (y <= 0.5)
+        cap = 5.0 * (0.25 - (x - x0) ** 2 - (y - y0) ** 2)
+        return eval_zp_box(x, y) + np.where(home, cap, 0.0)
+
+    return element
+
+
+# cap centres that put the maximum inside the triangle, on its edge y = 0,
+# on its edge x = 1/2 and on its diagonal y = x
+_CAP_CENTRES = {"inside": (0.3, 0.1), "bottom": (0.3, -0.1), "right": (0.6, 0.2), "diagonal": (0.15, 0.3)}
+
+
+def _lebesgue_max(element, s, n):
     """Largest sum_n |sum_k w(n - k) E(x - k)| over an n x n grid of the
-    triangle 0 <= y <= x <= 1/2, E the bumped element, on the nine
-    translates kx, ky in {-1, 0, 1} that the ZP norm reads."""
+    triangle 0 <= y <= x <= 1/2, on the nine translates kx, ky in {-1, 0, 1}
+    that the ZP norm reads."""
     u = np.linspace(0.0, 0.5, n)
     x, y = np.meshgrid(u, u, indexing="ij")
     x, y = x[y <= x], y[y <= x]
     coef: dict[tuple[int, int], np.ndarray] = {}
     for kx, ky in itertools.product((-1, 0, 1), repeat=2):
-        vals = _bumped_element(x - kx, y - ky)
+        vals = element(x - kx, y - ky)
         for (ox, oy), w in _nb4_stencil(s):
             coef[kx + ox, ky + oy] = coef.get((kx + ox, ky + oy), 0.0) + w * vals
     return float(sum(np.abs(arr) for arr in coef.values()).max())
@@ -455,6 +495,19 @@ class TestZPElement:
             hi = eval_zp_box(edge + 1e-8, 0.3)
             assert lo == pytest.approx(hi, abs=1e-7)
 
+    @pytest.mark.parametrize("s,want", [(1, 1.5), (2, 1.25), (3, 1 + 1.0 / 9.0)])
+    def test_stencil_empirical_norm(self, s, want):
+        got = zp_dqi_empirical_norm(s)
+        assert got == pytest.approx(want, abs=0.01)
+        assert got <= 1 + 1 / s**2 + 1e-9
+
+    @pytest.mark.parametrize("grid", [37, 40, 64])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_eighth_period_matches_full_period(self, s, grid):
+        # the premise of the norm: the triangle 0 <= y <= x <= 1/2 and the
+        # nine translates kx, ky in {-1, 0, 1} see the whole period's maximum
+        assert _zp_norm_row_loop(s, grid) == pytest.approx(_full_period_norm(s, grid), rel=1e-14)
+
     @pytest.mark.parametrize("s", range(1, 9))
     def test_norm_within_4_ulps_of_the_exact_value(self, s):
         # the supremum sits at the vertex (1/2, 1/2): 3/2 at s = 1, else nu = 1 + 1/s^2
@@ -497,8 +550,21 @@ class TestZPElement:
         monkeypatch.setattr(bivariate, "eval_zp_box", _bumped_element)
         monkeypatch.setattr(bivariate, "_ZP_LEVELS", 40)
         got = zp_dqi_empirical_norm(s)
-        sampled = _bumped_lebesgue_max(s, 401)
+        sampled = _lebesgue_max(_bumped_element, s, 401)
         assert sampled - 64 * np.finfo(float).eps * got <= got <= sampled + 1e-4
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("where", sorted(_CAP_CENTRES))
+    def test_a_quadratic_cap_is_read_wherever_its_maximum_lies(self, where, s, monkeypatch):
+        # every node term is one quadratic on every triangle, so the Bernstein
+        # upper bounds hold and the vertex values close on the maximum, on an
+        # edge or inside, to the accuracy of a dense sample
+        element = _capped_element(*_CAP_CENTRES[where])
+        monkeypatch.setattr(bivariate, "eval_zp_box", element)
+        monkeypatch.setattr(bivariate, "_ZP_LEVELS", 40)
+        got = zp_dqi_empirical_norm(s)
+        sampled = _lebesgue_max(element, s, 401)
+        assert sampled - 64 * np.finfo(float).eps * got <= got <= sampled + 1e-5
 
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_abs_weight_sum_is_d4_invariant(self, s):
@@ -550,6 +616,16 @@ class TestZPPolynomialPiece:
         x, y = self._triangle_points()
         err = np.abs(self._monomials(x + 0.25, y) @ coef - eval_zp_box(x + 0.25, y))
         assert err.max() > 1e-3
+
+    @pytest.mark.parametrize("grid", [1, 2, 3, 37, 40, 64, 399, 400, 401])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_matches_the_row_loop(self, s, grid):
+        # odd grids sample the maximiser (1/2, 1/2) and agree to rounding;
+        # even grids miss it by half a step and read below by O(grid^-2)
+        # (11/16 grid^-2 at s = 1)
+        got, sampled = zp_dqi_empirical_norm(s), _zp_norm_row_loop(s, grid)
+        slack = 64 * np.finfo(float).eps * got
+        assert sampled - slack <= got <= sampled + (slack if grid % 2 else 0.7 / grid**2)
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 0.5, True, np.float64(1.0), 0, -2])
     def test_rejects_a_scale_that_is_not_a_positive_integer(self, s):

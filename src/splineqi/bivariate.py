@@ -58,6 +58,7 @@ class TensorMesh:
 
     @classmethod
     def uniform(cls, nx: int, ny: int, width: float = 1.0) -> "TensorMesh":
+        nx, ny = _int_arg("nx", nx, 1), _int_arg("ny", ny, 1)
         return cls(np.arange(nx + 1) * width, np.arange(ny + 1) * width)
 
     @classmethod

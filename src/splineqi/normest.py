@@ -20,17 +20,17 @@ kernels on that span (``KnotSequence._kernel_pieces`` on the operator's
 checked sources, gathered from a table that each sequence builds once per
 degree, every kernel from its own knot window).  Its values on a subgrid of
 ``sign_samples`` midpoints plus the span ends bracket the roots; a sample
-under the rounding bound of its own evaluation counts as a zero.  Every
-zero sample is a cut, and so is one sign change in each bracket: a few
-Newton steps, run on all brackets together, place it, and it is kept only
-where the computed polynomial changes sign within ``2**-28`` in the span
-variable; the brackets that fail are bisected to width ``2**-27``
-(``_cuts``, ``_bisect``).  Each sign-constant piece is integrated exactly
-through the antiderivative; a span with no cut inside is one piece, as is
-every span of a constant kernel.  A cut at distance ``d`` from a simple
-root changes the integral by at most ``|f'|max d**2``, here ``|f'|max
-2**-56``, so the cuts need not be roots to full precision.  The
-single-point functions are one-point calls into the same path.
+under the rounding bound of its own evaluation counts as a zero.  Each
+sample interval is one piece, or two at a sign change between its
+samples, cut there: a few Newton steps, run on all brackets together,
+place the cut, and it is kept only where the computed polynomial changes
+sign within ``2**-28`` in the span variable; the brackets that fail are
+bisected to width ``2**-27`` (``_cuts``, ``_bisect``).  Each piece is
+integrated exactly through the antiderivative, ``|F(end) - F(start)|``.
+A cut at distance ``d`` from a simple root changes the integral by at
+most ``|f'|max d**2``, here ``|f'|max 2**-56``, so the cuts need not be
+roots to full precision.  The single-point functions are one-point calls
+into the same path.
 """
 
 from __future__ import annotations
@@ -159,7 +159,9 @@ def _cuts(c, lo, hi, flo, tol: float = 2.0**-27) -> np.ndarray:
 def _abs_kernel_integrals(q: QuasiInterpolant, k, weights, sign_samples: int) -> np.ndarray:
     """Integral of the absolute combined kernel ``|sum_s weights[p, s] K_g|``
     at each point p, where ``K_g`` is the unit-integral kernel of source
-    ``g = k[p] + lo + s`` of the kernel band."""
+    ``g = k[p] + lo + s`` of the kernel band.  Each sample interval is one
+    piece, or two at a sign change; a root pair between two samples of one
+    sign is missed, which can only lower the value."""
     ks, band = q.ks, q.bands[1]
     # the kernels' degree, and the knot-array position of the first knot of kernel lo's window
     deg, first = ks._kernel(band.kind, band.lo)
@@ -179,33 +181,20 @@ def _abs_kernel_integrals(q: QuasiInterpolant, k, weights, sign_samples: int) ->
     t = ks._t
     pos = np.clip(k[:, None] + first + np.arange(nspans), 0, len(t) - 2)
     span_width = t[pos + 1] - t[pos]
-    if not deg:  # constant pieces change sign only between spans
-        return (np.abs(poly[..., 0]) * span_width).sum(axis=1)
-
     tau = np.concatenate([[0.0], (np.arange(sign_samples) + 0.5) / sign_samples, [1.0]])
     powers = (tau[:, None] ** np.arange(deg + 1)).T
     vals = poly @ powers
     # the signs of the samples; one under the rounding bound of its own evaluation has none (0)
     sign = np.sign(vals) * (np.abs(vals) > (deg + 1) * 2.0**-53 * (np.abs(poly) @ powers))
-    change = sign[..., :-1] * sign[..., 1:] < 0  # a sign change between neighbouring samples
     anti = np.zeros((deg + 2, npts, nspans))  # the antiderivative, 0 at tau = 0
     anti[1:] = np.moveaxis(poly, -1, 0) / np.arange(1, deg + 2)[:, None, None]
-    # a span with no cut inside is one sign-constant piece
-    pieces = np.abs(_horner(anti, 1.0))
-    # the spans cut inside: at a sign change, or at a zero sample of a piece that is not 0
-    zero = sign[..., 1:-1] == 0.0
-    cp, cs = np.nonzero(change.any(axis=-1) | (zero.any(axis=-1) & (poly != 0.0).any(axis=-1)))
-    bi, ii = np.nonzero(change[cp, cs])
-    # each interior zero sample is a cut, in the slot of the sample interval it starts
-    cuts = np.full((len(cp), sign_samples + 3), -np.inf)
-    cuts[:, 0], cuts[:, -1] = 0.0, 1.0
-    cuts[:, 2:-1] = np.where(zero[cp, cs], tau[1:-1], -np.inf)
-    cuts[bi, ii + 1] = _cuts(poly[cp[bi], cs[bi]].T, tau[ii], tau[ii + 1], vals[cp[bi], cs[bi], ii])
-    # a sample interval without a cut repeats the previous one: a piece of width 0
-    cuts = np.maximum.accumulate(cuts, axis=-1)
-    ends = _horner(anti[:, cp, cs, None], cuts)
-    pieces[cp, cs] = np.abs(np.diff(ends, axis=-1)).sum(axis=-1)
-    return (pieces * span_width).sum(axis=1)
+    ends = _horner(anti[..., None], tau)
+    # each sample interval is one piece, or two split at the cut where its samples change sign
+    pieces = np.abs(np.diff(ends, axis=-1))
+    p, s, i = np.nonzero(sign[..., :-1] * sign[..., 1:] < 0)
+    at = _horner(anti[:, p, s], _cuts(poly[p, s].T, tau[i], tau[i + 1], vals[p, s, i]))
+    pieces[p, s, i] = np.abs(at - ends[p, s, i]) + np.abs(ends[p, s, i + 1] - at)
+    return (pieces.sum(axis=-1) * span_width).sum(axis=1)
 
 
 def _mode_args(mode: str, sign_samples: int) -> tuple[str, int]:
@@ -270,8 +259,9 @@ def integral_lebesgue_function(
     ``coefficient`` mode sums the absolute weights accumulated on each
     unit-integral kernel (each kernel is nonnegative with unit mass, so this
     equals ``sum_g |d_g(x)|``); ``kernel`` mode integrates the absolute value
-    of the combined kernel ``|sum_g d_g(x) kernel_g|`` instead, which is the
-    exact sup-norm bound at x and never exceeds the coefficient value.
+    of the combined kernel ``|sum_g d_g(x) kernel_g|`` instead, each sample
+    interval as one piece, or two at a sign change; this is a lower estimate
+    of the exact sup-norm bound at x and never exceeds the coefficient value.
     Point entries contribute their absolute weights in both modes.
     """
     mode, sign_samples = _mode_args(mode, sign_samples)

@@ -9,22 +9,21 @@ moments.  ``moments`` checks its arguments and computes in ``_moments``,
 which ``lam``, ``is_exact_on`` and ``gs2`` call on indices they have
 already checked; ``dual_moment`` and ``basis_moment`` call ``moments`` with
 one index.  The binomial normalisers are built once per shape.
-``moments``, ``kernel_rules`` and
-``kernel_pieces`` take a kind and indices alike; one helper checks every
-index (``_indices``), and one decides which knots a kernel kind reads
-(``_kernel``).  Kernel moments are closed forms, not quadratures: the
-unit-integral B-spline on knots ``t_0, ..., t_k`` has r-th raw moment
-``h_r(t_0, ..., t_k) / binomial(r + k, r)``, where ``h_r`` is the complete
-homogeneous symmetric polynomial (de Boor, *A Practical Guide to Splines*;
-E. Neuman, "Moments of B-splines", J. Comput. Appl. Math. 1981).  Gauss
-quadrature over the knot spans remains only for integrating general
-functions against a kernel: ``kernel_rules`` reads the rules of many kernels
-from one cached table per degree, which ``basis_integrals`` also reads for
-the domain integrals of the cardinal boundary splines.  ``kernel_pieces``
-likewise gathers the power-form pieces of the dual or basis kernels, which
-kernel-mode norms integrate exactly, from one cached table per kernel degree;
-the norms read it through ``_kernel_pieces``, on sources their operator has
-already checked.
+``moments`` and ``kernel_rules`` take a kind and indices alike; one helper
+checks every index (``_indices``), and one decides which knots a kernel
+kind reads (``_kernel``).  Kernel moments are closed forms, not
+quadratures: the unit-integral B-spline on knots ``t_0, ..., t_k`` has
+r-th raw moment ``h_r(t_0, ..., t_k) / binomial(r + k, r)``, where ``h_r``
+is the complete homogeneous symmetric polynomial (de Boor, *A Practical
+Guide to Splines*; E. Neuman, "Moments of B-splines", J. Comput. Appl.
+Math. 1981).  Gauss quadrature over the knot spans remains only for
+integrating general functions against a kernel: ``kernel_rules`` reads the
+rules of many kernels from one cached table per degree, which
+``basis_integrals`` also reads for the domain integrals of the cardinal
+boundary splines.  ``_kernel_pieces`` likewise gathers the power-form
+pieces of the dual or basis kernels, which kernel-mode norms integrate
+exactly on sources their operator has already checked, from one cached
+table per kernel degree.
 
 Index conventions
 -----------------
@@ -167,6 +166,7 @@ class KnotSequence:
         spacing: float = 1.0,
     ) -> "KnotSequence":
         """Plain uniform sequence emulating the bi-infinite cardinal setting."""
+        degree, pad = _int_arg("degree", degree, 1), _int_arg("pad", pad, 0)
         if _int_arg("nspans", nspans) < 1:
             raise ValueError("nspans must be >= 1")
         for name, value in (("start", start), ("spacing", spacing)):
@@ -356,10 +356,10 @@ class KnotSequence:
             self._rules[deg, npts] = (x, wts, live)
         return tuple(v[start] for v in self._rules[deg, npts])
 
-    def kernel_pieces(self, kind: str, js) -> np.ndarray:
+    def _kernel_pieces(self, kind: str, js: np.ndarray) -> np.ndarray:
         """Polynomial pieces of the unit-integral ``"dual"`` or ``"basis"``
-        kernels (see ``moments``, which validates ``js`` alike) for the
-        indices ``js``, each from its own knot window alone.
+        kernels (see ``moments``) at indices from ``_indices``, or that a
+        caller has checked as it would, each from its own knot window alone.
 
         ``out[g, r, p]`` is the coefficient of ``tau**p`` on the r-th span
         ``[u, v]`` of the window of ``js[g]``, in the local variable
@@ -371,13 +371,6 @@ class KnotSequence:
         on first use and cached per degree (``_pieces``); a call gathers its
         rows, so a kernel's pieces do not depend on the other indices.
         """
-        if kind not in ("dual", "basis"):
-            raise ValueError(f"unknown kernel kind {kind!r}")
-        return self._kernel_pieces(kind, self._indices(kind, js))
-
-    def _kernel_pieces(self, kind: str, js: np.ndarray) -> np.ndarray:
-        """``kernel_pieces`` at indices from ``_indices``, or that a caller
-        has checked as it would."""
         deg, start = self._kernel(kind, js)
         if deg not in self._pieces:
             nwin = len(self._t) - deg - 1

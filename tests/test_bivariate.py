@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -234,6 +235,20 @@ class TestTensorMesh:
     def test_rejects_a_single_grid_line(self):
         with pytest.raises(ValueError, match="^need at least one cell per direction$"):
             TensorMesh([0.0, 1.0], [0.5])
+
+    @pytest.mark.parametrize(
+        "nx, ny, message",
+        [
+            (2.5, 2, "nx must be an integer >= 1, got 2.5"),
+            (True, 3, "nx must be an integer >= 1, got True"),
+            (2, 0, "ny must be an integer >= 1, got 0"),
+            (2, "3", "ny must be an integer >= 1, got '3'"),
+        ],
+    )
+    def test_uniform_checks_the_cell_counts(self, nx, ny, message):
+        # checked before the grid lines are made: 2.5 made three cells, True one
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TensorMesh.uniform(nx, ny)
 
     def test_from_text_needs_two_lines(self):
         with pytest.raises(ValueError, match="^expected one line of x knots and one of y knots$"):

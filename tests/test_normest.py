@@ -62,11 +62,10 @@ def _abs_kernel_integral_oracle(t, k0, deg, coef, sign_samples, tol=1e-13):
             [[u0], u0 + (u1 - u0) * (np.arange(sign_samples) + 0.5) / sign_samples, [u1]]
         )
         vals = [value(x, k) for x in samples]
-        cuts = [u0]
+        cuts = []
         for s in range(len(samples) - 1):
             va, vb = vals[s], vals[s + 1]
-            if va == 0.0:  # a zero sample between opposite signs is where the sign changes
-                cuts.append(samples[s])
+            cuts.append(samples[s])  # each sample interval is integrated on its own
             if va == 0.0 or vb == 0.0 or (va < 0) == (vb < 0):
                 continue
             lo, hi, flo = samples[s], samples[s + 1], va
@@ -131,6 +130,44 @@ def empirical_norm_oracle(q, samples_per_span, polish, mode="coefficient", sign_
     if polish:
         return normest._polish(xs, vals, lambda x: integral_lebesgue_function(q, x, mode, sign_samples))
     return float(vals.max())
+
+
+def _merged_runs_oracle(q, k, weights, sign_samples):
+    """``normest._abs_kernel_integrals`` as it was before each sample interval
+    was integrated on its own: the cuts are the zero samples and one point in
+    each sign-change bracket, and every run of sample intervals between two
+    cuts is one piece, ``|F(end) - F(start)|``."""
+    ks, band = q.ks, q.bands[1]
+    deg, first = ks._kernel(band.kind, band.lo)
+    npts, nsrc = weights.shape
+    kmin, kmax = int(k.min()), int(k.max())
+    i0, i1 = np.searchsorted(band.sources, band.lo + np.array([kmin, kmax + nsrc]))
+    near = band.sources[i0:i1]
+    table = np.zeros((kmax - kmin + nsrc, deg + 1, deg + 1))
+    table[near - band.lo - kmin] = ks._kernel_pieces(band.kind, near)
+    nspans = nsrc + deg
+    poly = np.zeros((npts, nspans, deg + 1))
+    terms = weights[:, :, None, None] * table[(k - kmin)[:, None] + np.arange(nsrc)]
+    for s in range(nsrc):
+        poly[:, s : s + deg + 1] += terms[:, s]
+    t = ks._t
+    pos = np.clip(k[:, None] + first + np.arange(nspans), 0, len(t) - 2)
+    span_width = t[pos + 1] - t[pos]
+    tau = np.concatenate([[0.0], (np.arange(sign_samples) + 0.5) / sign_samples, [1.0]])
+    powers = (tau[:, None] ** np.arange(deg + 1)).T
+    vals = poly @ powers
+    sign = np.sign(vals) * (np.abs(vals) > (deg + 1) * 2.0**-53 * (np.abs(poly) @ powers))
+    change = sign[..., :-1] * sign[..., 1:] < 0
+    anti = np.zeros((deg + 2, npts, nspans))
+    anti[1:] = np.moveaxis(poly, -1, 0) / np.arange(1, deg + 2)[:, None, None]
+    p, s, i = np.nonzero(change)
+    # a sample interval without a cut repeats the cut before it: a piece of width 0
+    cuts = np.full((npts, nspans, sign_samples + 3), -np.inf)
+    cuts[..., 0], cuts[..., -1] = 0.0, 1.0
+    cuts[..., 2:-1] = np.where(sign[..., 1:-1] == 0.0, tau[1:-1], -np.inf)
+    cuts[p, s, i + 1] = normest._cuts(poly[p, s].T, tau[i], tau[i + 1], vals[p, s, i])
+    ends = normest._horner(anti[..., None], np.maximum.accumulate(cuts, axis=-1))
+    return (np.abs(np.diff(ends, axis=-1)).sum(axis=-1) * span_width).sum(axis=1)
 
 
 def _operators_with_kernels():
@@ -371,7 +408,7 @@ class TestCuts:
         assert fallback == []
 
     @pytest.mark.parametrize("sign_samples", [1, 2, 3, 8, 64])
-    def test_a_zero_sample_is_a_cut(self, sign_samples):
+    def test_a_zero_sample_between_opposite_signs(self, sign_samples):
         # the difference of two neighbouring hat kernels vanishes at the knot
         # between them, which the samples reach at tau = 1/2 when sign_samples is odd
         q = gs2(KnotSequence.clamped(3, np.linspace(0, 1, 9)))
@@ -499,6 +536,33 @@ class TestBatchedAgainstOracle:
                 want = [lebesgue_oracle(q, x, "kernel", sign_samples) for x in xs]
                 got = [integral_lebesgue_function(q, x, "kernel", sign_samples) for x in xs]
                 np.testing.assert_allclose(got, want, rtol=1e-14, atol=0, err_msg=label)
+
+    def test_never_below_the_merged_runs(self):
+        # |F(b) - F(a)| <= sum of |F(end) - F(start)| over the sample intervals from a to b
+        for label, q in _operators_with_kernels():
+            _, k, rows = _sample_grid(q.ks, 16)
+            weights = q.bands[1].at(k, rows)
+            for sign_samples in (8, 3):
+                got = normest._abs_kernel_integrals(q, k, weights, sign_samples)
+                merged = _merged_runs_oracle(q, k, weights, sign_samples)
+                assert np.all(got >= merged - 8 * np.spacing(merged)), (label, sign_samples)
+                if (label, sign_samples) == ("G2 m=5", 3):  # a root pair between two samples
+                    assert got[48] - merged[48] == pytest.approx(2.55e-3, rel=0.01)
+
+    def test_a_root_pair_between_two_samples(self):
+        # gs2 of the 25th draw of random_clamped(m, 10, default_rng(2025), ratio=1e2),
+        # six draws for each m = 2, ..., 6, at its 50th grid point: with three sign
+        # samples the merged runs read 1.0636244, eight or more samples 1.0659959
+        rng = np.random.default_rng(2025)
+        for m in range(2, 6):
+            for _ in range(6):
+                random_clamped(m, 10, rng, ratio=1e2)
+        q = gs2(random_clamped(6, 10, rng, ratio=1e2))
+        x = _sample_grid(q.ks, 16)[0][49]
+        assert x == 0.05803240512147149
+        got = integral_lebesgue_function(q, x, "kernel", 3)
+        fine = integral_lebesgue_function(q, x, "kernel", 512)
+        assert got > 1.0637 and got == pytest.approx(fine, rel=2e-4)
 
     def test_one_point_reads_only_the_kernels_it_reaches(self, monkeypatch):
         q = gs2(KnotSequence.clamped(3, np.linspace(0, 1, 801)))

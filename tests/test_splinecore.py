@@ -271,6 +271,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"^degree must be an integer >= 1, got {degree}$"):
             KnotSequence.clamped(degree, [0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize(
+        "degree, pad, message",
+        [
+            ("2", 4, "degree must be an integer >= 1, got '2'"),
+            (2.0, 4, "degree must be an integer >= 1, got 2.0"),
+            (0, 4, "degree must be an integer >= 1, got 0"),
+            (2, "1", "pad must be an integer >= 0, got '1'"),
+            (2, -1, "pad must be an integer >= 0, got -1"),
+            (2, True, "pad must be an integer >= 0, got True"),
+        ],
+    )
+    def test_cardinal_uniform_checks_degree_and_pad(self, degree, pad, message):
+        # checked before the knots are made from them
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            KnotSequence.cardinal_uniform(degree, 5, pad=pad)
+
     def test_knot_outside_the_stored_range(self):
         ks = KnotSequence.clamped(2, [0.0, 0.5, 1.0])
         assert ks.knot(-2) == 0.0 and ks.knot(4) == 1.0
@@ -513,6 +529,11 @@ def kernel_index_range(ks, kind):
     return ks.greville_range() if ks.cardinal else (1, ks.nbasis - 2)
 
 
+def kernel_pieces(ks, kind, js):
+    """``KnotSequence._kernel_pieces`` at indices checked by ``_indices``."""
+    return ks._kernel_pieces(kind, ks._indices(kind, js))
+
+
 class TestKernelPieces:
     @pytest.mark.parametrize(
         "kind, m",
@@ -525,7 +546,7 @@ class TestKernelPieces:
         t, k0 = ks.knots, -ks.m
         lo, hi = kernel_index_range(ks, kind)
         js = np.arange(lo, hi + 1)
-        pieces = ks.kernel_pieces(kind, js)
+        pieces = kernel_pieces(ks, kind, js)
         assert pieces.shape == (len(js), deg + 1, deg + 1)
         for g, j in enumerate(js + shift):
             w = t[j - deg - k0 : j + 2 - k0]
@@ -553,36 +574,24 @@ class TestKernelPieces:
             ks = make()
             lo, hi = kernel_index_range(ks, kind)
             js = rng.permutation(np.arange(lo, hi + 1))[: (hi - lo) // 2 + 1]
-            fresh = make().kernel_pieces(kind, js)
+            fresh = kernel_pieces(make(), kind, js)
             others = np.setdiff1d(np.arange(lo, hi + 1), js)
-            ks.kernel_pieces(kind, others)
-            ks.kernel_pieces(other, [kernel_index_range(ks, other)[0]])
-            assert ks.kernel_pieces(kind, js).tobytes() == fresh.tobytes()
-            one = np.concatenate([make().kernel_pieces(kind, [j]) for j in js])
+            kernel_pieces(ks, kind, others)
+            kernel_pieces(ks, other, [kernel_index_range(ks, other)[0]])
+            assert kernel_pieces(ks, kind, js).tobytes() == fresh.tobytes()
+            one = np.concatenate([kernel_pieces(make(), kind, [j]) for j in js])
             assert one.tobytes() == fresh.tobytes()
-            assert ks.kernel_pieces(kind, js.reshape(-1, 1))[:, 0].tobytes() == fresh.tobytes()
+            assert kernel_pieces(ks, kind, js.reshape(-1, 1))[:, 0].tobytes() == fresh.tobytes()
             for j in (lo - 1, hi + 1):  # the range is every index the kind accepts
                 with pytest.raises((IndexError, ValueError)):
-                    ks.kernel_pieces(kind, [j])
+                    kernel_pieces(ks, kind, [j])
 
     def test_pieces_are_copies_of_the_cache(self):
         ks = KnotSequence.clamped(2, [0.0, 0.3, 0.5, 1.0])
-        got = ks.kernel_pieces("basis", [1, 2])
+        got = kernel_pieces(ks, "basis", [1, 2])
         want = got.copy()
         got[...] = np.nan
-        assert ks.kernel_pieces("basis", [1, 2]).tobytes() == want.tobytes()
-
-    def test_window_must_be_stored(self):
-        ks = KnotSequence.clamped(2, [0.0, 0.5, 1.0])
-        with pytest.raises(IndexError, match="not stored"):
-            ks.kernel_pieces("basis", [ks.nbasis + 1])
-
-    @pytest.mark.parametrize("js", [[3.7], [3.0], np.array([2.5, 3.0]), [True]])
-    def test_non_integral_indices_rejected(self, js):
-        ks = KnotSequence.clamped(3, [0.0, 0.2, 0.5, 0.7, 1.0])
-        for kind in ("dual", "basis"):
-            with pytest.raises(ValueError, match="indices must be integers"):
-                ks.kernel_pieces(kind, js)
+        assert kernel_pieces(ks, "basis", [1, 2]).tobytes() == want.tobytes()
 
 
 class TestDualMoments:
@@ -962,23 +971,17 @@ class TestKernelRules:
 
     def test_indices_checked_as_by_moments(self):
         ks = KnotSequence(3, [0, 0, 0, 0, 0.3, 0.3, 0.3, 0.7, 1, 1, 1, 1])
-        calls = (
-            lambda ks, kind, js: ks.kernel_rules(kind, js, 4),
-            lambda ks, kind, js: ks.kernel_pieces(kind, js),
-        )
         # dual index 3 has the degenerate window 0.3, 0.3, 0.3
         bad = (("dual", [0, 1]), ("dual", [1, 3, 4]), ("dual", [3]), ("basis", [-1]), ("basis", [0.5]))
         for kind, js in bad:
             with pytest.raises((ValueError, IndexError)) as want:
                 ks.moments(kind, js, 1)
-            for call in calls:
-                with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-                    call(ks, kind, js)
-        for call in calls:
-            with pytest.raises(ValueError, match="unknown kernel kind 'point'"):
-                call(ks, "point", [1])
-            with pytest.raises(ValueError, match="dual kernels need degree >= 2"):
-                call(KnotSequence.clamped(1, [0.0, 0.5, 1.0]), "dual", [1])
+            with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+                ks.kernel_rules(kind, js, 4)
+        with pytest.raises(ValueError, match="unknown kernel kind 'point'"):
+            ks.kernel_rules("point", [1], 4)
+        with pytest.raises(ValueError, match="dual kernels need degree >= 2"):
+            KnotSequence.clamped(1, [0.0, 0.5, 1.0]).kernel_rules("dual", [1], 4)
 
     @pytest.mark.parametrize("npts", [0, -1, 2.5, np.float64(3.0), True, "4"])
     def test_npts_must_be_a_positive_integer(self, npts):

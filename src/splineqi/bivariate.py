@@ -45,10 +45,12 @@ class TensorMesh:
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        for name in ("x", "y"):
+            lines = np.asarray(getattr(self, name), dtype=float)
+            if lines.ndim != 1:
+                raise ValueError(f"{name} must be a flat sequence of grid lines")
+            object.__setattr__(self, name, lines)
+        x, y = self.x, self.y
         if len(x) < 2 or len(y) < 2:
             raise ValueError("need at least one cell per direction")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):

@@ -26,8 +26,8 @@ sequence.  Each problem it returns holds owned, read-only copies of its
 arrays and carries its anchor's solution or error, which ``solve_l1`` raises
 afresh.  A row that the solve read is finite and is copied without a second
 check; a row that it refused is checked as a directly made problem is.
-Problems made directly, ``solve_weighted_l1`` and ``simplex_min`` go the
-same way as stacks of one.
+Problems made directly and ``solve_weighted_l1`` go the same way as stacks
+of one, so every l1 answer passes the same certificate or raises its error.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _TOL, _MAX_ITER = 1e-11, 20000  # the simplex pivot tolerance and iteration limi
 
 __all__ = [
     "NearBestProblem", "NearBestSolution", "InfeasibleError",
-    "simplex_min", "solve_l1", "solve_weighted_l1", "solve_symmetric_uniform",
+    "solve_l1", "solve_weighted_l1", "solve_symmetric_uniform",
 ]
 
 
@@ -209,18 +209,19 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Minimize ``c @ z`` subject to ``A[k] z = b[k]``, ``z >= 0`` for every
     problem k of the stack ``A`` (K, m, n), ``b`` (K, m), in lockstep.
 
+    ``c`` is finite: ``_l1_stack``, the only caller, passes the l1 costs.
     Returns ``(Z, Y, errors)``: the solutions and duals of the problems
     whose ``errors[k]`` is None, each re-solved from the original data on its
     final basis (so ``c @ Z[k] - Y[k] @ b[k]`` is the duality gap, zero up to
-    roundoff), and for the others the exception that ``simplex_min`` raises.
+    roundoff), and for the others the problem's error: ``InfeasibleError``
+    for non-finite data or infeasible constraints, ``RuntimeError`` for an
+    unbounded objective or the iteration limit.
     """
     tol, max_iter = _TOL, _MAX_ITER
     K, m, n = A.shape
     errors: list = [None] * K
     live = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1)
     _fail(errors, live, np.flatnonzero(~live), lambda k: InfeasibleError("A and b must be finite"))
-    if not np.isfinite(c).all():
-        _fail(errors, live, np.flatnonzero(live), lambda k: ValueError("c must be finite"))
     flip = np.where(b < 0, -1.0, 1.0)
     A, b = A * flip[:, :, None], b * flip
     A[~live], b[~live] = 0.0, 0.0  # no arithmetic on non-finite data
@@ -292,34 +293,6 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     return Z, Y * flip, errors
 
 
-def _lp_args(A, b):
-    """``A`` and ``b`` as float arrays, ``A`` 2-D with one entry of ``b`` per row."""
-    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"A must be 2-D, got shape {A.shape}")
-    if b.shape != A.shape[:1]:
-        raise ValueError(f"b must have one entry per row of A: A has shape {A.shape}, b has shape {b.shape}")
-    return A, b
-
-
-def simplex_min(A, b, c):
-    """Minimize c @ z subject to A z = b, z >= 0.
-
-    Dense two-phase simplex with Bland's rule, run as a stack of one.  Returns
-    ``(z, objective, y)`` where z and y are re-solved from the original data
-    on the final basis (so ``objective - y @ b`` is the duality gap, zero up
-    to roundoff).  Non-finite ``A`` or ``b`` raise ``InfeasibleError``; a
-    non-finite ``c`` and shapes that do not match raise ``ValueError``."""
-    A, b = _lp_args(A, b)
-    c = np.array(c, dtype=float)
-    if c.shape != A.shape[1:]:
-        raise ValueError(f"c must have one entry per column of A: A has shape {A.shape}, c has shape {c.shape}")
-    Z, Y, errors = _simplex(A[None], b[None], c)
-    if errors[0] is not None:
-        raise errors[0]
-    return Z[0], float(_dots(Z, c)[0]), Y[0]
-
-
 def _dots(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """``P[k] @ Q[k]`` (``Q`` 1-D: ``P[k] @ Q``) for every k, each a BLAS dot product as for one pair of vectors."""
     return np.matmul(P[:, None, :], Q[..., None])[:, 0, 0]
@@ -355,36 +328,40 @@ def _solution(stack, k: int) -> NearBestSolution | Exception:
     return NearBestSolution(X[k].copy(), float(nu[k]), float(residual[k]), float(gap[k]))
 
 
+def _raised(answer: NearBestSolution | Exception) -> NearBestSolution:
+    """``answer``, or a fresh copy of it raised if it is an error (the cached one stays unraised)."""
+    if isinstance(answer, Exception):
+        raise type(answer)(*answer.args)
+    return answer
+
+
 def solve_weighted_l1(A, b, obj_weights=None):
     """Minimize sum(w_j |x_j|) subject to A x = b via the split LP
     ``x = u - v``; the weights must be finite and nonnegative, one per column.
-    Returns ``(x, objective, duality gap)``, not certified."""
-    A, b = _lp_args(A, b)
+    Returns ``(x, objective, duality gap)``, certified as ``solve_l1``
+    certifies, with its errors."""
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"A must be 2-D, got shape {A.shape}")
+    if b.shape != A.shape[:1]:
+        raise ValueError(f"b must have one entry per row of A: A has shape {A.shape}, b has shape {b.shape}")
     n = A.shape[1]
-    c = np.ones(2 * n)
-    if obj_weights is not None:
-        w = np.asarray(obj_weights, dtype=float)
-        if w.shape != (n,):
-            raise ValueError(f"obj_weights must have shape ({n},), got {w.shape}")
-        if not np.isfinite(w).all():
-            raise ValueError("obj_weights must be finite")
-        if (w < 0).any():
-            raise ValueError("obj_weights must be nonnegative")
-        c[:n] = c[n:] = w
-    X, nu, _, gap, errors, _, _ = _l1_stack(A[None], b[None], c)
-    if errors[0] is not None:
-        raise errors[0]
-    return X[0], float(nu[0]), float(gap[0])
+    w = np.ones(n) if obj_weights is None else np.asarray(obj_weights, dtype=float)
+    if w.shape != (n,):
+        raise ValueError(f"obj_weights must have shape ({n},), got {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("obj_weights must be finite")
+    if (w < 0).any():
+        raise ValueError("obj_weights must be nonnegative")
+    sol = _raised(_solution(_l1_stack(A[None], b[None], np.concatenate((w, w))), 0))
+    return sol.weights, sol.nu, sol.duality_gap
 
 
 def solve_l1(prob: NearBestProblem) -> NearBestSolution:
     """Solve one anchor's minimization; certifies feasibility and optimality (a
     NaN residual or gap fails).  A problem made by ``from_*`` carries its
     answer; one made directly is solved here as a stack of one."""
-    answer = prob._answer or _solution(_l1_stack(prob.matrix[None], prob.rhs[None], np.ones(4 * prob.p + 2)), 0)
-    if isinstance(answer, Exception):
-        raise type(answer)(*answer.args)
-    return answer
+    return _raised(prob._answer or _solution(_l1_stack(prob.matrix[None], prob.rhs[None], np.ones(4 * prob.p + 2)), 0))
 
 
 def _uniform_args(order, n, r) -> tuple[int, int, int]:

@@ -10,10 +10,10 @@ refinement, so reported values are lower estimates.
 
 All samples are evaluated in one batch.  The grid and the basis rows of
 its points (``KnotSequence.basis_rows``) come from the sequence, which
-keeps them once per ``samples_per_span`` (``_sample_grid``), so every
-operator on a sequence reads the same rows; the operator's weight bands
-turn them into the weight of each source at each point
-(``WeightBand.at``); the absolute-weight sums follow directly.  In kernel
+keeps those of the last ``samples_per_span`` (``_sample_grid``), so every
+operator on a sequence reads the same rows at that density; the
+operator's weight bands turn them into the weight of each source at each
+point (``WeightBand.at``); the absolute-weight sums follow directly.  In kernel
 mode the combined kernel at every point is, on each kernel-space span, one
 polynomial: the point's kernel weights times the power-form pieces of the
 kernels on that span (``KnotSequence._kernel_pieces`` on the operator's
@@ -55,16 +55,18 @@ def nu_bound(q: QuasiInterpolant) -> float:
 
 def _sample_grid(ks: KnotSequence, samples_per_span: int):
     """``(xs, k, rows)``: the sample points of the norm estimates and their
-    basis rows (``KnotSequence.basis_rows``), computed once per
-    ``samples_per_span`` and kept read-only on the sequence (``_grids``).
+    basis rows (``KnotSequence.basis_rows``), read-only.  The sequence keeps
+    the grid of the last ``samples_per_span`` asked for (``_grid``), so a
+    refinement sweep holds one grid at a time.
 
     The grid is uniform per span, restricted to the central half for cardinal
     sequences so that the emulated boundary cannot pollute the estimate.
     Refining by doubling ``samples_per_span`` yields nested grids."""
     if (spp := _int_arg("samples_per_span", samples_per_span)) < 16:
         raise ValueError("need at least 16 samples per span")
-    if spp in ks._grids:
-        return ks._grids[spp]
+    cached_spp, grid = ks._grid
+    if cached_spp == spp:
+        return grid
     a, b = ks.domain
     if ks.cardinal:
         width = b - a
@@ -80,7 +82,7 @@ def _sample_grid(ks: KnotSequence, samples_per_span: int):
     grid = (xs, *ks.basis_rows(xs))
     for v in grid:
         v.flags.writeable = False
-    ks._grids[spp] = grid
+    ks._grid = spp, grid
     return grid
 
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from .bivariate import TensorMesh
 from .quasiinterp import partition_condition_violations
-from .splinecore import KnotSequence
+from .splinecore import KnotSequence, _int_arg
 
 __all__ = [
     "uniform_breakpoints",
@@ -19,14 +19,23 @@ __all__ = [
 ]
 
 
+def _span_args(n, a, b) -> int:
+    """The span count n as an int >= 1, with finite ends a < b."""
+    n = _int_arg("n", n, 1)
+    if not -np.inf < a < b < np.inf:
+        raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
+    return n
+
+
 def uniform_breakpoints(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
-    return np.linspace(a, b, n + 1)
+    return np.linspace(a, b, _span_args(n, a, b) + 1)
 
 
 def geometric_breakpoints(n: int, ratio: float, a: float = 0.0, b: float = 1.0) -> np.ndarray:
     """Spans in geometric progression; ratio is last span over first span."""
-    if n < 1 or not 0 < ratio < np.inf:
-        raise ValueError("need n >= 1 and a finite ratio > 0")
+    n = _span_args(n, a, b)
+    if not 0 < ratio < np.inf:
+        raise ValueError(f"ratio must be finite and > 0, got {ratio!r}")
     q = ratio ** (1.0 / max(n - 1, 1))
     spans = q ** np.arange(n)
     cuts = np.concatenate([[0.0], np.cumsum(spans)])
@@ -37,8 +46,9 @@ def random_breakpoints(
     n: int, rng: np.random.Generator, ratio: float = 1e3, a: float = 0.0, b: float = 1.0
 ) -> np.ndarray:
     """Spans log-uniform in [1, ratio], rescaled to [a, b]."""
-    if n < 1 or not 1 <= ratio < np.inf:
-        raise ValueError(f"random spans need n >= 1 and a finite ratio >= 1, got n={n}, ratio={ratio}")
+    n = _span_args(n, a, b)
+    if not 1 <= ratio < np.inf:
+        raise ValueError(f"ratio must be finite and >= 1, got {ratio!r}")
     spans = np.exp(rng.uniform(0.0, np.log(ratio), n))
     cuts = np.concatenate([[0.0], np.cumsum(spans)])
     return a + (b - a) * cuts / cuts[-1]
@@ -76,6 +86,7 @@ def random_admissible_clamped(
 def random_mesh(
     nx: int, ny: int, rng: np.random.Generator, ratio: float = 1e3
 ) -> TensorMesh:
+    nx, ny = _int_arg("nx", nx, 1), _int_arg("ny", ny, 1)
     return TensorMesh(random_breakpoints(nx, rng, ratio), random_breakpoints(ny, rng, ratio))
 
 

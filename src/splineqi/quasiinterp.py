@@ -134,8 +134,10 @@ def gs2(ks: KnotSequence) -> QuasiInterpolant:
     """Three-term moment operator exact on degree 2.
 
     For each index the weights on the three neighbouring moment functionals
-    solve the 3x3 reproduction system for degrees 0, 1, 2 (assembled in
-    monomials centred at the anchor's Greville point for conditioning); all
+    solve the 3x3 reproduction system for degrees 0, 1, 2, assembled in
+    monomials centred at the anchor's Greville point and scaled by the
+    stencil's Greville half-spread, as ``nearbest`` assembles its systems, so
+    the weights do not change under a power-of-two scaling of the knots; all
     systems are assembled at once and solved in one stacked call.  On a
     clamped sequence the two end coefficients stay point evaluations.
     """
@@ -144,13 +146,14 @@ def gs2(ks: KnotSequence) -> QuasiInterpolant:
     _require_distinct_interior(ks, "gs2")
     ends = () if ks.cardinal else (0, ks.nbasis - 1)
     inner = np.arange(ks.nbasis) if ks.cardinal else np.arange(1, ks.nbasis - 1)
-    center = ks.greville_points(inner)
     idxs = inner[:, None] + np.arange(-1, 2)
+    lo, center, hi = ks.greville_points(idxs).T
+    scale = (hi - lo) / 2.0
     point = (idxs[..., None] == ends).any(axis=-1)  # members at a clamped end: the sample there
-    one = np.float64(1.0)
-    M = ks._moments("dual", ks._indices("dual", np.where(point, inner[:, None], idxs)), 2, center[:, None], one)
-    M[point] = ks._moments("point", idxs[point], 2, np.broadcast_to(center[:, None], idxs.shape)[point], one)
-    rhs = ks._moments("symmetric", inner, 2, center, one)
+    c, s = center[:, None], scale[:, None]
+    M = ks._moments("dual", ks._indices("dual", np.where(point, inner[:, None], idxs)), 2, c, s)
+    M[point] = ks._moments("point", idxs[point], 2, *(np.broadcast_to(v, idxs.shape)[point] for v in (c, s)))
+    rhs = ks._moments("symmetric", inner, 2, center, scale)
     try:
         w = np.linalg.solve(M.transpose(0, 2, 1), rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:

@@ -91,15 +91,15 @@ class KnotSequence:
     """A knot sequence of one degree, with cached Greville points and kernel rules.
 
     Every index a public method takes is checked in ``_indices``.  Immutable after
-    construction.  Its caches are internal and append-only, so instances are
-    safe for concurrent read access: the Greville points, the span map, the
-    Gauss kernel rule tables, one per ``(kernel degree, npts)``
-    (``_rules``), the power-form kernel pieces, one table per kernel degree
-    (``_pieces``), the near-best problem stacks that ``nearbest`` assembles,
-    solves in lockstep and certifies once per ``(kind, p, q)``, with every
-    anchor's solution arrays (``_problems``), and the read-only norm sample
-    grids with their basis rows that ``normest`` fills once per
-    ``samples_per_span`` (``_grids``).
+    construction.  Its caches are internal, and each is filled or replaced
+    whole, so instances are safe for concurrent read access: the Greville
+    points, the span map, the Gauss kernel rule tables, one per
+    ``(kernel degree, npts)`` (``_rules``), the power-form kernel pieces,
+    one table per kernel degree (``_pieces``), the near-best problem stacks
+    that ``nearbest`` assembles, solves in lockstep and certifies once per
+    ``(kind, p, q)``, with every anchor's solution arrays (``_problems``),
+    and one read-only norm sample grid with its basis rows, the last
+    ``samples_per_span`` that ``normest`` asked for (``_grid``).
     """
 
     def __init__(self, degree: int, knots, *, cardinal: bool = False, pad: int = 0):
@@ -137,7 +137,7 @@ class KnotSequence:
         self._rules: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._pieces: dict[int, np.ndarray] = {}
         self._problems: dict[tuple[str, int, int], tuple] = {}  # nearbest: (first, V, b, certified stack)
-        self._grids: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}  # normest._sample_grid
+        self._grid: tuple[int, tuple | None] = (0, None)  # normest._sample_grid: (samples_per_span, grid)
 
     # ------------------------------------------------------------------ setup
 
@@ -146,6 +146,8 @@ class KnotSequence:
         """Clamped sequence from breakpoints a = x_0 < x_1 < ... < x_n = b."""
         degree = _int_arg("degree", degree, 1)
         bp = np.asarray(breakpoints, dtype=float)
+        if bp.ndim != 1:
+            raise ValueError("breakpoints must be a flat sequence")
         if len(bp) < 2:
             raise ValueError("need at least two breakpoints")
         if not np.all(np.isfinite(bp)):

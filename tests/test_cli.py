@@ -41,6 +41,51 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def assert_golden(got: bytes, path: Path, shown: int = 3):
+    """Assert that ``got`` is the golden file's bytes.  On a mismatch the
+    message names the first rows that differ and, per numeric column, the
+    largest difference in ulps: both are read as CSV, the golden file's first
+    row names the columns, and ';' separates the numbers of one cell."""
+    want = path.read_bytes()
+    if got == want:
+        return
+    new, old = (list(csv.reader(io.StringIO(b.decode()))) for b in (got, want))
+    common = min(len(new), len(old))
+    diff = [k for k in range(max(len(new), len(old))) if k >= common or new[k] != old[k]]
+    lines = [f"{path.name}: {len(diff)} rows differ ({len(new)} rows against {len(old)})"]
+    for k in diff[:shown]:
+        lines.append(f"row {k}: {new[k] if k < len(new) else '-'} against {old[k] if k < len(old) else '-'}")
+    ulps = {}
+    for k in (k for k in diff if k < common):
+        for c, cells in enumerate(zip(new[k], old[k])):
+            try:
+                x, y = (np.array([float(v) for v in cell.split(";")]) for cell in cells)
+            except ValueError:  # not numbers
+                continue
+            if x.shape == y.shape:
+                with np.errstate(invalid="ignore"):
+                    u = np.where(x == y, 0.0, np.abs(x - y) / np.spacing(np.maximum(np.abs(x), np.abs(y))))
+                name = old[0][c] if c < len(old[0]) else f"column {c}"
+                ulps[name] = max(ulps.get(name, 0.0), float(np.nan_to_num(u, nan=np.inf).max()))
+    lines.append("largest ulps per numeric column: " + ", ".join(f"{n} {u:g}" for n, u in ulps.items() if u))
+    pytest.fail("\n".join(lines), pytrace=False)
+
+
+def test_golden_mismatch_names_rows_and_ulps(tmp_path):
+    path = tmp_path / "golden.csv"
+    path.write_text("name,weights,nu\na,1;0.5,2\nb,0.25;3,x\n")
+    assert_golden(path.read_bytes(), path)
+    moved = f"name,weights,nu\na,1;0.5,2\nb,{0.25 + 2**-54!r};3,y\nc,1,1\n".encode()
+    with pytest.raises(pytest.fail.Exception) as failed:
+        assert_golden(moved, path)
+    assert str(failed.value).splitlines() == [
+        "golden.csv: 2 rows differ (4 rows against 3)",
+        "row 2: ['b', '0.25000000000000006;3', 'y'] against ['b', '0.25;3', 'x']",
+        "row 3: ['c', '1', '1'] against -",
+        "largest ulps per numeric column: weights 1",
+    ]
+
+
 class TestBuild:
     def test_functional_table_columns(self, capsys):
         code, out, _ = run_cli(capsys, "build", "--family", "s2", "--m", "2", "--knots", "uniform:8")
@@ -79,7 +124,7 @@ class TestBuild:
             assert code == 0
             for row in csv.reader(io.StringIO(text).readlines()[1:]):
                 golden.writerow([spec] + row)
-        assert out.getvalue().encode() == GOLDEN_BUILD.read_bytes()
+        assert_golden(out.getvalue().encode(), GOLDEN_BUILD)
 
     def test_seed_accepted_after_subcommand(self, capsys):
         _, out1, _ = run_cli(capsys, "build", "--family", "s2", "--m", "2",
@@ -135,7 +180,7 @@ class TestNearBest:
                     [f"{m}/{p}/{q}/{knots}"]
                     + [row[k] for k in ("index", "weights", "nu_i", "residual", "duality_gap")]
                 )
-        assert out.getvalue().encode() == GOLDEN_NEARBEST.read_bytes()
+        assert_golden(out.getvalue().encode(), GOLDEN_NEARBEST)
 
     def test_no_fitting_index_is_an_error(self, capsys):
         code, out, err = run_cli(
@@ -179,7 +224,7 @@ class TestBiv:
                 assert code == 0
                 for row in csv.reader(io.StringIO(text)):
                     golden.writerow([args] + row)
-        assert out.getvalue().encode() == GOLDEN_BIV.read_bytes()
+        assert_golden(out.getvalue().encode(), GOLDEN_BIV)
 
     def test_t2_weight_table_on_mesh_file(self, capsys, tmp_path):
         mesh = tmp_path / "mesh.txt"
@@ -253,7 +298,7 @@ class TestRepro:
         path = tmp_path / "repro.csv"
         code, out, _ = run_cli(capsys, "repro", "--out", str(path))
         assert code == 0 and out == ""
-        assert path.read_bytes() == GOLDEN_REPRO.read_bytes()
+        assert_golden(path.read_bytes(), GOLDEN_REPRO)
 
     def test_unknown_section_is_an_error(self, capsys):
         code, out, err = run_cli(capsys, "repro", "--section", "9.9")

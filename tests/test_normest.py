@@ -438,8 +438,8 @@ class TestBisection:
 
 
 class TestSampleGrid:
-    """Each sequence evaluates its norm grid once per density, and every norm
-    on it reads the same points and rows."""
+    """Each sequence keeps the norm grid of the last density asked for, and
+    every norm at that density reads the same points and rows."""
 
     @staticmethod
     def _norms(q):
@@ -457,11 +457,11 @@ class TestSampleGrid:
     def test_norms_bitwise_equal_to_the_per_call_grid(self):
         ks = random_clamped(3, 12, np.random.default_rng(62), ratio=1e3)
         ops = [schoenberg(ks), s2(ks), gs1(ks), gs2(ks)] + [uniform_nb_iqi(4, n, nspans=8) for n in (1, 2, 3)]
-        for _ in range(2):  # the first pass fills the grids, the second reads them
+        for _ in range(2):  # each operator's norms switch the kept grid between the densities
             for q in ops:
                 for key, (got, want) in self._norms(q).items():
                     assert got == want, key
-        assert sorted(ks._grids) == [16, 64]
+        assert ks._grid[0] == 64
 
     def test_one_grid_evaluation_per_density(self, monkeypatch):
         ks = random_clamped(4, 10, np.random.default_rng(63), ratio=1e3)
@@ -474,8 +474,18 @@ class TestSampleGrid:
                 empirical_norm_integral(q, spp, polish=False)
         assert batches == [10 * 32 + 1, 10 * 48 + 1]
         for q in ops:  # the polish evaluates its one point, not the grid again
-            empirical_norm_integral(q, 32)
+            empirical_norm_integral(q, 48)
         assert batches[2:] == [1] * 4
+
+    def test_a_refinement_sweep_keeps_one_grid(self):
+        q = s2(KnotSequence.clamped(3, np.linspace(0.0, 1.0, 41)))
+        for spp in (16, 32, 64, 128, 256):
+            empirical_norm_discrete(q, spp, polish=False)
+        spp, grid = q.ks._grid  # only the last density's grid is held
+        assert spp == 256 and len(grid[0]) == 40 * 256 + 1
+        again = _sample_grid(q.ks, 256)
+        assert all(a is b for a, b in zip(again, grid))  # the same arrays, not a recomputation
+        assert _sample_grid(q.ks, 16)[0].shape == (40 * 16 + 1,) and q.ks._grid[0] == 16
 
     def test_cached_arrays_reject_writes(self):
         q = s2(KnotSequence.clamped(2, np.linspace(0.0, 1.0, 5)))
@@ -502,7 +512,7 @@ class TestSampleGrid:
         norm = empirical_norm_discrete if q.is_discrete else empirical_norm_integral
         with pytest.raises(ValueError, match=message):
             norm(q, **{"samples_per_span": 16, **options})
-        assert q.ks._grids == {}
+        assert q.ks._grid == (0, None)
 
 
 class TestBatchedAgainstOracle:

@@ -5,11 +5,16 @@ import re
 import numpy as np
 import pytest
 
+from splineqi import KnotSequence
+from splineqi.bivariate import TensorMesh
 from splineqi.partitions import (
     geometric_breakpoints,
     parse_knot_spec,
     random_admissible_clamped,
     random_breakpoints,
+    random_clamped,
+    random_mesh,
+    uniform_breakpoints,
 )
 
 
@@ -73,16 +78,48 @@ def test_well_formed_specs():
     assert parse_knot_spec("cardinal:8:3", 2).pad == 3
 
 
-@pytest.mark.parametrize("n, ratio", [(0, 2.0), (4, 0.0), (4, -1.0), (4, np.nan), (4, np.inf)])
-def test_geometric_breakpoints_checked(n, ratio):
-    with pytest.raises(ValueError, match="^need n >= 1 and a finite ratio > 0$"):
-        geometric_breakpoints(n, ratio)
+@pytest.mark.parametrize("ratio", [0.0, -1.0, np.nan, np.inf])
+def test_geometric_breakpoints_checked(ratio):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'ratio must be finite and > 0, got {ratio!r}')}$"):
+        geometric_breakpoints(4, ratio)
 
 
-@pytest.mark.parametrize("n, ratio", [(0, 1e3), (-2, 1e3), (4, 0.0), (4, -1.0), (4, 0.5), (4, np.nan), (4, np.inf)])
-def test_random_breakpoints_checked(n, ratio):
-    with pytest.raises(ValueError, match=f"^random spans need n >= 1 and a finite ratio >= 1, got n={n}, ratio="):
-        random_breakpoints(n, np.random.default_rng(0), ratio)
+@pytest.mark.parametrize("ratio", [0.0, -1.0, 0.5, np.nan, np.inf])
+def test_random_breakpoints_checked(ratio):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'ratio must be finite and >= 1, got {ratio!r}')}$"):
+        random_breakpoints(4, np.random.default_rng(0), ratio)
+
+
+MALFORMED = {
+    # 2.5 built 3 spans and True 1; the others raised numpy TypeErrors
+    "geometric-n-2.5": (lambda: geometric_breakpoints(2.5, 2.0), "n must be an integer >= 1, got 2.5"),
+    "geometric-n-True": (lambda: geometric_breakpoints(True, 2.0), "n must be an integer >= 1, got True"),
+    "geometric-n-0": (lambda: geometric_breakpoints(0, 2.0), "n must be an integer >= 1, got 0"),
+    "random-n-2.5": (lambda: random_breakpoints(2.5, np.random.default_rng(0)), "n must be an integer >= 1, got 2.5"),
+    "random-n-0": (lambda: random_breakpoints(0, np.random.default_rng(0)), "n must be an integer >= 1, got 0"),
+    "random-n--2": (lambda: random_breakpoints(-2, np.random.default_rng(0)), "n must be an integer >= 1, got -2"),
+    "uniform-n-2.5": (lambda: uniform_breakpoints(2.5), "n must be an integer >= 1, got 2.5"),
+    "clamped-n-2.5": (lambda: random_clamped(2, 2.5, np.random.default_rng(0)), "n must be an integer >= 1, got 2.5"),
+    "mesh-nx-2.5": (lambda: random_mesh(2.5, 3, np.random.default_rng(0)), "nx must be an integer >= 1, got 2.5"),
+    "mesh-ny-0": (lambda: random_mesh(2, 0, np.random.default_rng(0)), "ny must be an integer >= 1, got 0"),
+    # NaN breakpoints, and decreasing ones
+    "geometric-b-nan": (lambda: geometric_breakpoints(3, 2.0, 0.0, np.nan), "need finite a < b, got a=0.0, b=nan"),
+    "geometric-a-above-b": (lambda: geometric_breakpoints(3, 2.0, 1.0, 0.0), "need finite a < b, got a=1.0, b=0.0"),
+    "random-a-inf": (
+        lambda: random_breakpoints(3, np.random.default_rng(0), 10.0, -np.inf), "need finite a < b, got a=-inf, b=1.0"
+    ),
+    "uniform-a-equals-b": (lambda: uniform_breakpoints(3, 1.0, 1.0), "need finite a < b, got a=1.0, b=1.0"),
+    # accepted, and numpy's concatenate message
+    "mesh-2d-x": (lambda: TensorMesh([[0, 1], [2, 3]], [0, 1]), "x must be a flat sequence of grid lines"),
+    "mesh-2d-y": (lambda: TensorMesh([0, 1], [[0, 1], [2, 3]]), "y must be a flat sequence of grid lines"),
+    "clamped-2d": (lambda: KnotSequence.clamped(2, [[0, 1], [2, 3]]), "breakpoints must be a flat sequence"),
+}
+
+
+@pytest.mark.parametrize("make, message", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_partition_and_mesh_input_rejected(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_random_breakpoints_at_ratio_one_are_uniform():

@@ -75,11 +75,10 @@ exponents = st.integers(-40, 40)
     m=degrees,
     spans=span_lists,
     e=exponents,
-    maker=st.sampled_from([schoenberg, s2, gs1]),
+    maker=st.sampled_from([schoenberg, s2, gs1, gs2]),
     cardinal=st.booleans(),
 )
-def test_discrete_and_g1_weights_are_invariant_under_power_of_two_scaling(m, spans, e, maker, cardinal):
-    # G2 is left out: its 3x3 systems are centred but not scaled (CHANGES.md)
+def test_knot_family_weights_are_invariant_under_power_of_two_scaling(m, spans, e, maker, cardinal):
     def make(h):
         if cardinal:
             return KnotSequence.cardinal_uniform(m, len(spans) + 2, pad=2, spacing=h)

@@ -1,6 +1,8 @@
 """Tests for the concrete operator families."""
 
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -93,19 +95,54 @@ def _partition_violations_loop(ks, p):
 
 
 def _gs2_weights_loop(ks, i):
-    """One index's 3x3 reproduction system, assembled and solved alone; a
-    member at a clamped end samples f there."""
+    """One index's 3x3 reproduction system, assembled and solved alone, in
+    the variable centred at theta_i and scaled by (theta_{i+1} - theta_{i-1})/2;
+    a member at a clamped end samples f there."""
     ends = () if ks.cardinal else (0, ks.nbasis - 1)
-    center = ks.greville(i)
+    center, scale = ks.greville(i), (ks.greville(i + 1) - ks.greville(i - 1)) / 2.0
 
     def member(idx, r):
         if idx in ends:
-            return (ks.greville(idx) - center) ** r
-        return ks.dual_moment(idx, r, center=center)
+            return ((ks.greville(idx) - center) / scale) ** r
+        return ks.dual_moment(idx, r, center=center, scale=scale)
 
     M = np.array([[member(idx, r) for idx in (i - 1, i, i + 1)] for r in range(3)])
-    rhs = ks.moments("symmetric", [i], 2, center=center)[0]
+    rhs = ks.moments("symmetric", [i], 2, center=center, scale=scale)[0]
     return np.linalg.solve(M, rhs)
+
+
+def _symmetric_exact(values, r, complete):
+    """Complete homogeneous (complete=True) or elementary symmetric
+    polynomial of degree r of the given Fractions."""
+    acc = [Fraction(1)] + [Fraction(0)] * r
+    for u in values:
+        for s in range(1, r + 1) if complete else range(r, 0, -1):
+            acc[s] += u * acc[s - 1]
+    return acc[r]
+
+
+def _gs2_weights_exact(ks, i):
+    """One index's 3x3 reproduction system in exact rationals on the float
+    knots, each an exact rational, solved by Cramer's rule: dual-kernel
+    moments h_r/C(r + m - 1, r) of the window t_{j-m+1..j} (or the Greville
+    point's powers at a clamped end) against e_r/C(m, r) of i's window."""
+    m, ends = ks.m, () if ks.cardinal else (0, ks.nbasis - 1)
+
+    def window(j):
+        return [Fraction(ks.knot(k)) for k in range(j - m + 1, j + 1)]
+
+    def member(j, r):
+        if j in ends:
+            return (sum(window(j)) / m) ** r
+        return _symmetric_exact(window(j), r, True) / math.comb(r + m - 1, r)
+
+    def det(M):
+        (a, b, c), (d, e, f), (g, h, k) = M
+        return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+
+    M = [[member(j, r) for j in (i - 1, i, i + 1)] for r in range(3)]
+    rhs = [_symmetric_exact(window(i), r, False) / math.comb(m, r) for r in range(3)]
+    return [det([row[:c] + [v] + row[c + 1 :] for row, v in zip(M, rhs)]) / det(M) for c in range(3)]
 
 
 def _stencil(q, i):
@@ -356,6 +393,20 @@ class TestGS2:
                 assert sorted(got) == [i - 1, i, i + 1]
                 err = np.abs(np.array([got[i - 1], got[i], got[i + 1]]) - want).max()
                 assert err <= 1e-14 * np.abs(want).max(), (ks, i, err)
+
+    def test_weights_within_1e_14_of_exact_rationals(self):
+        # the systems were centred but not scaled: 3.2e-14 off on these
+        rng = np.random.default_rng(9)
+        worst = 0.0
+        for m in (3, 4, 5):
+            for _ in range(6):
+                ks = random_clamped(m, 10, rng)
+                q = gs2(ks)
+                for i in range(1, ks.nbasis - 1):
+                    got = dict(q.functionals[i].point_entries) | dict(q.functionals[i].kernel_entries)
+                    want = _gs2_weights_exact(ks, i)
+                    worst = max(worst, *(abs(got[j] - float(x)) for j, x in zip((i - 1, i, i + 1), want)))
+        assert worst <= 1e-14, worst
 
     def test_singular_system_names_the_first_singular_index(self, monkeypatch):
         ks = random_clamped(3, 9, np.random.default_rng(440))

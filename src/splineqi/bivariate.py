@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .splinecore import _int_arg
+from .splinecore import _floats, _int_arg, _rtol_arg
 
 __all__ = [
     "TensorMesh",
@@ -65,13 +65,10 @@ class TensorMesh:
 
     @classmethod
     def from_text(cls, text: str) -> "TensorMesh":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if len(lines) < 2:
+        lines = [(n, line) for n, line in enumerate(text.splitlines(), 1) if line.strip()]
+        if len(lines) != 2:
             raise ValueError("expected one line of x knots and one of y knots")
-        return cls(
-            np.array([float(v) for v in lines[0].split()]),
-            np.array([float(v) for v in lines[1].split()]),
-        )
+        return cls(*(_floats(line, f"mesh line {n}") for n, line in lines))
 
     @property
     def hx(self) -> np.ndarray:
@@ -161,8 +158,9 @@ class BivariateFunctionalFamily:
         """Coefficient-level reproduction of all monomials of total degree <= 2,
         on all interior cells at once; a cell passes when its residual on e_rs
         is at most ``rtol * scale**(r+s)``, ``scale`` being the largest of 1 and
-        ``|s| + max h`` over the neighbour spans on either axis."""
-        mesh = self.mesh
+        ``|s| + max h`` over the neighbour spans on either axis; ``rtol`` must
+        be finite and >= 0."""
+        mesh, rtol = self.mesh, _rtol_arg(rtol)
         a, abar, centre, c, cbar = self.stencils()
         mx, tx, sx = _axis(self.moment_kind, mesh.sx, mesh.hx)
         my, ty, sy = _axis(self.moment_kind, mesh.sy, mesh.hy)

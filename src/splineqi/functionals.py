@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .splinecore import KnotSequence, _int_arg, _int_indices
+from .splinecore import KnotSequence, _int_arg, _int_indices, _rtol_arg
 
 __all__ = [
     "DISCRETE",
@@ -202,9 +202,9 @@ def is_exact_on(q: QuasiInterpolant, degree: int, rtol: float = 1e-10) -> tuple[
     point ``theta_j``, so the residuals are dimensionless and do not depend
     on where the domain lies.  All band entries go at once, each moment
     centred at its row's Greville point.  Returns ``(ok, worst)`` with
-    ``worst`` the largest residual; ``ok`` means ``worst <= rtol``.
+    ``worst`` the largest residual; ``ok`` means ``worst <= rtol`` (finite, >= 0).
     """
-    ks, degree = q.ks, _int_arg("degree", degree, 0)
+    ks, degree, rtol = q.ks, _int_arg("degree", degree, 0), _rtol_arg(rtol)
     if degree > ks.m:
         raise ValueError("cannot be exact beyond the spline degree")
     # every index below was checked when the operator was built

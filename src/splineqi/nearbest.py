@@ -11,12 +11,12 @@ changing the feasible set.
 The solver is a dense two-phase simplex on the split form
 ``lam = u - v, u, v >= 0``.  The pivot order is Bland's (first column with a
 negative reduced cost; least ratio, ties to the smallest basic variable), so
-results are deterministic and termination is finite.  It runs on a stack of
-tableaux in lockstep: each round, every live problem makes one pivot, a
-rank-1 update of its own tableau, on one compacted copy of the live
-tableaux; a problem's tableau goes back to the stack when it is done or
-fails.  Phase 2 runs without the artificial columns.  Each problem gets the
-same bits and the same error as it does alone, in a stack of one.
+results are deterministic and termination is finite.  Artificial variables
+are only labels in the basis, with no tableau column, so none re-enters and
+both phases share one tableau.  It runs on a stack of tableaux in lockstep:
+each round, every live problem pivots once, a rank-1 update of its tableau,
+on one compacted copy of the live tableaux, which a problem leaves when it
+is done or fails.  Each problem gets the bits and the error it gets alone.
 
 The first ``from_*`` call for a knot sequence and ``(kind, p, q)`` assembles
 every anchor whose stencil fits in one vectorised pass, solves that stack in
@@ -157,15 +157,15 @@ def _pivot(S: np.ndarray, f: np.ndarray, row: np.ndarray, col: np.ndarray, basis
 
 
 def _run_phase(T, basis, live, errors, tol: float, max_iter: int, phase: int, stop=None):
-    """Bland pivots on every live problem k until no reduced cost in
-    ``T[k, -1, :-1]`` is below ``-tol`` or, given ``stop``, the objective
-    value ``-T[k, -1, -1]`` is at most ``stop[k]`` (at value 0 phase 1 is done;
-    a roundoff reduced cost must not pivot on).  The problems pivot in
-    lockstep, so each has made ``it`` pivots of this phase at round ``it``.
-    They pivot on one gathered copy of their tableaux, ``S``, and each
+    """Bland pivots on every live problem k until no reduced cost of an
+    original column, ``T[k, -1, :-1]``, is below ``-tol`` (an artificial
+    variable has no column, so none re-enters) or, given ``stop``, the
+    objective value ``-T[k, -1, -1]`` is at most ``stop[k]`` (at value 0
+    phase 1 is done; a roundoff reduced cost must not pivot on).  The
+    problems pivot in lockstep, so each has made ``it`` pivots of this phase
+    at round ``it``, on one gathered copy of their tableaux, ``S``; each
     tableau goes back to ``T`` when its problem stops.  A problem that is
-    unbounded or reaches ``max_iter`` pivots gets its error and leaves
-    ``live``."""
+    unbounded or reaches ``max_iter`` pivots gets its error and leaves ``live``."""
     idx = np.flatnonzero(live)
     S, g = T[idx], np.arange(len(idx))
     low = None if stop is None else -stop  # going while the objective row's last entry is below -stop
@@ -188,7 +188,7 @@ def _run_phase(T, basis, live, errors, tol: float, max_iter: int, phase: int, st
         ok = f[:, :-1] > tol
         ratio = S[:, :-1, -1] / np.where(ok, f[:, :-1], np.nan)  # NaN on the rows without a > tol
         tie = ratio == np.fmin.reduce(ratio, axis=1, keepdims=True)
-        row = np.where(tie, basis[idx], S.shape[2]).argmin(axis=1)  # a tie row's basic variable is a column of S
+        row = np.where(tie, basis[idx], np.inf).argmin(axis=1)  # inf: above every basic variable, artificial too
         bounded = ok[g, row]
         if not bounded.all():
             msg = "phase 1 unbounded (should be impossible)" if phase == 1 else "objective unbounded below"
@@ -209,11 +209,12 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Minimize ``c @ z`` subject to ``A[k] z = b[k]``, ``z >= 0`` for every
     problem k of the stack ``A`` (K, m, n), ``b`` (K, m), in lockstep.
 
-    ``c`` is finite: ``_l1_stack``, the only caller, passes the l1 costs.
-    Returns ``(Z, Y, errors)``: the solutions and duals of the problems
-    whose ``errors[k]`` is None, each re-solved from the original data on its
-    final basis (so ``c @ Z[k] - Y[k] @ b[k]`` is the duality gap, zero up to
-    roundoff), and for the others the problem's error: ``InfeasibleError``
+    ``c`` is finite: ``_l1_stack``, the only caller, passes the l1 costs.  The
+    tableau is ``(K, m+1, n+1)``: artificial variable ``n + r`` is only an index
+    in ``basis``.  Returns ``(Z, Y, errors)``: the solutions and duals of the
+    problems whose ``errors[k]`` is None, each re-solved from ``[A[k] | I]`` on
+    its final basis (so ``c @ Z[k] - Y[k] @ b[k]`` is the duality gap, zero up
+    to roundoff), and for the others the problem's error: ``InfeasibleError``
     for non-finite data or infeasible constraints, ``RuntimeError`` for an
     unbounded objective or the iteration limit.
     """
@@ -226,71 +227,59 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     A, b = A * flip[:, :, None], b * flip
     A[~live], b[~live] = 0.0, 0.0  # no arithmetic on non-finite data
 
-    # phase 1: minimize the sum of artificial variables
-    T = np.zeros((K, m + 1, n + m + 1))
-    T[:, :m, :n] = A
-    T[:, np.arange(m), np.arange(n, n + m)] = 1.0  # the artificial columns: an identity
-    T[:, :m, -1] = b
-    basis = np.tile(np.arange(n, n + m), (K, 1))
+    # phase 1: minimize the sum of the artificial variables, all basic at the start
+    T = np.zeros((K, m + 1, n + 1))
+    T[:, :m, :n], T[:, :m, -1] = A, b
     T[:, m] = -T[:, :m].sum(axis=1)
-    T[:, m, n : n + m] = 0.0
+    basis = np.tile(np.arange(n, n + m), (K, 1))
     scale = np.maximum(1.0, np.abs(b).sum(axis=1))
     _run_phase(T, basis, live, errors, tol, max_iter, 1, stop=tol * scale)
     value = -T[:, m, -1]
-    _fail(
-        errors, live, np.flatnonzero(live & (value > 1e-9 * scale)),
-        lambda k: InfeasibleError(f"constraints infeasible (phase 1 value {value[k]:g})"),
-    )
-    T = np.concatenate((T[:, :, :n], T[:, :, -1:]), axis=2)  # no later step reads an artificial column
+    bad = np.flatnonzero(live & (value > 1e-9 * scale))
+    _fail(errors, live, bad, lambda k: InfeasibleError(f"constraints infeasible (phase 1 value {value[k]:g})"))
 
-    # drive remaining artificials out of the basis; a redundant row is zeroed,
-    # so no later pivot or ratio test reads it
-    kept = np.ones((K, m), dtype=bool)
+    # drive remaining artificials out of the basis; a redundant row is zeroed
+    # and keeps its artificial variable, at cost 0, so no later pivot, ratio
+    # test or objective row reads it
     for r in np.flatnonzero((live[:, None] & (basis >= n)).any(axis=0)).tolist():
         art = np.flatnonzero(live & (basis[:, r] >= n))
         big = np.abs(T[art, r, :n]) > tol
         has = big.any(axis=1)
         T[art[~has], r] = 0.0
-        kept[art[~has], r] = False
         if has.any():
             art, S, piv = art[has], T[art[has]], big[has].argmax(axis=1)
             _pivot(S, S[np.arange(len(art)), :, piv], np.full(len(art), r), piv, basis, art)
             T[art] = S
 
-    # phase 2 in place: objective row c - sum_r c_B[r] T[r] over the kept rows
-    # in order; a zeroed row weighs +0.0, and x - 0.0 * 0.0 is x, bit for bit
-    T[:, m, :n] = c
-    T[:, m, -1] = 0.0
-    cost = np.where(live[:, None] & kept, np.append(c, np.zeros(m))[basis], 0.0)
-    for r in range(m):
-        T[:, m] -= cost[:, r, None] * T[:, r]
+    # phase 2 in place: objective row c - sum_r c_B[r] T[r] in row order; a
+    # zeroed row weighs +0.0, and x - 0.0 * 0.0 is x, bit for bit
+    cost = np.append(c, np.zeros(m))
+    T[:, m, :n], T[:, m, -1] = c, 0.0
+    for r, c_r in enumerate(cost[basis].T):
+        T[:, m] -= c_r[:, None] * T[:, r]
     _run_phase(T, basis, live, errors, tol, max_iter, 2)
 
     # basic values and duals from the original data, free of the pivots'
-    # roundoff: one stacked solve for the problems that kept every row
-    Z, Y = np.zeros((K, n)), np.zeros((K, m))
-    full = kept.all(axis=1)
-    alone = np.flatnonzero(live & ~full)
-    F = np.flatnonzero(live & full)
+    # roundoff, in one stacked solve on [A | I]: an artificial basic variable
+    # reads its unit column, so its row's dual is 0
+    L = np.flatnonzero(live)
+    AI = np.concatenate((A[L], np.broadcast_to(np.eye(m), (len(L), m, m))), axis=2)
+    B, cB = np.take_along_axis(AI, basis[L, None, :], axis=2), cost[basis[L]]
+    Z, Y = np.zeros((K, n + m)), np.zeros((K, m))
     try:
-        B = np.take_along_axis(A[F], basis[F, None, :], axis=2)
-        Z[F[:, None], basis[F]] = np.linalg.solve(B, b[F, :, None])[..., 0]
-        Y[F] = np.linalg.solve(B.transpose(0, 2, 1), c[basis[F], None])[..., 0]
+        Z[L[:, None], basis[L]] = np.linalg.solve(B, b[L, :, None])[..., 0]
+        Y[L] = np.linalg.solve(B.transpose(0, 2, 1), cB[..., None])[..., 0]
     except np.linalg.LinAlgError:  # some basis is singular: each on its own
-        alone = np.concatenate((F, alone))
-    for k in alone.tolist():
-        rows = np.flatnonzero(kept[k])
-        bas = basis[k, rows]
-        B = A[k][rows][:, bas]
-        try:
-            Z[k, bas] = np.linalg.solve(B, b[k, rows])
-        except np.linalg.LinAlgError:  # keep the tableau values
-            Z[k, bas] = T[k, rows, -1]
-        try:
-            Y[k, rows] = np.linalg.solve(B.T, c[bas])
-        except np.linalg.LinAlgError:
-            Y[k, rows] = np.linalg.lstsq(B.T, c[bas], rcond=None)[0]
-    return Z, Y * flip, errors
+        for k, Bk, ck in zip(L.tolist(), B, cB):
+            try:
+                Z[k, basis[k]] = np.linalg.solve(Bk, b[k])
+            except np.linalg.LinAlgError:  # keep the tableau values
+                Z[k, basis[k]] = T[k, :m, -1]
+            try:
+                Y[k] = np.linalg.solve(Bk.T, ck)
+            except np.linalg.LinAlgError:
+                Y[k] = np.linalg.lstsq(Bk.T, ck, rcond=None)[0]
+    return np.ascontiguousarray(Z[:, :n]), Y * flip, errors
 
 
 def _dots(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -343,6 +332,8 @@ def solve_weighted_l1(A, b, obj_weights=None):
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"A must be 2-D, got shape {A.shape}")
+    if A.shape[1] == 0:
+        raise ValueError(f"A must have at least one column, got shape {A.shape}")
     if b.shape != A.shape[:1]:
         raise ValueError(f"b must have one entry per row of A: A has shape {A.shape}, b has shape {b.shape}")
     n = A.shape[1]

@@ -6,7 +6,7 @@ import numpy as np
 
 from .bivariate import TensorMesh
 from .quasiinterp import partition_condition_violations
-from .splinecore import KnotSequence, _int_arg
+from .splinecore import KnotSequence, _floats, _int_arg
 
 __all__ = [
     "uniform_breakpoints",
@@ -123,8 +123,7 @@ def parse_knot_spec(spec: str, degree: int, seed: int | None = None) -> KnotSequ
     """
     spec = spec.strip()
     if any(ch.isspace() for ch in spec):
-        vals = [float(v) for v in spec.split()]
-        return KnotSequence(degree, vals)
+        return KnotSequence(degree, _floats(spec, "inline knot values"))
     kind, *fields = spec.split(":")
     form = _SPEC_FORMS.get(kind)
     if form is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import QuasiInterpolant
-from .splinecore import _int_arg
+from .splinecore import _int_arg, _rtol_arg
 
 __all__ = ["QuadratureRule", "qi_to_quadrature", "exactness_degree"]
 
@@ -48,9 +48,7 @@ def exactness_degree(rule: QuadratureRule, max_degree: int, rtol: float = 1e-10)
     for even r and 0 for odd r.  The residual divided by ``b - a`` is
     dimensionless, so a domain far from 0 gives the degree it gives at 0.
     """
-    max_degree = _int_arg("max_degree", max_degree, 0)
-    if not (rtol >= 0 and np.isfinite(rtol)):
-        raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
+    max_degree, rtol = _int_arg("max_degree", max_degree, 0), _rtol_arg(rtol)
     a, b = rule.domain
     width = b - a
     u = (rule.nodes - a) / width - 0.5

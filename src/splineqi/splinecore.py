@@ -87,6 +87,21 @@ def _int_arg(name: str, value, low: int | None = None) -> int:
     return int(value)
 
 
+def _rtol_arg(rtol: float) -> float:
+    """``rtol`` checked to be finite and >= 0, so that no residual check passes or fails whatever its residual."""
+    if not (rtol >= 0 and np.isfinite(rtol)):
+        raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
+    return rtol
+
+
+def _floats(text: str, where: str) -> list[float]:
+    """The numbers of ``text``, split at whitespace; a token that is not one raises ``ValueError`` naming ``where``."""
+    try:
+        return [float(v) for v in text.split()]
+    except ValueError as exc:  # float's message quotes the token
+        raise ValueError(f"{where}: {exc}") from None
+
+
 class KnotSequence:
     """A knot sequence of one degree, with cached Greville points and kernel rules.
 

@@ -235,6 +235,21 @@ class TestBiv:
         assert "nu_ij" in header
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("0 1 2 3 4\n0 1 2 3\n0 1 2\n", "expected one line of x knots and one of y knots"),
+            ("0 1 2 3 4\n0 1 2;3\n", "mesh line 2: could not convert string to float: '2;3'"),
+        ],
+    )
+    def test_malformed_mesh_file_is_an_error(self, capsys, tmp_path, text, message):
+        mesh = tmp_path / "mesh.txt"
+        mesh.write_text(text)
+        code, out, err = run_cli(capsys, "biv", "--table", "t2", "--mesh-file", str(mesh))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err) == {"error": message}
+
+    @pytest.mark.parametrize(
         "table, size, shape", [("t2", ("--nx", "2"), "2 x 8"), ("g2", ("--ny", "1"), "8 x 1")]
     )
     def test_crisscross_table_needs_an_interior_cell(self, capsys, table, size, shape):

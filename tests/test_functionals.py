@@ -1,6 +1,7 @@
 """Tests for coefficient functionals and the operator container."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,10 +12,14 @@ from splineqi import (
     CoefficientFunctional,
     KnotSequence,
     QuasiInterpolant,
+    TensorMesh,
+    crisscross_t2,
+    exactness_degree,
     gs1,
     gs2,
     is_exact_on,
     nb_dqi_nonuniform,
+    qi_to_quadrature,
     s2,
     schoenberg,
     uniform_nb_dqi,
@@ -345,6 +350,20 @@ class TestIsExactOn:
     def test_beyond_degree_rejected(self, quad_uniform):
         with pytest.raises(ValueError, match="beyond the spline degree"):
             is_exact_on(schoenberg(quad_uniform), 3)
+
+    @pytest.mark.parametrize("rtol", [np.nan, np.inf, -1])
+    @pytest.mark.parametrize("check", ["is_exact_on", "is_exact_pi2", "exactness_degree"])
+    def test_rtol_must_be_finite_and_nonnegative(self, check, rtol):
+        # an infinite rtol passed any residual (is_exact_on said S1 reproduces
+        # quadratics, with worst 0.0052), and a NaN one failed every residual
+        s1 = schoenberg(KnotSequence.clamped(3, np.linspace(0.0, 1.0, 9)))
+        call = {
+            "is_exact_on": lambda: is_exact_on(s1, 2, rtol=rtol),
+            "is_exact_pi2": lambda: crisscross_t2(TensorMesh.uniform(4, 4)).is_exact_pi2(rtol=rtol),
+            "exactness_degree": lambda: exactness_degree(qi_to_quadrature(s1), 5, rtol=rtol),
+        }[check]
+        with pytest.raises(ValueError, match=f"^{re.escape(f'rtol must be finite and >= 0, got {rtol!r}')}$"):
+            call()
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_families_build_on_a_shifted_domain(self, m):

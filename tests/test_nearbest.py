@@ -167,6 +167,7 @@ class TestSimplex:
     SHAPE_ERRORS = {
         "A": "A must be 2-D, got shape {}",
         "b": "b must have one entry per row of A: A has shape (1, 2), b has shape {}",
+        "columns": "A must have at least one column, got shape {}",
     }
 
     @pytest.mark.parametrize(
@@ -176,6 +177,7 @@ class TestSimplex:
             (([1.0, 2.0], [1.0]), "A", (2,)),
             (([[1.0, 2.0]], [[1.0]]), "b", (1, 1)),
             (([[[1.0, 2.0]]], [1.0]), "A", (1, 1, 2)),
+            ((np.zeros((2, 0)), np.zeros(2)), "columns", (2, 0)),
         ],
     )
     def test_lp_shapes_checked(self, args, bad, shape):
@@ -734,18 +736,18 @@ def _oracle_simplex_min(A, b, c, *, tol=1e-11, max_iter=20000):
     flip = np.where(b < 0, -1.0, 1.0)
     A = A * flip[:, None]
     b = b * flip
-    T = np.zeros((m + 1, n + m + 1))
+    # the artificial variables n..n+m-1 are basis labels without a column,
+    # so Bland's rule reads the original columns only and none re-enters
+    T = np.zeros((m + 1, n + 1))
     T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
     T[:m, -1] = b
     basis = list(range(n, n + m))
     T[m, :] = -T[:m, :].sum(axis=0)
-    T[m, n : n + m] = 0.0
     scale = max(1.0, float(np.abs(b).sum()))
     for _ in range(max_iter):
         if -T[m, -1] <= tol * scale:
             break
-        col = _oracle_bland_entering(T[m, : n + m], tol)
+        col = _oracle_bland_entering(T[m, :n], tol)
         if col < 0:
             break
         row = _oracle_ratio_leaving(T, col, basis, tol)
@@ -1004,6 +1006,43 @@ class TestStackSolve:
         want = [_outcome(_oracle_simplex_min, A[k], b[k], c) for k in range(len(A))]
         assert _stack_outcomes(A, b, c) == want
         assert len(want) > 5 and all(isinstance(w, list) for w in want)
+
+    def test_batched_solve_failure_gives_the_bits_of_one(self, monkeypatch):
+        # only the stacked, 3-D re-solve raises: every problem is then
+        # re-solved on its own and gets the bits of a stack of one
+        ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 5))
+        NearBestProblem.from_discrete(ks, 0, 1, 2)
+        _, V, b, _ = ks._problems["point", 1, 2]  # anchors 0 and 5 repeat a Greville column and drop a row
+        stacks = [(np.concatenate((V, -V), axis=2), b, np.ones(2 * V.shape[2])), _mixed_stack()]
+        want = [[_outcome(_simplex_min, A[k], b[k], c) for k in range(len(A))] for A, b, c in stacks]
+        solve, alone = np.linalg.solve, []
+
+        def batched_fails(B, rhs):
+            if B.ndim == 3:
+                raise np.linalg.LinAlgError("Singular matrix")
+            alone.append(B.shape)
+            return solve(B, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", batched_fails)
+        assert [_stack_outcomes(*stack) for stack in stacks] == want
+        # every problem of the clamped stack and two of the mixed one solve, each with two lone solves
+        assert all(isinstance(w, list) for w in want[0]) and len(alone) == 2 * (len(V) + 2)
+
+    @pytest.mark.parametrize("case", ["small", "clamped end"])
+    def test_redundant_row_keeps_its_bits_and_a_zero_dual(self, case):
+        if case == "small":
+            A, b, dropped = np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([4.0, 8.0]), 1
+        else:  # theta_{-1} = theta_0 at the clamped end: two equal columns, rank 2, rows 1 and 2 equal
+            prob = NearBestProblem.from_discrete(KnotSequence.clamped(2, np.linspace(0.0, 1.0, 5)), 0, 1, 2)
+            np.testing.assert_array_equal(prob.matrix[1], prob.matrix[2])
+            A, b, dropped = np.hstack([prob.matrix, -prob.matrix]), prob.rhs, 2
+            assert _outcome(solve_l1, prob) == _outcome(_oracle_solve_l1, prob)
+        c = np.ones(A.shape[1])
+        # the oracle re-solves the kept rows alone; the solver reads [A | I]
+        assert _outcome(_simplex_min, A, b, c) == _outcome(_oracle_simplex_min, A, b, c)
+        z, _, y = _simplex_min(A, b, c)
+        np.testing.assert_array_equal(A @ z, b)
+        assert y[dropped] == 0.0
 
     def test_roundoff_pivot_anchors_fail_alone(self, monkeypatch):
         # the FOUND case of CHANGES.md: at offset 1e4, six anchors pivot on

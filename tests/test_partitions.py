@@ -113,6 +113,16 @@ MALFORMED = {
     "mesh-2d-x": (lambda: TensorMesh([[0, 1], [2, 3]], [0, 1]), "x must be a flat sequence of grid lines"),
     "mesh-2d-y": (lambda: TensorMesh([0, 1], [[0, 1], [2, 3]]), "y must be a flat sequence of grid lines"),
     "clamped-2d": (lambda: KnotSequence.clamped(2, [[0, 1], [2, 3]]), "breakpoints must be a flat sequence"),
+    # a third mesh line was dropped, and a bad token named neither its line nor its input
+    "mesh-text-three-lines": (
+        lambda: TensorMesh.from_text("0 1 2\n0 1 2\n7 8 9"), "expected one line of x knots and one of y knots"
+    ),
+    "mesh-text-token": (
+        lambda: TensorMesh.from_text("0 1 2\n\n0 x 2\n"), "mesh line 3: could not convert string to float: 'x'"
+    ),
+    "inline-knot-token": (
+        lambda: parse_knot_spec("0 0 0 1 x 2 2 2", 2), "inline knot values: could not convert string to float: 'x'"
+    ),
 }
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .splinecore import _floats, _int_arg, _rtol_arg
+from .splinecore import _RTOL, _floats, _int_arg
 
 __all__ = [
     "TensorMesh",
@@ -59,9 +59,9 @@ class TensorMesh:
             raise ValueError("grid lines must be strictly increasing")
 
     @classmethod
-    def uniform(cls, nx: int, ny: int, width: float = 1.0) -> "TensorMesh":
+    def uniform(cls, nx: int, ny: int) -> "TensorMesh":
         nx, ny = _int_arg("nx", nx, 1), _int_arg("ny", ny, 1)
-        return cls(np.arange(nx + 1) * width, np.arange(ny + 1) * width)
+        return cls(np.arange(nx + 1), np.arange(ny + 1))
 
     @classmethod
     def from_text(cls, text: str) -> "TensorMesh":
@@ -154,13 +154,12 @@ class BivariateFunctionalFamily:
     def nu_bound(self) -> float:
         return float(self.nu().max())
 
-    def is_exact_pi2(self, rtol: float = 1e-10) -> tuple[bool, float]:
+    def is_exact_pi2(self) -> tuple[bool, float]:
         """Coefficient-level reproduction of all monomials of total degree <= 2,
         on all interior cells at once; a cell passes when its residual on e_rs
-        is at most ``rtol * scale**(r+s)``, ``scale`` being the largest of 1 and
-        ``|s| + max h`` over the neighbour spans on either axis; ``rtol`` must
-        be finite and >= 0."""
-        mesh, rtol = self.mesh, _rtol_arg(rtol)
+        is at most ``1e-10 * scale**(r+s)``, ``scale`` being the largest of 1
+        and ``|s| + max h`` over the neighbour spans on either axis."""
+        mesh = self.mesh
         a, abar, centre, c, cbar = self.stencils()
         mx, tx, sx = _axis(self.moment_kind, mesh.sx, mesh.hx)
         my, ty, sy = _axis(self.moment_kind, mesh.sy, mesh.hy)
@@ -173,7 +172,7 @@ class BivariateFunctionalFamily:
             got = got + c * (Xc * Y[:, :-2]) + cbar * (Xc * Y[:, 2:])
             res = np.abs(got - tx[r][1:-1, None] * ty[s][None, 1:-1])
             # a NaN residual fails the test and is reported (np.maximum keeps it)
-            ok = ok and bool(np.all(res <= rtol * scale ** (r + s)))
+            ok = ok and bool(np.all(res <= _RTOL * scale ** (r + s)))
             worst = np.maximum(worst, res.max(initial=0.0))
         return ok, float(worst)
 

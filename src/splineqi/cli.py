@@ -302,8 +302,8 @@ def _apply_config(parsers, path: str):
     """``key=value`` lines (``#`` comments) become the defaults of the options
     of that name on every parser, converted and checked as on the command
     line: by the option's type and choices, a list option's value split at
-    whitespace.  The SUPPRESS copies of the globals are skipped, so a global
-    flag before the subcommand wins."""
+    whitespace, and a value that fails either names its option.  The SUPPRESS
+    copies of the globals are skipped, so a global flag before the subcommand wins."""
     with open(path) as fh:
         pairs = [ln.split("=", 1) for ln in map(str.strip, fh) if "=" in ln and ln[0] != "#"]
     defaults = {key.strip().replace("-", "_"): val.strip() for key, val in pairs}
@@ -312,7 +312,10 @@ def _apply_config(parsers, path: str):
             val = defaults.get(action.dest)
             if val is None or not action.option_strings or action.default is argparse.SUPPRESS:
                 continue
-            items = [(action.type or str)(item) for item in (val.split() if action.nargs else [val])]
+            try:
+                items = [(action.type or str)(item) for item in (val.split() if action.nargs else [val])]
+            except ValueError:
+                items = []
             if not items or (action.choices and not set(items) <= set(action.choices)):
                 raise ValueError(f"invalid {action.option_strings[0]} value {val!r}")
             parser.set_defaults(**{action.dest: items if action.nargs else items[0]})
@@ -339,6 +342,7 @@ def main(argv=None) -> int:
     # the global options are also accepted after the subcommand; SUPPRESS
     # keeps the subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--json", default=argparse.SUPPRESS)

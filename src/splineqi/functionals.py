@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .splinecore import KnotSequence, _int_arg, _int_indices, _rtol_arg
+from .splinecore import _RTOL, KnotSequence, _int_arg, _int_indices
 
 __all__ = [
     "DISCRETE",
@@ -165,34 +165,40 @@ class QuasiInterpolant:
         out.flags.writeable = False
         return out
 
-    def _source_data(self, band: WeightBand, f, npts: int) -> np.ndarray:
-        """f at the point sources, or its kernel integrals: one call of f on the live nodes."""
+    def _source_data(self, band: WeightBand, f) -> np.ndarray:
+        """f at the point sources, or its kernel integrals (8 Gauss nodes a span): one call of f on the live nodes."""
         if band.kind == "point":
-            nodes = self.ks.greville_points(band.sources)
-            return np.broadcast_to(np.asarray(f(nodes), dtype=float), nodes.shape)
-        nodes, wts, live = self.ks.kernel_rules(band.kind, band.sources, npts)
+            return _values(f, self.ks.greville_points(band.sources))
+        nodes, wts, live = self.ks.kernel_rules(band.kind, band.sources, 8)
         counts = live.sum(axis=1)
-        vals = np.broadcast_to(np.asarray(f(nodes[live]), dtype=float), counts.sum())
-        return np.add.reduceat(wts[live] * vals, np.cumsum(counts) - counts)
+        return np.add.reduceat(wts[live] * _values(f, nodes[live]), np.cumsum(counts) - counts)
 
-    def coefficients(self, f, npts: int = 8) -> np.ndarray:
+    def coefficients(self, f) -> np.ndarray:
         """Spline coefficients of Qf (f is called on arrays of nodes)."""
         out = np.zeros(self.ks.nbasis)
         for band in self.bands:
             if band.sources.size:
-                out = out + band.apply(self._source_data(band, f, npts))
+                out = out + band.apply(self._source_data(band, f))
         return out
 
-    def evaluate(self, f, x, npts: int = 8):
+    def evaluate(self, f, x):
         """Pointwise value of Qf; x may be a scalar or an array."""
-        coeffs = self.coefficients(f, npts)
+        coeffs = self.coefficients(f)
         xs = np.asarray(x, dtype=float)
         k, rows = self.ks.basis_rows(xs)
         out = (rows * coeffs[k[:, None] + np.arange(self.ks.m + 1)]).sum(axis=1)
         return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def is_exact_on(q: QuasiInterpolant, degree: int, rtol: float = 1e-10) -> tuple[bool, float]:
+def _values(f, nodes: np.ndarray) -> np.ndarray:
+    """``f(nodes)`` as one float per node; f may return a scalar for all of them."""
+    vals = np.asarray(f(nodes), dtype=float)
+    if vals.shape not in ((), nodes.shape):
+        raise ValueError(f"f must return a scalar or one value per node, got shape {vals.shape} for {nodes.size} nodes")
+    return np.broadcast_to(vals, nodes.shape)
+
+
+def is_exact_on(q: QuasiInterpolant, degree: int) -> tuple[bool, float]:
     """Check coefficient-level polynomial reproduction up to the given degree.
 
     Exactness of the operator on polynomials of degree r is equivalent, by
@@ -202,9 +208,9 @@ def is_exact_on(q: QuasiInterpolant, degree: int, rtol: float = 1e-10) -> tuple[
     point ``theta_j``, so the residuals are dimensionless and do not depend
     on where the domain lies.  All band entries go at once, each moment
     centred at its row's Greville point.  Returns ``(ok, worst)`` with
-    ``worst`` the largest residual; ``ok`` means ``worst <= rtol`` (finite, >= 0).
+    ``worst`` the largest residual; ``ok`` means ``worst <= 1e-10``.
     """
-    ks, degree, rtol = q.ks, _int_arg("degree", degree, 0), _rtol_arg(rtol)
+    ks, degree = q.ks, _int_arg("degree", degree, 0)
     if degree > ks.m:
         raise ValueError("cannot be exact beyond the spline degree")
     # every index below was checked when the operator was built
@@ -217,4 +223,4 @@ def is_exact_on(q: QuasiInterpolant, degree: int, rtol: float = 1e-10) -> tuple[
         mom = ks._moments(band.kind, js, degree, theta[rows], scale)
         np.add.at(got, rows, band.weights[rows, cols, None] * mom)
     worst = float(np.abs(got).max())
-    return worst <= rtol, worst
+    return worst <= _RTOL, worst

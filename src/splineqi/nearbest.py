@@ -159,16 +159,16 @@ def _pivot(S: np.ndarray, f: np.ndarray, row: np.ndarray, col: np.ndarray, basis
 def _run_phase(T, basis, live, errors, tol: float, max_iter: int, phase: int, stop=None):
     """Bland pivots on every live problem k until no reduced cost of an
     original column, ``T[k, -1, :-1]``, is below ``-tol`` (an artificial
-    variable has no column, so none re-enters) or, given ``stop``, the
-    objective value ``-T[k, -1, -1]`` is at most ``stop[k]`` (at value 0
-    phase 1 is done; a roundoff reduced cost must not pivot on).  The
+    variable has no column, so none re-enters) or, given ``stop``, the sum
+    of its basic artificial variables is at most ``stop[k]`` (at 0 phase 1
+    is done: a roundoff reduced cost must not pivot on, and the objective
+    row's value can keep roundoff after the last one has left).  The
     problems pivot in lockstep, so each has made ``it`` pivots of this phase
     at round ``it``, on one gathered copy of their tableaux, ``S``; each
     tableau goes back to ``T`` when its problem stops.  A problem that is
     unbounded or reaches ``max_iter`` pivots gets its error and leaves ``live``."""
     idx = np.flatnonzero(live)
     S, g = T[idx], np.arange(len(idx))
-    low = None if stop is None else -stop  # going while the objective row's last entry is below -stop
     for it in itertools.count():
         if it == max_iter:
             _fail(errors, live, idx, lambda k: RuntimeError(f"simplex iteration limit reached in phase {phase}"))
@@ -176,8 +176,8 @@ def _run_phase(T, basis, live, errors, tol: float, max_iter: int, phase: int, st
         neg = S[:, -1, :-1] < -tol
         col = neg.argmax(axis=1)  # Bland: the first negative reduced cost
         going = neg[g, col]
-        if low is not None:
-            going &= S[:, -1, -1] < low[idx]
+        if stop is not None:
+            going &= np.where(basis[idx] >= S.shape[2] - 1, S[:, :-1, -1], 0.0).sum(axis=1) > stop[idx]
         if not going.all():
             T[idx[~going]] = S[~going]
             idx, S, col, g = idx[going], S[going], col[going], g[: going.sum()]
@@ -234,7 +234,7 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     basis = np.tile(np.arange(n, n + m), (K, 1))
     scale = np.maximum(1.0, np.abs(b).sum(axis=1))
     _run_phase(T, basis, live, errors, tol, max_iter, 1, stop=tol * scale)
-    value = -T[:, m, -1]
+    value = np.where(basis >= n, T[:, :m, -1], 0.0).sum(axis=1)  # the basic artificial variables' sum
     bad = np.flatnonzero(live & (value > 1e-9 * scale))
     _fail(errors, live, bad, lambda k: InfeasibleError(f"constraints infeasible (phase 1 value {value[k]:g})"))
 

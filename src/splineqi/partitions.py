@@ -1,4 +1,4 @@
-"""Partition and mesh generators shared by the command line and the tests."""
+"""Partition and mesh generators shared by the command line and the tests; every partition is on [0, 1]."""
 
 from __future__ import annotations
 
@@ -19,50 +19,33 @@ __all__ = [
 ]
 
 
-def _span_args(n, a, b) -> int:
-    """The span count n as an int >= 1, with finite ends a < b."""
-    n = _int_arg("n", n, 1)
-    if not -np.inf < a < b < np.inf:
-        raise ValueError(f"need finite a < b, got a={a!r}, b={b!r}")
-    return n
+def uniform_breakpoints(n: int) -> np.ndarray:
+    return np.linspace(0.0, 1.0, _int_arg("n", n, 1) + 1)
 
 
-def uniform_breakpoints(n: int, a: float = 0.0, b: float = 1.0) -> np.ndarray:
-    return np.linspace(a, b, _span_args(n, a, b) + 1)
-
-
-def geometric_breakpoints(n: int, ratio: float, a: float = 0.0, b: float = 1.0) -> np.ndarray:
+def geometric_breakpoints(n: int, ratio: float) -> np.ndarray:
     """Spans in geometric progression; ratio is last span over first span."""
-    n = _span_args(n, a, b)
+    n = _int_arg("n", n, 1)
     if not 0 < ratio < np.inf:
         raise ValueError(f"ratio must be finite and > 0, got {ratio!r}")
     q = ratio ** (1.0 / max(n - 1, 1))
     spans = q ** np.arange(n)
     cuts = np.concatenate([[0.0], np.cumsum(spans)])
-    return a + (b - a) * cuts / cuts[-1]
+    return cuts / cuts[-1]
 
 
-def random_breakpoints(
-    n: int, rng: np.random.Generator, ratio: float = 1e3, a: float = 0.0, b: float = 1.0
-) -> np.ndarray:
-    """Spans log-uniform in [1, ratio], rescaled to [a, b]."""
-    n = _span_args(n, a, b)
+def random_breakpoints(n: int, rng: np.random.Generator, ratio: float = 1e3) -> np.ndarray:
+    """Spans log-uniform in [1, ratio], rescaled to [0, 1]."""
+    n = _int_arg("n", n, 1)
     if not 1 <= ratio < np.inf:
         raise ValueError(f"ratio must be finite and >= 1, got {ratio!r}")
     spans = np.exp(rng.uniform(0.0, np.log(ratio), n))
     cuts = np.concatenate([[0.0], np.cumsum(spans)])
-    return a + (b - a) * cuts / cuts[-1]
+    return cuts / cuts[-1]
 
 
-def random_clamped(
-    degree: int,
-    n: int,
-    rng: np.random.Generator,
-    ratio: float = 1e3,
-    a: float = 0.0,
-    b: float = 1.0,
-) -> KnotSequence:
-    return KnotSequence.clamped(degree, random_breakpoints(n, rng, ratio, a, b))
+def random_clamped(degree: int, n: int, rng: np.random.Generator, ratio: float = 1e3) -> KnotSequence:
+    return KnotSequence.clamped(degree, random_breakpoints(n, rng, ratio))
 
 
 def random_admissible_clamped(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functionals import QuasiInterpolant
-from .splinecore import _int_arg, _rtol_arg
+from .splinecore import _RTOL, _int_arg
 
 __all__ = ["QuadratureRule", "qi_to_quadrature", "exactness_degree"]
 
@@ -39,16 +39,16 @@ def qi_to_quadrature(q: QuasiInterpolant) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, domain=ks.domain, degree=q.degree_exact)
 
 
-def exactness_degree(rule: QuadratureRule, max_degree: int, rtol: float = 1e-10) -> int:
+def exactness_degree(rule: QuadratureRule, max_degree: int) -> int:
     """Largest d <= max_degree with the rule exact on all polynomials of degree d
-    (-1 if none); ``max_degree`` is an integer >= 0 and ``rtol`` finite and >= 0.
+    (-1 if none) to a residual of 1e-10; ``max_degree`` is an integer >= 0.
 
     Degree r is checked on the centred, scaled monomial ``u**r``, ``u = (x -
     mid)/(b - a)``, whose integral over [a, b] is ``(b - a) / (2**r (r + 1))``
     for even r and 0 for odd r.  The residual divided by ``b - a`` is
     dimensionless, so a domain far from 0 gives the degree it gives at 0.
     """
-    max_degree, rtol = _int_arg("max_degree", max_degree, 0), _rtol_arg(rtol)
+    max_degree = _int_arg("max_degree", max_degree, 0)
     a, b = rule.domain
     width = b - a
     u = (rule.nodes - a) / width - 0.5
@@ -56,7 +56,7 @@ def exactness_degree(rule: QuadratureRule, max_degree: int, rtol: float = 1e-10)
     for r in range(max_degree + 1):
         exact = 0.5**r / (r + 1) if r % 2 == 0 else 0.0
         err = abs(float(np.dot(rule.weights, u**r)) / width - exact)
-        if err > rtol:
+        if err > _RTOL:
             break
         d = r
     return d

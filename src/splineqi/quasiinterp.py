@@ -162,10 +162,10 @@ def gs2(ks: KnotSequence) -> QuasiInterpolant:
     return _validated(_operator(ks, DUAL_SPLINE, inner, idxs, w, 2, "G2"))
 
 
-def _uniform_nb(kind: str, order: int, n: int, r, nspans: int, start: float, spacing: float):
+def _uniform_nb(kind: str, order: int, n: int, r, nspans: int, spacing: float):
     """Body of uniform_nb_dqi (kind "dqi") and uniform_nb_iqi (kind "iqi")."""
     order, n, r = _uniform_args(order, n, r)
-    ks = KnotSequence.cardinal_uniform(order - 1, nspans, pad=n + 1, start=start, spacing=spacing)
+    ks = KnotSequence.cardinal_uniform(order - 1, nspans, pad=n + 1, spacing=spacing)
     if order == 4 and r == 3:
         # the cubic optimum is a_0 = 1 + 2c, a_n = -c
         c = (1.0 if kind == "dqi" else 2.0) / (6.0 * n * n)
@@ -189,7 +189,6 @@ def uniform_nb_dqi(
     r: int | None = None,
     *,
     nspans: int = 50,
-    start: float = 0.0,
     spacing: float = 1.0,
 ) -> QuasiInterpolant:
     """Symmetric discrete near-best operator in the uniform cardinal setting.
@@ -199,7 +198,7 @@ def uniform_nb_dqi(
     known optimal weights a_0 = 1 + 1/(3 n^2), a_n = -1/(6 n^2); every other
     case delegates to the l1 solver.
     """
-    return _uniform_nb("dqi", order, n, r, nspans, start, spacing)
+    return _uniform_nb("dqi", order, n, r, nspans, spacing)
 
 
 def uniform_nb_iqi(
@@ -208,7 +207,6 @@ def uniform_nb_iqi(
     r: int | None = None,
     *,
     nspans: int = 50,
-    start: float = 0.0,
     spacing: float = 1.0,
 ) -> QuasiInterpolant:
     """Symmetric integral near-best operator in the uniform cardinal setting.
@@ -217,7 +215,7 @@ def uniform_nb_iqi(
     cubic case with full reproduction degree uses the optimal weights
     a_0 = 1 + 2/(3 n^2), a_n = -1/(3 n^2).
     """
-    return _uniform_nb("iqi", order, n, r, nspans, start, spacing)
+    return _uniform_nb("iqi", order, n, r, nspans, spacing)
 
 
 def partition_condition_violations(ks: KnotSequence, p: int) -> list[int]:

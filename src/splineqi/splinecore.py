@@ -53,6 +53,8 @@ import numpy as np
 
 __all__ = ["KnotSequence"]
 
+_RTOL = 1e-10  # the residual bound of the reproduction checks: is_exact_on, is_exact_pi2, exactness_degree
+
 
 def _int_indices(js) -> np.ndarray:
     idx = np.asarray(js)
@@ -85,13 +87,6 @@ def _int_arg(name: str, value, low: int | None = None) -> int:
         bound = "" if low is None else f" >= {low}"
         raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
-
-
-def _rtol_arg(rtol: float) -> float:
-    """``rtol`` checked to be finite and >= 0, so that no residual check passes or fails whatever its residual."""
-    if not (rtol >= 0 and np.isfinite(rtol)):
-        raise ValueError(f"rtol must be finite and >= 0, got {rtol!r}")
-    return rtol
 
 
 def _floats(text: str, where: str) -> list[float]:

@@ -397,21 +397,43 @@ class TestPlumbing:
         _, seed_4, _ = run_cli(capsys, "--seed", "4", *argv)
         assert with_config == plain != seed_4
 
+    def test_config_after_the_subcommand(self, capsys, tmp_path):
+        # it was applied, then refused as "unrecognized arguments: --config ..."
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("knots=uniform:4\nm=3\n")
+        code, out, _ = run_cli(capsys, "build", "--config", str(cfg), "--family", "s1")
+        assert code == 0
+        assert out == run_cli(capsys, "--config", str(cfg), "build", "--family", "s1")[1]
+        assert len(out.splitlines()) == 1 + 7
+
     def test_config_needs_a_path(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["biv", "--table", "nb4", "--config"])
         assert exc.value.code == 2
         assert "--config needs a file path" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", [None, "scales=1 x\n", "scales=\n", "mesh=hex\n", "mesh=Uniform\n"])
-    def test_unreadable_config(self, capsys, tmp_path, text):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "[Errno 2] No such file or directory"),
+            ("scales=\n", "invalid --scales value ''"),
+            ("mesh=hex\n", "invalid --mesh value 'hex'"),
+            ("mesh=Uniform\n", "invalid --mesh value 'Uniform'"),
+            # a value that fails its type named no option: "invalid literal for int() with base 10: 'abc'"
+            ("scales=1 x\n", "invalid --scales value '1 x'"),
+            ("m=abc\n", "invalid --m value 'abc'"),
+            ("nx=2.5\n", "invalid --nx value '2.5'"),
+            ("ratio=big\n", "invalid --ratio value 'big'"),
+        ],
+    )
+    def test_unreadable_config(self, capsys, tmp_path, text, message):
         cfg = tmp_path / "cfg.txt"
         if text is not None:
             cfg.write_text(text)
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), "biv", "--table", "nb4"])
         assert exc.value.code == 2
-        assert "cannot read config file" in capsys.readouterr().err
+        assert f"cannot read config file: {message}" in capsys.readouterr().err
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["splineqi", "biv", "--table", "nb3", "--scales", "2"])

@@ -603,24 +603,26 @@ class TestAssemblyAgainstThePerEntryPath:
             assert _outcome(solve_l1, prob) == _outcome(_oracle_solve_l1, prob)
 
     def test_solved_and_failed_anchors_hold_the_same_copies(self):
-        # anchors 3, 4, 6, 7, 9 and 10 of this stack fail (TestStackSolve):
-        # their problems are checked as made directly, the solved ones are
-        # copied unchecked; both hold owned, read-only, C-contiguous copies
-        ks = KnotSequence.clamped(2, 1e4 + np.linspace(0.0, 1.0, 13))
+        # anchors 1 and 22 of this stack are infeasible (theta_{-1} = theta_0
+        # at the clamped ends): their problems are checked as made directly,
+        # the solved ones are copied unchecked; both hold owned, read-only,
+        # C-contiguous copies
+        ks = random_clamped(4, 20, np.random.default_rng(1004))
         lo, hi = ks.greville_range()
-        outcomes = set()
+        outcomes = {}
         for i in range(lo + 2, hi - 1):
-            prob = NearBestProblem.from_integral(ks, i, 1, 2)
-            direct = NearBestProblem(matrix=prob.matrix, rhs=prob.rhs, anchor=i, p=1, q=2)
+            prob = NearBestProblem.from_discrete(ks, i, 2, 4)
+            direct = NearBestProblem(matrix=prob.matrix, rhs=prob.rhs, anchor=i, p=2, q=4)
             for held in (prob, direct):
                 for a in (held.matrix, held.rhs):
                     assert a.base is None and a.flags.c_contiguous and not a.flags.writeable
                 assert (held.matrix.tobytes(), held.rhs.tobytes()) == (direct.matrix.tobytes(), direct.rhs.tobytes())
-                assert (held.anchor, held.p, held.q) == (i, 1, 2)
+                assert (held.anchor, held.p, held.q) == (i, 2, 4)
             assert prob.matrix is not direct.matrix
             out = _outcome(solve_l1, prob)
-            outcomes.add(out[0] if isinstance(out, tuple) else NearBestSolution)
-        assert outcomes == {InfeasibleError, NearBestSolution}
+            outcomes[i] = out[0] if isinstance(out, tuple) else NearBestSolution
+        assert [i for i, out in outcomes.items() if out is not NearBestSolution] == [1, 22]
+        assert {outcomes[1], outcomes[22]} == {InfeasibleError}
 
 
 def _problem_outcome(make, ks, i, p, q):
@@ -745,8 +747,8 @@ def _oracle_simplex_min(A, b, c, *, tol=1e-11, max_iter=20000):
     T[m, :] = -T[:m, :].sum(axis=0)
     scale = max(1.0, float(np.abs(b).sum()))
     for _ in range(max_iter):
-        if -T[m, -1] <= tol * scale:
-            break
+        if float(np.where(np.array(basis) >= n, T[:m, -1], 0.0).sum()) <= tol * scale:
+            break  # no artificial variable left in the basis, or all at 0
         col = _oracle_bland_entering(T[m, :n], tol)
         if col < 0:
             break
@@ -757,8 +759,9 @@ def _oracle_simplex_min(A, b, c, *, tol=1e-11, max_iter=20000):
         basis[row] = col
     else:
         raise RuntimeError("simplex iteration limit reached in phase 1")
-    if -T[m, -1] > 1e-9 * scale:
-        raise InfeasibleError(f"constraints infeasible (phase 1 value {-T[m, -1]:g})")
+    value = float(np.where(np.array(basis) >= n, T[:m, -1], 0.0).sum())
+    if value > 1e-9 * scale:
+        raise InfeasibleError(f"constraints infeasible (phase 1 value {value:g})")
     keep_rows = []
     for r in range(m):
         if basis[r] >= n:
@@ -1044,31 +1047,49 @@ class TestStackSolve:
         np.testing.assert_array_equal(A @ z, b)
         assert y[dropped] == 0.0
 
-    def test_roundoff_pivot_anchors_fail_alone(self, monkeypatch):
-        # the FOUND case of CHANGES.md: at offset 1e4, six anchors pivot on
-        # roundoff and raise InfeasibleError, the error each raises alone;
-        # the others solve.  The stack solve answers all of them: none is
-        # solved again.
+    def test_roundoff_pivot_anchors_solve(self, monkeypatch):
+        # at offset 1e4, phase 1 of anchors 3, 4, 6, 7, 9 and 10 pivots on a
+        # roundoff entry (1.6e-11), which leaves 1.9e-6 in the objective
+        # row's value once no artificial variable is basic; the verdict read
+        # that value and raised InfeasibleError.  Phase 1 reads the sum of
+        # its basic artificial variables, 0 there, and every anchor solves,
+        # as at offset 0: weights (-1/4, 3/2, -1/4), nu = 2.  The stack solve
+        # answers all of them: none is solved again.
+        linprog = pytest.importorskip("scipy.optimize").linprog
         ks = KnotSequence.clamped(2, 1e4 + np.linspace(0.0, 1.0, 13))
         lo, hi = ks.greville_range()
         probs = [NearBestProblem.from_integral(ks, i, 1, 2) for i in range(lo + 2, hi - 1)]
-        failing = [3, 4, 6, 7, 9, 10]
         # the cached stack: (first anchor, V, b, (X, nu, residual, gap, errors, feasible, optimal))
-        first, V, _, (*_, errors, feasible, optimal) = ks._problems["basis", 1, 2]
+        _, V, _, (*_, errors, feasible, optimal) = ks._problems["basis", 1, 2]
         assert len(V) == len(probs) > 6
-        assert [first + k for k, e in enumerate(errors) if e] == failing
-        assert (feasible & optimal)[[e is None for e in errors]].all()  # the others pass both certificates
+        assert errors == [None] * len(V) and (feasible & optimal).all()
         sizes = _count_simplex(monkeypatch)
         got = [_outcome(solve_l1, prob) for prob in probs]
         assert sizes == []
         for prob, out in zip(probs, got):
             assert out == _outcome(_oracle_solve_l1, prob), prob.anchor
-            failed = prob.anchor in failing
-            assert (out[0] is InfeasibleError) == failed, prob.anchor
-            if failed:
-                assert out[1].startswith("constraints infeasible (phase 1 value ")
-                assert _outcome(solve_l1, prob) == out  # a second call raises the same
+            sol = solve_l1(prob)
+            if prob.anchor in (3, 4, 6, 7, 9, 10):
+                np.testing.assert_allclose(sol.weights, [-0.25, 1.5, -0.25], rtol=0, atol=1e-10)
+                assert sol.nu == pytest.approx(2.0, rel=1e-10)
+            hi_s = linprog(np.ones(6), A_eq=np.hstack([prob.matrix, -prob.matrix]), b_eq=prob.rhs, method="highs")
+            assert sol.nu == pytest.approx(hi_s.fun, rel=1e-14), prob.anchor
         assert sizes == []
+
+    @pytest.mark.parametrize(
+        "m, p, q, i", [(2, 2, 2, 3), (3, 3, 3, 3), (4, 2, 4, 11), (4, 3, 3, 5), (4, 4, 3, 5), (4, 4, 4, 11)]
+    )
+    def test_offset_1e8_anchors_solve(self, m, p, q, i):
+        # phase 1 ran on after the last artificial variable had left the
+        # basis, on a roundoff value, and raised "phase 1 unbounded" or
+        # InfeasibleError; each solves, to the LP optimum HiGHS finds
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        prob = NearBestProblem.from_integral(KnotSequence.clamped(m, 1e8 + np.linspace(0.0, 1.0, 13)), i, p, q)
+        sol = solve_l1(prob)
+        assert _outcome(solve_l1, prob) == _outcome(_oracle_solve_l1, prob)
+        V, n = prob.matrix, prob.matrix.shape[1]
+        hi_s = linprog(np.ones(2 * n), A_eq=np.hstack([V, -V]), b_eq=prob.rhs, method="highs")
+        assert sol.nu == pytest.approx(hi_s.fun, rel=1e-14)
 
     @pytest.mark.parametrize("field", ["matrix", "rhs"])
     def test_written_problem_is_refused(self, field):

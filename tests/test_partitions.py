@@ -102,13 +102,6 @@ MALFORMED = {
     "clamped-n-2.5": (lambda: random_clamped(2, 2.5, np.random.default_rng(0)), "n must be an integer >= 1, got 2.5"),
     "mesh-nx-2.5": (lambda: random_mesh(2.5, 3, np.random.default_rng(0)), "nx must be an integer >= 1, got 2.5"),
     "mesh-ny-0": (lambda: random_mesh(2, 0, np.random.default_rng(0)), "ny must be an integer >= 1, got 0"),
-    # NaN breakpoints, and decreasing ones
-    "geometric-b-nan": (lambda: geometric_breakpoints(3, 2.0, 0.0, np.nan), "need finite a < b, got a=0.0, b=nan"),
-    "geometric-a-above-b": (lambda: geometric_breakpoints(3, 2.0, 1.0, 0.0), "need finite a < b, got a=1.0, b=0.0"),
-    "random-a-inf": (
-        lambda: random_breakpoints(3, np.random.default_rng(0), 10.0, -np.inf), "need finite a < b, got a=-inf, b=1.0"
-    ),
-    "uniform-a-equals-b": (lambda: uniform_breakpoints(3, 1.0, 1.0), "need finite a < b, got a=1.0, b=1.0"),
     # accepted, and numpy's concatenate message
     "mesh-2d-x": (lambda: TensorMesh([[0, 1], [2, 3]], [0, 1]), "x must be a flat sequence of grid lines"),
     "mesh-2d-y": (lambda: TensorMesh([0, 1], [[0, 1], [2, 3]]), "y must be a flat sequence of grid lines"),

@@ -15,7 +15,7 @@ from splineqi import (
     schoenberg,
     uniform_nb_dqi,
 )
-from splineqi.partitions import random_admissible_clamped, random_clamped
+from splineqi.partitions import random_admissible_clamped, random_breakpoints, random_clamped
 
 
 class TestRuleConstruction:
@@ -35,7 +35,7 @@ class TestRuleConstruction:
     def test_weight_sum_is_domain_width(self):
         rng = np.random.default_rng(30)
         for m in (2, 3, 4):
-            ks = random_clamped(m, 9, rng, a=-1.0, b=2.0)
+            ks = KnotSequence.clamped(m, -1.0 + 3.0 * random_breakpoints(9, rng))
             for q in (schoenberg(ks), s2(ks)):
                 rule = qi_to_quadrature(q)
                 assert rule.weights.sum() == pytest.approx(3.0, rel=1e-12)
@@ -104,15 +104,9 @@ class TestExactnessDegree:
     def test_s2_rule_degree_three_of_five(self):
         rule = qi_to_quadrature(s2(KnotSequence.clamped(2, np.linspace(0.0, 1.0, 6))))
         assert exactness_degree(rule, 5) == 3
-        assert exactness_degree(rule, 5, rtol=0.0) <= 3
+        # degree 4 fails by far more than roundoff
+        assert abs(rule.apply(lambda x: (x - 0.5) ** 4) - 1.0 / 80.0) > 1e-6
         assert exactness_degree(rule, 0) == 0
-
-    @pytest.mark.parametrize("rtol", [math.nan, math.inf, -1e-10])
-    def test_rtol_must_be_finite_and_nonnegative(self, rtol):
-        # a NaN rtol failed no comparison, so every degree up to max_degree passed
-        rule = qi_to_quadrature(s2(KnotSequence.clamped(2, np.linspace(0.0, 1.0, 6))))
-        with pytest.raises(ValueError, match="rtol must be finite and >= 0"):
-            exactness_degree(rule, 5, rtol=rtol)
 
     @pytest.mark.parametrize("max_degree", [True, 2.0, -1, "3"])
     def test_max_degree_must_be_an_integer(self, max_degree):

@@ -335,7 +335,7 @@ class TestGS1:
                     lambda x: np.asarray(x) ** 3,
                     lambda x: np.arctan(6 * (np.asarray(x) - 0.5)),
                 ):
-                    c = g1.coefficients(f, npts=10)
+                    c = g1.coefficients(f)
                     assert np.all(np.diff(c) >= -1e-12 * max(1.0, np.abs(c).max()))
 
     def test_convexity_second_differences(self):
@@ -347,7 +347,7 @@ class TestGS1:
             lambda x: np.asarray(x) ** 2,
             lambda x: (np.asarray(x) - 0.3) ** 2 + np.asarray(x),
         ):
-            c = g1.coefficients(f, npts=10)
+            c = g1.coefficients(f)
             dd = np.diff(np.diff(c) / np.diff(theta))
             assert np.all(dd >= -1e-10)
 
@@ -489,9 +489,6 @@ _KS = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 13))
         ("p", lambda: partition_condition_violations(_KS, 2.5)),
         ("samples_per_span", lambda: empirical_norm_discrete(s2(_KS), samples_per_span=16.5)),
         ("samples_per_span", lambda: empirical_norm_integral(gs2(_KS), samples_per_span=np.float64(32))),
-        ("npts", lambda: gs2(_KS).coefficients(np.sin, npts=2.5)),
-        ("npts", lambda: gs2(_KS).coefficients(np.sin, npts=0)),
-        ("npts", lambda: gs2(_KS).evaluate(np.sin, 0.5, npts=-1)),
         ("sign_samples", lambda: empirical_norm_integral(gs2(_KS), 16, sign_samples=-1, mode="kernel")),
         ("sign_samples", lambda: empirical_norm_integral(gs2(_KS), 16, sign_samples=2.5, mode="kernel")),
         ("sign_samples", lambda: integral_lebesgue_function(gs2(_KS), 0.5, "kernel", np.float64(8.0))),

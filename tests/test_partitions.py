@@ -125,6 +125,23 @@ def test_malformed_partition_and_mesh_input_rejected(make, message):
         make()
 
 
+SPANS = {
+    "uniform": lambda: [uniform_breakpoints(7)],
+    "geometric": lambda: [geometric_breakpoints(7, 50.0)],
+    "random": lambda: [random_breakpoints(7, np.random.default_rng(1))],
+    "clamped": lambda: [np.unique(random_clamped(3, 7, np.random.default_rng(2)).knots)],
+    "mesh": lambda: (lambda mesh: [mesh.x, mesh.y])(random_mesh(5, 6, np.random.default_rng(3))),
+}
+
+
+@pytest.mark.parametrize("make", SPANS.values(), ids=SPANS)
+def test_every_generator_spans_the_unit_interval(make):
+    # the rescale cuts / cuts[-1] ends on exactly 1.0
+    for cuts in make():
+        assert cuts[0] == 0.0 and cuts[-1] == 1.0
+        assert np.all(np.diff(cuts) > 0)
+
+
 def test_random_breakpoints_at_ratio_one_are_uniform():
     np.testing.assert_allclose(random_breakpoints(4, np.random.default_rng(0), 1.0), np.linspace(0, 1, 5))
 

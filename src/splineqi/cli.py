@@ -388,16 +388,13 @@ def main(argv=None) -> int:
     sp.add_argument("--samples", type=int, default=64)
     sp.set_defaults(func=cmd_repro)
 
-    argv = sys.argv[1:] if argv is None else argv
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            parser.error("--config needs a file path")
+    args = parser.parse_args(argv)
+    if args.config is not None:  # the file's values become defaults; parse again
         try:
-            _apply_config([parser, *sub.choices.values()], argv[idx + 1])
+            _apply_config([parser, *sub.choices.values()], args.config)
         except (OSError, ValueError) as exc:
             parser.error(f"cannot read config file: {exc}")
-    args = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError, MemoryError) as exc:

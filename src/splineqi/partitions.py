@@ -48,22 +48,20 @@ def random_clamped(degree: int, n: int, rng: np.random.Generator, ratio: float =
     return KnotSequence.clamped(degree, random_breakpoints(n, rng, ratio))
 
 
-def random_admissible_clamped(
-    n: int,
-    rng: np.random.Generator,
-    p: int,
-    jitter: float = 0.4,
-    max_tries: int = 200,
-) -> KnotSequence:
+_JITTER, _MAX_TRIES = 0.4, 200  # spans are drawn in [1, 1 + _JITTER)
+
+
+def random_admissible_clamped(n: int, rng: np.random.Generator, p: int) -> KnotSequence:
     """Random quadratic-spline partition satisfying the stencil balance
     condition for offset p (mildly perturbed uniform spans; rejection)."""
-    for _ in range(max_tries):
-        spans = 1.0 + jitter * rng.random(n)
+    n = _int_arg("n", n, 1)
+    for _ in range(_MAX_TRIES):
+        spans = 1.0 + _JITTER * rng.random(n)
         cuts = np.concatenate([[0.0], np.cumsum(spans)])
         ks = KnotSequence.clamped(2, cuts / cuts[-1])
         if not partition_condition_violations(ks, p):
             return ks
-    raise RuntimeError("failed to draw an admissible partition; lower the jitter")
+    raise RuntimeError(f"failed to draw an admissible partition in {_MAX_TRIES} tries")
 
 
 def random_mesh(

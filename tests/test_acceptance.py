@@ -8,7 +8,6 @@ the part that is provably attainable.
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,6 +40,8 @@ from splineqi.partitions import (
     random_clamped,
     random_mesh,
 )
+
+from oracles import exact_gs2_weights
 
 
 def _report(cid: str, ok: bool, detail: str):
@@ -238,30 +239,6 @@ def test_c09_gs2_degree_independent_bound():
     _report("9a", violations == 0, f"{violations} violations of the bound 5; {detail}")
 
 
-def _exact_symmetric(values, r, complete):
-    """Complete homogeneous (complete=True) or elementary symmetric
-    polynomial of degree r of the given Fractions."""
-    acc = [Fraction(1)] + [Fraction(0)] * r
-    for u in values:
-        for s in range(1, r + 1) if complete else range(r, 0, -1):
-            acc[s] += u * acc[s - 1]
-    return acc[r]
-
-
-def _exact_solve(M, b):
-    """Gauss-Jordan elimination in Fractions."""
-    n = len(b)
-    A = [list(row) + [b[k]] for k, row in enumerate(M)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if A[r][c] != 0)
-        A[c], A[piv] = A[piv], A[c]
-        for r in range(n):
-            if r != c and A[r][c] != 0:
-                f = A[r][c] / A[c][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    return [A[k][n] / A[k][k] for k in range(n)]
-
-
 def test_c09_gs2_bound_failure_exact_certificate():
     """Criterion 9a fails in exact arithmetic, not by roundoff.
 
@@ -283,16 +260,8 @@ def test_c09_gs2_bound_failure_exact_certificate():
     else:
         raise AssertionError("no m=4 partition with a G2 row norm above 5 found")
 
-    def window(j):
-        return [Fraction(ks.knot(k)) for k in range(j - m + 1, j + 1)]
-
     idxs = (i - 1, i, i + 1)
-    M = [
-        [_exact_symmetric(window(j), r, True) / math.comb(r + m - 1, r) for j in idxs]
-        for r in range(3)
-    ]
-    rhs = [_exact_symmetric(window(i), r, False) / math.comb(m, r) for r in range(3)]
-    w = _exact_solve(M, rhs)
+    w = exact_gs2_weights(ks, i)
     nu = sum(abs(x) for x in w)
     floats = dict(q.functionals[i].kernel_entries)
     dev = max(abs(float(x) - floats[j]) for j, x in zip(idxs, w)) / float(nu)

@@ -406,11 +406,31 @@ class TestPlumbing:
         assert out == run_cli(capsys, "--config", str(cfg), "build", "--family", "s1")[1]
         assert len(out.splitlines()) == 1 + 7
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--config={}", "build", "--family", "s1"],
+            ["build", "--family", "s1", "--config={}"],
+            ["--conf", "{}", "build", "--family", "s1"],
+        ],
+        ids=["equals-before", "equals-after", "abbreviated"],
+    )
+    def test_config_equals_and_abbreviated_forms(self, capsys, tmp_path, argv):
+        # each ran without the file: only the literal token "--config" was looked for
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("knots=uniform:4\nm=3\n")
+        code, out, _ = run_cli(capsys, *(arg.format(cfg) for arg in argv))
+        assert code == 0
+        assert out == run_cli(capsys, "--config", str(cfg), "build", "--family", "s1")[1]
+        assert len(out.splitlines()) == 1 + 7
+
     def test_config_needs_a_path(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["biv", "--table", "nb4", "--config"])
         assert exc.value.code == 2
-        assert "--config needs a file path" in capsys.readouterr().err
+        # argparse's own message, in place of "--config needs a file path"
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err == "splineqi biv: error: argument --config: expected one argument"
 
     @pytest.mark.parametrize(
         "text, message",

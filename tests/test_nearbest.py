@@ -2,7 +2,6 @@
 
 import gc
 import itertools
-import math
 import re
 import weakref
 
@@ -22,67 +21,32 @@ from splineqi import nearbest
 from splineqi.nearbest import solve_weighted_l1
 from splineqi.partitions import random_admissible_clamped, random_breakpoints, random_clamped
 
+from oracles import greville_point, kernel_moment_oracle, knot_window, symmetric_coeff_oracle
+
 
 # ------------------------------------------------------------------ oracles
 # The per-entry assembly that two batched ``KnotSequence.moments`` calls
-# replaced, on scalar copies of the Greville mean, the kernel moment
+# replaced, on the scalar oracles of the Greville mean, the kernel moment
 # recurrence and the symmetric functions (mean, pair formula, np.poly).
 
 
-def _knots(ks, j, first, count):
-    """Knots t_{j+first}, ..., t_{j+first+count-1}."""
-    o = ks.m + ks.pad
-    return ks.knots[j + first + o : j + first + count + o]
-
-
-def _greville(ks, j):
-    return float(_knots(ks, j, 1 - ks.m, ks.m).mean())
-
-
-def _kernel_moment(knots, r, center, scale):
-    h = [1.0] + [0.0] * r
-    for t in knots.tolist():
-        u = (t - center) / scale
-        for s in range(1, r + 1):
-            h[s] += u * h[s - 1]
-    return h[r] / math.comb(r + len(knots) - 1, r)
-
-
-def _symmetric_coeff(ks, j, r, center, scale):
-    m = ks.m
-    if r == 0:
-        return 1.0
-    w = (_knots(ks, j, 1 - m, m) - center) / scale
-    if r == 1:
-        return float(w.mean())
-    if r == 2:
-        s1 = float(w.sum())
-        return (s1 * s1 - float(w @ w)) / (m * (m - 1))
-    coeffs = np.poly(w)  # coeffs[k] = (-1)^k * sigma_k
-    return float(coeffs[r]) * (-1.0) ** r / math.comb(m, r)
-
-
 def _discrete_data(ks, i, p, q):
-    center = _greville(ks, i)
-    nodes = np.array([_greville(ks, i + s) for s in range(-p, p + 1)])
+    center = greville_point(ks, i)
+    nodes = np.array([greville_point(ks, i + s) for s in range(-p, p + 1)])
     scale = max(nodes.max() - center, center - nodes.min(), 1e-300)
     tau = (nodes - center) / scale
     V = np.vstack([tau**r for r in range(q + 1)])
-    b = np.array([_symmetric_coeff(ks, i, r, center, scale) for r in range(q + 1)])
+    b = np.array([symmetric_coeff_oracle(ks, i, r, center, scale) for r in range(q + 1)])
     return V, b
 
 
 def _integral_data(ks, i, p, q):
-    center = _greville(ks, i)
-    spread = _greville(ks, i + p) - _greville(ks, i - p)
+    center = greville_point(ks, i)
+    spread = greville_point(ks, i + p) - greville_point(ks, i - p)
     scale = max(spread / 2.0, 1e-300)
-    V = np.array(
-        [
-            [_kernel_moment(_knots(ks, i + s, -ks.m, ks.m + 2), r, center, scale) for s in range(-p, p + 1)]
-            for r in range(q + 1)
-        ]
-    )
-    b = np.array([_symmetric_coeff(ks, i, r, center, scale) for r in range(q + 1)])
+    windows = [knot_window(ks, i + s, -ks.m, ks.m + 2) for s in range(-p, p + 1)]
+    V = np.array([[kernel_moment_oracle(w, r, center, scale) for w in windows] for r in range(q + 1)])
+    b = np.array([symmetric_coeff_oracle(ks, i, r, center, scale) for r in range(q + 1)])
     return V, b
 
 

@@ -23,26 +23,12 @@ from splineqi.functionals import DUAL_SPLINE
 from splineqi.normest import _sample_grid, integral_lebesgue_function, lebesgue_function
 from splineqi.partitions import random_admissible_clamped, random_clamped
 
+from oracles import basis_row_oracle
+
 
 # ------------------------------------------------------------------ oracles
 # The per-point dict accumulation and the scalar bisection path that the
 # batched evaluation replaced, kept as the reference.
-
-
-def _row_at(t, k0, deg, x, k):
-    """Values of the degree-deg splines B_k..B_{k+deg} at x in span k."""
-    i = k - k0
-    N, left, right = [1.0] + [0.0] * deg, [0.0] * (deg + 1), [0.0] * (deg + 1)
-    for j in range(1, deg + 1):
-        left[j] = x - t[i + 1 - j]
-        right[j] = t[i + j] - x
-        saved = 0.0
-        for r in range(j):
-            temp = N[r] / (right[r + 1] + left[j - r])
-            N[r] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        N[j] = saved
-    return N
 
 
 def _abs_kernel_integral_oracle(t, k0, deg, coef, sign_samples, tol=1e-13):
@@ -50,7 +36,7 @@ def _abs_kernel_integral_oracle(t, k0, deg, coef, sign_samples, tol=1e-13):
     gx, gw = np.polynomial.legendre.leggauss(deg // 2 + 1)
 
     def value(x, k):
-        row = _row_at(t, k0, deg, x, k)
+        row = basis_row_oracle(t, k - k0, deg, x)
         return sum(coef.get(k + r, 0.0) * row[r] for r in range(deg + 1))
 
     total = 0.0

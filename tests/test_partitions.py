@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from splineqi import KnotSequence
+from splineqi import KnotSequence, partitions
 from splineqi.bivariate import TensorMesh
 from splineqi.partitions import (
     geometric_breakpoints,
@@ -100,6 +100,16 @@ MALFORMED = {
     "random-n--2": (lambda: random_breakpoints(-2, np.random.default_rng(0)), "n must be an integer >= 1, got -2"),
     "uniform-n-2.5": (lambda: uniform_breakpoints(2.5), "n must be an integer >= 1, got 2.5"),
     "clamped-n-2.5": (lambda: random_clamped(2, 2.5, np.random.default_rng(0)), "n must be an integer >= 1, got 2.5"),
+    # numpy's TypeError for 2.5 and True; 0 warned, then "need at least two breakpoints"
+    "admissible-n-2.5": (
+        lambda: random_admissible_clamped(2.5, np.random.default_rng(0), 2), "n must be an integer >= 1, got 2.5"
+    ),
+    "admissible-n-True": (
+        lambda: random_admissible_clamped(True, np.random.default_rng(0), 2), "n must be an integer >= 1, got True"
+    ),
+    "admissible-n-0": (
+        lambda: random_admissible_clamped(0, np.random.default_rng(0), 2), "n must be an integer >= 1, got 0"
+    ),
     "mesh-nx-2.5": (lambda: random_mesh(2.5, 3, np.random.default_rng(0)), "nx must be an integer >= 1, got 2.5"),
     "mesh-ny-0": (lambda: random_mesh(2, 0, np.random.default_rng(0)), "ny must be an integer >= 1, got 0"),
     # accepted, and numpy's concatenate message
@@ -146,9 +156,10 @@ def test_random_breakpoints_at_ratio_one_are_uniform():
     np.testing.assert_allclose(random_breakpoints(4, np.random.default_rng(0), 1.0), np.linspace(0, 1, 5))
 
 
-def test_admissible_draw_gives_up_after_max_tries():
-    with pytest.raises(RuntimeError, match="^failed to draw an admissible partition; lower the jitter$"):
-        random_admissible_clamped(8, np.random.default_rng(0), 2, max_tries=0)
+def test_admissible_draw_gives_up_after_max_tries(monkeypatch):
+    monkeypatch.setattr(partitions, "_MAX_TRIES", 0)
+    with pytest.raises(RuntimeError, match="^failed to draw an admissible partition in 0 tries$"):
+        random_admissible_clamped(8, np.random.default_rng(0), 2)
 
 
 def test_random_spec_needs_a_seed():

@@ -1,8 +1,6 @@
 """Tests for the concrete operator families."""
 
 import json
-import math
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +34,8 @@ from splineqi.partitions import (
     random_admissible_clamped,
     random_clamped,
 )
+
+from oracles import exact_gs2_weights, greville_window
 
 
 # ------------------------------------------------------------------ oracles
@@ -111,40 +111,6 @@ def _gs2_weights_loop(ks, i):
     return np.linalg.solve(M, rhs)
 
 
-def _symmetric_exact(values, r, complete):
-    """Complete homogeneous (complete=True) or elementary symmetric
-    polynomial of degree r of the given Fractions."""
-    acc = [Fraction(1)] + [Fraction(0)] * r
-    for u in values:
-        for s in range(1, r + 1) if complete else range(r, 0, -1):
-            acc[s] += u * acc[s - 1]
-    return acc[r]
-
-
-def _gs2_weights_exact(ks, i):
-    """One index's 3x3 reproduction system in exact rationals on the float
-    knots, each an exact rational, solved by Cramer's rule: dual-kernel
-    moments h_r/C(r + m - 1, r) of the window t_{j-m+1..j} (or the Greville
-    point's powers at a clamped end) against e_r/C(m, r) of i's window."""
-    m, ends = ks.m, () if ks.cardinal else (0, ks.nbasis - 1)
-
-    def window(j):
-        return [Fraction(ks.knot(k)) for k in range(j - m + 1, j + 1)]
-
-    def member(j, r):
-        if j in ends:
-            return (sum(window(j)) / m) ** r
-        return _symmetric_exact(window(j), r, True) / math.comb(r + m - 1, r)
-
-    def det(M):
-        (a, b, c), (d, e, f), (g, h, k) = M
-        return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
-
-    M = [[member(j, r) for j in (i - 1, i, i + 1)] for r in range(3)]
-    rhs = [_symmetric_exact(window(i), r, False) / math.comb(m, r) for r in range(3)]
-    return [det([row[:c] + [v] + row[c + 1 :] for row, v in zip(M, rhs)]) / det(M) for c in range(3)]
-
-
 def _stencil(q, i):
     """Offsets from i and weights of the entries of functional i of q, the
     point entries first."""
@@ -155,11 +121,10 @@ def _stencil(q, i):
 def _lam_oracle(ks, i):
     """lam_i from the pair formula of the centred Greville window, the scalar
     path that the elementary symmetric recurrence of ``moments`` replaced."""
-    o, m = ks.m + ks.pad, ks.m
-    w = ks.knots[i + 1 - m + o : i + 1 + o]
+    w = greville_window(ks, i)
     w = w - float(w.mean())
     s1 = float(w.sum())
-    return -(s1 * s1 - float(w @ w)) / (m * (m - 1))
+    return -(s1 * s1 - float(w @ w)) / (ks.m * (ks.m - 1))
 
 
 def _ulps(got, want):
@@ -404,7 +369,7 @@ class TestGS2:
                 q = gs2(ks)
                 for i in range(1, ks.nbasis - 1):
                     got = dict(q.functionals[i].point_entries) | dict(q.functionals[i].kernel_entries)
-                    want = _gs2_weights_exact(ks, i)
+                    want = exact_gs2_weights(ks, i)
                     worst = max(worst, *(abs(got[j] - float(x)) for j, x in zip((i - 1, i, i + 1), want)))
         assert worst <= 1e-14, worst
 

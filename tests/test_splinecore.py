@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,16 @@ from hypothesis import strategies as st
 
 from splineqi import KnotSequence
 from splineqi.partitions import random_clamped
+
+from oracles import (
+    basis_row_oracle,
+    greville_point,
+    greville_window,
+    kernel_moment_oracle,
+    knot_window,
+    single_value_oracle,
+    symmetric_coeff_oracle,
+)
 
 
 def bspline_oracle(knots, x):
@@ -40,47 +51,12 @@ def row_oracle(ks, x):
         k += 1
     while k > 0 and t[k + 1 - k0] <= t[k - k0]:
         k -= 1
-    i = k - k0
-    N, left, right = [1.0] + [0.0] * p, [0.0] * (p + 1), [0.0] * (p + 1)
-    for j in range(1, p + 1):
-        left[j] = x - t[i + 1 - j]
-        right[j] = t[i + j] - x
-        saved = 0.0
-        for r in range(j):
-            temp = N[r] / (right[r + 1] + left[j - r])
-            N[r] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        N[j] = saved
-    return k, np.asarray(N)
+    return k, np.asarray(basis_row_oracle(t, k - k0, p, x))
 
 
 # ------------------------------------------------------------------ oracles
 # The scalar paths that ``KnotSequence.moments`` and the array kernel rule
 # replaced, kept verbatim (up to their interfaces) as references.
-
-
-def single_value_oracle(t, k0, deg, j, x):
-    """Value of the degree-``deg`` spline B_j at x by recursion on its own
-    knot window t_{j-deg}, ..., t_{j+1}; ``t[0]`` is knot ``k0``."""
-    p = deg
-    base = j - p - k0
-    if base < 0 or base + p + 1 >= len(t):
-        raise IndexError(f"knot window for spline {j} not stored")
-    w = t[base : base + p + 2]
-    if not (w[0] <= x < w[-1]):
-        return 0.0
-    N = [1.0 if (w[r] <= x < w[r + 1]) else 0.0 for r in range(p + 1)]
-    for d in range(1, p + 1):
-        for r in range(p + 1 - d):
-            acc = 0.0
-            den = w[r + d] - w[r]
-            if den > 0.0:
-                acc += (x - w[r]) / den * N[r]
-            den = w[r + d + 1] - w[r + 1]
-            if den > 0.0:
-                acc += (w[r + d + 1] - x) / den * N[r + 1]
-            N[r] = acc
-    return N[0]
 
 
 def kernel_rule_oracle(ks, deg, j, npts):
@@ -100,17 +76,6 @@ def kernel_rule_oracle(ks, deg, j, npts):
     return np.asarray(nodes), np.asarray(wts)
 
 
-def kernel_moment_oracle(knots, r, center=0.0, scale=1.0):
-    """r-th moment of the unit-integral B-spline on ``knots`` in the variable
-    ``(x - center)/scale`` by the running-sum recurrence of h_r."""
-    h = [1.0] + [0.0] * r
-    for t in np.asarray(knots).tolist():
-        u = (t - center) / scale
-        for s in range(1, r + 1):
-            h[s] += u * h[s - 1]
-    return h[r] / math.comb(r + len(knots) - 1, r)
-
-
 def per_knot_moments_oracle(knots, rmax, center=0.0, scale=1.0):
     """Orders 0..rmax of the kernel moments on ``knots[..., :]`` by the
     complete homogeneous recurrence as ``KnotSequence.moments`` ran it before
@@ -125,27 +90,6 @@ def per_knot_moments_oracle(knots, rmax, center=0.0, scale=1.0):
             h[s] += uk * h[s - 1]  # h_s += u_k h_{s-1}, upwards
     norm = np.array([math.comb(s + len(u) - 1, s) for s in range(rmax + 1)], dtype=float)
     return (h.T / norm).reshape(shape + (rmax + 1,))
-
-
-def greville_window(ks, j):
-    """Knots t_{j-m+1}, ..., t_j (knot 0 sits at position m + pad)."""
-    o = ks.m + ks.pad
-    return ks.knots[j + 1 - ks.m + o : j + 1 + o]
-
-
-def symmetric_coeff_oracle(ks, j, r, center=0.0, scale=1.0):
-    """Normalised elementary symmetric function: mean, pair formula, np.poly."""
-    m = ks.m
-    if r == 0:
-        return 1.0
-    w = (greville_window(ks, j) - center) / scale
-    if r == 1:
-        return float(w.mean())
-    if r == 2:
-        s1 = float(w.sum())
-        return (s1 * s1 - float(w @ w)) / (m * (m - 1))
-    coeffs = np.poly(w)  # coeffs[k] = (-1)^k * sigma_k
-    return float(coeffs[r]) * (-1.0) ** r / math.comb(m, r)
 
 
 def lam_oracle(window):
@@ -364,7 +308,7 @@ class TestSymmetricCoeffs:
         rng = np.random.default_rng(2)
         ks = random_clamped(5, 7, rng)
         for j in (4, 6, 8):
-            w = np.array([ks.knot(k) for k in range(j - 4, j + 1)])
+            w = greville_window(ks, j)
             coeffs = np.poly(w)
             got = ks.moments("symmetric", [j], 5)[0]
             for r in range(6):
@@ -400,8 +344,7 @@ class TestLam:
         for m in (2, 3, 4, 6):
             ks = random_clamped(m, 8, rng)
             for j in range(ks.nbasis):
-                w = [ks.knot(k) for k in range(j - m + 1, j + 1)]
-                want = lam_oracle(w)
+                want = lam_oracle(greville_window(ks, j).tolist())
                 got = ks.lam(j)
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
                 if j not in (0, ks.nbasis - 1):
@@ -439,10 +382,8 @@ class TestEvaluation:
         xs = rng.uniform(ks.a, ks.b, 60)
         for x in xs:
             for i in range(ks.nbasis):
-                window = [ks.knot(k) for k in range(i - 3, i + 2)]
-                assert basis_value(ks, i, x) == pytest.approx(
-                    bspline_oracle(window, x), abs=1e-13
-                )
+                window = knot_window(ks, i, -3, 5).tolist()
+                assert basis_value(ks, i, x) == pytest.approx(bspline_oracle(window, x), abs=1e-13)
 
     def test_single_value_matches_row(self):
         rng = np.random.default_rng(22)
@@ -594,6 +535,42 @@ class TestKernelPieces:
         assert kernel_pieces(ks, "basis", [1, 2]).tobytes() == want.tobytes()
 
 
+class TestKernelsAgainstExactValues:
+    """The rule table and the power-form pieces against the exact value of
+    each kernel at its rule nodes: Cox-de Boor in rationals on the float
+    knots and nodes.  Both bounds are relative to the kernel's largest value
+    at the nodes.  The table's 1e-14 lies above the forward error of the
+    recursion, whose terms are all nonnegative (about 5 roundings a level,
+    40 ulps at degree 7); the pieces' 1e-12 lies above the 1.5e-13 they were
+    measured to differ from the table on such partitions."""
+
+    @pytest.mark.parametrize("m", [3, 7])
+    def test_rules_and_pieces_at_the_rule_nodes(self, m):
+        npts = 4
+        ks = random_clamped(m, 12, np.random.default_rng(7), ratio=1e4)
+        gw = np.polynomial.legendre.leggauss(npts)[1]
+        for kind, deg, shift in (("basis", m, 0), ("dual", m - 2, -1)):
+            lo, hi = kernel_index_range(ks, kind)
+            js = np.arange(lo, hi + 1)
+            nodes, wts, live = ks.kernel_rules(kind, js, npts)
+            pieces = kernel_pieces(ks, kind, js)
+            for g, j in enumerate(js + shift):  # the kernel is B_j of degree deg
+                w = knot_window(ks, j, -deg, deg + 2)
+                exact_w = [Fraction(u) for u in w.tolist()]
+                scale = (deg + 1) / (exact_w[-1] - exact_w[0])
+                on = live[g]
+                hg = ((0.5 * np.diff(w))[:, None] * gw).ravel()[on]  # the rule's weight before the kernel value
+                span = np.repeat(np.arange(deg + 1), npts)[on]
+                xs = nodes[g][on].tolist()
+                exact = [scale * single_value_oracle(exact_w, j - deg, deg, j, Fraction(x)) for x in xs]
+                top = float(max(exact))
+                for x, wt, h, r, value in zip(xs, wts[g][on], hg, span, exact):
+                    assert abs(Fraction(wt) - Fraction(h) * value) <= 1e-14 * h * top, (kind, j, x)
+                    tau = (Fraction(x) - exact_w[r]) / (exact_w[r + 1] - exact_w[r])
+                    piece = sum(Fraction(c) * tau**p for p, c in enumerate(pieces[g, r].tolist()))
+                    assert abs(piece - value) <= 1e-12 * top, (kind, j, x)
+
+
 class TestDualMoments:
     def test_zeroth_is_one(self):
         rng = np.random.default_rng(40)
@@ -619,10 +596,8 @@ class TestDualMoments:
         for m in (2, 3, 4, 6):
             ks = random_clamped(m, 7, rng)
             for i in range(1, ks.nbasis - 1):
-                w = [ks.knot(k) for k in range(i - m + 1, i + 1)]
-                assert ks.dual_moment(i, 2) == pytest.approx(
-                    dual_moment2_oracle(w), rel=1e-12
-                )
+                w = greville_window(ks, i).tolist()
+                assert ks.dual_moment(i, 2) == pytest.approx(dual_moment2_oracle(w), rel=1e-12)
 
     def test_moment_gap_identity(self):
         # second kernel moment exceeds the symmetric coefficient by 2m/(m+1) lam;
@@ -766,14 +741,13 @@ class TestBatchedMoments:
     def test_kernel_moments_and_points_bitwise_equal_to_the_scalar_path(self, m):
         for ks in self._sequences(m):
             lo, hi = ks.greville_range()
-            t, o = ks.knots, m + ks.pad
             basis = np.arange(lo + 1, hi)
             dual = np.arange(lo, hi + 1) if ks.cardinal else np.arange(1, ks.nbasis - 1)
             dual = dual[[ks.knot(j) > ks.knot(j - m + 1) for j in dual]]
             points = np.arange(lo, hi + 1)
-            c, s = float(greville_window(ks, ks.nbasis // 2).mean()), ks.b - ks.a
+            c, s = greville_point(ks, ks.nbasis // 2), ks.b - ks.a
             for kind, js, scalar in (
-                ("basis", basis, lambda j, r: kernel_moment_oracle(t[j - m + o : j + 2 + o], r, c, s)),
+                ("basis", basis, lambda j, r: kernel_moment_oracle(knot_window(ks, j, -m, m + 2), r, c, s)),
                 ("dual", dual, lambda j, r: kernel_moment_oracle(greville_window(ks, j), r, c, s)),
                 ("point", points, lambda j, r: ((greville_window(ks, j).mean() - c) / s) ** r),
             ):
@@ -860,12 +834,11 @@ class TestMomentRecurrence:
             KnotSequence.clamped(m, [-1e-200, 1e-200, 1.0]),
         ):
             lo, hi = ks.greville_range()
-            t, o = ks.knots, m + ks.pad
             basis = np.arange(lo + 1, hi)
             dual = np.arange(lo, hi + 1) if ks.cardinal else np.arange(1, ks.nbasis - 1)
             dual = dual[[ks.knot(j) > ks.knot(j - m + 1) for j in dual]]
             points = np.arange(lo, hi + 1)
-            yield ks, "basis", basis, np.array([t[j - m + o : j + 2 + o] for j in basis])
+            yield ks, "basis", basis, np.array([knot_window(ks, j, -m, m + 2) for j in basis])
             yield ks, "dual", dual, np.array([greville_window(ks, j) for j in dual]).reshape(len(dual), m)
             yield ks, "point", points, np.array([[ks.greville(j)] for j in points])
 
@@ -1002,7 +975,7 @@ class TestGrevillePoints:
         ):
             lo, hi = ks.greville_range()
             for j in range(lo, hi + 1):
-                assert ks.greville(j) == float(greville_window(ks, j).mean())
+                assert ks.greville(j) == greville_point(ks, j)
 
     def test_range_ends_validated(self):
         ks = KnotSequence.clamped(3, [0.0, 0.5, 1.0])

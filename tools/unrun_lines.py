@@ -1,12 +1,13 @@
-"""List the executable lines of ``src/splineqi`` that the test suite never runs.
+"""List the executable lines of ``src/splineqi`` and of the test oracles
+(``tests/oracles.py``) that the test suite never runs.
 
 Runs pytest in-process under ``sys.settrace``, recording line events only in
-frames whose code lives under ``src/splineqi/``, then compares the hits with
-the line table (``co_lines()``) of every code object compiled from those
-files.  Each executable line that never ran is printed as
-``path:line: source``, followed by the count.  Exits 1 when it lists any
-line and 0 when it lists none, so the line coverage can be checked by exit
-status.  Needs nothing beyond pytest.
+frames whose code lives in those files, then compares the hits with the line
+table (``co_lines()``) of every code object compiled from them, so a library
+line or a reference path that no test reaches is listed.  Each executable
+line that never ran is printed as ``path:line: source``, followed by the
+count.  Exits 1 when it lists any line and 0 when it lists none, so the line
+coverage can be checked by exit status.  Needs nothing beyond pytest.
 
     python tools/unrun_lines.py                 # the whole suite
     python tools/unrun_lines.py tests/test_cli.py -x
@@ -23,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "splineqi"
+TRACED = [*sorted(PKG.glob("*.py")), ROOT / "tests" / "oracles.py"]
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -36,10 +38,10 @@ def executable_lines(path: Path) -> set[int]:
 
 
 def traced_run(pytest_args: list[str]) -> dict[str, set[int]]:
-    """Run pytest with a tracer; return the lines hit per package file."""
+    """Run pytest with a tracer; return the lines hit per traced file."""
     import pytest
 
-    prefix = str(PKG) + os.sep
+    traced = {str(path.resolve()) for path in TRACED}
     hits: dict[str, set[int]] = {}
     ours: dict[str, bool] = {}
 
@@ -52,7 +54,7 @@ def traced_run(pytest_args: list[str]) -> dict[str, set[int]]:
         name = frame.f_code.co_filename
         mine = ours.get(name)
         if mine is None:
-            mine = ours[name] = os.path.realpath(name).startswith(prefix)
+            mine = ours[name] = os.path.realpath(name) in traced
             if mine:
                 hits.setdefault(name, set())
         if not mine:
@@ -76,13 +78,13 @@ def main(argv: list[str]) -> int:
     os.chdir(ROOT)
     hits = traced_run(argv or ["-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"])
     unrun = []
-    for path in sorted(PKG.glob("*.py")):
+    for path in TRACED:
         source = path.read_text().splitlines()
         ran = hits.get(str(path.resolve()), set())
         for line in sorted(executable_lines(path) - ran):
             unrun.append(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
     print("\n".join(unrun))
-    print(f"{len(unrun)} executable lines of {PKG.relative_to(ROOT)} never ran")
+    print(f"{len(unrun)} executable lines of {PKG.relative_to(ROOT)} and tests/oracles.py never ran")
     return 1 if unrun else 0
 
 

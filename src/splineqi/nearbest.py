@@ -120,18 +120,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _problem_data(ks: KnotSequence, kind: str, anchors: np.ndarray, p: int, q: int):
+def _problem_data(ks: KnotSequence, kind: str, anchors: np.ndarray, p: int, q: int, points=()):
     """Matrices ``V[g]`` and right-hand sides ``b[g]`` of the anchors
     ``i = anchors[g]`` in the monomials ``((x - theta_i)/scale_i)**r``:
-    Greville-point powers (``kind`` "point") or basis-kernel moments ("basis")
-    at the sources i-p..i+p, and the symmetric coefficients of i."""
-    theta = ks.greville_points(anchors[:, None] + np.array([0, -p, p]))
+    Greville-point powers (``kind`` "point") or kernel moments ("basis", "dual")
+    at the sources i-p..i+p, those in ``points`` sampled at their Greville
+    points (G2's clamped ends), and the symmetric coefficients of i (q <= m)."""
+    theta = ks.greville_points(anchors[:, None] + np.array([0, -p, p]))  # checks what samples and rhs read
     center, lo, hi = theta.T
     spread = np.maximum(hi - center, center - lo) if kind == "point" else (hi - lo) / 2.0
     scale = np.maximum(spread, 1e-300)
     js = anchors[:, None] + np.arange(-p, p + 1)
-    V = ks.moments(kind, js, q, center=center[:, None], scale=scale[:, None]).transpose(0, 2, 1)
-    return V, ks.moments("symmetric", anchors, q, center=center, scale=scale)
+    sample = (js[..., None] == points).any(axis=-1)  # a sampled source: the anchor's kernel, then the sample
+    V = ks.moments(kind, np.where(sample, anchors[:, None], js), q, center=center[:, None], scale=scale[:, None])
+    if sample.any():
+        V[sample] = ks._moments("point", js[sample], q, *(v[np.nonzero(sample)[0]] for v in (center, scale)))
+    return V.transpose(0, 2, 1), ks._moments("symmetric", anchors, q, center, scale)
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,7 @@ def _lebesgue_values(q: QuasiInterpolant, k, rows, mode: str, sign_samples: int)
 def lebesgue_function(q: QuasiInterpolant, x: float) -> float:
     """Pointwise absolute-weight sum of a discrete operator at x (for an
     operator with moment functionals, its coefficient-mode value)."""
-    return float(_lebesgue_values(q, *q.ks.basis_rows([x]), "coefficient", 0)[0])
+    return float(_lebesgue_values(q, *q.ks._point_rows(x), "coefficient", 0)[0])
 
 
 def _polish(xs: np.ndarray, vals: np.ndarray, fn) -> float:
@@ -267,7 +267,7 @@ def integral_lebesgue_function(
     Point entries contribute their absolute weights in both modes.
     """
     mode, sign_samples = _mode_args(mode, sign_samples)
-    return float(_lebesgue_values(q, *q.ks.basis_rows([x]), mode, sign_samples)[0])
+    return float(_lebesgue_values(q, *q.ks._point_rows(x), mode, sign_samples)[0])
 
 
 def empirical_norm_integral(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functionals import QuasiInterpolant
+from .functionals import QuasiInterpolant, _values
 from .splinecore import _RTOL, _int_arg
 
 __all__ = ["QuadratureRule", "qi_to_quadrature", "exactness_degree"]
@@ -26,7 +26,7 @@ class QuadratureRule:
     degree: int  # claimed polynomial exactness degree
 
     def apply(self, f) -> float:
-        return float(np.dot(self.weights, np.asarray(f(self.nodes), dtype=float)))
+        return float(np.dot(self.weights, _values(f, self.nodes)))
 
 
 def qi_to_quadrature(q: QuasiInterpolant) -> QuadratureRule:

@@ -22,7 +22,7 @@ from .functionals import (
     QuasiInterpolant,
     is_exact_on,
 )
-from .nearbest import _uniform_args, solve_symmetric_uniform
+from .nearbest import _problem_data, _uniform_args, solve_symmetric_uniform
 from .splinecore import KnotSequence, _int_arg
 
 __all__ = [
@@ -94,26 +94,35 @@ def schoenberg(ks: KnotSequence) -> QuasiInterpolant:
     return _validated(_operator(ks, DISCRETE, [], [], [], 1, "S1"))
 
 
+def _three_node(ks: KnotSequence, p: int):
+    """``(live, nodes, weights)`` of the three-node rule at offset p: at each
+    index with lam_i > 0, the sample at theta_i minus lam_i times the second
+    divided difference over theta_{i-p}, theta_i, theta_{i+p}, the outer
+    nodes clamped to ``_stencil_bounds``; lam_i = 0 leaves the plain sample."""
+    lo, hi = _stencil_bounds(ks)
+    lam = ks.lam(ks.basis_indices)
+    live = np.flatnonzero(lam > 0.0)
+    nodes = np.minimum(np.maximum(live[:, None] + np.array([-p, 0, p]), lo), hi)
+    x = ks.greville_points(nodes)
+    # weights 1 / ((x_k - x_{k-1})(x_k - x_{k-2})) of the second divided difference, k cyclic
+    w = -lam[live, None] * (1.0 / ((x - x[:, [2, 0, 1]]) * (x - x[:, [1, 2, 0]])))
+    w[:, 1] += 1.0
+    return live, nodes, w
+
+
 def s2(ks: KnotSequence) -> QuasiInterpolant:
-    """Three-term discrete operator exact on degree 2.
+    """Three-term discrete operator exact on degree 2: the three-node rule
+    of ``nb_dqi_nonuniform`` at p = 1, where no node needs clamping.
 
     Each functional subtracts lam_i times the second divided difference of f
     over the neighbouring Greville points from the sample at theta_i; any
     second divided difference reproduces half the second derivative on
-    quadratics, so the correction is degree-independent.  All stencils are
-    built at once; every index with lam_i > 0 has both neighbours.
+    quadratics, so the correction is degree-independent.
     """
     if ks.m < 2:
         raise ValueError("s2 requires degree >= 2")
     _require_distinct_interior(ks, "s2")
-    lam = ks.lam(ks.basis_indices)
-    live = np.flatnonzero(lam > 0.0)  # lam = 0: the plain sample
-    nodes = live[:, None] + np.arange(-1, 2)
-    x = ks.greville_points(nodes)
-    # weights 1 / ((x_k - x_{k-1})(x_k - x_{k-2})) of the second divided difference
-    w = -lam[live, None] * (1.0 / ((x - np.roll(x, 1, axis=1)) * (x - np.roll(x, 2, axis=1))))
-    w[:, 1] += 1.0
-    return _validated(_operator(ks, DISCRETE, live, nodes, w, 2, "S2"))
+    return _validated(_operator(ks, DISCRETE, *_three_node(ks, 1), 2, "S2"))
 
 
 def gs1(ks: KnotSequence) -> QuasiInterpolant:
@@ -134,32 +143,24 @@ def gs2(ks: KnotSequence) -> QuasiInterpolant:
     """Three-term moment operator exact on degree 2.
 
     For each index the weights on the three neighbouring moment functionals
-    solve the 3x3 reproduction system for degrees 0, 1, 2, assembled in
-    monomials centred at the anchor's Greville point and scaled by the
-    stencil's Greville half-spread, as ``nearbest`` assembles its systems, so
-    the weights do not change under a power-of-two scaling of the knots; all
-    systems are assembled at once and solved in one stacked call.  On a
-    clamped sequence the two end coefficients stay point evaluations.
+    solve the 3x3 reproduction system for degrees 0, 1, 2 that
+    ``nearbest._problem_data`` assembles, centred at the anchor's Greville
+    point and scaled by the stencil's half-spread, so the weights do not
+    change under a power-of-two scaling of the knots; one stacked solve.  On
+    a clamped sequence every source at a domain end is the sample there.
     """
     if ks.m < 2:
         raise ValueError("gs2 requires degree >= 2")
     _require_distinct_interior(ks, "gs2")
     ends = () if ks.cardinal else (0, ks.nbasis - 1)
     inner = np.arange(ks.nbasis) if ks.cardinal else np.arange(1, ks.nbasis - 1)
-    idxs = inner[:, None] + np.arange(-1, 2)
-    lo, center, hi = ks.greville_points(idxs).T
-    scale = (hi - lo) / 2.0
-    point = (idxs[..., None] == ends).any(axis=-1)  # members at a clamped end: the sample there
-    c, s = center[:, None], scale[:, None]
-    M = ks._moments("dual", ks._indices("dual", np.where(point, inner[:, None], idxs)), 2, c, s)
-    M[point] = ks._moments("point", idxs[point], 2, *(np.broadcast_to(v, idxs.shape)[point] for v in (c, s)))
-    rhs = ks._moments("symmetric", inner, 2, center, scale)
+    V, rhs = _problem_data(ks, "dual", inner, 1, 2, ends)
     try:
-        w = np.linalg.solve(M.transpose(0, 2, 1), rhs[..., None])[..., 0]
+        w = np.linalg.solve(V, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        i = inner[np.argmax(np.linalg.det(M) == 0.0)]
+        i = inner[np.argmax(np.linalg.det(V) == 0.0)]
         raise RuntimeError(f"singular reproduction system at index {i}") from exc
-    return _validated(_operator(ks, DUAL_SPLINE, inner, idxs, w, 2, "G2"))
+    return _validated(_operator(ks, DUAL_SPLINE, inner, inner[:, None] + np.arange(-1, 2), w, 2, "G2"))
 
 
 def _uniform_nb(kind: str, order: int, n: int, r, nspans: int, spacing: float):
@@ -239,8 +240,8 @@ def nb_dqi_nonuniform(ks: KnotSequence, p: int) -> QuasiInterpolant:
 
     Nonzero weights sit at offsets {-p, 0, +p} only; the functional is the
     sample at theta_i minus lam_i times the second divided difference over
-    (theta_{i-p}, theta_i, theta_{i+p}), hence exact on degree 2.  The
-    partition must satisfy the balance condition for these weights to be the
+    (theta_{i-p}, theta_i, theta_{i+p}), hence exact on degree 2 (``s2`` is
+    p = 1).  The partition must satisfy the balance condition for these weights to be the
     l1 optimum; violations are reported with the failing index.  Near the
     ends of a clamped sequence the offsets shrink to the available range,
     which keeps the reproduction property and the norm bound.
@@ -255,11 +256,4 @@ def nb_dqi_nonuniform(ks: KnotSequence, p: int) -> QuasiInterpolant:
         raise PartitionConditionError(
             bad[0], f"partition violates the stencil balance condition at index {bad[0]}"
         )
-    lo, hi = _stencil_bounds(ks)
-    lam = ks.lam(ks.basis_indices)
-    live = np.flatnonzero(lam > 0.0)
-    nodes = np.stack([np.maximum(live - p, lo), live, np.minimum(live + p, hi)], axis=1)
-    tm, t0, tp = ks.greville_points(nodes).T
-    A, B, l = t0 - tm, tp - t0, lam[live]
-    w = np.stack([-l / (A * (A + B)), 1.0 + l / (A * B), -l / (B * (A + B))], axis=1)
-    return _validated(_operator(ks, DISCRETE, live, nodes, w, 2, "Q_p2", (p,)))
+    return _validated(_operator(ks, DISCRETE, *_three_node(ks, p), 2, "Q_p2", (p,)))

@@ -193,11 +193,11 @@ class KnotSequence:
 
     @property
     def a(self) -> float:
-        return self.knot(0)
+        return float(self._t[-self._k0])
 
     @property
     def b(self) -> float:
-        return self.knot(self.n)
+        return float(self._t[self.n - self._k0])
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -212,7 +212,7 @@ class KnotSequence:
         return range(self.nbasis)
 
     def knot(self, k: int) -> float:
-        pos = k - self._k0
+        pos = _index(k) - self._k0
         if pos < 0 or pos >= len(self._t):
             raise IndexError(f"knot index {k} outside stored range")
         return float(self._t[pos])
@@ -304,8 +304,14 @@ class KnotSequence:
 
     def basis_row(self, x: float) -> tuple[int, np.ndarray]:
         """All basis values at x: returns (start, values of B_start..B_{start+m})."""
-        k, rows = self.basis_rows([x])
+        k, rows = self._point_rows(x)
         return int(k[0]), rows[0]
+
+    def _point_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """``basis_rows`` at the one point x; an x that is not a scalar raises ``ValueError``."""
+        if np.ndim(x) != 0:
+            raise ValueError(f"x must be a scalar, got shape {np.shape(x)}")
+        return self.basis_rows([x])
 
     def basis_integrals(self) -> np.ndarray:
         """Integral of each B_i over [a, b]: its full-support integral

@@ -300,6 +300,17 @@ class TestLebesgueFunctions:
             integral_lebesgue_function(q, x, "kernel"), rel=1e-12
         )
 
+    def test_lebesgue_function_refuses_many_points(self):
+        # the value at 0.1 alone was returned for both points
+        q = s2(KnotSequence.clamped(2, np.linspace(0, 1, 9)))
+        with pytest.raises(ValueError, match=r"^x must be a scalar, got shape \(2,\)$"):
+            lebesgue_function(q, np.array([0.1, 0.9]))
+
+    def test_integral_lebesgue_function_refuses_many_points(self):
+        q = gs1(KnotSequence.clamped(2, np.linspace(0, 1, 9)))
+        with pytest.raises(ValueError, match=r"^x must be a scalar, got shape \(2,\)$"):
+            integral_lebesgue_function(q, [0.1, 0.9])
+
 
 def _has_sign_change_near(c, x, lo, hi, tol=2.0**-27):
     """Whether the polynomial ``c`` (power form, as ``_horner`` evaluates it)

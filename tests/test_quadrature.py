@@ -1,6 +1,7 @@
 """Tests for operator-derived quadrature rules."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,19 @@ class TestRuleConstruction:
             assert rule.apply(lambda x: np.ones_like(x)) == pytest.approx(
                 1.0, rel=1e-12
             )
+
+    def test_apply_takes_a_scalar_f(self):
+        # a scalar was refused by numpy's "only 0-dimensional arrays ..." message
+        rule = qi_to_quadrature(s2(random_clamped(2, 10, np.random.default_rng(34))))
+        assert rule.apply(lambda x: 1.0) == pytest.approx(rule.weights.sum(), rel=1e-15)
+
+    def test_apply_refuses_a_wrong_shape(self):
+        # was numpy's "shapes (6,) and (3,) not aligned"
+        rule = qi_to_quadrature(schoenberg(KnotSequence.clamped(2, np.linspace(0.0, 1.0, 5))))
+        assert rule.nodes.shape == (6,)
+        want = "f must return a scalar or one value per node, got shape (3,) for 6 nodes"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            rule.apply(lambda x: x[:3])
 
 
     def test_matches_per_index_loop(self):

@@ -42,40 +42,18 @@ from oracles import exact_gs2_weights, greville_window
 # The per-index loops that the whole-sequence constructors replaced.
 
 
-def _s2_entries_loop(ks, i):
+def _three_node_entries_loop(ks, i, p):
+    """One index of the three-node rule of S2 (p = 1) and Q_p2: the sample at
+    theta_i minus lam_i times the second divided difference over theta_{i-p},
+    theta_i, theta_{i+p}, the outer nodes clamped to the stencil bounds."""
     lo, hi = _stencil_bounds(ks)
     l = ks.lam(i)
     if l <= 0.0:
         return ((i, 1.0),)
-    if i - 1 >= lo and i + 1 <= hi:
-        idxs = (i - 1, i, i + 1)
-    elif i - 1 < lo:
-        idxs = (i, i + 1, i + 2)
-    else:
-        idxs = (i - 2, i - 1, i)
+    idxs = (max(i - p, lo), i, min(i + p, hi))
     x0, x1, x2 = (ks.greville(j) for j in idxs)
-    dd = np.array(
-        [
-            1.0 / ((x0 - x1) * (x0 - x2)),
-            1.0 / ((x1 - x0) * (x1 - x2)),
-            1.0 / ((x2 - x0) * (x2 - x1)),
-        ]
-    )
-    acc = {i: 1.0}
-    for j, wj in zip(idxs, -l * dd):
-        acc[j] = acc.get(j, 0.0) + wj
-    return tuple(sorted(acc.items()))
-
-
-def _qp2_entries_loop(ks, i, p):
-    lo, hi = _stencil_bounds(ks)
-    l = ks.lam(i)
-    if l <= 0.0:
-        return ((i, 1.0),)
-    jm, jp = max(i - p, lo), min(i + p, hi)
-    A = ks.greville(i) - ks.greville(jm)
-    B = ks.greville(jp) - ks.greville(i)
-    return ((jm, -l / (A * (A + B))), (i, 1.0 + l / (A * B)), (jp, -l / (B * (A + B))))
+    dd = (1.0 / ((x0 - x1) * (x0 - x2)), 1.0 / ((x1 - x0) * (x1 - x2)), 1.0 / ((x2 - x0) * (x2 - x1)))
+    return tuple(zip(idxs, (-l * dd[0], 1.0 - l * dd[1], -l * dd[2])))
 
 
 def _partition_violations_loop(ks, p):
@@ -375,7 +353,7 @@ class TestGS2:
 
     def test_singular_system_names_the_first_singular_index(self, monkeypatch):
         ks = random_clamped(3, 9, np.random.default_rng(440))
-        moments = KnotSequence._moments  # gs2 reads its checked stencil without a second check
+        moments = KnotSequence._moments  # every moment of gs2's systems is computed here
 
         def broken(self, kind, js, rmax, center, scale):
             out = moments(self, kind, js, rmax, center, scale)
@@ -401,7 +379,7 @@ class TestWholeSequenceConstructors:
         for ks in _sequences(450):
             q = s2(ks)
             for i in ks.basis_indices:
-                assert q.functionals[i].point_entries == _s2_entries_loop(ks, i)
+                assert q.functionals[i].point_entries == _three_node_entries_loop(ks, i, 1)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_qp2_entries_bitwise_equal_to_the_per_index_loop(self, p):
@@ -410,7 +388,7 @@ class TestWholeSequenceConstructors:
             ks = random_admissible_clamped(n, rng, p)
             q = nb_dqi_nonuniform(ks, p)
             for i in ks.basis_indices:
-                assert q.functionals[i].point_entries == _qp2_entries_loop(ks, i, p)
+                assert q.functionals[i].point_entries == _three_node_entries_loop(ks, i, p)
 
     def test_partition_violations_match_the_per_index_loop(self):
         rng = np.random.default_rng(470)

@@ -238,6 +238,18 @@ class TestConstruction:
             with pytest.raises(IndexError, match=f"^knot index {k} outside stored range$"):
                 ks.knot(k)
 
+    @pytest.mark.parametrize(
+        "k, error, message",
+        [
+            (True, ValueError, "^indices must be integers, got bool values$"),  # was read as knot 1
+            (2.5, TypeError, "'float' object cannot be interpreted as an integer"),  # was numpy's IndexError
+        ],
+    )
+    def test_knot_refuses_what_the_other_index_methods_refuse(self, k, error, message):
+        ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 5))
+        with pytest.raises(error, match=message):
+            ks.knot(k)
+
     def test_repr(self):
         assert repr(KnotSequence.clamped(2, [0.0, 0.5, 1.0])) == (
             "KnotSequence(degree=2, spans=2, clamped, domain=[0, 1])"
@@ -398,6 +410,12 @@ class TestEvaluation:
         ks = KnotSequence.clamped(2, [0.0, 0.5, 1.0])
         with pytest.raises(ValueError, match="outside domain"):
             ks.basis_row(1.5)
+
+    def test_basis_row_refuses_many_points(self):
+        # the row at 0.1 alone was returned for both points
+        ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 5))
+        with pytest.raises(ValueError, match=r"^x must be a scalar, got shape \(2,\)$"):
+            ks.basis_row(np.array([0.1, 0.9]))
 
     def test_endpoint_values(self):
         ks = KnotSequence.clamped(3, [0.0, 0.3, 1.0])

@@ -74,9 +74,10 @@ class WeightBand:
         self.sources = _int_indices(sorted({i + c for i, c in zip(row, offset)}))
         self.lo = min(offset, default=0)
         n, width = len(rows), max(offset, default=self.lo - 1) - self.lo + 1
-        # each weight added in entry order to 0.0, as one += per entry would
+        # each weight added in entry order to 0.0, as one += per entry would;
+        # bincount of no entries gives integers, so the band is made float
         flat = np.array(row, dtype=int) * width + np.array(offset, dtype=int) - self.lo
-        self.weights = np.bincount(flat, weights=w, minlength=n * width).reshape(n, width)
+        self.weights = np.bincount(flat, weights=w, minlength=n * width).reshape(n, width).astype(float, copy=False)
         self.weights.flags.writeable = False
         self.kind = kind
 
@@ -93,8 +94,11 @@ class WeightBand:
         (from ``KnotSequence.basis_rows``): ``out[p, s]`` is the weight on
         source ``k[p] + lo + s`` of the operator's value at point p."""
         out = np.zeros((len(k), rows.shape[1] + self.width - 1))
+        tmp = np.empty((len(k), self.width))  # one buffer for every row's weights times its basis values
         for r in range(rows.shape[1]):
-            out[:, r : r + self.width] += rows[:, r, None] * self.weights[k + r]
+            self.weights.take(k + r, axis=0, out=tmp)
+            tmp *= rows[:, r, None]
+            out[:, r : r + self.width] += tmp
         return out
 
     def apply(self, values: np.ndarray) -> np.ndarray:

@@ -8,19 +8,24 @@ Columns are assembled in monomials shifted to the anchor and scaled by the
 stencil half-width, which keeps the systems well conditioned without
 changing the feasible set.
 
-The solver is a dense two-phase simplex on the split form
-``lam = u - v, u, v >= 0``.  The pivot order is Bland's (first column with a
-negative reduced cost; least ratio, ties to the smallest basic variable), so
-results are deterministic and termination is finite.  Artificial variables
-are only labels in the basis, with no tableau column, so none re-enters and
-both phases share one tableau.  It runs on a stack of tableaux in lockstep:
-each round, every live problem pivots once, a rank-1 update of its tableau,
-on one compacted copy of the live tableaux, which a problem leaves when it
-is done or fails.  Each problem gets the bits and the error it gets alone.
+A square problem (2p + 1 = q + 1) has one feasible point.  When its data
+are finite and its 2-norm condition number is below ``_KAPPA`` (1e8), one
+LU solve gives that point and a transposed one its duals, for every such
+row of a stack at once.  Every other problem, and any whose LU LAPACK finds
+singular, goes to a dense two-phase simplex on the split form
+``lam = u - v, u, v >= 0``.  The pivot order is Bland's (first column with
+a negative reduced cost; least ratio, ties to the smallest basic variable),
+so results are deterministic and termination is finite.  Artificial
+variables are only labels in the basis, with no tableau column, so none
+re-enters and both phases share one tableau.  It runs on a stack of
+tableaux in lockstep: each round, every live problem pivots once, a rank-1
+update of its tableau, on one compacted copy of the live tableaux, which a
+problem leaves when it is done or fails.  Each problem, on either route,
+gets the bits and the error it gets alone.
 
 The first ``from_*`` call for a knot sequence and ``(kind, p, q)`` assembles
-every anchor whose stencil fits in one vectorised pass, solves that stack in
-lockstep and certifies it in one stacked pass: weights, ``nu``, feasibility
+every anchor whose stencil fits in one vectorised pass, solves that stack
+once and certifies it in one stacked pass: weights, ``nu``, feasibility
 residuals, duality gaps and the verdicts at 1e-9, as arrays cached on the
 sequence.  Each problem it returns holds owned, read-only copies of its
 arrays and carries its anchor's solution or error, which ``solve_l1`` raises
@@ -40,6 +45,7 @@ import numpy as np
 from .splinecore import KnotSequence, _index, _int_arg
 
 _TOL, _MAX_ITER = 1e-11, 20000  # the simplex pivot tolerance and iteration limit, read at each solve
+_KAPPA = 1e8  # a square problem whose 2-norm condition number is below this is solved by LU
 
 __all__ = [
     "NearBestProblem", "NearBestSolution", "InfeasibleError",
@@ -291,15 +297,48 @@ def _dots(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.matmul(P[:, None, :], Q[..., None])[:, 0, 0]
 
 
+def _square_solve(V: np.ndarray, b: np.ndarray, w: np.ndarray):
+    """``x = V[k]^-1 b[k]`` and the duals ``y = V[k]^-T (w * s)``, ``s`` the
+    sign of ``x`` (+1 at 0), for every square ``V[k]``, and a mask of the
+    problems solved: when LAPACK finds some ``V[k]`` singular, each problem is
+    solved alone (a stack's LU and a lone one give the same bits) and those
+    it finds singular are left out."""
+    try:
+        x = np.linalg.solve(V, b[..., None])[..., 0]
+        y = np.linalg.solve(V.transpose(0, 2, 1), (w * np.where(x < 0, -1.0, 1.0))[..., None])[..., 0]
+        return x, y, np.ones(len(V), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(V) == 1:
+            return np.zeros(b.shape), np.zeros(b.shape), np.zeros(1, dtype=bool)
+        return tuple(map(np.concatenate, zip(*(_square_solve(V[k : k + 1], b[k : k + 1], w) for k in range(len(V))))))
+
+
 def _l1_stack(V: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Solve and certify every problem k of the split stack at once: minimize
     ``c @ (u, v)`` subject to ``V[k] (u - v) = b[k]``, ``u, v >= 0``.  Returns
     ``(X, nu, residual, gap, errors, feasible, optimal)`` over the stack:
     ``x = u - v``, the objective, ``max |V[k] x - b[k]|``, the duality gap,
     the simplex's error or None, and the two certificates at 1e-9 (NaN fails).
-    C-contiguous ``V`` and ``b`` round as the products of one problem do."""
-    n = V.shape[2]
-    Z, Y, errors = _simplex(np.concatenate((V, -V), axis=2), b, c)
+    A square ``V[k]`` with finite data and condition number below ``_KAPPA``
+    has one feasible point, which one LU solve gives; every other problem
+    goes to the simplex.  C-contiguous ``V`` and ``b`` round as the products
+    of one problem do."""
+    K, m, n = V.shape
+    Z, Y, errors = np.zeros((K, 2 * n)), np.zeros((K, m)), [None] * K
+    rest = np.arange(K)
+    if m == n:  # LU takes the rows with finite data and kappa_2 below _KAPPA that LAPACK solves
+        finite = np.flatnonzero(np.isfinite(V).all(axis=(1, 2)) & np.isfinite(b).all(axis=1))
+        s = np.linalg.svd(V[finite], compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is NaN, which fails the test
+            lu = finite[s[:, 0] / s[:, -1] < _KAPPA]
+        x, y, solved = _square_solve(V[lu], b[lu], c[:n])
+        lu, x = lu[solved], x[solved]
+        Z[lu, :n], Z[lu, n:], Y[lu] = np.maximum(x, 0.0), np.maximum(-x, 0.0), y[solved]
+        rest = np.setdiff1d(rest, lu)
+    if len(rest):
+        Z[rest], Y[rest], simplex_errors = _simplex(np.concatenate((V[rest], -V[rest]), axis=2), b[rest], c)
+        for k, e in zip(rest.tolist(), simplex_errors):
+            errors[k] = e
     X = Z[:, :n] - Z[:, n:]
     with np.errstate(invalid="ignore"):  # a failed problem's non-finite data give NaN
         nu = _dots(Z, c)

@@ -210,7 +210,7 @@ def _lebesgue_values(q: QuasiInterpolant, k, rows, mode: str, sign_samples: int)
     """Lebesgue-type values at the points with basis rows ``(k, rows)`` (see
     integral_lebesgue_function), for options checked by ``_mode_args``."""
     point, kernel = q.bands
-    total = np.abs(point.at(k, rows)).sum(axis=1)
+    total = np.abs(point.at(k, rows)).sum(axis=1) if point.sources.size else np.zeros(len(k))
     if not kernel.sources.size:
         return total
     weights = kernel.at(k, rows)

@@ -337,6 +337,13 @@ class TestQuasiInterpolant:
                 refs = {idx for lam in q.functionals for idx, _ in getattr(lam, field)}
                 assert sorted(refs) == band.sources.tolist()
 
+    def test_empty_bands_are_float(self):
+        # a band with no entries came from a bincount of nothing, as int64
+        ks = random_clamped(3, 9, np.random.default_rng(17))
+        for band in (uniform_nb_iqi(4, 2).bands[0], schoenberg(ks).bands[1], uniform_nb_dqi(4, 2).bands[1]):
+            assert not band.sources.size
+            assert band.weights.dtype == np.float64 and band.weights.shape == (band.weights.shape[0], 0)
+
     def test_is_discrete_flag(self, quad_uniform):
         assert schoenberg(quad_uniform).is_discrete
         assert not gs1(quad_uniform).is_discrete

@@ -4,6 +4,7 @@ import gc
 import itertools
 import re
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from splineqi import nearbest
 from splineqi.nearbest import solve_weighted_l1
 from splineqi.partitions import random_admissible_clamped, random_breakpoints, random_clamped
 
-from oracles import greville_point, kernel_moment_oracle, knot_window, symmetric_coeff_oracle
+from oracles import exact_solve, greville_point, kernel_moment_oracle, knot_window, symmetric_coeff_oracle
 
 
 # ------------------------------------------------------------------ oracles
@@ -564,7 +565,7 @@ class TestAssemblyAgainstThePerEntryPath:
         for k in (1, 3):  # the other rows build and solve
             prob = make(ks, first + k, 2, 4)
             assert (prob.matrix.tobytes(), prob.rhs.tobytes()) == (V[k].tobytes(), b[k].tobytes())
-            assert _outcome(solve_l1, prob) == _outcome(_oracle_solve_l1, prob)
+            _assert_as_oracle(prob)
 
     def test_solved_and_failed_anchors_hold_the_same_copies(self):
         # anchors 1 and 22 of this stack are infeasible (theta_{-1} = theta_0
@@ -828,34 +829,70 @@ def _fixed_anchors():
     ]
 
 
-def _count_simplex(monkeypatch):
-    """Record the stack size of every ``_simplex`` call from now on."""
+def _count_calls(monkeypatch, name):
+    """Record the stack size of every call of ``nearbest.<name>`` (``_simplex`` or ``_l1_stack``) from now on."""
     sizes = []
-    simplex = nearbest._simplex
-    monkeypatch.setattr(nearbest, "_simplex", lambda A, b, c: sizes.append(len(A)) or simplex(A, b, c))
+    solve = getattr(nearbest, name)
+    monkeypatch.setattr(nearbest, name, lambda A, b, c: sizes.append(len(A)) or solve(A, b, c))
     return sizes
+
+
+# ---------------------------------------------------------- the LU route
+# A square problem with finite data and condition number kappa_2 below
+# ``nearbest._KAPPA`` has one feasible point, which one LU solve gives; its
+# answer is held to the exact solution of the same float data, within
+# LU_C * kappa_2 * eps * max|x_exact|.  LU_C was fixed before the first run.
+
+LU_C = 64
+
+
+def _lu_routed(V, b):
+    """Whether ``_l1_stack`` solves ``V x = b`` by LU rather than by the simplex."""
+    V, b = np.asarray(V), np.asarray(b)
+    return V.shape[0] == V.shape[1] and np.isfinite(V).all() and np.isfinite(b).all() and np.linalg.cond(V) < nearbest._KAPPA
+
+
+def _assert_exact(V, b, x):
+    """``x`` is within the LU bound of the exact solution of ``V x = b``, in rationals on the float data."""
+    exact = np.array([float(v) for v in exact_solve([list(map(Fraction, row)) for row in V.tolist()], list(map(Fraction, b.tolist())))])
+    err = np.abs(np.asarray(x) - exact).max()
+    assert err <= LU_C * np.linalg.cond(V) * np.finfo(float).eps * np.abs(exact).max(), err
+
+
+def _assert_as_oracle(prob):
+    """``solve_l1``'s answer to ``prob``: within the LU bound of the exact
+    solution where LU takes the problem, else the tableau oracle's bits."""
+    if _lu_routed(prob.matrix, prob.rhs):
+        _assert_exact(prob.matrix, prob.rhs, solve_l1(prob).weights)
+    else:
+        assert _outcome(solve_l1, prob) == _outcome(_oracle_solve_l1, prob), (prob.anchor, prob.p, prob.q)
 
 
 class TestSimplexAgainstTheTableauOracle:
     @pytest.mark.parametrize("source", ["sweep", "fixed"])
     def test_solutions_bitwise_equal(self, source, monkeypatch):
-        sizes = _count_simplex(monkeypatch)
+        sizes = _count_calls(monkeypatch, "_l1_stack")
         cases = _sweep() if source == "sweep" else _fixed_anchors()
         # the from_* calls solved each stack once, every stack of more than one problem
         assert len(sizes) == len({(id(ks), kind, prob.p, prob.q) for ks, kind, prob in cases})
         assert min(sizes) > 1
-        solved = 0
+        solved = routed = 0
         for _, _, prob in cases:
-            want = _outcome(_oracle_solve_l1, prob)
             before = len(sizes)
-            assert _outcome(solve_l1, prob) == want, (prob.anchor, prob.p, prob.q)
+            if _lu_routed(prob.matrix, prob.rhs):  # LU: against the exact solution
+                _assert_exact(prob.matrix, prob.rhs, solve_l1(prob).weights)
+                routed += 1
+            else:  # the simplex: the oracle's bits
+                want = _outcome(_oracle_solve_l1, prob)
+                assert _outcome(solve_l1, prob) == want, (prob.anchor, prob.p, prob.q)
+                solved += isinstance(want, list)
             assert len(sizes) == before  # the answer came with the problem, from its stack's solve
+            # the simplex on its own takes the oracle's pivots on every problem, square ones too
             A = np.hstack([prob.matrix, -prob.matrix])
             c = np.ones(A.shape[1])
             assert _outcome(_simplex_min, A, prob.rhs, c) == _outcome(_oracle_simplex_min, A, prob.rhs, c)
-            solved += isinstance(want, list)
-        assert solved == len(cases) >= 4
-        assert source == "fixed" or solved > 1000
+        assert solved + routed == len(cases) >= 4
+        assert source == "fixed" or (solved > 1000 and routed > 100)
 
     def test_same_pivot_sequence(self, monkeypatch):
         # full-rank problems: no row is dropped, so phase-2 rows index alike
@@ -871,34 +908,55 @@ class TestSimplexAgainstTheTableauOracle:
             oracle.append((row, col))
             oracle_pivot(T, row, col)
 
-        seen = {}  # id of a cached stack's matrices -> pivots per problem of its lockstep solve
+        # id of a cached stack's matrices -> pivots per problem of its lockstep
+        # solve, None for a problem that LU takes, which the simplex never sees
+        seen = {}
 
         def record_stack(V, b, c):
             new.clear()
             out = l1_stack(V, b, c)
-            seen[id(V)] = [[(r, c) for g, r, c in new if g == h] for h in range(len(V))]
+            rest = [k for k in range(len(V)) if not _lu_routed(V[k], b[k])]
+            assert all(g < len(rest) for g, _, _ in new)
+            seen[id(V)] = dict.fromkeys(range(len(V)))
+            for h, k in enumerate(rest):
+                seen[id(V)][k] = [(r, c) for g, r, c in new if g == h]
             return out
 
         monkeypatch.setattr(nearbest, "_pivot", record)
         monkeypatch.setattr(nearbest, "_l1_stack", record_stack)
         monkeypatch.setitem(globals(), "_oracle_pivot", record_oracle)
         cases = _sweep() + _fixed_anchors()  # each stack is solved at its first from_* call
-        used = set()
+        used, routed = set(), 0
         for ks, kind, prob in cases:
             first, V, _, _ = ks._problems[kind, prob.p, prob.q]
+            used.add(id(V))
+            pivots = seen[id(V)][prob.anchor - first]
+            if pivots is None:
+                routed += 1
+                continue
             oracle.clear()
             _oracle_solve_l1(prob)
-            assert seen[id(V)][prob.anchor - first] == oracle, (prob.anchor, prob.p, prob.q)
-            used.add(id(V))
+            assert pivots == oracle, (prob.anchor, prob.p, prob.q)
         assert len(used) > 100 and min(len(seen[v]) for v in used) > 1
+        assert 100 < routed < len(cases) - 1000
 
     def test_symmetric_uniform_bitwise_equal(self, monkeypatch):
+        # a half-stencil system that LU takes is held to its exact solution
         cases = [(o, n, r, k) for o in (4, 6, 8) for n in (1, 2, 3) for r in range(o) for k in ("dqi", "iqi")]
+        systems, weighted = [], nearbest.solve_weighted_l1
+        monkeypatch.setattr(nearbest, "solve_weighted_l1", lambda A, b, w: systems.append((A, b)) or weighted(A, b, w))
         got = [_outcome(solve_symmetric_uniform, *case[:3], kind=case[3]) for case in cases]
+        assert len(systems) == len(cases)
         monkeypatch.setattr(nearbest, "solve_weighted_l1", _oracle_solve_weighted_l1)
         want = [_outcome(solve_symmetric_uniform, *case[:3], kind=case[3]) for case in cases]
-        assert got == want
-        assert sum(isinstance(w, list) for w in want) > 50
+        routed = 0
+        for case, (A, b), g, w in zip(cases, systems, got, want):
+            if _lu_routed(A, b):  # the weights over offsets 0..n against the exact solution
+                _assert_exact(A, b, np.frombuffer(g[0][2])[case[1] :])
+                routed += 1
+            else:
+                assert g == w, case
+        assert sum(isinstance(w, list) for w in want) > 50 and routed > 5
 
     def test_small_lps_bitwise_equal(self):
         for A, b in (
@@ -1016,9 +1074,10 @@ class TestStackSolve:
         # roundoff entry (1.6e-11), which leaves 1.9e-6 in the objective
         # row's value once no artificial variable is basic; the verdict read
         # that value and raised InfeasibleError.  Phase 1 reads the sum of
-        # its basic artificial variables, 0 there, and every anchor solves,
-        # as at offset 0: weights (-1/4, 3/2, -1/4), nu = 2.  The stack solve
-        # answers all of them: none is solved again.
+        # its basic artificial variables, 0 there, and the simplex solves
+        # every anchor, as at offset 0: weights (-1/4, 3/2, -1/4), nu = 2.
+        # The stack solve, where LU takes these square problems, answers all
+        # of them: none is solved again.
         linprog = pytest.importorskip("scipy.optimize").linprog
         ks = KnotSequence.clamped(2, 1e4 + np.linspace(0.0, 1.0, 13))
         lo, hi = ks.greville_range()
@@ -1027,11 +1086,9 @@ class TestStackSolve:
         _, V, _, (*_, errors, feasible, optimal) = ks._problems["basis", 1, 2]
         assert len(V) == len(probs) > 6
         assert errors == [None] * len(V) and (feasible & optimal).all()
-        sizes = _count_simplex(monkeypatch)
-        got = [_outcome(solve_l1, prob) for prob in probs]
-        assert sizes == []
-        for prob, out in zip(probs, got):
-            assert out == _outcome(_oracle_solve_l1, prob), prob.anchor
+        sizes = _count_calls(monkeypatch, "_simplex")
+        for prob in probs:
+            _assert_as_oracle(prob)
             sol = solve_l1(prob)
             if prob.anchor in (3, 4, 6, 7, 9, 10):
                 np.testing.assert_allclose(sol.weights, [-0.25, 1.5, -0.25], rtol=0, atol=1e-10)
@@ -1039,6 +1096,11 @@ class TestStackSolve:
             hi_s = linprog(np.ones(6), A_eq=np.hstack([prob.matrix, -prob.matrix]), b_eq=prob.rhs, method="highs")
             assert sol.nu == pytest.approx(hi_s.fun, rel=1e-14), prob.anchor
         assert sizes == []
+        for prob in probs:  # the simplex alone: the oracle's bits and HiGHS's optimum
+            A, c = np.hstack([prob.matrix, -prob.matrix]), np.ones(6)
+            assert _outcome(_simplex_min, A, prob.rhs, c) == _outcome(_oracle_simplex_min, A, prob.rhs, c)
+            nu = _simplex_min(A, prob.rhs, c)[1]
+            assert nu == pytest.approx(linprog(c, A_eq=A, b_eq=prob.rhs, method="highs").fun, rel=1e-14), prob.anchor
 
     @pytest.mark.parametrize(
         "m, p, q, i", [(2, 2, 2, 3), (3, 3, 3, 3), (4, 2, 4, 11), (4, 3, 3, 5), (4, 4, 3, 5), (4, 4, 4, 11)]
@@ -1050,10 +1112,14 @@ class TestStackSolve:
         linprog = pytest.importorskip("scipy.optimize").linprog
         prob = NearBestProblem.from_integral(KnotSequence.clamped(m, 1e8 + np.linspace(0.0, 1.0, 13)), i, p, q)
         sol = solve_l1(prob)
-        assert _outcome(solve_l1, prob) == _outcome(_oracle_solve_l1, prob)
+        _assert_as_oracle(prob)
         V, n = prob.matrix, prob.matrix.shape[1]
-        hi_s = linprog(np.ones(2 * n), A_eq=np.hstack([V, -V]), b_eq=prob.rhs, method="highs")
+        A, c = np.hstack([V, -V]), np.ones(2 * n)
+        hi_s = linprog(c, A_eq=A, b_eq=prob.rhs, method="highs")
         assert sol.nu == pytest.approx(hi_s.fun, rel=1e-14)
+        # the simplex alone, where LU takes the problem in the stack solve
+        assert _outcome(_simplex_min, A, prob.rhs, c) == _outcome(_oracle_simplex_min, A, prob.rhs, c)
+        assert _simplex_min(A, prob.rhs, c)[1] == pytest.approx(hi_s.fun, rel=1e-14)
 
     @pytest.mark.parametrize("field", ["matrix", "rhs"])
     def test_written_problem_is_refused(self, field):
@@ -1064,7 +1130,8 @@ class TestStackSolve:
         with pytest.raises(ValueError, match="read-only"):
             getattr(probs[0], field)[1] *= 1.5
         for prob, out in zip(probs, want):
-            assert _outcome(solve_l1, prob) == out == _outcome(_oracle_solve_l1, prob), prob.anchor
+            assert _outcome(solve_l1, prob) == out, prob.anchor
+            _assert_as_oracle(prob)
 
     def test_dropped_sequence_solves_the_same(self, monkeypatch):
         def make():
@@ -1076,16 +1143,78 @@ class TestStackSolve:
         assert gone() is None
         ks = random_clamped(5, 12, np.random.default_rng(91))
         kept = NearBestProblem.from_discrete(ks, 6, 3, 5)
-        sizes = _count_simplex(monkeypatch)
+        sizes = _count_calls(monkeypatch, "_simplex")
         assert _outcome(solve_l1, orphan) == _outcome(solve_l1, kept) == _outcome(_oracle_solve_l1, orphan)
         assert sizes == []  # the orphan kept its answer
 
     def test_remade_problem_same_bits(self, monkeypatch):
         # a problem made directly from a from_* problem's arrays is solved
-        # alone, as a stack of one, and gets the same bits
+        # alone, as a stack of one, and gets the same bits; the simplex
+        # solves those that LU does not take
         cases = _sweep()[::13] + _fixed_anchors()
-        sizes = _count_simplex(monkeypatch)
+        sizes = _count_calls(monkeypatch, "_simplex")
         for _, _, prob in cases:
             again = NearBestProblem(matrix=prob.matrix, rhs=prob.rhs, anchor=prob.anchor, p=prob.p, q=prob.q)
             assert _outcome(solve_l1, again) == _outcome(solve_l1, prob), (prob.anchor, prob.p, prob.q)
-        assert sizes == [1] * len(cases)
+        routed = sum(_lu_routed(prob.matrix, prob.rhs) for _, _, prob in cases)
+        assert sizes == [1] * (len(cases) - routed) and routed > 10
+
+
+class TestSquareRoute:
+    """A square stack row with finite data and kappa_2 below ``_KAPPA`` is
+    solved by LU; every other row goes to the simplex in one call."""
+
+    @staticmethod
+    def sequences():
+        for m in (2, 4):
+            for seed in (1, 2, 3):
+                yield random_clamped(m, 40, np.random.default_rng(seed))
+            for offset in (1e4, 1e8):
+                yield KnotSequence.clamped(m, offset + np.linspace(0.0, 1.0, 13))
+
+    def test_lu_answers_against_the_exact_solution(self, monkeypatch):
+        sent = []  # the matrices of every problem that reaches the simplex
+        simplex = nearbest._simplex
+        monkeypatch.setattr(nearbest, "_simplex", lambda A, b, c: sent.extend(A[:, :, : A.shape[2] // 2]) or simplex(A, b, c))
+        rows = routed = 0
+        for ks in self.sequences():
+            p = ks.m // 2
+            for kind, key in (("discrete", "point"), ("integral", "basis")):
+                getattr(NearBestProblem, f"from_{kind}")(ks, ks.nbasis // 2, p, ks.m)
+                _, V, b, (X, _, _, _, errors, feasible, optimal) = ks._problems[key, p, ks.m]
+                for k in range(len(V)):
+                    if _lu_routed(V[k], b[k]):
+                        _assert_exact(V[k], b[k], X[k])
+                        assert errors[k] is None and feasible[k] and optimal[k]
+                        routed += 1
+                rows += len(V)
+        assert len(sent) == rows - routed and routed > 400
+        for V in sent:  # non-finite, or kappa_2 at least _KAPPA
+            assert not np.isfinite(V).all() or np.linalg.cond(V) >= nearbest._KAPPA
+
+    def test_singular_lu_row_goes_to_the_simplex(self, monkeypatch):
+        # LAPACK finds no row of these tests singular, so one is made to fail:
+        # the other rows are solved one by one, with the bits of the stack's
+        # LU, and the failing one gets the simplex's answer to it alone
+        ks = random_clamped(2, 40, np.random.default_rng(1))
+        NearBestProblem.from_discrete(ks, 20, 1, 2)
+        _, V, b, _ = ks._problems["point", 1, 2]
+        V, b, c = V[10:13].copy(), b[10:13].copy(), np.ones(6)
+        assert all(_lu_routed(V[k], b[k]) for k in range(3))
+        want = nearbest._l1_stack(V, b, c)
+        Z, _, _ = nearbest._simplex(np.concatenate((V[1:2], -V[1:2]), axis=2), b[1:2], c)
+        solve = np.linalg.solve
+
+        def singular_row_1(M, rhs):
+            if M.ndim == 3 and (len(M) > 1 or np.array_equal(M[0], V[1]) or np.array_equal(M[0], V[1].T)):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(M, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_row_1)
+        sizes = _count_calls(monkeypatch, "_simplex")
+        got = nearbest._l1_stack(V, b, c)
+        assert sizes == [1]
+        for k in (0, 2):
+            assert [a[k].tobytes() for a in got[:4]] == [a[k].tobytes() for a in want[:4]]
+        assert got[0][1].tobytes() == (Z[0, :3] - Z[0, 3:]).tobytes()
+        assert got[4] == [None] * 3 and got[5].all() and got[6].all()

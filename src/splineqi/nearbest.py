@@ -276,19 +276,11 @@ def _simplex(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     AI = np.concatenate((A[L], np.broadcast_to(np.eye(m), (len(L), m, m))), axis=2)
     B, cB = np.take_along_axis(AI, basis[L, None, :], axis=2), cost[basis[L]]
     Z, Y = np.zeros((K, n + m)), np.zeros((K, m))
-    try:
-        Z[L[:, None], basis[L]] = np.linalg.solve(B, b[L, :, None])[..., 0]
-        Y[L] = np.linalg.solve(B.transpose(0, 2, 1), cB[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # some basis is singular: each on its own
-        for k, Bk, ck in zip(L.tolist(), B, cB):
-            try:
-                Z[k, basis[k]] = np.linalg.solve(Bk, b[k])
-            except np.linalg.LinAlgError:  # keep the tableau values
-                Z[k, basis[k]] = T[k, :m, -1]
-            try:
-                Y[k] = np.linalg.solve(Bk.T, ck)
-            except np.linalg.LinAlgError:
-                Y[k] = np.linalg.lstsq(Bk.T, ck, rcond=None)[0]
+    z, ok = _solve(B, b[L])
+    Z[L[:, None], basis[L]] = np.where(ok[:, None], z, T[L, :m, -1])  # a refused basis keeps the tableau values
+    Y[L], ok = _solve(B.transpose(0, 2, 1), cB)
+    for k in np.flatnonzero(~ok).tolist():
+        Y[L[k]] = np.linalg.lstsq(B[k].T, cB[k], rcond=None)[0]
     return np.ascontiguousarray(Z[:, :n]), Y * flip, errors
 
 
@@ -297,20 +289,20 @@ def _dots(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return np.matmul(P[:, None, :], Q[..., None])[:, 0, 0]
 
 
-def _square_solve(V: np.ndarray, b: np.ndarray, w: np.ndarray):
-    """``x = V[k]^-1 b[k]`` and the duals ``y = V[k]^-T (w * s)``, ``s`` the
-    sign of ``x`` (+1 at 0), for every square ``V[k]``, and a mask of the
-    problems solved: when LAPACK finds some ``V[k]`` singular, each problem is
-    solved alone (a stack's LU and a lone one give the same bits) and those
-    it finds singular are left out."""
+def _solve(M: np.ndarray, r: np.ndarray):
+    """``(x, ok)``: ``x[k] = M[k]^-1 r[k]`` for each square ``M[k]``, in one LAPACK
+    call.  If LAPACK finds some ``M[k]`` singular, each row is solved again as a
+    stack of one (the bits of the stack's LU); a row it refuses has ``ok[k]`` False and reads 0."""
+    x, ok = np.zeros(r.shape), np.ones(len(M), dtype=bool)
     try:
-        x = np.linalg.solve(V, b[..., None])[..., 0]
-        y = np.linalg.solve(V.transpose(0, 2, 1), (w * np.where(x < 0, -1.0, 1.0))[..., None])[..., 0]
-        return x, y, np.ones(len(V), dtype=bool)
+        x[:] = np.linalg.solve(M, r[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        if len(V) == 1:
-            return np.zeros(b.shape), np.zeros(b.shape), np.zeros(1, dtype=bool)
-        return tuple(map(np.concatenate, zip(*(_square_solve(V[k : k + 1], b[k : k + 1], w) for k in range(len(V))))))
+        for k in range(len(M)):
+            try:
+                x[k] = np.linalg.solve(M[k : k + 1], r[k : k + 1, :, None])[0, :, 0]
+            except np.linalg.LinAlgError:
+                ok[k] = False
+    return x, ok
 
 
 def _l1_stack(V: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -331,9 +323,11 @@ def _l1_stack(V: np.ndarray, b: np.ndarray, c: np.ndarray):
         s = np.linalg.svd(V[finite], compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is NaN, which fails the test
             lu = finite[s[:, 0] / s[:, -1] < _KAPPA]
-        x, y, solved = _square_solve(V[lu], b[lu], c[:n])
-        lu, x = lu[solved], x[solved]
-        Z[lu, :n], Z[lu, n:], Y[lu] = np.maximum(x, 0.0), np.maximum(-x, 0.0), y[solved]
+        x, ok = _solve(V[lu], b[lu])
+        y, ok_y = _solve(V[lu].transpose(0, 2, 1), c[:n] * np.where(x < 0, -1.0, 1.0))  # duals: V^-T (w * sign x)
+        ok &= ok_y
+        lu, x = lu[ok], x[ok]
+        Z[lu, :n], Z[lu, n:], Y[lu] = np.maximum(x, 0.0), np.maximum(-x, 0.0), y[ok]
         rest = np.setdiff1d(rest, lu)
     if len(rest):
         Z[rest], Y[rest], simplex_errors = _simplex(np.concatenate((V[rest], -V[rest]), axis=2), b[rest], c)

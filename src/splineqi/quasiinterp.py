@@ -22,7 +22,7 @@ from .functionals import (
     QuasiInterpolant,
     is_exact_on,
 )
-from .nearbest import _problem_data, _uniform_args, solve_symmetric_uniform
+from .nearbest import _problem_data, _solve, _uniform_args, solve_symmetric_uniform
 from .splinecore import KnotSequence, _int_arg
 
 __all__ = [
@@ -146,7 +146,7 @@ def gs2(ks: KnotSequence) -> QuasiInterpolant:
     solve the 3x3 reproduction system for degrees 0, 1, 2 that
     ``nearbest._problem_data`` assembles, centred at the anchor's Greville
     point and scaled by the stencil's half-spread, so the weights do not
-    change under a power-of-two scaling of the knots; one stacked solve.  On
+    change under a power-of-two scaling of the knots; one stacked ``_solve``.  On
     a clamped sequence every source at a domain end is the sample there.
     """
     if ks.m < 2:
@@ -155,11 +155,9 @@ def gs2(ks: KnotSequence) -> QuasiInterpolant:
     ends = () if ks.cardinal else (0, ks.nbasis - 1)
     inner = np.arange(ks.nbasis) if ks.cardinal else np.arange(1, ks.nbasis - 1)
     V, rhs = _problem_data(ks, "dual", inner, 1, 2, ends)
-    try:
-        w = np.linalg.solve(V, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        i = inner[np.argmax(np.linalg.det(V) == 0.0)]
-        raise RuntimeError(f"singular reproduction system at index {i}") from exc
+    w, ok = _solve(V, rhs)
+    if not ok.all():
+        raise RuntimeError(f"singular reproduction system at index {inner[np.argmin(ok)]}")
     return _validated(_operator(ks, DUAL_SPLINE, inner, inner[:, None] + np.arange(-1, 2), w, 2, "G2"))
 
 

@@ -6,12 +6,12 @@ works on many indices at once: Greville points (one cached array, which
 ``greville`` and the gather ``greville_points`` also read), the normalised
 elementary symmetric functions of the Greville windows, and the kernel
 moments.  ``moments`` checks its arguments and computes in ``_moments``,
-which ``lam``, ``is_exact_on`` and ``gs2`` call on indices they have
-already checked; ``dual_moment`` and ``basis_moment`` call ``moments`` with
-one index.  The binomial normalisers are built once per shape.
-``moments`` and ``kernel_rules`` take a kind and indices alike; one helper
-checks every index (``_indices``), and one decides which knots a kernel
-kind reads (``_kernel``).  Kernel moments are closed forms, not
+which ``lam``, ``is_exact_on`` and ``nearbest._problem_data`` call on
+indices they have already checked; ``dual_moment`` and ``basis_moment``
+call ``moments`` with one index.  The binomial normalisers are built once
+per shape.  ``moments`` and ``kernel_rules`` take a kind and indices
+alike; one helper checks every index (``_indices``), and one decides which
+knots a kernel kind reads (``_kernel``).  Kernel moments are closed forms, not
 quadratures: the unit-integral B-spline on knots ``t_0, ..., t_k`` has
 r-th raw moment ``h_r(t_0, ..., t_k) / binomial(r + k, r)``, where ``h_r``
 is the complete homogeneous symmetric polynomial (de Boor, *A Practical
@@ -101,15 +101,15 @@ class KnotSequence:
     """A knot sequence of one degree, with cached Greville points and kernel rules.
 
     Every index a public method takes is checked in ``_indices``.  Immutable after
-    construction.  Its caches are internal, and each is filled or replaced
-    whole, so instances are safe for concurrent read access: the Greville
-    points, the span map, the Gauss kernel rule tables, one per
-    ``(kernel degree, npts)`` (``_rules``), the power-form kernel pieces,
-    one table per kernel degree (``_pieces``), the near-best problem stacks
-    that ``nearbest`` assembles, solves in lockstep and certifies once per
-    ``(kind, p, q)``, with every anchor's solution arrays (``_problems``),
-    and one read-only norm sample grid with its basis rows, the last
-    ``samples_per_span`` that ``normest`` asked for (``_grid``).
+    construction.  Its caches are internal, and each is filled or replaced whole,
+    so instances are safe for concurrent read access: the Greville points, the span
+    map, the Gauss kernel rule tables, one per ``(kernel degree, npts)``
+    (``_rules``), the power-form kernel pieces, one table per kernel degree
+    (``_pieces``), the near-best problem stacks that ``nearbest`` assembles, solves
+    (square, well-conditioned rows by one batched LU solve, the rest by the simplex
+    in lockstep) and certifies once per ``(kind, p, q)``, with every anchor's
+    solution arrays (``_problems``), and one read-only norm sample grid with its
+    basis rows, the last ``samples_per_span`` that ``normest`` asked for (``_grid``).
     """
 
     def __init__(self, degree: int, knots, *, cardinal: bool = False, pad: int = 0):

@@ -1033,8 +1033,8 @@ class TestStackSolve:
         assert len(want) > 5 and all(isinstance(w, list) for w in want)
 
     def test_batched_solve_failure_gives_the_bits_of_one(self, monkeypatch):
-        # only the stacked, 3-D re-solve raises: every problem is then
-        # re-solved on its own and gets the bits of a stack of one
+        # only a re-solve of more than one basis raises: every problem is
+        # then re-solved as a stack of one and gets the bits of one
         ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 5))
         NearBestProblem.from_discrete(ks, 0, 1, 2)
         _, V, b, _ = ks._problems["point", 1, 2]  # anchors 0 and 5 repeat a Greville column and drop a row
@@ -1043,14 +1043,14 @@ class TestStackSolve:
         solve, alone = np.linalg.solve, []
 
         def batched_fails(B, rhs):
-            if B.ndim == 3:
+            if len(B) > 1:
                 raise np.linalg.LinAlgError("Singular matrix")
-            alone.append(B.shape)
+            alone.append(B.shape)  # a stack of one
             return solve(B, rhs)
 
         monkeypatch.setattr(np.linalg, "solve", batched_fails)
         assert [_stack_outcomes(*stack) for stack in stacks] == want
-        # every problem of the clamped stack and two of the mixed one solve, each with two lone solves
+        # every problem of the clamped stack and two of the mixed one solve, each with two solves alone
         assert all(isinstance(w, list) for w in want[0]) and len(alone) == 2 * (len(V) + 2)
 
     @pytest.mark.parametrize("case", ["small", "clamped end"])
@@ -1206,7 +1206,7 @@ class TestSquareRoute:
         solve = np.linalg.solve
 
         def singular_row_1(M, rhs):
-            if M.ndim == 3 and (len(M) > 1 or np.array_equal(M[0], V[1]) or np.array_equal(M[0], V[1].T)):
+            if len(M) > 1 or np.array_equal(M[0], V[1]) or np.array_equal(M[0], V[1].T):
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(M, rhs)
 
@@ -1218,3 +1218,14 @@ class TestSquareRoute:
             assert [a[k].tobytes() for a in got[:4]] == [a[k].tobytes() for a in want[:4]]
         assert got[0][1].tobytes() == (Z[0, :3] - Z[0, 3:]).tobytes()
         assert got[4] == [None] * 3 and got[5].all() and got[6].all()
+
+    def test_solve_refuses_a_singular_row_with_no_mock(self):
+        # row 1 has rank 1 and LAPACK refuses it; rows 0 and 2 are solved
+        # again as stacks of one and keep the bits of a stack of those two
+        M = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]], [[4.0, 1.0], [2.0, 5.0]]])
+        r = np.random.default_rng(7).standard_normal((3, 2))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(M, r[..., None])
+        x, ok = nearbest._solve(M, r)
+        assert ok.tolist() == [True, False, True] and x[1].tolist() == [0.0, 0.0]
+        assert x[[0, 2]].tobytes() == np.linalg.solve(M[[0, 2]], r[[0, 2], :, None])[..., 0].tobytes()

@@ -32,6 +32,7 @@ from splineqi.quasiinterp import (
 from splineqi.partitions import (
     geometric_breakpoints,
     random_admissible_clamped,
+    random_breakpoints,
     random_clamped,
 )
 
@@ -351,18 +352,25 @@ class TestGS2:
                     worst = max(worst, *(abs(got[j] - float(x)) for j, x in zip((i - 1, i, i + 1), want)))
         assert worst <= 1e-14, worst
 
-    def test_singular_system_names_the_first_singular_index(self, monkeypatch):
-        ks = random_clamped(3, 9, np.random.default_rng(440))
+    @pytest.mark.parametrize("sequence", ["clamped", "cardinal"])
+    def test_singular_system_names_the_first_singular_index(self, monkeypatch, sequence):
+        # clamped: the systems start at index 1, and members from 5 on vanish,
+        # so 4 is the first singular one; cardinal: they start at 0, and
+        # members up to 0 vanish, so 0 is
+        if sequence == "cardinal":
+            ks, vanish, first = KnotSequence.cardinal_uniform(3, 9, pad=2), (lambda js: js <= 0), 0
+        else:
+            ks, vanish, first = random_clamped(3, 9, np.random.default_rng(440)), (lambda js: js >= 5), 4
         moments = KnotSequence._moments  # every moment of gs2's systems is computed here
 
         def broken(self, kind, js, rmax, center, scale):
             out = moments(self, kind, js, rmax, center, scale)
             if kind == "dual":
-                out[np.asarray(js) >= 5] = 0.0  # members from index 5 on vanish
+                out[vanish(np.asarray(js))] = 0.0
             return out
 
         monkeypatch.setattr(KnotSequence, "_moments", broken)
-        with pytest.raises(RuntimeError, match="singular reproduction system at index 4"):
+        with pytest.raises(RuntimeError, match=f"singular reproduction system at index {first}$"):
             gs2(ks)
 
     def test_norm_bound_5_low_degrees(self):
@@ -606,3 +614,23 @@ class TestAgainstTheScalarPaths:
                 else:
                     assert np.array_equal(got, want), (name, key)
         assert sorted(names) == sorted(golden)
+
+
+class TestConvergenceOrder:
+    """On nested refinements of a rough partition, the max error of Qf for a
+    smooth f falls as h^(r+1), r the reproduction degree: the slope
+    log2(e_6 / e_7) between 2^6 and 2^7 pieces per span is at least r + 1 - 0.1."""
+
+    @staticmethod
+    def refined(k):
+        # each of the 8 spans split into 2^k equal pieces; the breakpoints are kept exactly
+        bp = random_breakpoints(8, np.random.default_rng(0))
+        return np.interp(np.arange(8 * 2**k + 1) / 2**k, np.arange(9), bp)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    @pytest.mark.parametrize("make, r", [(schoenberg, 1), (s2, 2), (gs1, 1), (gs2, 2)], ids=["S1", "S2", "G1", "G2"])
+    def test_slope_at_the_finest_level(self, make, r, m):
+        f = lambda x: np.sin(6.0 * x) + np.exp(x)
+        x = np.linspace(0.0, 1.0, 20001)
+        e6, e7 = (np.abs(make(KnotSequence.clamped(m, self.refined(k))).evaluate(f, x) - f(x)).max() for k in (6, 7))
+        assert np.log2(e6 / e7) >= r + 1 - 0.1, (e6, e7)

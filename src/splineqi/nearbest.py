@@ -8,31 +8,32 @@ Columns are assembled in monomials shifted to the anchor and scaled by the
 stencil half-width, which keeps the systems well conditioned without
 changing the feasible set.
 
-A square problem (2p + 1 = q + 1) has one feasible point.  When its data
-are finite and its 2-norm condition number is below ``_KAPPA`` (1e8), one
-LU solve gives that point and a transposed one its duals, for every such
-row of a stack at once.  Every other problem, and any whose LU LAPACK finds
-singular, goes to a dense two-phase simplex on the split form
-``lam = u - v, u, v >= 0``.  The pivot order is Bland's (first column with
-a negative reduced cost; least ratio, ties to the smallest basic variable),
-so results are deterministic and termination is finite.  Artificial
-variables are only labels in the basis, with no tableau column, so none
-re-enters and both phases share one tableau.  It runs on a stack of
+A square problem (2p + 1 = q + 1) has one feasible point.  When its
+right-hand side is finite and its 1-norm condition number is below
+``_KAPPA`` (1e8), one LU solve gives that point and a transposed one its
+duals, for every such row of a stack at once.  Every other problem, and any
+whose LU LAPACK finds singular, goes to a dense two-phase simplex on the
+split form ``lam = u - v, u, v >= 0``.  The pivot order is Bland's (first
+column with a negative reduced cost; least ratio, ties to the smallest basic
+variable), so results are deterministic and termination is finite.
+Artificial variables are only labels in the basis, with no tableau column,
+so none re-enters and both phases share one tableau.  It runs on a stack of
 tableaux in lockstep: each round, every live problem pivots once, a rank-1
 update of its tableau, on one compacted copy of the live tableaux, which a
 problem leaves when it is done or fails.  Each problem, on either route,
 gets the bits and the error it gets alone.
 
 The first ``from_*`` call for a knot sequence and ``(kind, p, q)`` assembles
-every anchor whose stencil fits in one vectorised pass, solves that stack
-once and certifies it in one stacked pass: weights, ``nu``, feasibility
-residuals, duality gaps and the verdicts at 1e-9, as arrays cached on the
-sequence.  Each problem it returns holds owned, read-only copies of its
-arrays and carries its anchor's solution or error, which ``solve_l1`` raises
-afresh.  A row that the solve read is finite and is copied without a second
-check; a row that it refused is checked as a directly made problem is.
-Problems made directly and ``solve_weighted_l1`` go the same way as stacks
-of one, so every l1 answer passes the same certificate or raises its error.
+every anchor whose stencil fits (clamped discrete ones in the basis range)
+in one vectorised pass, solves that stack once and certifies it in one
+stacked pass: weights, ``nu``, feasibility residuals, duality gaps and the
+verdicts at 1e-9, as arrays cached on the sequence.  Each problem it returns
+holds owned, read-only copies of its arrays and carries its anchor's
+solution or error, which ``solve_l1`` raises afresh.  A row that the solve
+read is finite and is copied without a second check; a row that it refused
+is checked as a directly made problem is.  Problems made directly, anchors
+outside the stack and ``solve_weighted_l1`` go the same way as stacks of
+one, so every l1 answer passes the same certificate or raises its error.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from .splinecore import KnotSequence, _index, _int_arg
 
 _TOL, _MAX_ITER = 1e-11, 20000  # the simplex pivot tolerance and iteration limit, read at each solve
-_KAPPA = 1e8  # a square problem whose 2-norm condition number is below this is solved by LU
+_KAPPA = 1e8  # a square problem whose 1-norm condition number is below this is solved by LU
 
 __all__ = [
     "NearBestProblem", "NearBestSolution", "InfeasibleError",
@@ -98,13 +99,13 @@ class NearBestProblem:
             raise ValueError("reproduction degree must satisfy q <= min(m, 2p)")
         cached = ks._problems.get((kind, p, q))
         if cached is None:  # every anchor whose stencil fits, assembled, solved and certified at once
-            lo, hi = ks.greville_range()
-            lo, hi = (lo + 1, hi - 1) if kind == "basis" else (lo, hi)  # B_j reads t_{j-m}..t_{j+1}
+            lo, hi = ks.greville_range()  # B_j reads t_{j-m}..t_{j+1}; clamped nodes stop at the basis range
+            lo, hi = (lo + 1, hi - 1) if kind == "basis" or not ks.cardinal else (lo, hi)
             V, b = map(np.ascontiguousarray, _problem_data(ks, kind, np.arange(lo + p, hi - p + 1), p, q))
             cached = ks._problems[kind, p, q] = lo + p, V, b, _l1_stack(V, b, np.ones(2 * V.shape[2]))
         first, V, b, stack = cached
         k = _index(i) - first
-        if not 0 <= k < len(b):  # the stencil does not fit: raise the one-anchor assembly's error
+        if not 0 <= k < len(b):  # outside the stack: the one-anchor assembly's problem, or its error
             for j in (i, i - p, i + p):
                 ks.greville(j)
             return cls(*(a[0] for a in _problem_data(ks, kind, np.array([i]), p, q)), anchor=i, p=p, q=q)
@@ -311,18 +312,15 @@ def _l1_stack(V: np.ndarray, b: np.ndarray, c: np.ndarray):
     ``(X, nu, residual, gap, errors, feasible, optimal)`` over the stack:
     ``x = u - v``, the objective, ``max |V[k] x - b[k]|``, the duality gap,
     the simplex's error or None, and the two certificates at 1e-9 (NaN fails).
-    A square ``V[k]`` with finite data and condition number below ``_KAPPA``
-    has one feasible point, which one LU solve gives; every other problem
-    goes to the simplex.  C-contiguous ``V`` and ``b`` round as the products
-    of one problem do."""
+    A square ``V[k]`` with finite ``b[k]`` and 1-norm condition number below
+    ``_KAPPA`` has one feasible point, which one LU solve gives; every other
+    problem goes to the simplex.  C-contiguous ``V`` and ``b`` round as the
+    products of one problem do."""
     K, m, n = V.shape
     Z, Y, errors = np.zeros((K, 2 * n)), np.zeros((K, m)), [None] * K
     rest = np.arange(K)
-    if m == n:  # LU takes the rows with finite data and kappa_2 below _KAPPA that LAPACK solves
-        finite = np.flatnonzero(np.isfinite(V).all(axis=(1, 2)) & np.isfinite(b).all(axis=1))
-        s = np.linalg.svd(V[finite], compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 is NaN, which fails the test
-            lu = finite[s[:, 0] / s[:, -1] < _KAPPA]
+    if m == n:  # LU takes the rows with a finite rhs and kappa_1 below _KAPPA (inf or NaN if singular or non-finite)
+        lu = np.flatnonzero(np.isfinite(b).all(axis=1) & (np.linalg.cond(V, 1) < _KAPPA))
         x, ok = _solve(V[lu], b[lu])
         y, ok_y = _solve(V[lu].transpose(0, 2, 1), c[:n] * np.where(x < 0, -1.0, 1.0))  # duals: V^-T (w * sign x)
         ok &= ok_y

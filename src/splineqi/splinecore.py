@@ -106,10 +106,10 @@ class KnotSequence:
     map, the Gauss kernel rule tables, one per ``(kernel degree, npts)``
     (``_rules``), the power-form kernel pieces, one table per kernel degree
     (``_pieces``), the near-best problem stacks that ``nearbest`` assembles, solves
-    (square, well-conditioned rows by one batched LU solve, the rest by the simplex
-    in lockstep) and certifies once per ``(kind, p, q)``, with every anchor's
-    solution arrays (``_problems``), and one read-only norm sample grid with its
-    basis rows, the last ``samples_per_span`` that ``normest`` asked for (``_grid``).
+    (square rows of 1-norm condition below 1e8 by one batched LU solve, the rest by
+    the simplex in lockstep) and certifies once per ``(kind, p, q)``, with every
+    anchor's solution arrays (``_problems``), and one read-only norm sample grid
+    with its basis rows, the last ``samples_per_span`` that ``normest`` asked for (``_grid``).
     """
 
     def __init__(self, degree: int, knots, *, cardinal: bool = False, pad: int = 0):

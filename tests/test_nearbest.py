@@ -555,7 +555,7 @@ class TestAssemblyAgainstThePerEntryPath:
         monkeypatch.setattr(nearbest, "_problem_data", poisoned)
         ks = random_clamped(4, 12, np.random.default_rng(33))
         make = getattr(NearBestProblem, f"from_{kind}")
-        first = ks.greville_range()[0] + 2 + (kind == "integral")
+        first = 2  # p: on a clamped sequence both stacks start where the stencil enters the basis range
         with pytest.raises(ValueError, match="^matrix and rhs must be finite$"):
             make(ks, first + 2, 2, 4)
         first_V, V, b, _ = ks._problems["point" if kind == "discrete" else "basis", 2, 4]
@@ -568,10 +568,10 @@ class TestAssemblyAgainstThePerEntryPath:
             _assert_as_oracle(prob)
 
     def test_solved_and_failed_anchors_hold_the_same_copies(self):
-        # anchors 1 and 22 of this stack are infeasible (theta_{-1} = theta_0
-        # at the clamped ends): their problems are checked as made directly,
-        # the solved ones are copied unchecked; both hold owned, read-only,
-        # C-contiguous copies
+        # anchors 1 and 22 are infeasible (theta_{-1} = theta_0 at the
+        # clamped ends) and lie outside the stack: their problems are made
+        # directly, the stack's solved ones are copied unchecked; both hold
+        # owned, read-only, C-contiguous copies
         ks = random_clamped(4, 20, np.random.default_rng(1004))
         lo, hi = ks.greville_range()
         outcomes = {}
@@ -838,10 +838,10 @@ def _count_calls(monkeypatch, name):
 
 
 # ---------------------------------------------------------- the LU route
-# A square problem with finite data and condition number kappa_2 below
-# ``nearbest._KAPPA`` has one feasible point, which one LU solve gives; its
-# answer is held to the exact solution of the same float data, within
-# LU_C * kappa_2 * eps * max|x_exact|.  LU_C was fixed before the first run.
+# A square problem with a finite right-hand side and 1-norm condition number
+# kappa_1 below ``nearbest._KAPPA`` has one feasible point, which one LU solve
+# gives; its answer is held to the exact solution of the same float data,
+# within LU_C * kappa_2 * eps * max|x_exact|.  LU_C was fixed before the first run.
 
 LU_C = 64
 
@@ -849,7 +849,7 @@ LU_C = 64
 def _lu_routed(V, b):
     """Whether ``_l1_stack`` solves ``V x = b`` by LU rather than by the simplex."""
     V, b = np.asarray(V), np.asarray(b)
-    return V.shape[0] == V.shape[1] and np.isfinite(V).all() and np.isfinite(b).all() and np.linalg.cond(V) < nearbest._KAPPA
+    return V.shape[0] == V.shape[1] and np.isfinite(b).all() and np.linalg.cond(V, 1) < nearbest._KAPPA
 
 
 def _assert_exact(V, b, x):
@@ -1036,8 +1036,9 @@ class TestStackSolve:
         # only a re-solve of more than one basis raises: every problem is
         # then re-solved as a stack of one and gets the bits of one
         ks = KnotSequence.clamped(2, np.linspace(0.0, 1.0, 5))
-        NearBestProblem.from_discrete(ks, 0, 1, 2)
-        _, V, b, _ = ks._problems["point", 1, 2]  # anchors 0 and 5 repeat a Greville column and drop a row
+        # anchors 0..5, of which 0 and 5 (outside the cached stack) repeat a Greville column and drop a row
+        V, b = nearbest._problem_data(ks, "point", np.arange(6), 1, 2)
+        assert [np.linalg.matrix_rank(V[k]) for k in (0, 5)] == [2, 2]
         stacks = [(np.concatenate((V, -V), axis=2), b, np.ones(2 * V.shape[2])), _mixed_stack()]
         want = [[_outcome(_simplex_min, A[k], b[k], c) for k in range(len(A))] for A, b, c in stacks]
         solve, alone = np.linalg.solve, []
@@ -1161,7 +1162,7 @@ class TestStackSolve:
 
 
 class TestSquareRoute:
-    """A square stack row with finite data and kappa_2 below ``_KAPPA`` is
+    """A square stack row with a finite rhs and kappa_1 below ``_KAPPA`` is
     solved by LU; every other row goes to the simplex in one call."""
 
     @staticmethod
@@ -1189,8 +1190,72 @@ class TestSquareRoute:
                         routed += 1
                 rows += len(V)
         assert len(sent) == rows - routed and routed > 400
-        for V in sent:  # non-finite, or kappa_2 at least _KAPPA
-            assert not np.isfinite(V).all() or np.linalg.cond(V) >= nearbest._KAPPA
+        for V in sent:  # non-finite, or kappa_1 at least _KAPPA
+            assert not np.isfinite(V).all() or np.linalg.cond(V, 1) >= nearbest._KAPPA
+
+    def test_route_needs_no_svd(self, monkeypatch):
+        # well-conditioned rows, then an exactly singular, a non-finite and a
+        # diagonal row with kappa_1 = 2e8: LU takes the first three and the
+        # simplex, in one call, the last three, each with its bits alone
+        ks = random_clamped(2, 40, np.random.default_rng(1))
+        NearBestProblem.from_discrete(ks, 20, 1, 2)
+        _, V, b, _ = ks._problems["point", 1, 2]
+        odd = np.array([[[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]], np.eye(3), np.diag([1.0, 1.0, 5e-9])])
+        odd[1, 0, 2] = np.nan
+        V = np.concatenate((V[10:13], odd))
+        b = np.concatenate((b[10:13], [[1.0, 2.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1e-8]]))
+        assert np.linalg.cond(V[5], 1) == 2e8
+        c = np.ones(6)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        sizes = _count_calls(monkeypatch, "_simplex")
+        X, _, _, _, errors, feasible, optimal = nearbest._l1_stack(V, b, c)
+        assert sizes == [3]
+        for k in range(3):
+            _assert_exact(V[k], b[k], X[k])
+            assert errors[k] is None and feasible[k] and optimal[k]
+        for k in range(3, 6):
+            Z, _, alone = nearbest._simplex(np.concatenate((V[k : k + 1], -V[k : k + 1]), axis=2), b[k : k + 1], c)
+            if alone[0] is None:
+                assert errors[k] is None and X[k].tobytes() == (Z[0, :3] - Z[0, 3:]).tobytes()
+            else:
+                assert (type(errors[k]), str(errors[k])) == (type(alone[0]), str(alone[0]))
+        assert [type(errors[k]) for k in (4, 5)] == [InfeasibleError, type(None)]
+
+    @pytest.mark.parametrize("k, simplex_rows", [(8e7, 1), (6e7, 0)])
+    def test_route_follows_kappa_1(self, k, simplex_rows, monkeypatch):
+        # A = I - (1 - 1/k) J / 3 has kappa_2 = k and kappa_1 near 4k/3: at
+        # k = 8e7 only kappa_1 reaches _KAPPA, and the row goes to the simplex
+        A = np.eye(3) - (1.0 - 1.0 / k) * np.ones((3, 3)) / 3.0
+        assert np.linalg.cond(A) < nearbest._KAPPA
+        assert (np.linalg.cond(A, 1) >= nearbest._KAPPA) == bool(simplex_rows)
+        b = np.array([1.0, -1.0, 0.0])
+        sizes = _count_calls(monkeypatch, "_simplex")
+        X, _, _, _, errors, feasible, optimal = nearbest._l1_stack(A[None], b[None], np.ones(6))
+        assert sum(sizes) == simplex_rows
+        assert errors == [None] and feasible.all() and optimal.all()
+        np.testing.assert_allclose(X[0], b, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_clamped_discrete_stack_stops_at_the_basis_range(self, m, seed, monkeypatch):
+        # the end anchors p - 1 and nbasis - p, whose stencils repeat the
+        # clamped Greville point, are made and solved as stacks of one
+        ks, p = random_clamped(m, 40, np.random.default_rng(seed)), m // 2
+        sizes = _count_calls(monkeypatch, "_simplex")
+        for i in range(p, ks.nbasis - p):
+            solve_l1(NearBestProblem.from_discrete(ks, i, p, m))
+        first, V, _, _ = ks._problems["point", p, m]
+        assert (first, len(V), sizes) == (p, ks.nbasis - 2 * p, [])
+        for i in (p - 1, ks.nbasis - p):
+            prob = NearBestProblem.from_discrete(ks, i, p, m)
+            matrix, rhs = (a[0] for a in nearbest._problem_data(ks, "point", np.array([i]), p, m))
+            assert (prob.matrix.tobytes(), prob.rhs.tobytes()) == (matrix.tobytes(), rhs.tobytes())
+            direct = NearBestProblem(matrix=matrix, rhs=rhs, anchor=i, p=p, q=m)
+            assert _outcome(solve_l1, prob) == _outcome(solve_l1, direct)
 
     def test_singular_lu_row_goes_to_the_simplex(self, monkeypatch):
         # LAPACK finds no row of these tests singular, so one is made to fail:

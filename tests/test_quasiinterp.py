@@ -1,6 +1,7 @@
 """Tests for the concrete operator families."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -634,3 +635,73 @@ class TestConvergenceOrder:
         x = np.linspace(0.0, 1.0, 20001)
         e6, e7 = (np.abs(make(KnotSequence.clamped(m, self.refined(k))).evaluate(f, x) - f(x)).max() for k in (6, 7))
         assert np.log2(e6 / e7) >= r + 1 - 0.1, (e6, e7)
+
+
+def _local_bound_ratios(qi):
+    """Per span [t_s, t_{s+1}], the largest |f - Qf| over 41 points divided by
+    (1 + max_i nu_i) 7^(r+1) (|J|/2)^(r+1) / (r+1)!, for f = sin(7x + 0.3):
+    r is ``degree_exact``, i runs over the active rows s..s+m, and J is the
+    hull of the span and of every source those rows read, taken from the
+    weight bands (a point source's Greville point, a kernel source's knot
+    window).  Q reproduces degree r, so |f - Qf| <= (1 + max nu_i) |f - p|
+    on J for the Taylor polynomial p of degree r at J's midpoint: the ratio
+    is at most 1."""
+    ks, r = qi.ks, qi.degree_exact
+    lo, hi = np.full(ks.nbasis, np.inf), np.full(ks.nbasis, -np.inf)
+    for band in qi.bands:
+        rows, cols = np.nonzero(band.weights)
+        js = rows + band.lo + cols
+        if band.kind == "point":
+            left = right = ks.greville_points(js)
+        else:
+            deg, start = ks._kernel(band.kind, js)
+            left, right = ks.knots[start], ks.knots[start + deg + 1]
+        np.minimum.at(lo, rows, left)
+        np.maximum.at(hi, rows, right)
+    t = np.array([ks.knot(s) for s in range(ks.n + 1)])
+    x = t[:-1, None] + (t[1:] - t[:-1])[:, None] * np.linspace(0.0, 1.0, 41)
+    f = lambda x: np.sin(7.0 * x + 0.3)
+    err = np.abs(qi.evaluate(f, x) - f(x)).max(axis=1)
+    active = np.arange(ks.n)[:, None] + np.arange(ks.m + 1)
+    width = np.maximum(t[1:], hi[active].max(axis=1)) - np.minimum(t[:-1], lo[active].min(axis=1))
+    nu = qi.row_norms[active].max(axis=1)
+    bound = (1.0 + nu) * 7.0 ** (r + 1) * (width / 2.0) ** (r + 1) / math.factorial(r + 1)
+    return err / bound
+
+
+class TestLocalErrorBound:
+    """On every span, |f - Qf| is within the local Lebesgue bound of
+    ``_local_bound_ratios``, a theorem: the threshold 1 is not tuned."""
+
+    @staticmethod
+    def partitions():
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = rng.integers(6, 30)
+            yield random_breakpoints(n, rng)
+
+    @pytest.mark.parametrize("make", [schoenberg, s2, gs1, gs2], ids=["S1", "S2", "G1", "G2"])
+    def test_rough_partitions(self, make):
+        worst = max(
+            _local_bound_ratios(make(KnotSequence.clamped(m, bp))).max() for bp in self.partitions() for m in range(2, 7)
+        )
+        assert 0.0 < worst <= 1.0
+
+    def test_q_p2_on_admissible_partitions(self):
+        rng = np.random.default_rng(5)
+        worst = max(
+            _local_bound_ratios(nb_dqi_nonuniform(random_admissible_clamped(n, rng, p), p)).max()
+            for p in (2, 3)
+            for n in range(8, 30, 3)
+        )
+        assert 0.0 < worst <= 1.0
+
+    @pytest.mark.parametrize("make", [uniform_nb_dqi, uniform_nb_iqi], ids=["dQI", "iQI"])
+    def test_uniform_families(self, make):
+        worst = max(
+            _local_bound_ratios(make(order, n, r, nspans=20, spacing=0.05)).max()
+            for order in (2, 4, 6)
+            for n in (1, 2, 3)
+            for r in range(min(order, 2 * n + 1))  # the symmetric stencil has n + 1 weights for the even degrees
+        )
+        assert 0.0 < worst <= 1.0
